@@ -1,10 +1,12 @@
 """Structured linear algebra for the stacked state regression.
 
 The non-centered state equation couples consecutive periods through a unit
-lower block-bidiagonal matrix whose subdiagonal blocks are diagonal.  All
-solves against that matrix run in O(T*K) time, and the implied prior
-covariance (the inverse Gram matrix) is applied through a pair of
-triangular solves without ever being materialized.
+lower block-bidiagonal matrix Phi whose subdiagonal blocks are diagonal.
+Products with Phi and Phi' and solves against Phi run in O(T*K) time.  The
+posterior precisions of the state and volatility paths are symmetric banded:
+each is factored once as U'U by banded Cholesky, and every solve or draw
+goes through two banded triangular solves with that factor, so no dense
+matrix of path size is formed.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a symmetric factorization hits a non-positive pivot."""
+    """Raised when a banded factorization hits a non-positive or non-finite pivot."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,20 @@ class BlockBidiagonalLowerUnit:
         """Autoregressive diagonals phi_2..phi_T as a (T-1, K) array."""
         return -self.subdiag
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Phi x for a (nu,) vector or an (n, nu) batch."""
+        b = _as_blocks(x, self.T, self.K)
+        out = b.copy()
+        out[..., 1:, :] += self.subdiag * b[..., :-1, :]
+        return out.reshape(b.shape[:-2] + (self.nu,))
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """Phi' x for a (nu,) vector or an (n, nu) batch."""
+        b = _as_blocks(x, self.T, self.K)
+        out = b.copy()
+        out[..., :-1, :] += self.subdiag * b[..., 1:, :]
+        return out.reshape(b.shape[:-2] + (self.nu,))
+
     def to_dense(self) -> np.ndarray:
         """Materialize the full (T*K, T*K) matrix.  Testing and small T only."""
         T, K = self.T, self.K
@@ -68,29 +85,6 @@ class BlockBidiagonalLowerUnit:
             rows = np.arange((t + 1) * K, (t + 2) * K)
             out[rows, rows - K] = self.subdiag[t]
         return out
-
-
-@dataclass(frozen=True)
-class SpdDense:
-    """Dense symmetric positive definite matrix wrapper.
-
-    Symmetry is validated on construction (1e-12 relative tolerance);
-    positive definiteness is only discovered at factorization time.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = self.values
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("values must be a square matrix")
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def build_phi(phi_diagonals: np.ndarray) -> BlockBidiagonalLowerUnit:
@@ -126,82 +120,41 @@ def solve_lower(Phi: BlockBidiagonalLowerUnit, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(rhs.shape)
 
 
-def solve_upper(Phi: BlockBidiagonalLowerUnit, rhs: np.ndarray) -> np.ndarray:
-    """Solve Phi' x = rhs by backward substitution in O(T*K)."""
-    T, K = Phi.T, Phi.K
-    r = _as_blocks(rhs, T, K)
-    x = np.empty_like(r)
-    x[..., T - 1, :] = r[..., T - 1, :]
-    for t in range(T - 2, -1, -1):
-        x[..., t, :] = r[..., t, :] - Phi.subdiag[t] * x[..., t + 1, :]
-    return x.reshape(rhs.shape)
+def factor_banded(ab: np.ndarray, step: str, block: int = 1, first: int = 1) -> np.ndarray:
+    """Upper Cholesky factor U, with U'U = Q, of a banded SPD matrix Q.
 
-
-def apply_omega0(Phi: BlockBidiagonalLowerUnit, v: np.ndarray) -> np.ndarray:
-    """Apply the implied prior covariance (Phi'Phi)^{-1} to a vector.
-
-    One backward and one forward structured solve; the covariance itself
-    is never formed.
+    ``ab`` holds the upper band of Q in LAPACK storage: row -1 is the main
+    diagonal, row -1-k the k-th superdiagonal (right-aligned).  A NaN or
+    infinity in Q reaches the factor's diagonal, so it is caught with the
+    non-positive pivots.  Both raise NotPositiveDefiniteError naming
+    ``step`` and the period of the first bad pivot, counting ``block`` rows
+    per period from period ``first``.
     """
-    return solve_lower(Phi, solve_upper(Phi, v))
+    U, info = dpbtrf(ab, lower=0)
+    if info == 0:
+        bad = ~np.isfinite(U[-1])
+        if not bad.any():
+            return U
+        row, kind = int(np.argmax(bad)), "non-finite"
+    else:
+        row, kind = info - 1, "non-positive"
+    raise NotPositiveDefiniteError(
+        f"{step}: {kind} pivot in the precision at period {row // block + first}"
+    )
 
 
-def reset_indices(Phi: BlockBidiagonalLowerUnit) -> np.ndarray:
-    """Per-coefficient index of the most recent zero AR coefficient.
+def solve_factored(U: np.ndarray, rhs: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """U^{-1}(U^{-T} rhs + noise) from the factor of ``factor_banded``.
 
-    Returns z with shape (T, K): z[t, i] is the largest period r <= t
-    (0-based) at which phi_r[i] == 0, or 0 when no such period exists.
-    Requires the AR diagonals to be 0/1 valued; this is what makes the
-    prior covariance block diagonal across zero boundaries.
+    That is Q^{-1} rhs, plus a N(0, Q^{-1}) draw when ``noise`` is standard
+    normal.  ``rhs`` is a vector, or a matrix with one right-hand side per
+    column.
     """
-    T, K = Phi.T, Phi.K
-    phi = Phi.phi_body()
-    if not np.all((phi == 0.0) | (phi == 1.0)):
-        raise ValueError("reset indices require 0/1 AR coefficients")
-    z = np.zeros((T, K), dtype=np.int64)
-    for t in range(1, T):
-        z[t] = np.where(phi[t - 1] == 0.0, t, z[t - 1])
-    return z
-
-
-def omega0_weighted_gram(Phi: BlockBidiagonalLowerUnit, w: np.ndarray) -> np.ndarray:
-    """Form the T x T matrix W (Phi'Phi)^{-1} W' for block-diagonal W.
-
-    W has one K-row per period (rows ``w[t]``).  Because the AR
-    coefficients are 0/1, the (s, t) entry reduces to a run-length count:
-
-        sum_i w[s, i] w[t, i] * max(0, min(s, t) + 1 - z_i(max(s, t)))
-
-    with z the reset indices.  Cost is O(K*T^2) with no (T*K)-sized
-    intermediates.
-    """
-    T, K = Phi.T, Phi.K
-    w = np.asarray(w, dtype=float)
-    if w.shape != (T, K):
-        raise ValueError(f"w must have shape {(T, K)}")
-    z = reset_indices(Phi)
-    idx = np.arange(T)
-    lo = np.minimum.outer(idx, idx) + 1
-    hi = np.maximum.outer(idx, idx)
-    out = np.zeros((T, T))
-    for i in range(K):
-        count = lo - z[hi, i]
-        np.clip(count, 0, None, out=count)
-        out += np.outer(w[:, i], w[:, i]) * count
-    return out
-
-
-def cholesky_spd(A: SpdDense | np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a dense SPD matrix.
-
-    Raises NotPositiveDefiniteError when the matrix is not positive
-    definite, identifying the op rather than bubbling a bare LAPACK error.
-    """
-    values = A.values if isinstance(A, SpdDense) else np.asarray(A, dtype=float)
-    try:
-        return np.linalg.cholesky(values)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky failed: {exc}") from exc
+    x, _ = dtbtrs(U, rhs, uplo="U", trans="T")
+    if noise is not None:
+        x += noise
+    x, _ = dtbtrs(U, x, uplo="U", trans="N")
+    return x
 
 
 def _as_blocks(v: np.ndarray, T: int, K: int) -> np.ndarray:

@@ -622,6 +622,11 @@ class PosteriorDraws:
         return "\n".join(rows) + "\n"
 
 
+def with_context(exc: ArithmeticError | ValueError, where: str) -> Exception:
+    """An exception of the same type whose message is prefixed by ``where``."""
+    return type(exc)(f"{where}: {exc}")
+
+
 def _group_names(spec: ModelSpec) -> list[str]:
     if spec.model_class == CLASS_CONST_MIN:
         return []
@@ -693,7 +698,10 @@ def run_chain(
     slot = 0
     next_record = spec.burnin
     for it in range(spec.iterations):
-        state = gibbs_sweep(y, x, spec, state, rng, scales, adapting=it < spec.burnin)
+        try:
+            state = gibbs_sweep(y, x, spec, state, rng, scales, adapting=it < spec.burnin)
+        except (ArithmeticError, ValueError) as exc:
+            raise with_context(exc, f"iteration {it + 1}") from exc
         if it == next_record:
             _record(rec, slot, state, spec, T, K)
             slot += 1

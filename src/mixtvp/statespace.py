@@ -1,14 +1,22 @@
-"""Static-form state regression: design rows and the fast joint draw.
+"""Static-form state regression: design rows and the banded joint draw.
 
 The normalized states enter the observation equation through per-period
-rows only, so the conditional Gaussian posterior over all T*K states can
-be sampled by factorizing a single T x T matrix.  Identity used, with
-W~ = Sigma^{-1} W and Omega_0 the structured prior covariance:
+rows only, so with W~ = Sigma^{-1} W (one K-row per period) their
+conditional posterior precision
 
-    draw = Omega_0 W~' (I_T + W~ Omega_0 W~')^{-1} (y~ - W~ q - v) + q,
-    q = a_0 + Phi^{-1} u,   u ~ N(0, I_nu),  v ~ N(0, I_T),
+    Q = W~'W~ + Phi'Phi
 
-which matches N(a_1, Omega_1) with Omega_1^{-1} = W~'W~ + Omega_0^{-1}.
+is banded with bandwidth K: W~'W~ is block diagonal and Phi'Phi block
+tridiagonal with diagonal off-diagonal blocks.  The path is drawn with one
+banded Cholesky Q = U'U and two banded triangular solves, in O(T*K^3):
+
+    draw = U^{-1} U^{-T} b,   b = W~'(y~ - v) + Phi'(Phi a_0 + u),
+    u ~ N(0, I_nu),  v ~ N(0, I_T).
+
+b has mean W~'y~ + Phi'Phi a_0 and covariance W~'W~ + Phi'Phi = Q, so the
+draw is N(Q^{-1}(W~'y~ + Phi'Phi a_0), Q^{-1}), the posterior under the
+prior a_0 + Phi^{-1} u (Rue 2001; Chan and Jeliazkov 2009).  The AR
+diagonals of Phi may take any values.
 """
 
 from __future__ import annotations
@@ -16,19 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .banded import (
-    BlockBidiagonalLowerUnit,
-    cholesky_spd,
-    omega0_weighted_gram,
-    solve_lower,
-    solve_upper,
-)
+from .banded import BlockBidiagonalLowerUnit, factor_banded, solve_factored
 from .shrinkage import ConstantBlock
 
 SQRT_PSI_FLOOR = 1e-10
-NAIVE_DIM_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,24 @@ def build_design_rows(
     return Design(xhat=xhat, wtilde=wtilde)
 
 
+def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> np.ndarray:
+    """Upper band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
+
+    Row K - k holds superdiagonal k.  The blocks w_t w_t' fill offsets
+    below K within each period; Phi'Phi adds 1 + d_t^2 to the diagonal and
+    puts its subdiagonal d_t at offset K.
+    """
+    T, K = Phi.T, Phi.K
+    ab = np.zeros((K + 1, T * K))
+    band = ab.reshape(K + 1, T, K)
+    for k in range(K):
+        band[K - k, :, k:] = wtilde[:, : K - k] * wtilde[:, k:]
+    band[K] += 1.0
+    band[K, :-1] += Phi.subdiag**2
+    band[0, 1:] = Phi.subdiag
+    return ab
+
+
 def draw_states_fast(
     ytilde: np.ndarray,
     wtilde: np.ndarray,
@@ -89,11 +107,12 @@ def draw_states_fast(
     size: int | None = None,
     noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Joint draw of the normalized states; only T x T dense factorizations.
+    """Joint draw of the normalized states from their banded precision.
 
     ``noise`` injects the (u, v) pair directly (deterministic use in
-    identity checks); otherwise both are standard normal from ``rng``.
-    Batched draws share the single factorization when ``size`` is given.
+    identity checks); otherwise both are standard normal from ``rng``, u
+    first.  Batched draws share the single factorization when ``size`` is
+    given.
     """
     T, K = Phi.T, Phi.K
     nu = T * K
@@ -108,33 +127,11 @@ def draw_states_fast(
         u = rng.normal(size=(n, nu))
         v = rng.normal(size=(n, T))
 
-    gram = omega0_weighted_gram(Phi, wtilde)
-    gram[np.diag_indices_from(gram)] += 1.0
-    chol = cholesky_spd(gram)
-
-    q = a0 + solve_lower(Phi, u)
-    r = (wtilde * q.reshape(n, T, K)).sum(axis=2) + v
-    f = cho_solve((chol, True), (ytilde - r).T).T
-    scatter = (wtilde[None, :, :] * f[:, :, None]).reshape(n, nu)
-    draws = solve_lower(Phi, solve_upper(Phi, scatter)) + q
+    U = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
+    b = (wtilde * (ytilde - v)[:, :, None]).reshape(n, nu)
+    b += Phi.rmatvec(Phi.matvec(a0) + u)
+    draws = solve_factored(U, b.T).T
     return draws[0] if size is None else draws
-
-
-def posterior_moments_naive(ytilde, wtilde, a0, Phi):
-    """Dense two-sided oracle for the state posterior; small cases only."""
-    T, K = Phi.T, Phi.K
-    nu = T * K
-    if nu > NAIVE_DIM_LIMIT:
-        raise ValueError(f"naive moments limited to dimension {NAIVE_DIM_LIMIT}")
-    W = np.zeros((T, nu))
-    for t in range(T):
-        W[t, t * K:(t + 1) * K] = wtilde[t]
-    D = Phi.to_dense()
-    prior_prec = D.T @ D
-    post_prec = W.T @ W + prior_prec
-    cov = np.linalg.inv(post_prec)
-    mean = cov @ (W.T @ ytilde + prior_prec @ a0)
-    return mean, cov
 
 
 def reconstruct_centered(block: ConstantBlock, S: np.ndarray | None, alpha_tilde: np.ndarray) -> np.ndarray:

@@ -10,12 +10,11 @@ variance is small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solve_banded, solveh_banded
-from scipy.stats import beta as beta_dist
 
+from .banded import factor_banded, solve_factored
 from .distributions import GigParams, sample_categorical_rows, sample_gig
 
 # 10-component Gaussian mixture approximation to log chi^2(1)
@@ -139,20 +138,14 @@ def _draw_h_joint(obs, d, state, rng):
     """
     T = obs.size
     phi, psi, mu = state.phi, state.psi, state.mu
-    diag = np.empty(T + 1)
-    diag[0] = 1.0 / psi
-    diag[1:] = 1.0 / psi + d
-    diag[1:T] += phi**2 / psi
-    super_ = np.full(T, -phi / psi)
-    b = np.concatenate(([0.0], d * (obs - mu)))
-
     ab = np.zeros((2, T + 1))
-    ab[1] = diag
-    ab[0, 1:] = super_
-    mean = solveh_banded(ab, b)
-    u_band = cholesky_banded(ab)
-    noise = solve_banded((0, 1), u_band, rng.normal(size=T + 1))
-    return mu + mean + noise
+    ab[0, 1:] = -phi / psi
+    ab[1] = 1.0 / psi
+    ab[1, 1:] += d
+    ab[1, 1:T] += phi**2 / psi
+    b = np.concatenate(([0.0], d * (obs - mu)))
+    U = factor_banded(ab, "volatility draw", first=0)
+    return mu + solve_factored(U, b, rng.normal(size=T + 1))
 
 
 def _draw_mu_centered(h_full, phi, psi, priors, rng):
@@ -177,10 +170,12 @@ def _draw_phi_centered(h_full, mu, phi, psi, priors, rng):
         return phi
 
     def log_extra(p):
+        # Beta((p+1)/2; a, b) kernel; its constant and the log 2 terms cancel
         return (
             0.5 * np.log1p(-(p**2))
             - (1.0 - p**2) * g0**2 / (2.0 * psi)
-            + beta_dist.logpdf((p + 1.0) / 2.0, priors.phi_beta_a, priors.phi_beta_b)
+            + (priors.phi_beta_a - 1.0) * np.log1p(p)
+            + (priors.phi_beta_b - 1.0) * np.log1p(-p)
         )
 
     if np.log(rng.random()) <= log_extra(prop) - log_extra(phi):
@@ -220,18 +215,3 @@ def _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng):
     mu_new, scale_new = float(draw[0]), float(draw[1])
     psi_new = max(scale_new**2, PSI_FLOOR)
     return mu_new, psi_new, mu_new + scale_new * htil
-
-
-def simulate_sv_path(state: SvState, horizons: int, rng: np.random.Generator) -> np.ndarray:
-    """Simulate h_{T+1..T+H} forward from the fitted law of motion."""
-    out = np.empty(horizons)
-    prev = state.h[-1]
-    sd = np.sqrt(state.psi)
-    for i in range(horizons):
-        prev = state.mu + state.phi * (prev - state.mu) + sd * rng.normal()
-        out[i] = prev
-    return out
-
-
-def replace_h(state: SvState, h: np.ndarray) -> SvState:
-    return replace(state, h=h)

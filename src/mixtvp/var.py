@@ -27,6 +27,7 @@ from .sampler import (
     PosteriorDraws,
     ar_ols_variances,
     run_chain,
+    with_context,
 )
 
 __all__ = [
@@ -274,7 +275,10 @@ def estimate_var(
 
     def fit(i):
         y, x = datasets[i]
-        return run_chain(y, x, specs[i], seed=children[i])
+        try:
+            return run_chain(y, x, specs[i], seed=children[i])
+        except (ArithmeticError, ValueError) as exc:
+            raise with_context(exc, f"equation {i + 1}") from exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -6,14 +6,10 @@ import pytest
 from mixtvp.banded import (
     BlockBidiagonalLowerUnit,
     NotPositiveDefiniteError,
-    SpdDense,
-    apply_omega0,
     build_phi,
-    cholesky_spd,
-    omega0_weighted_gram,
-    reset_indices,
+    factor_banded,
+    solve_factored,
     solve_lower,
-    solve_upper,
 )
 
 
@@ -55,7 +51,8 @@ def test_solves_match_dense_oracle():
         D = Phi.to_dense()
         rhs = rng.normal(size=T * K)
         np.testing.assert_allclose(solve_lower(Phi, rhs), np.linalg.solve(D, rhs), atol=1e-12)
-        np.testing.assert_allclose(solve_upper(Phi, rhs), np.linalg.solve(D.T, rhs), atol=1e-12)
+        np.testing.assert_allclose(Phi.matvec(rhs), D @ rhs, atol=1e-12)
+        np.testing.assert_allclose(Phi.rmatvec(rhs), D.T @ rhs, atol=1e-12)
 
 
 def test_solve_round_trip():
@@ -75,24 +72,6 @@ def test_batched_solve_matches_loop():
         np.testing.assert_allclose(batched[i], solve_lower(Phi, rhs[i]))
 
 
-def test_apply_omega0_random_walk_min_index():
-    T = 4
-    Phi = build_phi(np.ones((T, 1)))
-    omega0 = np.column_stack([apply_omega0(Phi, e) for e in np.eye(T)])
-    expected = np.minimum.outer(np.arange(1, T + 1), np.arange(1, T + 1)).astype(float)
-    np.testing.assert_allclose(omega0, expected, atol=1e-12)
-
-
-def test_apply_omega0_matches_dense_inverse_gram():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        T = int(rng.integers(2, 8))
-        K = int(rng.integers(1, 4))
-        Phi = random_phi(rng, T, K)
-        v = rng.normal(size=T * K)
-        np.testing.assert_allclose(apply_omega0(Phi, v), dense_omega0(Phi) @ v, atol=1e-10)
-
-
 def test_omega0_block_diagonal_across_zero_boundaries():
     # a zero AR coefficient at period t decouples that coefficient's
     # prior covariance across the t-1 / t boundary
@@ -107,54 +86,67 @@ def test_omega0_block_diagonal_across_zero_boundaries():
             assert omega0[i, j] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_weighted_gram_matches_dense():
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        T = int(rng.integers(2, 10))
-        K = int(rng.integers(1, 4))
-        Phi = random_phi(rng, T, K)
-        w = rng.normal(size=(T, K))
-        W = np.zeros((T, T * K))
-        for t in range(T):
-            W[t, t * K:(t + 1) * K] = w[t]
-        expected = W @ dense_omega0(Phi) @ W.T
-        np.testing.assert_allclose(omega0_weighted_gram(Phi, w), expected, atol=1e-10)
-
-
-def test_reset_indices_track_last_zero():
-    phi = np.array([[1.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
-    Phi = build_phi(phi)
-    z = reset_indices(Phi)
-    np.testing.assert_array_equal(z[:, 0], [0, 0, 2, 2, 4, 4])
-
-
-def test_cholesky_spd_round_trip_and_failure():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(6, 6))
-    spd = SpdDense(A @ A.T + 6 * np.eye(6))
-    L = cholesky_spd(spd)
-    np.testing.assert_allclose(L @ L.T, spd.values, atol=1e-10)
-    assert np.allclose(L, np.tril(L))
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_spd(SpdDense(-np.eye(3)))
-
-
-def test_spd_dense_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        SpdDense(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-
 def test_dimension_mismatch_errors():
     Phi = build_phi(np.ones((3, 2)))
     with pytest.raises(ValueError):
         solve_lower(Phi, np.ones(5))
     with pytest.raises(ValueError):
-        omega0_weighted_gram(Phi, np.ones((4, 2)))
+        Phi.rmatvec(np.ones(8))
     with pytest.raises(ValueError):
         BlockBidiagonalLowerUnit(T=3, K=2, subdiag=np.ones((3, 2)))
 
 
-def test_weighted_gram_requires_binary_phi():
-    Phi = build_phi(np.full((3, 1), 0.5))
-    with pytest.raises(ValueError):
-        omega0_weighted_gram(Phi, np.ones((3, 1)))
+def random_band(rng, n, kd):
+    """Upper LAPACK band of a random diagonally dominant SPD matrix, and Q."""
+    Q = np.zeros((n, n))
+    for k in range(1, kd + 1):
+        off = rng.normal(size=n - k)
+        Q += np.diag(off, k) + np.diag(off, -k)
+    Q += np.diag(np.abs(Q).sum(axis=1) + 1.0)
+    ab = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        ab[kd - k, k:] = np.diag(Q, k)
+    return ab, Q
+
+
+def test_prior_precision_inverse_random_walk_min_index():
+    # the random-walk prior precision Phi'Phi inverts to min(s, t)
+    T = 5
+    D = build_phi(np.ones((T, 1))).to_dense()
+    ab = np.zeros((2, T))
+    ab[1] = np.diag(D.T @ D)
+    ab[0, 1:] = np.diag(D.T @ D, 1)
+    omega0 = solve_factored(factor_banded(ab, "prior"), np.eye(T))
+    expected = np.minimum.outer(np.arange(1, T + 1), np.arange(1, T + 1)).astype(float)
+    np.testing.assert_allclose(omega0, expected, atol=1e-12)
+
+
+def test_solve_factored_matches_dense():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        kd = int(rng.integers(0, 4))
+        n = int(rng.integers(kd + 2, 12))
+        ab, Q = random_band(rng, n, kd)
+        U = factor_banded(ab, "test")
+        dense_U = np.linalg.cholesky(Q).T
+        np.testing.assert_allclose(sum(np.diag(U[kd - k, k:], k) for k in range(kd + 1)), dense_U, atol=1e-12)
+        rhs = rng.normal(size=(n, 3))
+        z = rng.normal(size=(n, 3))
+        np.testing.assert_allclose(solve_factored(U, rhs), np.linalg.solve(Q, rhs), atol=1e-10)
+        np.testing.assert_allclose(
+            solve_factored(U, rhs, z),
+            np.linalg.solve(Q, rhs) + np.linalg.solve(dense_U, z),
+            atol=1e-10,
+        )
+
+
+def test_factor_banded_failure_names_step_and_period():
+    ab = np.zeros((3, 8))
+    ab[2] = 1.0
+    ab[2, 5] = -1.0  # row 5 is period 3 at two rows per period
+    with pytest.raises(NotPositiveDefiniteError, match="state draw: non-positive pivot .* period 3"):
+        factor_banded(ab, "state draw", block=2)
+    ab[2, 5] = 1.0
+    ab[1, 3] = np.nan  # Q[2, 3] first spoils the pivot of row 3: period 1, counting from 0
+    with pytest.raises(NotPositiveDefiniteError, match="volatility draw: non-finite pivot .* period 1"):
+        factor_banded(ab, "volatility draw", block=2, first=0)

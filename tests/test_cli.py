@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line entry points."""
 
 import datetime
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixtvp
 from mixtvp.cli import main
 from mixtvp.dgp import generate_var_break
 
@@ -188,3 +193,13 @@ def test_cli_errors(tmp_path):
         main(["compare", "one.csv", "--out", str(tmp_path)])
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+def test_package_import_stays_light():
+    # scipy.stats alone takes longer to import than the rest of the package
+    code = "import sys, mixtvp; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(mixtvp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

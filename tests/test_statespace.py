@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from mixtvp.banded import build_phi
+from mixtvp.banded import NotPositiveDefiniteError, build_phi
 from mixtvp.shrinkage import ConstantBlock
 from mixtvp.statespace import (
     build_design_rows,
     draw_states_fast,
     normalized_from_centered,
-    posterior_moments_naive,
     reconstruct_centered,
     sqrt_psi_matrix,
+    state_precision_band,
 )
 from oracles import carter_kohn_tvp, dense_state_posterior
 
@@ -32,17 +32,8 @@ def test_conditional_mean_identity_matches_naive():
         K = int(rng.integers(1, 4))
         ytilde, wtilde, a0, Phi = random_instance(rng, T, K)
         mean_fast = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(np.zeros(T * K), np.zeros(T)))
-        mean_naive, _ = posterior_moments_naive(ytilde, wtilde, a0, Phi)
+        mean_naive, _ = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
         np.testing.assert_allclose(mean_fast, mean_naive, atol=1e-8)
-
-
-def test_naive_moments_match_independent_dense():
-    rng = np.random.default_rng(1)
-    ytilde, wtilde, a0, Phi = random_instance(rng, 6, 2)
-    mean, cov = posterior_moments_naive(ytilde, wtilde, a0, Phi)
-    mean_o, cov_o = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
-    np.testing.assert_allclose(mean, mean_o, atol=1e-10)
-    np.testing.assert_allclose(cov, cov_o, atol=1e-10)
 
 
 def test_draw_covariance_random_walk_small():
@@ -53,7 +44,7 @@ def test_draw_covariance_random_walk_small():
     ytilde = rng.normal(size=T)
     a0 = np.zeros(T * K)
     draws = draw_states_fast(ytilde, wtilde, a0, Phi, rng=np.random.default_rng(3), size=40_000)
-    _, cov = posterior_moments_naive(ytilde, wtilde, a0, Phi)
+    _, cov = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
     sample_cov = np.cov(draws.T)
     rel = np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov)
     assert rel < 0.03
@@ -63,9 +54,72 @@ def test_batched_equals_scalar_distribution():
     rng = np.random.default_rng(4)
     ytilde, wtilde, a0, Phi = random_instance(rng, 4, 2)
     batch = draw_states_fast(ytilde, wtilde, a0, Phi, rng=np.random.default_rng(5), size=20_000)
-    mean, cov = posterior_moments_naive(ytilde, wtilde, a0, Phi)
+    mean, cov = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
     se = np.sqrt(np.diag(cov) / 20_000)
     assert np.all(np.abs(batch.mean(axis=0) - mean) < 5 * se + 1e-12)
+
+
+def dense_rows(wtilde):
+    """The (T, T*K) block-diagonal observation matrix W~."""
+    T, K = wtilde.shape
+    W = np.zeros((T, T * K))
+    for t in range(T):
+        W[t, t * K:(t + 1) * K] = wtilde[t]
+    return W
+
+
+def dense_draw(ytilde, wtilde, a0, Phi, u, v):
+    """Q^{-1}(W~'(y~ - v) + Phi'Phi a0 + Phi'u) with Q^{-1} from the dense oracle."""
+    W = dense_rows(wtilde)
+    D = Phi.to_dense()
+    _, cov = dense_state_posterior(ytilde, wtilde, a0, D)
+    return cov @ (W.T @ (ytilde - v) + D.T @ D @ a0 + D.T @ u)
+
+
+def check_injected_noise_draws(rng, ar_diagonals):
+    for _ in range(20):
+        T = int(rng.integers(2, 9))
+        K = int(rng.integers(1, 4))
+        ytilde, wtilde, a0, _ = random_instance(rng, T, K)
+        Phi = build_phi(ar_diagonals(T, K))
+        u = rng.normal(size=T * K)
+        v = rng.normal(size=T)
+        draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(u, v))
+        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, Phi, u, v), atol=1e-9)
+
+
+def test_draw_matches_dense_formula_with_injected_noise():
+    rng = np.random.default_rng(12)
+    check_injected_noise_draws(rng, lambda T, K: rng.integers(0, 2, size=(T, K)).astype(float))
+
+
+def test_draw_matches_dense_formula_any_ar():
+    rng = np.random.default_rng(13)
+    check_injected_noise_draws(rng, lambda T, K: rng.uniform(-0.9, 0.9, size=(T, K)))
+
+
+def test_state_precision_band_matches_dense():
+    rng = np.random.default_rng(14)
+    for _ in range(15):
+        T = int(rng.integers(2, 9))
+        K = int(rng.integers(1, 4))
+        Phi = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
+        wtilde = rng.normal(size=(T, K))
+        W = dense_rows(wtilde)
+        D = Phi.to_dense()
+        Q = W.T @ W + D.T @ D
+        ab = state_precision_band(wtilde, Phi)
+        for k in range(K + 1):
+            np.testing.assert_allclose(ab[K - k, k:], np.diag(Q, k), atol=1e-12)
+        assert np.all(Q[np.triu_indices(T * K, K + 1)] == 0.0)
+
+
+def test_state_draw_failure_names_step_and_period():
+    rng = np.random.default_rng(15)
+    ytilde, wtilde, a0, Phi = random_instance(rng, 6, 2)
+    wtilde[3, 1] = np.inf  # what a zero volatility leaves in period 4
+    with pytest.raises(NotPositiveDefiniteError, match="state draw: .* period 4"):
+        draw_states_fast(ytilde, wtilde, a0, Phi, rng)
 
 
 def test_design_rows_layouts():
@@ -158,4 +212,6 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), Phi, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        posterior_moments_naive(np.zeros(4), np.zeros((4, 2)), np.zeros(4), Phi)
+        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), Phi, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(5), Phi, np.random.default_rng(0))

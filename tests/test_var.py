@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mixtvp.sampler
+from mixtvp.banded import NotPositiveDefiniteError
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
     CLASS_CONST_NG,
@@ -189,6 +191,25 @@ def test_estimate_var_thread_invariance():
     for ea, eb in zip(a.equations, b.equations):
         np.testing.assert_array_equal(ea.alpha0, eb.alpha0)
         np.testing.assert_array_equal(ea.h, eb.h)
+
+
+def test_chain_failure_names_equation_iteration_and_step(monkeypatch):
+    real_draw = mixtvp.sampler.draw_states_fast
+    calls = []
+
+    def draw_failing_on_eighth_call(ytilde, wtilde, a0, Phi, rng):
+        calls.append(None)
+        if len(calls) == 8:  # equation 2, iteration 3 at five iterations each
+            wtilde = wtilde.copy()
+            wtilde[5] = np.inf  # what a zero volatility leaves in period 6
+        return real_draw(ytilde, wtilde, a0, Phi, rng)
+
+    monkeypatch.setattr(mixtvp.sampler, "draw_states_fast", draw_failing_on_eighth_call)
+    spec = ModelSpec(model_class=CLASS_MIX, subclass=SUB_FLEX_MS, iterations=5, burnin=2)
+    with pytest.raises(
+        NotPositiveDefiniteError, match=r"^equation 2: iteration 3: state draw: .* period 6$"
+    ):
+        estimate_var(_small_var_data(), 1, spec, seed=4)
 
 
 def test_estimate_var_minnesota_prior_is_per_equation():
