@@ -2,8 +2,13 @@
 
 Every subcommand reads its instructions from a flat key=value config
 file (see io.run_config) plus a few overriding flags, and writes plain
-CSV or raw draw stores. Same seed and thread count means byte-identical
-output files.
+CSV or raw draw stores. The same seed means byte-identical output files.
+
+``spectral`` reads every (record, period) draw of an equation store set
+and hands the stacked paths to ``spectral.low_freq_path_bands``, which
+runs the whole structural -> reduced -> companion -> Pi(0) pipeline as
+array operations over period blocks, with one eigen-decomposition per
+draw.
 """
 
 from __future__ import annotations
@@ -24,9 +29,14 @@ from .evaluation import (
     tables_from_scores,
 )
 from .io import RunConfig, load_panel_csv, principal_components, run_config, standardize
-from .sampler import PosteriorDraws
-from .spectral import bands_csv, companion, low_freq
-from .var import estimate_var, simulate_predictive, structural_from_paths, structural_to_reduced
+from .sampler import CONST_CLASSES, PosteriorDraws
+from .spectral import bands_csv, low_freq_path_bands
+
+# The per-draw names stay importable from this module because
+# perfbench/layers.py wraps them here; spectral no longer calls them.
+from .spectral import companion, low_freq  # noqa: F401
+from .var import estimate_var
+from .var import structural_from_paths, structural_to_reduced  # noqa: F401
 
 __all__ = ["main"]
 
@@ -87,9 +97,7 @@ def _cmd_estimate(args) -> None:
     cfg = _load_config(args)
     out = _out_dir(args)
     Y, names = _build_panel(cfg)
-    est = estimate_var(
-        Y, cfg.spec.p, cfg.spec, seed=cfg.seed, threads=args.threads, names=names
-    )
+    est = estimate_var(Y, cfg.spec.p, cfg.spec, seed=cfg.seed, names=names)
     for i, eq in enumerate(est.equations):
         eq.save(out / f"eq{i + 1}")
     (out / "variables.txt").write_text("\n".join(names) + "\n")
@@ -114,7 +122,6 @@ def _cmd_forecast(args) -> None:
         cfg.horizons,
         nsim=cfg.nsim,
         seed=cfg.seed,
-        threads=args.threads,
     )
     (out / "scores_model.csv").write_text(scores_csv(records["model"], "model"))
     (out / "scores_benchmark.csv").write_text(
@@ -153,43 +160,38 @@ def _cmd_spectral(args) -> None:
     if not eq_dirs:
         raise SystemExit(f"no equation stores under {store}")
     eqs = [PosteriorDraws.load(d) for d in eq_dirs]
+    if len({(eq.n_records, eq.h.shape[1]) for eq in eqs}) > 1:
+        sizes = ", ".join(
+            f"{d.name} {eq.n_records} records x {eq.h.shape[1]} periods"
+            for d, eq in zip(eq_dirs, eqs)
+        )
+        raise SystemExit(f"equation stores disagree on record count or sample length: {sizes}")
+    n, T = eqs[0].h.shape
     paths = []
-    for eq in eqs:
+    for d, eq in zip(eq_dirs, eqs):
+        model_class = eq.meta.get("model_class", "unknown")
         if eq.alpha is not None:
             paths.append(eq.alpha)
-        else:
-            # constant-coefficient store: tile the final draw over time
-            T_eq = eq.h.shape[1]
+        elif model_class in CONST_CLASSES:
+            # constant coefficients: the final draw holds in every period
             paths.append(
-                np.broadcast_to(
-                    eq.alpha_last[:, None, :],
-                    (eq.n_records, T_eq, eq.alpha_last.shape[1]),
-                )
+                np.broadcast_to(eq.alpha_last[:, None, :], (n, T, eq.alpha_last.shape[1]))
+            )
+        else:
+            raise SystemExit(
+                f"{d.name} store at {d} has model_class {model_class} but no "
+                "coefficient paths; estimate with store_paths = true"
             )
     i, j = cfg.pair[0] - 1, cfg.pair[1] - 1
-    p = cfg.spec.p
-    T = paths[0].shape[1]
-    n = min(eq.n_records for eq in eqs)
-    rows = []
-    excluded_total = 0
-    for t in range(T):
-        vals = []
-        for r in range(n):
-            draw = structural_from_paths(
-                [path[r] for path in paths], [np.exp(eq.h[r]) for eq in eqs]
-            )
-            A, sigma = structural_to_reduced(draw, t)
-            cf = companion(A, sigma, p)
-            if not cf.is_stable():
-                excluded_total += 1
-                continue
-            vals.append(low_freq(cf, i, j))
-        if not vals:
-            raise SystemExit(f"every draw unstable at t={t}")
-        lo, med, hi = np.quantile(vals, [0.16, 0.5, 0.84])
-        rows.append((t, med, lo, hi))
+    try:
+        bands, excluded = low_freq_path_bands(
+            paths, [np.exp(eq.h) for eq in eqs], cfg.spec.p, i, j, (0.16, 0.5, 0.84)
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+    rows = [(t, med, lo, hi) for t, (lo, med, hi) in enumerate(bands)]
     name = f"lowfreq_{cfg.pair[0]}_{cfg.pair[1]}.csv"
-    (out / name).write_text(bands_csv(rows, excluded_total))
+    (out / name).write_text(bands_csv(rows, excluded))
     print(f"wrote {out / name}")
 
 
@@ -230,7 +232,6 @@ def main(argv=None) -> None:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="config file (key = value lines)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--thin", type=int, default=None)
         if name == "compare":

@@ -298,12 +298,11 @@ def run_forecast_harness(
     horizons: tuple[int, ...],
     nsim: int = 8,
     seed=0,
-    threads: int = 1,
 ) -> dict[str, list[ForecastRecord]]:
     """Re-estimate each model on every expanding window and forecast.
 
     Seeds derive from one master seed per (origin, model) pair, so
-    results are reproducible and independent of thread count.
+    results are reproducible and each cell depends only on its own seed.
     """
     Y = np.asarray(Y, dtype=float)
     T = Y.shape[0]
@@ -319,7 +318,7 @@ def run_forecast_harness(
         hmax = max(by_origin[origin])
         for mi, (name, spec) in enumerate(specs.items()):
             s_est, s_sim = model_seeds[mi].spawn(2)
-            est = estimate_var(Y[: origin + 1], p, spec, seed=s_est, threads=threads)
+            est = estimate_var(Y[: origin + 1], p, spec, seed=s_est)
             fd = simulate_predictive(
                 est, hmax, nsim, np.random.default_rng(s_sim)
             )

@@ -4,16 +4,15 @@ A VAR with contemporaneous triangularization splits into m unrelated
 regressions: equation i regresses variable i on the preceding i-1
 contemporaneous values, p lags of every variable, and an intercept.
 Chains therefore run per equation with independent seeds spawned from a
-single master seed, which keeps multi-threaded runs bit-reproducible.
+single master seed, so every equation's draws are reproducible on
+their own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .distributions import sample_categorical_rows
 from .sampler import (
@@ -37,6 +36,7 @@ __all__ = [
     "split_equations",
     "structural_from_paths",
     "structural_to_reduced",
+    "reduced_from_paths",
     "minnesota_variances",
     "estimate_var",
     "simulate_predictive",
@@ -169,19 +169,52 @@ def structural_to_reduced(
     Sigma : ndarray
         Reduced-form error covariance, shape (m, m), symmetric PD.
     """
-    m, p = draw.m, draw.p
     if not 0 <= t < draw.n_periods:
         raise ValueError("t out of range")
-    lhs = np.eye(m) - draw.b0[t]
     stacked = np.concatenate(
-        [draw.b[t, l] for l in range(p)] + [draw.c[t][:, None]], axis=1
+        [draw.b[t, l] for l in range(draw.p)] + [draw.c[t][:, None]], axis=1
     )
-    A = solve_triangular(lhs, stacked, lower=True, unit_diagonal=True)
-    # Sigma = L L' with L = (I - B0)^{-1} diag(sigma), symmetric PD by construction
-    L = solve_triangular(
-        lhs, np.diag(np.sqrt(draw.sigma2[t])), lower=True, unit_diagonal=True
+    return _reduce(draw.b0[t], stacked, draw.sigma2[t])
+
+
+def reduced_from_paths(
+    alphas: list[np.ndarray], sigma2s: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced form of stacked structural draws, batched over leading axes.
+
+    ``alphas[i]`` holds equation i's coefficients with shape (..., K_i)
+    in the layout of ``structural_from_paths``, ``sigma2s[i]`` the
+    matching (...) error variances; every equation shares the leading
+    axes, such as (record, period). Returns A with shape (..., m, mp+1)
+    and Sigma with shape (..., m, m), each entry equal to what
+    ``structural_to_reduced`` gives for that draw.
+    """
+    m = len(alphas)
+    lead = alphas[0].shape[:-1]
+    mp = alphas[0].shape[-1] - 1
+    if mp % m != 0:
+        raise ValueError("equation 1 width must be mp + 1")
+    b0 = np.zeros(lead + (m, m))
+    stacked = np.empty(lead + (m, mp + 1))
+    sigma2 = np.empty(lead + (m,))
+    for i, path in enumerate(alphas):
+        if path.shape != lead + (mp + i + 1,):
+            raise ValueError(f"equation {i + 1} path has the wrong width")
+        b0[..., i, :i] = path[..., :i]
+        stacked[..., i, :] = path[..., i:]
+        sigma2[..., i] = sigma2s[i]
+    return _reduce(b0, stacked, sigma2)
+
+
+def _reduce(b0, stacked, sigma2):
+    """A = (I - B0)^{-1} stacked and Sigma = L L' with L = (I - B0)^{-1} diag(sigma)."""
+    m = b0.shape[-1]
+    sol = _solve_unit_lower(
+        b0, np.concatenate([stacked, np.sqrt(sigma2)[..., None] * np.eye(m)], axis=-1)
     )
-    return A, L @ L.T
+    L = sol[..., -m:]
+    # symmetric PD by construction
+    return sol[..., :-m], L @ np.swapaxes(L, -1, -2)
 
 
 def minnesota_variances(
@@ -250,13 +283,12 @@ def estimate_var(
     p: int,
     spec: ModelSpec,
     seed,
-    threads: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> VarEstimate:
     """Estimate every equation of the triangularized system.
 
-    Seeds are spawned per equation from ``seed``, so results are
-    identical for any ``threads`` value.
+    Seeds are spawned per equation from ``seed``, so each equation's
+    chain depends on ``seed`` and its position only.
     """
     Y = np.asarray(Y, dtype=float)
     datasets = split_equations(Y, p)
@@ -280,11 +312,7 @@ def estimate_var(
         except (ArithmeticError, ValueError) as exc:
             raise with_context(exc, f"equation {i + 1}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            equations = list(pool.map(fit, range(len(datasets))))
-    else:
-        equations = [fit(i) for i in range(len(datasets))]
+    equations = [fit(i) for i in range(len(datasets))]
     if names is None:
         names = tuple(f"y{i + 1}" for i in range(Y.shape[1]))
     return VarEstimate(Y=Y, p=p, spec=spec, equations=equations, names=tuple(names))
@@ -410,14 +438,14 @@ def _forward_states(eq, spec, r, horizon, nsim, rng, freeze):
 def _solve_unit_lower(b0, rhs):
     """Row-wise forward substitution of (I - b0) y = rhs, batched.
 
-    ``b0`` is (nsim, m, m) strictly lower triangular, ``rhs`` (nsim, m).
+    ``b0`` is (..., m, m) strictly lower triangular and ``rhs``
+    (..., m, k); the loop runs over the m rows only.
     """
-    m = rhs.shape[1]
-    y = np.empty_like(rhs)
-    for i in range(m):
-        y[:, i] = rhs[:, i]
+    m = b0.shape[-1]
+    y = np.array(rhs, dtype=float)
+    for i in range(1, m):
         for j in range(i):
-            y[:, i] += b0[:, i, j] * y[:, j]
+            y[..., i, :] += b0[..., i, j, None] * y[..., j, :]
     return y
 
 
@@ -469,16 +497,14 @@ def simulate_predictive(
                 path = alphas[i][:, step, :]
                 b0[:, i, :i] = path[:, :i]
                 rhs[:, i] = (path[:, i:] * zlag).sum(axis=1)
-            mean = _solve_unit_lower(b0, rhs)
             eps = np.column_stack([sds[i][:, step] for i in range(m)])
-            y_new = mean + _solve_unit_lower(b0, eps * rng.normal(size=(nsim, m)))
+            shocks = eps * rng.normal(size=(nsim, m))
+            sol = _solve_unit_lower(b0, np.stack([rhs, shocks], axis=-1))
+            mean = sol[:, :, 0]
+            y_new = mean + sol[:, :, 1]
             if step == 0:
                 # Gaussian components: variance rows of (I-B0)^{-1} diag(sd)
-                Lfac = np.zeros((nsim, m, m))
-                for i in range(m):
-                    Lfac[:, i, i] = eps[:, i]
-                    for j in range(i):
-                        Lfac[:, i, :] += b0[:, i, j, None] * Lfac[:, j, :]
+                Lfac = _solve_unit_lower(b0, eps[:, :, None] * np.eye(m))
                 h1_mean[lo : lo + nsim] = mean
                 h1_var[lo : lo + nsim] = (Lfac**2).sum(axis=2)
             draws[lo : lo + nsim, step, :] = y_new

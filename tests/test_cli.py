@@ -4,6 +4,7 @@ import datetime
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import mixtvp
 from mixtvp.cli import main
+from mixtvp.sampler import PosteriorDraws
 from mixtvp.dgp import generate_var_break
 
 
@@ -62,13 +64,13 @@ def test_estimate_store_and_thread_invariance(tmp_path):
     )
     out1 = tmp_path / "est1"
     out2 = tmp_path / "est2"
-    main(["estimate", "--spec", str(cfg), "--out", str(out1), "--threads", "1"])
-    main(["estimate", "--spec", str(cfg), "--out", str(out2), "--threads", "2"])
+    main(["estimate", "--spec", str(cfg), "--out", str(out1)])
+    main(["estimate", "--spec", str(cfg), "--out", str(out2)])
     tree1 = _read_tree(out1)
     assert "eq1/manifest.txt" in tree1
     assert "eq2/manifest.txt" in tree1
     assert (out1 / "variables.txt").read_text() == "y1\ny2\n"
-    # same seed, different thread counts: byte-identical stores
+    # same seed: byte-identical stores
     assert tree1 == _read_tree(out2)
 
 
@@ -174,6 +176,57 @@ def test_spectral_bands(tmp_path):
     # constant coefficients and constant variance: flat bands
     assert np.allclose(med, med[0])
     assert np.allclose(hi, hi[0])
+
+
+def _spectral_config(tmp_path, est, model_lines, T=34):
+    Y = generate_var_break(T=T, seed=3).Y[:, :2]
+    _panel_csv(tmp_path / "panel.csv", Y, ["y1", "y2"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        model_lines
+        + "iterations = 6\n"
+        "burnin = 3\n"
+        f"data = {tmp_path / 'panel.csv'}\n"
+        "variables = y1:1, y2:1\n"
+        "seed = 4\n"
+        f"store = {est}\n"
+        "pair = 1, 2\n"
+    )
+    return cfg
+
+
+def test_spectral_refuses_tvp_store_without_paths(tmp_path):
+    est = tmp_path / "est"
+    cfg = _spectral_config(
+        tmp_path, est, "model_class = TVP-MIX\nsubclass = FLEX-MS\nstore_paths = false\n"
+    )
+    main(["estimate", "--spec", str(cfg), "--out", str(est)])
+    with pytest.raises(SystemExit, match="eq1 store .* model_class TVP-MIX but no coefficient paths"):
+        main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_spectral_refuses_mismatched_or_unstable_stores(tmp_path):
+    est = tmp_path / "est"
+    cfg = _spectral_config(tmp_path, est, "model_class = CONST-NG\nsv = false\n")
+    main(["estimate", "--spec", str(cfg), "--out", str(est)])
+    out = str(tmp_path / "out")
+    eq1 = PosteriorDraws.load(est / "eq1")
+    # an explosive own lag in every record leaves no stable draw in any period
+    alpha_last = eq1.alpha_last.copy()
+    alpha_last[:, 0] = 5.0
+    replace(eq1, alpha_last=alpha_last).save(est / "eq1")
+    with pytest.raises(SystemExit, match="every draw unstable at t=0"):
+        main(["spectral", "--spec", str(cfg), "--out", out])
+    fewer = {
+        name: getattr(eq1, name)[:-1]
+        for name in PosteriorDraws.ARRAY_FIELDS
+        if getattr(eq1, name) is not None
+    }
+    replace(eq1, **fewer).save(est / "eq1")
+    with pytest.raises(
+        SystemExit, match="eq1 2 records x 33 periods, eq2 3 records x 33 periods"
+    ):
+        main(["spectral", "--spec", str(cfg), "--out", out])
 
 
 def test_cli_errors(tmp_path):

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+import mixtvp.spectral
 from mixtvp.spectral import (
+    STABILITY_MARGIN,
     CompanionForm,
+    _nanquantile_columns,
     bands_csv,
     companion,
     low_freq,
     low_freq_bands,
     low_freq_matrix,
+    low_freq_path_bands,
 )
+from mixtvp.var import structural_from_paths, structural_to_reduced
 
 
 def _truncated_longrun(F, upsilon, J, L=4000):
@@ -122,3 +127,76 @@ def test_companion_form_radius_matches_eigvals():
     assert cf.spectral_radius() == pytest.approx(
         np.max(np.abs(np.linalg.eigvals(F)))
     )
+
+
+def _tvp_paths(n, T, m=3, p=2, scale=0.3, seed=0):
+    """Random (n, T, K_i) coefficient paths and (n, T) variances; some draws explode."""
+    rng = np.random.default_rng(seed)
+    alphas = [scale * rng.normal(size=(n, T, m * p + i + 1)) for i in range(m)]
+    sigma2s = [rng.uniform(0.5, 2.0, size=(n, T)) for _ in range(m)]
+    return alphas, sigma2s
+
+
+def _reference_bands(alphas, sigma2s, p, i, j):
+    """Per-draw loop: structural -> reduced -> companion -> eigvals -> Pi(0)."""
+    n, T = sigma2s[0].shape
+    rows, excluded = [], 0
+    for t in range(T):
+        vals = []
+        for r in range(n):
+            draw = structural_from_paths([a[r] for a in alphas], [s[r] for s in sigma2s])
+            cf = companion(*structural_to_reduced(draw, t), p)
+            if np.max(np.abs(np.linalg.eigvals(cf.F))) >= 1.0 - STABILITY_MARGIN:
+                excluded += 1
+                continue
+            pi = low_freq_matrix(cf)
+            vals.append(pi[i, j] / pi[j, j])
+        rows.append(np.quantile(vals, [0.16, 0.5, 0.84]))
+    return np.array(rows), excluded
+
+
+@pytest.mark.parametrize("block_draws", [4096, 7])
+def test_path_bands_match_per_draw_reference(monkeypatch, block_draws):
+    # 7 draws per block splits the 11 periods of 5 records into blocks of one
+    monkeypatch.setattr(mixtvp.spectral, "_BLOCK_DRAWS", block_draws)
+    alphas, sigma2s = _tvp_paths(n=5, T=11)
+    want, want_excluded = _reference_bands(alphas, sigma2s, 2, 0, 2)
+    got, excluded = low_freq_path_bands(alphas, sigma2s, 2, 0, 2)
+    assert 0 < excluded < 5 * 11
+    assert excluded == want_excluded
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_path_bands_name_the_all_unstable_period():
+    alphas, sigma2s = _tvp_paths(n=4, T=6, scale=0.1)
+    alphas[0][:, 3, 0] = 1.5  # own first lag of variable 1 explodes at t=3 in every record
+    with pytest.raises(ValueError, match="every draw unstable at t=3"):
+        low_freq_path_bands(alphas, sigma2s, 2, 0, 1)
+
+
+def test_one_eigen_decomposition_call_whatever_the_sample_size(monkeypatch):
+    calls = []
+    real = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for n, T in ((3, 4), (40, 60)):
+        calls.clear()
+        low_freq_path_bands(*_tvp_paths(n=n, T=T, scale=0.1), 2, 0, 1)
+        assert len(calls) == 1 and calls[0][:-1] == (n, T, 6)
+    calls.clear()
+    low_freq(companion(np.array([[0.5, 0.1, 0.0]]), np.eye(1), p=2), 0, 0)
+    assert len(calls) == 1
+
+
+def test_nanquantile_columns_matches_numpy():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x = rng.normal(size=(rng.integers(1, 30), 6)) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.random(x.shape) < 0.5] = np.nan
+        x[0] = rng.normal(size=6)  # at least one value per column
+        q = (0.16, 0.5, 0.84, 0.0, 1.0, rng.random())
+        np.testing.assert_array_equal(_nanquantile_columns(x, q), np.nanquantile(x, q, axis=0))
