@@ -182,6 +182,12 @@ def _cmd_spectral(args) -> None:
                 f"{d.name} store at {d} has model_class {model_class} but no "
                 "coefficient paths; estimate with store_paths = true"
             )
+    m = len(eqs)
+    if not all(1 <= k <= m for k in cfg.pair):
+        raise SystemExit(
+            f"pair = {cfg.pair[0]}, {cfg.pair[1]} is out of range: the store has "
+            f"m = {m} equations, numbered 1 to {m}"
+        )
     i, j = cfg.pair[0] - 1, cfg.pair[1] - 1
     try:
         bands, excluded = low_freq_path_bands(

@@ -159,20 +159,30 @@ def sample_indicators_ms(
     kernels = trans[None] * np.exp(
         loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True)
     )
-    filt = np.empty((T, 2))
     first = loglik[0, 0]
     f = stationary_probs(p00, p11) * np.exp(first - first.max())
-    filt[0] = f / f.sum()
-    for t in range(1, T):
-        f = filt[t - 1] @ kernels[t - 1]
-        total = f.sum()
-        filt[t] = f / total if total > 0 else np.array([0.5, 0.5])
+    f0, f1 = (f / f.sum()).tolist()
+    # two states: the recursions run on Python floats, one small tuple per period
+    rows = kernels.reshape(T - 1, 4).tolist()
+    filt = [(f0, f1)]
+    for k00, k01, k10, k11 in rows:
+        g0 = f0 * k00 + f1 * k10
+        g1 = f0 * k01 + f1 * k11
+        total = g0 + g1
+        f0, f1 = (g0 / total, g1 / total) if total > 0 else (0.5, 0.5)
+        filt.append((f0, f1))
+    # one uniform per period, consumed from s_T back to s_1
+    u = rng.random(T).tolist()
     s = np.empty(T, dtype=np.int8)
-    s[T - 1] = rng.random() < filt[T - 1, 1]
+    nxt = int(u[0] < f1)
+    s[T - 1] = nxt
     for t in range(T - 2, -1, -1):
-        w = filt[t] * kernels[t][:, s[t + 1]]
-        total = w.sum()
-        s[t] = rng.random() < (w[1] / total if total > 0 else 0.5)
+        f0, f1 = filt[t]
+        k00, k01, k10, k11 = rows[t]
+        w0, w1 = (f0 * k01, f1 * k11) if nxt else (f0 * k00, f1 * k10)
+        total = w0 + w1
+        nxt = int(u[T - 1 - t] < (w1 / total if total > 0 else 0.5))
+        s[t] = nxt
     return s
 
 

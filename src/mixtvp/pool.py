@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import GigParams, sample_categorical_rows, sample_dirichlet, sample_gig
+from .distributions import (
+    GigParams,
+    sample_categorical_rows,
+    sample_dirichlet,
+    sample_gig_array,
+)
 from .shrinkage import MhScale
 
 RANGE_FLOOR = 1e-8
@@ -141,18 +146,20 @@ def sample_group_means(alpha_tilde, theta, n_clusters, lam0, rng) -> np.ndarray:
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
+def _l_posterior_arrays(mu: np.ndarray, ranges: np.ndarray, priors: PoolPriors):
+    """Generalized inverse Gaussian (a, b, c) of the scales: scalar a and b, c per coefficient."""
+    a = priors.e0 - 0.5 * mu.shape[0]
+    return a, 2.0 * priors.e1, (mu**2).sum(axis=0) / ranges
+
+
 def l_posterior_params(mu: np.ndarray, ranges: np.ndarray, priors: PoolPriors) -> list[GigParams]:
     """Per-coefficient generalized inverse Gaussian parameters."""
-    N = mu.shape[0]
-    a = priors.e0 - 0.5 * N
-    return [
-        GigParams(a=a, b=2.0 * priors.e1, c=float((mu[:, j] ** 2).sum() / ranges[j]))
-        for j in range(mu.shape[1])
-    ]
+    a, b, c = _l_posterior_arrays(mu, ranges, priors)
+    return [GigParams(a=a, b=b, c=float(cj)) for cj in c]
 
 
 def sample_l(mu, ranges, priors: PoolPriors, rng) -> np.ndarray:
-    return np.array([sample_gig(p, rng) for p in l_posterior_params(mu, ranges, priors)])
+    return sample_gig_array(*_l_posterior_arrays(mu, ranges, priors), rng)
 
 
 def pool_sweep(

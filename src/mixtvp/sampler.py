@@ -210,6 +210,20 @@ def _phi_diagonals(spec: ModelSpec, S: np.ndarray | None, T: int, K: int) -> np.
     return np.zeros((T, K))
 
 
+def _block_from_coefs(
+    coefs: np.ndarray, spec: ModelSpec, fixed_spike: np.ndarray | None = None
+) -> ConstantBlock:
+    """Unpack sampled block coefficients: K means, then one K-slice per root group.
+
+    The layout follows ``default_ng_hyper``: means, slab roots, spike roots.
+    SSVS-MIX samples no spike roots; its fixed ones come in ``fixed_spike``.
+    """
+    parts = np.split(coefs, 1 + spec.n_variance_groups)
+    if spec.subclass == SUB_SSVS_MIX:
+        parts.append(fixed_spike)
+    return ConstantBlock(*parts)
+
+
 def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     """Step 1: constant block plus the full shrinkage hierarchy."""
     T, K = x.shape
@@ -243,19 +257,7 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
         scales.rho[name].record(accepted, adapting)
     new_ng = replace(ng, tau=tau, lam=lam, rho=rho)
 
-    if spec.subclass == SUB_SSVS_MIX:
-        block = ConstantBlock(
-            alpha0=coefs[:K], sqrt_psi1=coefs[K:], sqrt_psi0=state.block.sqrt_psi0
-        )
-    elif spec.n_variance_groups == 2:
-        block = ConstantBlock(
-            alpha0=coefs[:K], sqrt_psi1=coefs[K: 2 * K], sqrt_psi0=coefs[2 * K:]
-        )
-    elif spec.n_variance_groups == 1:
-        block = ConstantBlock(alpha0=coefs[:K], sqrt_psi1=coefs[K:])
-    else:
-        block = ConstantBlock(alpha0=coefs)
-    return block, new_ng
+    return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), new_ng
 
 
 def _draw_states(y, x, spec, block, state, rng):
@@ -790,17 +792,12 @@ def sample_prior_state(
     ng = replace(ng, tau=tau, lam=lam, rho=rho)
     coefs = rng.normal(size=width) * np.sqrt(tau)
 
-    if spec.subclass == SUB_SSVS_MIX:
-        spike = np.sqrt(spec.kappa * ar_ols_variances(x, spec.p))
-        block = ConstantBlock(alpha0=coefs[:K], sqrt_psi1=coefs[K:], sqrt_psi0=spike)
-    elif spec.n_variance_groups == 2:
-        block = ConstantBlock(
-            alpha0=coefs[:K], sqrt_psi1=coefs[K: 2 * K], sqrt_psi0=coefs[2 * K:]
-        )
-    elif spec.n_variance_groups == 1:
-        block = ConstantBlock(alpha0=coefs[:K], sqrt_psi1=coefs[K:])
-    else:
-        block = ConstantBlock(alpha0=coefs)
+    spike = (
+        np.sqrt(spec.kappa * ar_ols_variances(x, spec.p))
+        if spec.subclass == SUB_SSVS_MIX
+        else None
+    )
+    block = _block_from_coefs(coefs, spec, spike)
 
     p00 = p11 = None
     p_mix = None

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .distributions import GigParams, sample_gamma_rate, sample_gig
+from .banded import NotPositiveDefiniteError
+from .distributions import sample_gamma_rate, sample_gig_array
 
 TAU_FLOOR = 1e-12
 
@@ -119,7 +120,13 @@ def constant_block_moments(y, xhat, sigma, tau, prior_mean=None):
     lin = xw.T @ yw
     if prior_mean is not None:
         lin = lin + prior_mean / tau
-    chol = np.linalg.cholesky(prec)
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        chol = None
+    # a non-finite precision factors without error into a NaN factor
+    if chol is None or not np.all(np.diag(chol) > 0.0):
+        raise NotPositiveDefiniteError("constant block: precision not positive definite")
     mean = solve_triangular(chol.T, solve_triangular(chol, lin, lower=True), lower=False)
     return mean, chol
 
@@ -133,10 +140,7 @@ def draw_constant_block(y, xhat, sigma, tau, rng, prior_mean=None) -> np.ndarray
 def draw_tau(coefs: np.ndarray, hyper: NgHyper, rng: np.random.Generator) -> np.ndarray:
     """Local scales: tau_j ~ GIG(rho_j - 1/2, rho_j lam_j, coef_j^2)."""
     rho, lam = hyper.per_coef()
-    out = np.empty(coefs.shape[0])
-    for j in range(coefs.shape[0]):
-        out[j] = sample_gig(GigParams(rho[j] - 0.5, rho[j] * lam[j], coefs[j] ** 2), rng)
-    return np.maximum(out, TAU_FLOOR)
+    return np.maximum(sample_gig_array(rho - 0.5, rho * lam, coefs**2, rng), TAU_FLOOR)
 
 
 def lambda_posterior_params(tau_group: np.ndarray, rho: float, zeta: float) -> tuple[float, float]:

@@ -85,6 +85,43 @@ def carter_kohn_tvp(y, x, psi_bar, alpha0, sigma, rng):
     return draws
 
 
+def ffbs_two_state(loglik, p00, p11, rng):
+    """Two-state chain draw by per-period forward filtering, backward sampling.
+
+    loglik has shape (T, 2, 2): entry [t, k, l] is the pooled log emission
+    under regime k at t-1 and l at t; the first period reads the k = 0 slice.
+    The chain starts from its stationary law.  A forward or backward total
+    that underflows to zero falls back to equal odds.  Returns the draw and
+    the number of such fallbacks.
+    """
+    T = loglik.shape[0]
+    trans = np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
+    denom = 2.0 - p00 - p11
+    init = np.array([0.5, 0.5]) if denom <= 0.0 else np.array([(1.0 - p11) / denom, (1.0 - p00) / denom])
+    kernels = trans[None] * np.exp(loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True))
+    fallbacks = 0
+    filt = np.empty((T, 2))
+    first = loglik[0, 0]
+    f = init * np.exp(first - first.max())
+    filt[0] = f / f.sum()
+    for t in range(1, T):
+        f = filt[t - 1] @ kernels[t - 1]
+        total = f.sum()
+        if total > 0:
+            filt[t] = f / total
+        else:
+            filt[t] = np.array([0.5, 0.5])
+            fallbacks += 1
+    s = np.empty(T, dtype=np.int8)
+    s[T - 1] = rng.random() < filt[T - 1, 1]
+    for t in range(T - 2, -1, -1):
+        w = filt[t] * kernels[t][:, s[t + 1]]
+        total = w.sum()
+        fallbacks += not total > 0
+        s[t] = rng.random() < (w[1] / total if total > 0 else 0.5)
+    return s, fallbacks
+
+
 def _mvn_draw(mean, cov, rng):
     w, V = np.linalg.eigh(cov)
     w = np.clip(w, 0.0, None)

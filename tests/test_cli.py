@@ -229,6 +229,16 @@ def test_spectral_refuses_mismatched_or_unstable_stores(tmp_path):
         main(["spectral", "--spec", str(cfg), "--out", out])
 
 
+@pytest.mark.parametrize("pair", ["0, 2", "1, 3"])
+def test_spectral_refuses_pair_out_of_range(tmp_path, pair):
+    est = tmp_path / "est"
+    cfg = _spectral_config(tmp_path, est, "model_class = CONST-NG\nsv = false\n")
+    main(["estimate", "--spec", str(cfg), "--out", str(est)])
+    cfg.write_text(cfg.read_text().replace("pair = 1, 2", f"pair = {pair}"))
+    with pytest.raises(SystemExit, match=f"pair = {pair} is out of range: .* m = 2 equations"):
+        main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def test_cli_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["estimate", "--out", str(tmp_path)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import kv
 
 from mixtvp.distributions import (
     GigParams,
@@ -11,6 +12,7 @@ from mixtvp.distributions import (
     sample_dirichlet,
     sample_gamma_rate,
     sample_gig,
+    sample_gig_array,
 )
 
 
@@ -89,6 +91,51 @@ def test_gig_extreme_arguments_stay_finite():
 def test_gig_scalar_return():
     value = sample_gig(GigParams(1.0, 1.0, 1.0), np.random.default_rng(0))
     assert isinstance(value, float)
+
+
+def test_gig_array_mixed_regions_match_exact_means():
+    # interior (a > 0, a < 0, a = 0), c = 0, b = 0, and b*c underflowing
+    # to zero with a > 0 and with a < 0, interleaved in one call
+    regions = np.array([
+        (2.5, 3.0, 2.0),
+        (-1.5, 2.0, 4.0),
+        (0.0, 1.0, 1.0),
+        (0.25, 0.05, 8.0),
+        (2.5, 3.0, 0.0),
+        (-3.0, 0.0, 4.0),
+        (1.5, 1e-160, 1e-170),
+        (-3.0, 1e-170, 1e-160),
+    ])
+    n = 40_000
+    a, b, c = np.tile(regions, (n, 1)).T
+    draws = sample_gig_array(a, b, c, np.random.default_rng(31)).reshape(n, len(regions))
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+    for k, (ak, bk, ck) in enumerate(regions):
+        if bk * ck > 0.0:
+            omega = np.sqrt(bk * ck)
+            want = np.sqrt(ck / bk) * kv(ak + 1.0, omega) / kv(ak, omega)
+        elif ak > 0.0:
+            want = 2.0 * ak / bk  # Gamma(a, rate b/2)
+        else:
+            want = ck / (2.0 * (-ak - 1.0))  # InverseGamma(-a, scale c/2)
+        ratio = draws[:, k] / want  # relative, so the huge Gamma means do not overflow
+        se = ratio.std(ddof=1) / np.sqrt(n)
+        assert abs(ratio.mean() - 1.0) < 5.0 * se, (ak, bk, ck)
+
+
+def test_gig_array_names_the_first_invalid_index():
+    rng = np.random.default_rng(0)
+    ok = np.ones(4)
+    with pytest.raises(ValueError, match=r"index 2 .* c = 0 requires a > 0"):
+        sample_gig_array([1.0, 1.0, -1.0, 1.0], ok, [1.0, 1.0, 0.0, 0.0], rng)
+    with pytest.raises(ValueError, match=r"index 3 .* b = 0 requires a < 0"):
+        sample_gig_array(ok, [1.0, 1.0, 1.0, 0.0], ok, rng)
+    with pytest.raises(ValueError, match=r"index 1 .* must be finite"):
+        sample_gig_array([1.0, np.nan, 1.0, 1.0], ok, ok, rng)
+    with pytest.raises(ValueError, match=r"index 0 .* requires b >= 0 and c >= 0"):
+        sample_gig_array(ok, ok, [-1.0, 1.0, 1.0, 1.0], rng)
+    with pytest.raises(ValueError, match=r"index 2: a = 0 requires b\*c bounded away from zero"):
+        sample_gig_array([1.0, 1.0, 0.0, 1.0], ok * 1e-170, ok * 1e-170, rng)
 
 
 def test_dirichlet_simplex_and_small_concentrations():

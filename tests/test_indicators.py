@@ -23,6 +23,7 @@ from mixtvp.indicators import (
     update_transition_probs,
 )
 from mixtvp.shrinkage import ConstantBlock
+from oracles import ffbs_two_state
 
 
 def make_block(alpha0, sp1, sp0):
@@ -148,6 +149,47 @@ def test_ms_sampler_matches_enumeration():
     freq = draws.mean(axis=0)
     se = np.sqrt(np.maximum(want * (1.0 - want), 1e-6) / n)
     assert np.all(np.abs(freq - want) < 5.0 * se + 1e-4)
+
+
+def _ms_draws_side_by_side(alpha, block, p00, p11, cls, seed, pool_means=None, n=25):
+    """n chain draws from the package sampler and from the per-period oracle, one seed each."""
+    pooled = regime_log_densities(alpha, block, cls, pool_means).sum(axis=1)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want, fallbacks = [], [], 0
+    for _ in range(n):
+        got.append(sample_indicators_ms(alpha, block, p00, p11, cls, rng_new, pool_means))
+        s, hit = ffbs_two_state(pooled, p00, p11, rng_ref)
+        want.append(s)
+        fallbacks += hit
+    # both sides consumed the same stream
+    assert rng_new.random() == rng_ref.random()
+    return np.array(got), np.array(want), fallbacks
+
+
+@pytest.mark.parametrize("cls", ["TVP-MIX", "TVP-RW", "TVP-POOL"])
+def test_ms_sampler_matches_per_period_oracle(cls):
+    rng = np.random.default_rng(606)
+    T, K = 60, 3
+    block = make_block(rng.normal(size=K), rng.uniform(0.3, 1.2, size=K), rng.uniform(0.05, 0.3, size=K))
+    alpha = block.alpha0 + np.cumsum(0.3 * rng.normal(size=(T, K)), axis=0)
+    pool_means = rng.normal(size=(T, K)) if cls == "TVP-POOL" else None
+    got, want, _ = _ms_draws_side_by_side(alpha, block, 0.8, 0.7, cls, 17, pool_means)
+    np.testing.assert_array_equal(got, want)
+    assert 0 < got.mean() < 1
+
+
+def test_ms_sampler_matches_oracle_when_filter_totals_underflow():
+    # regime 0 is absorbing and holds all stationary mass, and the path sits
+    # at the center except in period 2, far beyond the spike scale: the
+    # forward total of period 2 underflows to zero, and since period 3
+    # favours regime 0 again, the fallback odds set the draw of s_2
+    T, K = 12, 2
+    block = make_block([0.0, 0.0], [1.0, 1.0], [1e-3, 1e-3])
+    alpha = np.outer(np.arange(T) == 1, [2.0, -3.0])
+    got, want, fallbacks = _ms_draws_side_by_side(alpha, block, 1.0, 0.6, "TVP-MIX", 5, n=200)
+    assert fallbacks > 0
+    assert 0 < got[:, 1].mean() < 1
+    np.testing.assert_array_equal(got, want)
 
 
 def enum_site_marginals(loglik, p):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mixtvp.banded import NotPositiveDefiniteError
 from mixtvp.shrinkage import (
     ConstantBlock,
     MhScale,
@@ -31,6 +32,20 @@ def test_constant_block_moments_match_dense_formula():
     expected_mean = np.linalg.solve(prec, xw.T @ (y / sigma))
     np.testing.assert_allclose(mean, expected_mean, atol=1e-10)
     np.testing.assert_allclose(chol @ chol.T, prec, atol=1e-10)
+
+
+def test_constant_block_refuses_indefinite_or_non_finite_precision():
+    rng = np.random.default_rng(3)
+    T, m = 20, 3
+    xhat = rng.normal(size=(T, m))
+    y = rng.normal(size=T)
+    sigma = np.ones(T)
+    with pytest.raises(NotPositiveDefiniteError, match="^constant block: precision not positive definite$"):
+        constant_block_moments(y, xhat, sigma, np.array([1.0, -1e-6, 1.0]))
+    # numpy factors a NaN matrix without complaint
+    sigma[4] = np.nan
+    with pytest.raises(NotPositiveDefiniteError, match="^constant block: precision not positive definite$"):
+        constant_block_moments(y, xhat, sigma, np.ones(m))
 
 
 def test_constant_block_draw_distribution():

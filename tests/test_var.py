@@ -201,6 +201,26 @@ def test_chain_failure_names_equation_iteration_and_step(monkeypatch):
         estimate_var(_small_var_data(), 1, spec, seed=4)
 
 
+def test_constant_block_failure_names_equation_iteration_and_step(monkeypatch):
+    real_draw = mixtvp.sampler.draw_constant_block
+    calls = []
+
+    def draw_failing_on_eighth_call(y, xhat, sigma, tau, rng, prior_mean=None):
+        calls.append(None)
+        if len(calls) == 8:  # equation 2, iteration 3 at five iterations each
+            tau = tau.copy()
+            tau[1] = -1e-6  # a negative prior variance swamps the data
+        return real_draw(y, xhat, sigma, tau, rng, prior_mean)
+
+    monkeypatch.setattr(mixtvp.sampler, "draw_constant_block", draw_failing_on_eighth_call)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=5, burnin=2)
+    with pytest.raises(
+        NotPositiveDefiniteError,
+        match=r"^equation 2: iteration 3: constant block: precision not positive definite$",
+    ):
+        estimate_var(_small_var_data(), 1, spec, seed=4)
+
+
 def test_estimate_var_minnesota_prior_is_per_equation():
     Y = _small_var_data(seed=3)
     spec = ModelSpec(model_class=CLASS_CONST_MIN, iterations=20, burnin=5)
