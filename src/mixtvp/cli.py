@@ -127,18 +127,18 @@ def _cmd_forecast(args) -> None:
     (out / "scores_benchmark.csv").write_text(
         scores_csv(records["benchmark"], "benchmark")
     )
-    _write_tables(out, records["model"], records["benchmark"])
+    _, mrows = parse_scores_csv(scores_csv(records["model"], "model"))
+    _, brows = parse_scores_csv(scores_csv(records["benchmark"], "benchmark"))
+    _write_tables(out, "model", tables_from_scores(mrows, brows))
     print(f"wrote score and metric tables under {out}")
 
 
-def _write_tables(out: Path, model_records, bench_records) -> None:
-    _, mrows = parse_scores_csv(scores_csv(model_records, "model"))
-    _, brows = parse_scores_csv(scores_csv(bench_records, "benchmark"))
-    tables = tables_from_scores(mrows, brows)
-    (out / "rmse_ratios.csv").write_text(rmse_table_csv({"model": tables["rmse"]}))
-    (out / "crps_ratios.csv").write_text(rmse_table_csv({"model": tables["crps"]}))
-    origins, series = tables["lpbf"]
-    (out / "lpbf.csv").write_text(lpbf_csv({"model": (origins, series)}))
+def _write_tables(out: Path, name: str, tables) -> None:
+    """Write the ``tables_from_scores`` tables under ``name``: RMSE and CRPS
+    ratios, the cumulative LPBF series and the equal-accuracy stars."""
+    (out / "rmse_ratios.csv").write_text(rmse_table_csv({name: tables["rmse"]}))
+    (out / "crps_ratios.csv").write_text(rmse_table_csv({name: tables["crps"]}))
+    (out / "lpbf.csv").write_text(lpbf_csv({name: tables["lpbf"]}))
     rows = ["horizon,variable,stat,pvalue,stars,degenerate"]
     for (h, v), res in sorted(tables["stars"].items()):
         rows.append(
@@ -207,18 +207,7 @@ def _cmd_compare(args) -> None:
     out = _out_dir(args)
     name_a, rows_a = parse_scores_csv(Path(args.scores[0]).read_text())
     name_b, rows_b = parse_scores_csv(Path(args.scores[1]).read_text())
-    tables = tables_from_scores(rows_a, rows_b)
-    (out / "rmse_ratios.csv").write_text(rmse_table_csv({name_a: tables["rmse"]}))
-    (out / "crps_ratios.csv").write_text(rmse_table_csv({name_a: tables["crps"]}))
-    origins, series = tables["lpbf"]
-    (out / "lpbf.csv").write_text(lpbf_csv({name_a: (origins, series)}))
-    rows = ["horizon,variable,stat,pvalue,stars,degenerate"]
-    for (h, v), res in sorted(tables["stars"].items()):
-        rows.append(
-            f"{h},{v},{format(res.stat, '.17g')},{format(res.pvalue, '.17g')},"
-            f"{res.stars},{int(res.degenerate)}"
-        )
-    (out / "stars.csv").write_text("\n".join(rows) + "\n")
+    _write_tables(out, name_a, tables_from_scores(rows_a, rows_b))
     print(f"wrote comparison of {name_a} against {name_b} under {out}")
 
 

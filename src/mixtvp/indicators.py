@@ -159,8 +159,11 @@ def sample_indicators_ms(
     kernels = trans[None] * np.exp(
         loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True)
     )
-    first = loglik[0, 0]
-    f = stationary_probs(p00, p11) * np.exp(first - first.max())
+    # period 1 weighs the stationary law in logs: a regime without stationary
+    # mass keeps weight zero even when the other one's emission underflows
+    with np.errstate(divide="ignore"):
+        first = np.log(stationary_probs(p00, p11)) + loglik[0, 0]
+    f = np.exp(first - first.max())
     f0, f1 = (f / f.sum()).tolist()
     # two states: the recursions run on Python floats, one small tuple per period
     rows = kernels.reshape(T - 1, 4).tolist()

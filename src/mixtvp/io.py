@@ -322,4 +322,6 @@ def run_config(text: str) -> RunConfig:
     pair = run_kwargs.get("pair")
     if pair is not None and len(pair) != 2:
         raise ValueError("pair needs exactly two indices")
+    if run_kwargs.get("nsim", 1) < 1:
+        raise ValueError(f"nsim must be at least 1, got {run_kwargs['nsim']}")
     return RunConfig(spec=spec, benchmark=benchmark, **run_kwargs)

@@ -11,10 +11,10 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .distributions import sample_categorical_rows
 from .sampler import (
     CLASS_CONST_MIN,
     CLASS_MIX,
@@ -217,6 +217,20 @@ def _reduce(b0, stacked, sigma2):
     return sol[..., :-m], L @ np.swapaxes(L, -1, -2)
 
 
+def _solve_unit_lower(b0, rhs):
+    """Row-wise forward substitution of (I - b0) y = rhs, batched.
+
+    ``b0`` is (..., m, m) strictly lower triangular and ``rhs``
+    (..., m, k); the loop runs over the m rows only.
+    """
+    m = b0.shape[-1]
+    y = np.array(rhs, dtype=float)
+    for i in range(1, m):
+        for j in range(i):
+            y[..., i, :] += b0[..., i, j, None] * y[..., j, :]
+    return y
+
+
 def minnesota_variances(
     Y: np.ndarray,
     p: int,
@@ -357,96 +371,80 @@ class ForecastDistribution:
         return "\n".join(rows) + "\n"
 
 
-def _forward_states(eq, spec, r, horizon, nsim, rng, freeze):
-    """Simulate one equation's states forward from record r.
+# record x path rows per block of simulate_predictive; whole records, at least one
+_BLOCK_ROWS = 2048
 
-    A regime switch rescales the carried deviation from the center by the
-    ratio of the arriving and departing innovation roots, matching the law
-    of motion the estimation targets; within a regime the ratio is one, so
-    zero-variance records stay plug-in.  Returns centered coefficients
-    (nsim, horizon, K) and error standard deviations (nsim, horizon).
+
+def _state_paths(eq, spec, recs, nsim, freeze, work, rng):
+    """Yield one equation's coefficients and error sds, one period per step.
+
+    Arrays are (K, R, nsim) for R records of nsim paths; per-path scalars
+    (log variance, Markov regime) are (R, nsim).  The state is the
+    deviation d from alpha0, moved as d <- g d + root z with the arriving
+    regime's root.  The gain g is one within a regime (zero in the mixture
+    class's regime 0) and on a switch the ratio of the arriving to the
+    departing root, floored in magnitude, so zero-variance records stay
+    plug-in.  The pooled class and the single-variance mixture cell
+    regenerate d = root (mu + z), mu a cluster mean or zero.  ``work``
+    (2, K_max, R, nsim) is scratch shared by the block's equations: the
+    normals, then the coefficients, which the caller may overwrite.
     """
-    K = eq.alpha_last.shape[1]
-    alpha0 = eq.alpha0[r]
-    alpha_prev = np.tile(eq.alpha_last[r], (nsim, 1))
-
-    h_prev = np.full(nsim, eq.h[r, -1])
-    mu, phi_sv, psi_sv = eq.sv_mu[r], eq.sv_phi[r], eq.sv_psi[r]
-    sd_sv = np.sqrt(psi_sv)
-
-    sqrt1 = eq.sqrt_psi1[r] if eq.sqrt_psi1 is not None else np.zeros(K)
-    sqrt0 = eq.sqrt_psi0[r] if eq.sqrt_psi0 is not None else np.zeros(K)
-    law = spec.law
-    if eq.S_last is not None:
-        s_prev = np.tile(eq.S_last[r].astype(np.int8), (nsim, 1))
-    else:
-        s_prev = np.ones((nsim, K), dtype=np.int8)
-    root_prev = np.where(s_prev == 1, sqrt1, sqrt0)
+    h = eq.h[recs, -1][:, None]
+    alpha = eq.alpha_last[recs].T[:, :, None]
+    if freeze:
+        yield from repeat((alpha, np.exp(0.5 * h)))
+    mu, phi = eq.sv_mu[recs][:, None], eq.sv_phi[recs][:, None]
+    sd_sv, h_dev = np.sqrt(eq.sv_psi[recs])[:, None], np.repeat(h - mu, nsim, axis=1)
+    K, R = alpha.shape[:2]
+    law, s = spec.law, None
+    if spec.is_tvp:
+        alpha0 = eq.alpha0[recs].T[:, :, None]
+        d = np.repeat(alpha - alpha0, nsim, axis=2)
+        z, alpha = work[0, :K], work[1, :K]
+        carry = spec.model_class == CLASS_RW or (spec.model_class == CLASS_MIX and law is not None)
+        r1 = eq.sqrt_psi1[recs].T[:, :, None]
+        r0 = r1 if law is None else eq.sqrt_psi0[recs].T[:, :, None]
+        # the switch ratios, once per block; g00 and g10 by class
+        up = r1 / np.copysign(np.maximum(np.abs(r0), 1e-150), r0)
+        down = r0 / np.copysign(np.maximum(np.abs(r1), 1e-150), r1)
+        g00, g10 = (1.0, down) if spec.model_class == CLASS_RW else (0.0, 0.0)
     if law == LAW_MS:
-        s_chain = np.full(nsim, eq.S_last[r, 0], dtype=np.int8)
-        p00, p11 = eq.p00[r], eq.p11[r]
+        # one regime per path, broadcast over the coefficients
+        s = np.repeat(eq.S_last[recs, :1] == 1, nsim, axis=1)
+        p01, p11 = (1.0 - eq.p00[recs])[:, None], eq.p11[recs][:, None]
     elif law == LAW_MIX:
-        p_mix = eq.p_mix[r]
-    if spec.model_class == CLASS_POOL:
-        log_omega = np.log(np.maximum(eq.pool_omega[r], 1e-300))
-        pool_mu = eq.pool_mu[r]
-
-    alpha_out = np.empty((nsim, horizon, K))
-    sd_out = np.empty((nsim, horizon))
-    for step in range(horizon):
-        if freeze:
-            alpha_out[:, step] = alpha_prev
-            sd_out[:, step] = np.exp(0.5 * h_prev)
-            continue
-        h_prev = mu + phi_sv * (h_prev - mu) + sd_sv * rng.normal(size=nsim)
-        sd_out[:, step] = np.exp(0.5 * h_prev)
+        s = np.repeat(eq.S_last[recs].T[:, :, None] == 1, nsim, axis=2)
+        p_mix = eq.p_mix[recs].T[:, :, None]
+    pool = spec.model_class == CLASS_POOL
+    if pool:
+        log_omega = np.log(np.maximum(eq.pool_omega[recs], 1e-300))
+        cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=1, keepdims=True)), axis=1)
+        N = cdf.shape[1]
+        pool_mu = np.moveaxis(eq.pool_mu[recs], 2, 0).reshape(K, R * N)
+    while True:
+        h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
+        sd = np.exp(0.5 * (mu + h_dev))
         if not spec.is_tvp:
-            alpha_out[:, step] = alpha_prev
+            yield alpha, sd
             continue
+        prev = s
         if law == LAW_MS:
-            stay = np.where(s_chain == 1, p11, 1.0 - p00)
-            s_chain = (rng.random(nsim) < stay).astype(np.int8)
-            S = np.repeat(s_chain[:, None], K, axis=1)
+            s = rng.random(prev.shape) < np.where(prev, p11, p01)
         elif law == LAW_MIX:
-            S = (rng.random((nsim, K)) < p_mix).astype(np.int8)
+            s = rng.random(prev.shape) < p_mix
+        rng.standard_normal(out=z)
+        if pool:
+            u = rng.random((R, nsim)) * cdf[:, -1:]
+            theta = np.minimum((cdf[:, :, None] < u[:, None, :]).sum(axis=1), N - 1)
+            z += np.take(pool_mu, N * np.arange(R)[:, None] + theta, axis=1)
+        z *= r1 if s is None else np.where(s, r1, r0)
+        if not carry:
+            d[...] = z
         else:
-            S = np.ones((nsim, K), dtype=np.int8)
-        root = np.where(S == 1, sqrt1, sqrt0)
-        z = rng.normal(size=(nsim, K))
-        # ratio is identically one within a regime, so degenerate roots
-        # only matter on an actual switch; roots are signed, so the floor
-        # on the departing root keeps its sign
-        denom = np.copysign(np.maximum(np.abs(root_prev), 1e-150), root_prev)
-        ratio = np.where(S == s_prev, 1.0, root / denom)
-        if spec.model_class == CLASS_RW:
-            alpha_prev = alpha0 + ratio * (alpha_prev - alpha0) + root * z
-        elif spec.model_class == CLASS_MIX and spec.law is not None:
-            alpha_prev = alpha0 + S * ratio * (alpha_prev - alpha0) + root * z
-        elif spec.model_class == CLASS_POOL:
-            theta = sample_categorical_rows(
-                np.broadcast_to(log_omega, (nsim, log_omega.size)), rng
-            )
-            alpha_prev = alpha0 + root * (pool_mu[theta] + z)
-        else:
-            # single-variance mixture cell: states regenerate about alpha0
-            alpha_prev = alpha0 + root * z
-        s_prev, root_prev = S, root
-        alpha_out[:, step] = alpha_prev
-    return alpha_out, sd_out
-
-
-def _solve_unit_lower(b0, rhs):
-    """Row-wise forward substitution of (I - b0) y = rhs, batched.
-
-    ``b0`` is (..., m, m) strictly lower triangular and ``rhs``
-    (..., m, k); the loop runs over the m rows only.
-    """
-    m = b0.shape[-1]
-    y = np.array(rhs, dtype=float)
-    for i in range(1, m):
-        for j in range(i):
-            y[..., i, :] += b0[..., i, j, None] * y[..., j, :]
-    return y
+            if s is not None:
+                d *= np.where(prev, np.where(s, 1.0, g10), np.where(s, up, g00))
+            d += z
+        yield np.add(d, alpha0, out=alpha), sd
 
 
 def simulate_predictive(
@@ -458,58 +456,66 @@ def simulate_predictive(
 ) -> ForecastDistribution:
     """Simulate the predictive distribution of Y_{T+1..T+horizon}.
 
-    For every stored posterior record, states are propagated forward
+    For every stored posterior record, ``nsim`` paths propagate the states
     ``horizon`` periods under the fitted law of motion (indicator
-    transitions, regime innovation variances, log-variance recursion),
-    the system is solved to reduced form each period, and the VAR is
-    iterated with Gaussian shocks ``nsim`` times. ``freeze_states``
-    pins coefficients and volatilities at their period-T values instead,
-    for sensitivity runs.
+    transitions, regime innovation variances, log-variance recursion) and
+    iterate the triangular system with Gaussian shocks; row r * nsim + k is
+    record r's k-th path.  ``freeze_states`` pins coefficients and
+    volatilities at their period-T values instead, for sensitivity runs.
+    Whole records run in blocks of about ``_BLOCK_ROWS`` paths, a period at
+    a time; each equation's states feed its row of the system at once, so
+    no state path is stored.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    m, p = est.m, est.p
-    n_rec = est.n_records
-    spec = est.spec
-    K_list = [eq.alpha_last.shape[1] for eq in est.equations]
-
-    draws = np.empty((n_rec * nsim, horizon, m))
-    h1_mean = np.empty((n_rec * nsim, m))
-    h1_var = np.empty((n_rec * nsim, m))
-    last_lags = est.Y[-p:][::-1].copy()
-
-    for r in range(n_rec):
-        alphas = []
-        sds = []
-        for eq in est.equations:
-            a, s = _forward_states(eq, spec, r, horizon, nsim, rng, freeze_states)
-            alphas.append(a)
-            sds.append(s)
-        hist = np.tile(last_lags[None], (nsim, 1, 1))
-        lo = r * nsim
-        for step in range(horizon):
-            b0 = np.zeros((nsim, m, m))
-            rhs = np.empty((nsim, m))
-            zlag = np.concatenate(
-                [hist.reshape(nsim, p * m), np.ones((nsim, 1))], axis=1
+    if nsim < 1:
+        raise ValueError(f"nsim must be at least 1, got {nsim}")
+    m, p, n_rec = est.m, est.p, est.n_records
+    for i, eq in enumerate(est.equations):
+        if eq.alpha_last.shape[1] != p * m + i + 1:
+            raise ValueError(
+                f"equation {i + 1} has {eq.alpha_last.shape[1]} coefficients; a "
+                f"VAR({p}) in {m} variables needs {p * m + i + 1}"
             )
-            for i in range(m):
-                path = alphas[i][:, step, :]
-                b0[:, i, :i] = path[:, :i]
-                rhs[:, i] = (path[:, i:] * zlag).sum(axis=1)
-            eps = np.column_stack([sds[i][:, step] for i in range(m)])
-            shocks = eps * rng.normal(size=(nsim, m))
-            sol = _solve_unit_lower(b0, np.stack([rhs, shocks], axis=-1))
-            mean = sol[:, :, 0]
-            y_new = mean + sol[:, :, 1]
-            if step == 0:
-                # Gaussian components: variance rows of (I-B0)^{-1} diag(sd)
-                Lfac = _solve_unit_lower(b0, eps[:, :, None] * np.eye(m))
-                h1_mean[lo : lo + nsim] = mean
-                h1_var[lo : lo + nsim] = (Lfac**2).sum(axis=2)
-            draws[lo : lo + nsim, step, :] = y_new
-            hist = np.concatenate([y_new[:, None, :], hist[:, :-1, :]], axis=1)
-        assert all(K_list[i] == p * m + i + 1 for i in range(m))
+    draws = np.empty((n_rec, nsim, horizon, m))
+    h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
+    per_block = max(1, _BLOCK_ROWS // nsim)
+    for lo in range(0, n_rec, per_block):
+        recs = slice(lo, min(lo + per_block, n_rec))
+        _simulate_block(est, recs, rng, freeze_states, draws[recs], h1_mean[recs], h1_var[recs])
     return ForecastDistribution(
-        draws=draws, h1_mean=h1_mean, h1_var=h1_var, names=est.names
+        draws=draws.reshape(n_rec * nsim, horizon, m),
+        h1_mean=h1_mean.reshape(n_rec * nsim, m),
+        h1_var=h1_var.reshape(n_rec * nsim, m),
+        names=est.names,
     )
+
+
+def _simulate_block(est, recs, rng, freeze, draws, h1_mean, h1_var):
+    """Fill one block's draws (R, nsim, horizon, m) and one-step components."""
+    (R, nsim, horizon, m), p = draws.shape, est.p
+    work = np.empty((2, p * m + m, R, nsim))
+    paths = [_state_paths(eq, est.spec, recs, nsim, freeze, work, rng) for eq in est.equations]
+    # lag regressors, newest lag first, then the intercept
+    x = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None] * np.ones((R, nsim))
+    for t in range(horizon):
+        rows = []
+        for i, path in enumerate(paths):
+            alpha, sd = next(path)
+            # the lag and intercept terms; alpha[:i] stays intact
+            rhs = np.multiply(alpha[i:], x, out=work[1, i : p * m + i + 1]).sum(axis=0)
+            # the draw, and at t = 0 the Gaussian components: the mean and
+            # row i of L = (I - B0)^{-1} diag(sd)
+            v = np.zeros((2 + m if t == 0 else 1, R, nsim))
+            v[0] = rhs + sd * rng.standard_normal((R, nsim))
+            if t == 0:
+                v[1], v[2 + i] = rhs, sd
+            # row i of (I - B0) y = rhs + shock: the rows j < i are known
+            for j in range(i):
+                v += alpha[j] * rows[j]
+            rows.append(v)
+            draws[:, :, t, i] = v[0]
+            if t == 0:
+                h1_mean[:, :, i], h1_var[:, :, i] = v[1], (v[2:] ** 2).sum(axis=0)
+        x[m:-1] = x[: -1 - m].copy()
+        x[:m] = [v[0] for v in rows]

@@ -90,9 +90,11 @@ def ffbs_two_state(loglik, p00, p11, rng):
 
     loglik has shape (T, 2, 2): entry [t, k, l] is the pooled log emission
     under regime k at t-1 and l at t; the first period reads the k = 0 slice.
-    The chain starts from its stationary law.  A forward or backward total
-    that underflows to zero falls back to equal odds.  Returns the draw and
-    the number of such fallbacks.
+    The chain starts from its stationary law, weighed with the first
+    emission in logs so that a regime without stationary mass is never
+    drawn at t = 1.  A forward or backward total that underflows to zero
+    falls back to equal odds.  Returns the draw and the number of such
+    fallbacks.
     """
     T = loglik.shape[0]
     trans = np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
@@ -101,8 +103,9 @@ def ffbs_two_state(loglik, p00, p11, rng):
     kernels = trans[None] * np.exp(loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True))
     fallbacks = 0
     filt = np.empty((T, 2))
-    first = loglik[0, 0]
-    f = init * np.exp(first - first.max())
+    with np.errstate(divide="ignore"):
+        first = np.log(init) + loglik[0, 0]
+    f = np.exp(first - first.max())
     filt[0] = f / f.sum()
     for t in range(1, T):
         f = filt[t - 1] @ kernels[t - 1]
@@ -120,6 +123,135 @@ def ffbs_two_state(loglik, p00, p11, rng):
         fallbacks += not total > 0
         s[t] = rng.random() < (w[1] / total if total > 0 else 0.5)
     return s, fallbacks
+
+
+def predictive_per_record(est, horizon, nsim, rng, freeze_states=False):
+    """Predictive simulation one record at a time, states stored per path.
+
+    The reference for ``var.simulate_predictive``: for each record every
+    equation's coefficient and volatility paths are simulated forward and
+    stored, then the system is solved period by period with dense forward
+    substitution.  Returns draws (n_rec * nsim, horizon, m) with row
+    r * nsim + k holding record r's k-th path, and the one-step Gaussian
+    components h1_mean and h1_var, each (n_rec * nsim, m).
+    """
+    m, p = est.m, est.p
+    n_rec = est.n_records
+    draws = np.empty((n_rec * nsim, horizon, m))
+    h1_mean = np.empty((n_rec * nsim, m))
+    h1_var = np.empty((n_rec * nsim, m))
+    last_lags = est.Y[-p:][::-1].copy()
+    for r in range(n_rec):
+        alphas, sds = [], []
+        for eq in est.equations:
+            a, s = _forward_states(eq, est.spec, r, horizon, nsim, rng, freeze_states)
+            alphas.append(a)
+            sds.append(s)
+        hist = np.tile(last_lags[None], (nsim, 1, 1))
+        lo = r * nsim
+        for step in range(horizon):
+            b0 = np.zeros((nsim, m, m))
+            rhs = np.empty((nsim, m))
+            zlag = np.concatenate([hist.reshape(nsim, p * m), np.ones((nsim, 1))], axis=1)
+            for i in range(m):
+                path = alphas[i][:, step, :]
+                b0[:, i, :i] = path[:, :i]
+                rhs[:, i] = (path[:, i:] * zlag).sum(axis=1)
+            eps = np.column_stack([sds[i][:, step] for i in range(m)])
+            shocks = eps * rng.normal(size=(nsim, m))
+            sol = _unit_lower_solve(b0, np.stack([rhs, shocks], axis=-1))
+            mean = sol[:, :, 0]
+            y_new = mean + sol[:, :, 1]
+            if step == 0:
+                Lfac = _unit_lower_solve(b0, eps[:, :, None] * np.eye(m))
+                h1_mean[lo : lo + nsim] = mean
+                h1_var[lo : lo + nsim] = (Lfac**2).sum(axis=2)
+            draws[lo : lo + nsim, step, :] = y_new
+            hist = np.concatenate([y_new[:, None, :], hist[:, :-1, :]], axis=1)
+    return draws, h1_mean, h1_var
+
+
+def _forward_states(eq, spec, r, horizon, nsim, rng, freeze):
+    """One equation's centered coefficients (nsim, horizon, K) and error
+    standard deviations (nsim, horizon) simulated forward from record r.
+
+    A regime switch rescales the carried deviation from the center by the
+    ratio of the arriving and departing innovation roots.
+    """
+    K = eq.alpha_last.shape[1]
+    alpha0 = eq.alpha0[r]
+    alpha_prev = np.tile(eq.alpha_last[r], (nsim, 1))
+    h_prev = np.full(nsim, eq.h[r, -1])
+    mu, phi_sv, sd_sv = eq.sv_mu[r], eq.sv_phi[r], np.sqrt(eq.sv_psi[r])
+    sqrt1 = eq.sqrt_psi1[r] if eq.sqrt_psi1 is not None else np.zeros(K)
+    sqrt0 = eq.sqrt_psi0[r] if eq.sqrt_psi0 is not None else np.zeros(K)
+    law = "MS" if spec.subclass == "FLEX-MS" else (
+        "MIX" if spec.subclass in ("FLEX-MIX", "SSVS-MIX") else None
+    )
+    if eq.S_last is not None:
+        s_prev = np.tile(eq.S_last[r].astype(np.int8), (nsim, 1))
+    else:
+        s_prev = np.ones((nsim, K), dtype=np.int8)
+    root_prev = np.where(s_prev == 1, sqrt1, sqrt0)
+    if law == "MS":
+        s_chain = np.full(nsim, eq.S_last[r, 0], dtype=np.int8)
+        p00, p11 = eq.p00[r], eq.p11[r]
+    elif law == "MIX":
+        p_mix = eq.p_mix[r]
+    if spec.model_class == "TVP-POOL":
+        log_omega = np.log(np.maximum(eq.pool_omega[r], 1e-300))
+        pool_mu = eq.pool_mu[r]
+
+    alpha_out = np.empty((nsim, horizon, K))
+    sd_out = np.empty((nsim, horizon))
+    for step in range(horizon):
+        if freeze:
+            alpha_out[:, step] = alpha_prev
+            sd_out[:, step] = np.exp(0.5 * h_prev)
+            continue
+        h_prev = mu + phi_sv * (h_prev - mu) + sd_sv * rng.normal(size=nsim)
+        sd_out[:, step] = np.exp(0.5 * h_prev)
+        if not spec.is_tvp:
+            alpha_out[:, step] = alpha_prev
+            continue
+        if law == "MS":
+            stay = np.where(s_chain == 1, p11, 1.0 - p00)
+            s_chain = (rng.random(nsim) < stay).astype(np.int8)
+            S = np.repeat(s_chain[:, None], K, axis=1)
+        elif law == "MIX":
+            S = (rng.random((nsim, K)) < p_mix).astype(np.int8)
+        else:
+            S = np.ones((nsim, K), dtype=np.int8)
+        root = np.where(S == 1, sqrt1, sqrt0)
+        z = rng.normal(size=(nsim, K))
+        denom = np.copysign(np.maximum(np.abs(root_prev), 1e-150), root_prev)
+        ratio = np.where(S == s_prev, 1.0, root / denom)
+        if spec.model_class == "TVP-RW":
+            alpha_prev = alpha0 + ratio * (alpha_prev - alpha0) + root * z
+        elif spec.model_class == "TVP-MIX" and law is not None:
+            alpha_prev = alpha0 + S * ratio * (alpha_prev - alpha0) + root * z
+        elif spec.model_class == "TVP-POOL":
+            w = np.exp(log_omega - log_omega.max())
+            cdf = np.cumsum(np.broadcast_to(w, (nsim, w.size)), axis=1)
+            u = rng.random(nsim) * cdf[:, -1]
+            theta = (cdf < u[:, None]).sum(axis=1).clip(0, w.size - 1)
+            alpha_prev = alpha0 + root * (pool_mu[theta] + z)
+        else:
+            # single-variance mixture cell: states regenerate about alpha0
+            alpha_prev = alpha0 + root * z
+        s_prev, root_prev = S, root
+        alpha_out[:, step] = alpha_prev
+    return alpha_out, sd_out
+
+
+def _unit_lower_solve(b0, rhs):
+    """Solve (I - b0) y = rhs for strictly lower triangular b0, batched."""
+    m = b0.shape[-1]
+    y = np.array(rhs, dtype=float)
+    for i in range(1, m):
+        for j in range(i):
+            y[..., i, :] += b0[..., i, j, None] * y[..., j, :]
+    return y
 
 
 def _mvn_draw(mean, cov, rng):

@@ -5,6 +5,8 @@ conjugate updates against hand-computed parameters, and the whole
 indicator block against a successive-conditional prior-invariance run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -190,6 +192,29 @@ def test_ms_sampler_matches_oracle_when_filter_totals_underflow():
     assert fallbacks > 0
     assert 0 < got[:, 1].mean() < 1
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("absorbing", [0, 1])
+def test_ms_first_period_follows_stationary_support(absorbing):
+    # one regime is absorbing and holds all stationary mass, and the first
+    # observation sits 2000 of its scales off the center: its emission
+    # underflows against the other regime's, yet s_1 must stay on the
+    # stationary law's support (weighed outside logs the first filter row
+    # is 0/0: NaN, and s_1 a fair coin)
+    T = 12
+    tight, wide = [1e-3, 1e-3], [1.0, 1.0]
+    # make_block takes the regime-1 roots, then the regime-0 roots
+    roots = (tight, wide) if absorbing else (wide, tight)
+    block = make_block([0.0, 0.0], *roots)
+    # after period 1 the path follows the absorbing regime's mean: regime 0
+    # reverts to the center, regime 1 carries the deviation
+    alpha = np.outer((np.arange(T) == 0) | bool(absorbing), [2.0, -2.0])
+    p00, p11 = (0.6, 1.0) if absorbing else (1.0, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want, _ = _ms_draws_side_by_side(alpha, block, p00, p11, "TVP-MIX", 9, n=100)
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[:, 0] == absorbing)
 
 
 def enum_site_marginals(loglik, p):

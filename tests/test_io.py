@@ -299,3 +299,10 @@ def test_run_config_validation():
         run_config("model_class = TVP-RW\nsubclass = SINGLE\npair = 1\n")
     with pytest.raises(ValueError, match="model_class"):
         run_config("seed = 1\n")
+
+
+def test_run_config_refuses_nsim_below_one():
+    for nsim in (0, -4):
+        with pytest.raises(ValueError, match=f"^nsim must be at least 1, got {nsim}$"):
+            run_config(f"model_class = TVP-RW\nsubclass = SINGLE\nnsim = {nsim}\n")
+    assert run_config("model_class = TVP-RW\nsubclass = SINGLE\nnsim = 1\n").nsim == 1

@@ -1,10 +1,15 @@
 """Tests for equation splitting, reduced-form mapping and forecasting."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import mixtvp.sampler
 from mixtvp.banded import NotPositiveDefiniteError
+from mixtvp.dgp import generate_var_break
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
     CLASS_CONST_NG,
@@ -30,6 +35,7 @@ from mixtvp.var import (
     structural_from_paths,
     structural_to_reduced,
 )
+from oracles import predictive_per_record
 
 
 def test_split_equations_layout():
@@ -308,6 +314,105 @@ def test_predictive_smoke_across_grid():
         assert np.all(fd.h1_var > 0)
     with pytest.raises(ValueError):
         simulate_predictive(est, horizon=0, nsim=4, rng=rng)
+
+
+# every cell of the smoke grid at lag order 1, and two at lag order 2 so
+# that the lags shift
+PREDICTIVE_CELLS = [
+    (c, s, 1) for c in (CLASS_MIX, CLASS_POOL, CLASS_RW)
+    for s in (SUB_FLEX_MS, SUB_FLEX_MIX, SUB_SINGLE, SUB_SSVS_MIX)
+] + [(CLASS_CONST_NG, None, 1), (CLASS_CONST_MIN, None, 1)]
+PREDICTIVE_CELLS += [(CLASS_RW, SUB_FLEX_MS, 2), (CLASS_CONST_MIN, None, 2)]
+
+
+@pytest.mark.parametrize("model_class, subclass, p", PREDICTIVE_CELLS)
+def test_predictive_matches_per_record_oracle_in_law(model_class, subclass, p):
+    # paths are iid within a record, so the two samplers are compared per
+    # record and per (horizon, variable) by two-sample KS tests, Bonferroni
+    # over every test of every cell for a 1% family-wise level
+    spec = ModelSpec(
+        model_class=model_class, subclass=subclass, iterations=8, burnin=4, n_clusters=4
+    )
+    est = estimate_var(_small_var_data(seed=9, T=40, m=2), p, spec, seed=5)
+    nsim, horizon = 2000, 3
+    n_tests = len(PREDICTIVE_CELLS) * 2 * est.n_records * horizon * est.m
+    worst = []
+    for freeze in (False, True):
+        fd = simulate_predictive(est, horizon, nsim, np.random.default_rng(31), freeze)
+        draws, h1_mean, h1_var = predictive_per_record(
+            est, horizon, nsim, np.random.default_rng(32), freeze
+        )
+        if freeze:
+            np.testing.assert_allclose(fd.h1_mean, h1_mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fd.h1_var, h1_var, rtol=0, atol=1e-12)
+        for r in range(est.n_records):
+            rows = slice(r * nsim, (r + 1) * nsim)
+            for h in range(horizon):
+                for j in range(est.m):
+                    pval = ks_2samp(fd.draws[rows, h, j], draws[rows, h, j]).pvalue
+                    worst.append((pval, freeze, r, h + 1, j + 1))
+    assert min(worst)[0] > 0.01 / n_tests, min(worst)
+
+
+def _doubled_records(est):
+    eqs = [
+        dataclasses.replace(
+            eq, **{f: np.concatenate([getattr(eq, f)] * 2) for f in eq.ARRAY_FIELDS
+                   if getattr(eq, f) is not None}
+        )
+        for eq in est.equations
+    ]
+    return dataclasses.replace(est, equations=eqs)
+
+
+def test_predictive_memory_stays_bounded_in_records():
+    # 30 records x 1000 paths x 8 periods of a three-variable VAR(2), the
+    # posterior benchmark's shape; doubling the records may only add the
+    # output itself, plus 1 MB
+    spec = ModelSpec(
+        model_class=CLASS_MIX, subclass=SUB_FLEX_MS, iterations=40, burnin=10,
+        store_paths=False,
+    )
+    est = estimate_var(generate_var_break(T=80, seed=1).Y, 2, spec, seed=3)
+    assert est.n_records == 30
+
+    def peak_and_output(e):
+        tracemalloc.start()
+        try:
+            fd = simulate_predictive(e, 8, 1000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, fd.draws.nbytes + fd.h1_mean.nbytes + fd.h1_var.nbytes
+
+    peak30, out30 = peak_and_output(est)
+    peak60, out60 = peak_and_output(_doubled_records(est))
+    assert peak30 <= 10.1e6
+    assert peak60 - peak30 <= out60 - out30 + 1e6
+
+
+def test_predictive_refuses_empty_simulation():
+    Y = _small_var_data(seed=2, T=20, m=1)
+    draws = _const_record(np.array([[0.6, 0.4]]), np.log(np.array([0.25])), T=20, K=2)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=2, burnin=1)
+    est = VarEstimate(Y=Y, p=1, spec=spec, equations=[draws], names=("y1",))
+    for nsim in (0, -1):
+        with pytest.raises(ValueError, match="nsim must be at least 1"):
+            simulate_predictive(est, horizon=2, nsim=nsim, rng=np.random.default_rng(0))
+
+
+def test_predictive_names_the_equation_with_the_wrong_width():
+    # equation 2 of a VAR(1) in two variables needs 4 coefficients; the
+    # check runs before any draw, so the generator is left untouched
+    Y = _small_var_data(seed=2, T=20, m=2)
+    record = _const_record(np.array([[0.5, 0.1, 0.0]]), np.log(np.array([0.2])), K=3)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=2, burnin=1)
+    est = VarEstimate(Y=Y, p=1, spec=spec, equations=[record, record], names=("y1", "y2"))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^equation 2 has 3 coefficients; a VAR\(1\) in 2 variables needs 4$"):
+        simulate_predictive(est, horizon=2, nsim=5, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_forecast_csv_round_trip():
