@@ -11,8 +11,15 @@ or by underflow, are split out by mask to the exact Gamma and
 inverse-Gamma reductions, and the rest go through Devroye's (2014)
 rejection scheme on the log scale, which stays valid for arbitrarily small
 or large b*c.  Its envelope constants are computed per element, and each
-round re-proposes only the rejected elements.  ``sample_gig`` draws from
-one parameter set through the same sampler.
+round re-proposes only the rejected elements.
+
+``sample_gig`` draws from one parameter set.  With ``size`` given it runs
+the array sampler; with ``size=None`` (one draw, as a Gibbs step needs) it
+runs the same algorithm on Python floats, which avoids numpy's per-call
+overhead on length-one arrays.  The float path takes the same reductions,
+draws the same three uniforms per rejection round, and so consumes the
+generator exactly as the array path does at size 1; its draws agree with
+the array path's to rounding.
 """
 
 from __future__ import annotations
@@ -22,20 +29,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_COSH1 = math.cosh(1.0)
+
+# Each check flags parameters outside the valid regions; it takes floats
+# or same-shape arrays alike.
+_GIG_CHECKS = (
+    (lambda a, b, c: ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)), "must be finite"),
+    (lambda a, b, c: (b < 0.0) | (c < 0.0), "requires b >= 0 and c >= 0"),
+    (lambda a, b, c: (c == 0.0) & (a <= 0.0), "with c = 0 requires a > 0 (Gamma reduction)"),
+    (lambda a, b, c: (b == 0.0) & (a >= 0.0), "with b = 0 requires a < 0 (inverse-Gamma reduction)"),
+)
+
 
 def _first_invalid_gig(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first element outside the valid regions."""
-    checks = (
-        (~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)), "must be finite"),
-        ((b < 0.0) | (c < 0.0), "requires b >= 0 and c >= 0"),
-        ((c == 0.0) & (a <= 0.0), "with c = 0 requires a > 0 (Gamma reduction)"),
-        ((b == 0.0) & (a >= 0.0), "with b = 0 requires a < 0 (inverse-Gamma reduction)"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    masks = [(check(a, b, c), reason) for check, reason in _GIG_CHECKS]
+    bad = np.logical_or.reduce([mask for mask, _ in masks])
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    return i, next(reason for mask, reason in checks if mask[i])
+    return i, next(reason for mask, reason in masks if mask[i])
 
 
 @dataclass(frozen=True)
@@ -51,20 +64,22 @@ class GigParams:
     c: float
 
     def __post_init__(self):
-        found = _first_invalid_gig(*(np.array([v], dtype=float) for v in (self.a, self.b, self.c)))
-        if found is not None:
-            raise ValueError(f"GIG parameters {found[1]}")
+        a, b, c = float(self.a), float(self.b), float(self.c)
+        for check, reason in _GIG_CHECKS:
+            if check(a, b, c):
+                raise ValueError(f"GIG parameters {reason}")
 
 
 def sample_gig(params: GigParams, rng: np.random.Generator, size: int | None = None):
     """Draw from the generalized inverse Gaussian distribution.
 
-    Returns a scalar when ``size`` is None, else an array of ``size`` draws.
+    Returns a float when ``size`` is None, drawn on Python floats; else an
+    array of ``size`` draws from the array sampler.
     """
-    n = 1 if size is None else int(size)
     # GigParams has already checked the parameters
-    draws = _draw_gig(*(np.full(n, v, dtype=float) for v in (params.a, params.b, params.c)), rng)
-    return float(draws[0]) if size is None else draws
+    if size is None:
+        return _draw_gig_scalar(float(params.a), float(params.b), float(params.c), rng)
+    return _draw_gig(*(np.full(int(size), v, dtype=float) for v in (params.a, params.b, params.c)), rng)
 
 
 def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
@@ -117,7 +132,11 @@ def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator)
     log(X / mode): a flat center piece with two exponential tails.  The
     acceptance rate is bounded away from zero uniformly in (lam, omega).
     """
-    alpha = np.sqrt(omega * omega + lam * lam) - lam
+    # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
+    # rounds it to 0 when omega << lam: the left switch point would then be
+    # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
+    # constant would be NaN and no candidate would ever be accepted
+    alpha = omega * omega / (np.sqrt(omega * omega + lam * lam) + lam)
 
     def psi(x, alpha, lam):
         return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
@@ -147,7 +166,9 @@ def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator)
                 np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)),
                 np.minimum(
                     1.0 / lam,
-                    np.log(1.0 + 1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)),
+                    # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no
+                    # 1/alpha^2 to overflow for small alpha
+                    np.log(1.0 + (1.0 + np.sqrt(1.0 + 2.0 * alpha)) / alpha),
                 ),
             ),
         )
@@ -188,6 +209,91 @@ def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator)
             consts = consts[:, ~accept]
     mode = (lam + np.sqrt(lam * lam + omega * omega)) / omega
     return np.exp(out) * mode
+
+
+def _draw_gig_scalar(a: float, b: float, c: float, rng: np.random.Generator) -> float:
+    """One draw for valid parameters on Python floats; mirrors ``_draw_gig`` at size 1."""
+    omega = math.sqrt(b * c)
+    if omega == 0.0:
+        if a == 0.0:
+            raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
+        if a > 0.0:
+            return float(rng.gamma(shape=a, scale=2.0 / b))
+        return 1.0 / rng.gamma(shape=-a, scale=2.0 / c)
+    draw = _gig_two_param_scalar(abs(a), omega, rng)
+    return (1.0 / draw if a < 0.0 else draw) * math.sqrt(c / b)
+
+
+def _log(x: float) -> float:
+    """log that maps 0 to -inf, as np.log does, instead of raising."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) -> float:
+    """``_gig_two_param`` for one (lam, omega > 0) on Python floats.
+
+    The same envelope, the same branch choices and one ``rng.random(3)``
+    per round, taken as (u, v, w) as the array path takes its rows.
+    """
+    alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
+
+    def psi(x):
+        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
+
+    def dpsi(x):
+        return -alpha * math.sinh(x) - lam * math.expm1(x)
+
+    x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
+    if 0.5 <= x0 <= 2.0:
+        t = 1.0
+    elif x0 > 2.0:
+        t = math.sqrt(2.0 / (alpha + lam))
+    else:
+        t = math.log(4.0 / (alpha + 2.0 * lam))
+    x1 = alpha * (_COSH1 - 1.0) + lam / math.e
+    if 0.5 <= x1 <= 2.0:
+        s = 1.0
+    elif x1 > 2.0:
+        s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+    else:
+        # the fallback picks 1/lam (inf at lam = 0) or the log term (inf at
+        # alpha = 0); never both, as omega > 0
+        s = min(
+            1.0 / lam if lam > 0.0 else math.inf,
+            math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf,
+        )
+
+    eta = -psi(t)
+    zeta = -dpsi(t)
+    theta = -psi(-s)
+    xi = dpsi(-s)
+    p = 1.0 / xi
+    r = 1.0 / zeta
+    t_star = t - r * eta
+    s_star = s - p * theta
+    q = t_star + s_star
+    total = p + q + r
+    cut_mid = q / total
+    cut_right = (q + r) / total
+
+    while True:
+        u, v, w = rng.random(3).tolist()
+        if u < cut_mid:
+            cand = -s_star + q * v
+            log_envelope = 0.0
+        elif u < cut_right:
+            cand = t_star - r * _log(v)
+            log_envelope = -eta - zeta * (cand - t)
+        else:
+            cand = -s_star + p * _log(v)
+            log_envelope = -theta + xi * (cand + s)
+        try:
+            if _log(w) + log_envelope <= psi(cand):
+                break
+        except OverflowError:
+            pass  # a candidate far in a tail: cosh overflows, a certain rejection
+    mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
+    return math.exp(cand) * mode
 
 
 def sample_dirichlet(concentrations: np.ndarray, rng: np.random.Generator) -> np.ndarray:

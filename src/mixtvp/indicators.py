@@ -21,6 +21,8 @@ variance discrimination alone.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ from scipy.special import expit
 from .shrinkage import ConstantBlock
 
 VAR_FLOOR = 1e-10
+# a filter total below the smallest normal float has underflowed
+_TINY = sys.float_info.min
 
 CLASS_MIX = "TVP-MIX"
 CLASS_POOL = "TVP-POOL"
@@ -150,6 +154,12 @@ def sample_indicators_ms(
     depends on the regime pair (s_{t-1}, s_t), the emissions are folded
     into the transition kernel.  The chain starts from its stationary
     law.
+
+    Each period's kernel is rescaled by its largest pair emission, which
+    may belong to a pair the transition law forbids.  When a forward or
+    backward total then underflows, that period is weighed again in logs,
+    from log filter + log transition + log emission, so a state or
+    transition of probability zero is never drawn.
     """
     loglik = regime_log_densities(alpha, block, model_class, pool_means).sum(axis=1)
     T = loglik.shape[0]
@@ -159,20 +169,34 @@ def sample_indicators_ms(
     kernels = trans[None] * np.exp(
         loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True)
     )
-    # period 1 weighs the stationary law in logs: a regime without stationary
-    # mass keeps weight zero even when the other one's emission underflows
     with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)
+        # period 1 weighs the stationary law in logs: a regime without stationary
+        # mass keeps weight zero even when the other one's emission underflows
         first = np.log(stationary_probs(p00, p11)) + loglik[0, 0]
+
+    def log_terms(t, f0, f1):
+        """[k][l] = log f_k + log P(k -> l) + log emission(k, l) of kernel row t."""
+        logs = (log_trans + loglik[t + 1]).tolist()
+        log_f = [math.log(f) if f > 0.0 else -math.inf for f in (f0, f1)]
+        return [[lf + v for v in row] for lf, row in zip(log_f, logs)]
+
     f = np.exp(first - first.max())
     f0, f1 = (f / f.sum()).tolist()
     # two states: the recursions run on Python floats, one small tuple per period
     rows = kernels.reshape(T - 1, 4).tolist()
     filt = [(f0, f1)]
-    for k00, k01, k10, k11 in rows:
+    for t, (k00, k01, k10, k11) in enumerate(rows):
         g0 = f0 * k00 + f1 * k10
         g1 = f0 * k01 + f1 * k11
         total = g0 + g1
-        f0, f1 = (g0 / total, g1 / total) if total > 0 else (0.5, 0.5)
+        if not total >= _TINY:
+            (a00, a01), (a10, a11) = log_terms(t, f0, f1)
+            top = max(a00, a01, a10, a11)
+            g0 = math.exp(a00 - top) + math.exp(a10 - top)
+            g1 = math.exp(a01 - top) + math.exp(a11 - top)
+            total = g0 + g1
+        f0, f1 = g0 / total, g1 / total
         filt.append((f0, f1))
     # one uniform per period, consumed from s_T back to s_1
     u = rng.random(T).tolist()
@@ -184,7 +208,13 @@ def sample_indicators_ms(
         k00, k01, k10, k11 = rows[t]
         w0, w1 = (f0 * k01, f1 * k11) if nxt else (f0 * k00, f1 * k10)
         total = w0 + w1
-        nxt = int(u[T - 1 - t] < (w1 / total if total > 0 else 0.5))
+        if not total >= _TINY:
+            (a00, a01), (a10, a11) = log_terms(t, f0, f1)
+            a0, a1 = (a01, a11) if nxt else (a00, a10)
+            top = max(a0, a1)
+            w0, w1 = math.exp(a0 - top), math.exp(a1 - top)
+            total = w0 + w1
+        nxt = int(u[T - 1 - t] < w1 / total)
         s[t] = nxt
     return s
 

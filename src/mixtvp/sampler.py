@@ -410,19 +410,41 @@ def best_single_split(y: np.ndarray, x: np.ndarray) -> int | None:
 
     Scans interior split points with enough rows on both sides for a
     least-squares fit.  Returns None when no admissible split exists.
+
+    Every candidate's segment fits come from running sums of a_t a_t' for
+    the augmented rows a_t = (x_t, y_t), accumulated forward for the head
+    segments and backward for the tail segments (no differences of sums).
+    The last Cholesky pivot of a segment's augmented gram [[X'X, X'y],
+    [y'X, y'y]] is the square root of its residual sum of squares, so
+    each side is one batched Cholesky over all candidates.  A side with
+    any segment whose augmented gram is not numerically positive definite
+    (a rank-deficient X, such as a column that is zero on the segment, or
+    an exact fit) is scanned with ``lstsq`` instead, which keeps the
+    minimum-norm residual sum of squares there.
     """
     T, K = x.shape
     lo, hi = K + 2, T - K - 2
     if lo >= hi:
         return None
+    aug = np.column_stack([x, y])
+    outer = aug[:, :, None] * aug[:, None, :]
 
     def ssr(rows: slice) -> float:
         coef, *_ = np.linalg.lstsq(x[rows], y[rows], rcond=None)
         err = y[rows] - x[rows] @ coef
         return float(err @ err)
 
-    totals = [ssr(slice(0, t)) + ssr(slice(t, T)) for t in range(lo, hi)]
-    return lo + int(np.argmin(totals))
+    def side_ssr(rows, gram):
+        try:
+            return np.linalg.cholesky(gram)[:, K, K] ** 2
+        except np.linalg.LinAlgError:
+            return np.array([ssr(r) for r in rows])
+
+    cuts = range(lo, hi)
+    # head sums over rows [0, t) and tail sums over rows [t, T)
+    head = side_ssr((slice(0, t) for t in cuts), np.cumsum(outer, axis=0)[lo - 1: hi - 1])
+    tail = side_ssr((slice(t, T) for t in cuts), np.cumsum(outer[::-1], axis=0)[::-1][lo:hi])
+    return lo + int(np.argmin(head + tail))
 
 
 def init_equation_state(

@@ -4,17 +4,25 @@ log-variances follow a stationary AR(1); one sweep updates the auxiliary
 mixture indicators, the joint log-variance path through its tridiagonal
 precision, the AR(1) parameters in the centered parameterization, and then
 re-draws level and scale in the non-centered parameterization (ancillary
-sufficiency interweaving), which keeps mixing fast when the innovation
-variance is small.
+sufficiency interweaving, Kastner & Fruhwirth-Schnatter 2014), which keeps
+mixing fast when the innovation variance is small.
+
+The path steps work on length-T arrays; the parameter steps reduce the
+path to a few dot products and then run on Python floats: the level and
+persistence draws, the innovation-variance GIG draw (``sample_gig`` at
+``size=None``) and the interweaving step's 2x2 Gaussian, whose Cholesky
+factor is written out in closed form.  A failure in a step names it
+("volatility draw", "volatility psi draw", "volatility interweave").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import factor_banded, solve_factored
+from .banded import NotPositiveDefiniteError, factor_banded, solve_factored
 from .distributions import GigParams, sample_categorical_rows, sample_gig
 
 # 10-component Gaussian mixture approximation to log chi^2(1)
@@ -30,6 +38,10 @@ MIX_VAR = np.array([
     0.11265, 0.17788, 0.26768, 0.40611, 0.62699,
     0.98583, 1.57469, 2.54498, 4.16591, 7.33342,
 ])
+
+# log-weight terms of the mixture that do not depend on the data
+_MIX_LOG_NORM = np.log(MIX_PROB) - 0.5 * np.log(MIX_VAR)
+_MIX_HALF_PREC = 0.5 / MIX_VAR
 
 LOG_OFFSET = 1e-8
 PSI_FLOOR = 1e-12
@@ -116,19 +128,19 @@ def sv_sweep(
     m = MIX_MEAN[comp]
     d = 1.0 / MIX_VAR[comp]
 
-    h_full = _draw_h_joint(ystar - m, d, state, rng)
+    obs = ystar - m
+    h_full = _draw_h_joint(obs, d, state, rng)
     mu = _draw_mu_centered(h_full, state.phi, state.psi, priors, rng)
     phi = _draw_phi_centered(h_full, mu, state.phi, state.psi, priors, rng)
     psi = _draw_psi_centered(h_full, mu, phi, priors, rng)
 
-    mu, psi, h_full = _interweave_noncentered(ystar - m, d, h_full, mu, phi, psi, priors, rng)
+    mu, psi, h_full = _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng)
     return SvState(h=h_full[1:], h0=float(h_full[0]), mu=mu, phi=phi, psi=psi)
 
 
 def _draw_mixture_indicators(ystar, h, rng):
-    resid = ystar[:, None] - h[:, None] - MIX_MEAN[None, :]
-    logw = np.log(MIX_PROB)[None, :] - 0.5 * np.log(MIX_VAR)[None, :] - 0.5 * resid**2 / MIX_VAR[None, :]
-    return sample_categorical_rows(logw, rng)
+    resid = (ystar - h)[:, None] - MIX_MEAN
+    return sample_categorical_rows(_MIX_LOG_NORM - resid**2 * _MIX_HALF_PREC, rng)
 
 
 def _draw_h_joint(obs, d, state, rng):
@@ -149,33 +161,35 @@ def _draw_h_joint(obs, d, state, rng):
 
 
 def _draw_mu_centered(h_full, phi, psi, priors, rng):
-    h0, h = h_full[0], h_full[1:]
-    T = h.size
-    lagged = h_full[:-1]
-    prec = ((1.0 - phi**2) + T * (1.0 - phi) ** 2) / psi + 1.0 / priors.mu_var
-    lin = ((1.0 - phi**2) * h0 + (1.0 - phi) * np.sum(h - phi * lagged)) / psi
+    h0 = float(h_full[0])
+    T = h_full.size - 1
+    total = float(h_full.sum())
+    # sum(h_t - phi h_{t-1}) over t = 1..T
+    innov_sum = (total - h0) - phi * (total - float(h_full[-1]))
+    prec = ((1.0 - phi * phi) + T * (1.0 - phi) ** 2) / psi + 1.0 / priors.mu_var
+    lin = ((1.0 - phi * phi) * h0 + (1.0 - phi) * innov_sum) / psi
     lin += priors.mu_mean / priors.mu_var
-    return lin / prec + rng.normal() / np.sqrt(prec)
+    return lin / prec + rng.normal() / math.sqrt(prec)
 
 
 def _draw_phi_centered(h_full, mu, phi, psi, priors, rng):
     g = h_full - mu
-    g0, glag, gcur = g[0], g[:-1], g[1:]
-    den = np.sum(glag**2)
+    g0, glag = float(g[0]), g[:-1]
+    den = float(glag @ glag)
     if den <= 0.0:
         return phi
-    center = np.sum(gcur * glag) / den
-    prop = center + np.sqrt(psi / den) * rng.normal()
+    center = float(g[1:] @ glag) / den
+    prop = center + math.sqrt(psi / den) * rng.normal()
     if not abs(prop) < 1.0:
         return phi
 
     def log_extra(p):
         # Beta((p+1)/2; a, b) kernel; its constant and the log 2 terms cancel
         return (
-            0.5 * np.log1p(-(p**2))
-            - (1.0 - p**2) * g0**2 / (2.0 * psi)
-            + (priors.phi_beta_a - 1.0) * np.log1p(p)
-            + (priors.phi_beta_b - 1.0) * np.log1p(-p)
+            0.5 * math.log1p(-(p * p))
+            - (1.0 - p * p) * g0 * g0 / (2.0 * psi)
+            + (priors.phi_beta_a - 1.0) * math.log1p(p)
+            + (priors.phi_beta_b - 1.0) * math.log1p(-p)
         )
 
     if np.log(rng.random()) <= log_extra(prop) - log_extra(phi):
@@ -185,33 +199,49 @@ def _draw_phi_centered(h_full, mu, phi, psi, priors, rng):
 
 def _draw_psi_centered(h_full, mu, phi, priors, rng):
     g = h_full - mu
-    sse = (1.0 - phi**2) * g[0] ** 2 + np.sum((g[1:] - phi * g[:-1]) ** 2)
+    g0 = float(g[0])
+    e = g[1:] - phi * g[:-1]
+    sse = (1.0 - phi * phi) * g0 * g0 + float(e @ e)
     T = h_full.size - 1
     a = priors.psi_shape - (T + 1) / 2.0
-    psi = sample_gig(GigParams(a, 2.0 * priors.psi_rate, max(sse, PSI_FLOOR)), rng)
-    return max(float(psi), PSI_FLOOR)
+    try:
+        params = GigParams(a, 2.0 * priors.psi_rate, max(sse, PSI_FLOOR))
+    except ValueError as exc:
+        raise ValueError(f"volatility psi draw: {exc}") from exc
+    return max(sample_gig(params, rng), PSI_FLOOR)
 
 
 def _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng):
     """Re-draw (level, signed scale) with the path held fixed in
     non-centered form; valid only under the chi-square-type variance prior
-    (psi_shape = 1/2), which is the square of a Gaussian scale."""
+    (psi_shape = 1/2), which is the square of a Gaussian scale.
+
+    The 2x2 posterior precision [[p11, p12], [p12, p22]] is factored as
+    L L' with L = [[l11, 0], [l21, l22]] in closed form; the draw is
+    L'^{-1} (L^{-1} lin + z) for z = ``rng.normal(size=2)``.
+    """
     if priors.psi_shape != 0.5:
         return mu, psi, h_full
-    htil = (h_full - mu) / np.sqrt(psi)
-    x1 = np.ones(obs.size)
+    htil = (h_full - mu) / math.sqrt(psi)
     x2 = htil[1:]
+    dx2 = d * x2
     scale_prior_var = priors.psi_shape / priors.psi_rate  # N(0, v) on signed sqrt
-    p11 = np.sum(d * x1 * x1) + 1.0 / priors.mu_var
-    p12 = np.sum(d * x1 * x2)
-    p22 = np.sum(d * x2 * x2) + 1.0 / scale_prior_var
-    prec = np.array([[p11, p12], [p12, p22]])
-    lin = np.array(
-        [np.sum(d * obs) + priors.mu_mean / priors.mu_var, np.sum(d * obs * x2)]
-    )
-    chol = np.linalg.cholesky(prec)
-    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, lin))
-    draw = mean + np.linalg.solve(chol.T, rng.normal(size=2))
-    mu_new, scale_new = float(draw[0]), float(draw[1])
-    psi_new = max(scale_new**2, PSI_FLOOR)
+    p11 = float(d.sum()) + 1.0 / priors.mu_var
+    p12 = float(dx2.sum())
+    p22 = float(dx2 @ x2) + 1.0 / scale_prior_var
+    lin1 = float(d @ obs) + priors.mu_mean / priors.mu_var
+    lin2 = float(dx2 @ obs)
+    # pivots of the factorization are p11 and piv2; NaN fails the comparisons too
+    piv2 = p22 - p12 * p12 / p11 if p11 > 0.0 else math.nan
+    if not (0.0 < p11 < math.inf and 0.0 < piv2 < math.inf):
+        raise NotPositiveDefiniteError("volatility interweave: precision not positive definite")
+    l11 = math.sqrt(p11)
+    l21 = p12 / l11
+    l22 = math.sqrt(piv2)
+    z1, z2 = rng.normal(size=2).tolist()
+    w1 = lin1 / l11 + z1
+    w2 = (lin2 - l21 * (lin1 / l11)) / l22 + z2
+    scale_new = w2 / l22
+    mu_new = (w1 - l21 * scale_new) / l11
+    psi_new = max(scale_new * scale_new, PSI_FLOOR)
     return mu_new, psi_new, mu_new + scale_new * htil

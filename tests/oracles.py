@@ -57,32 +57,41 @@ def carter_kohn_tvp(y, x, psi_bar, alpha0, sigma, rng):
 
     y_t = x_t' a_t + N(0, sigma_t^2); a_t = a_{t-1} + N(0, diag(psi_bar));
     a_1 ~ N(alpha0, diag(psi_bar)).  Returns the (T, K) sampled path.
+
+    With a leading chain axis, psi_bar and alpha0 of shape (n, K) and sigma
+    of shape (n, T), n chains on the same data are filtered and sampled in
+    lockstep, and the (n, T, K) paths are returned.
     """
+    batched = np.ndim(alpha0) == 2
+    psi_bar, alpha0, sigma = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (psi_bar, alpha0, sigma))
     T, K = x.shape
-    Q = np.diag(psi_bar)
-    means = np.empty((T, K))
-    covs = np.empty((T, K, K))
-    m = np.asarray(alpha0, dtype=float)
+    n = alpha0.shape[0]
+    Q = psi_bar[:, :, None] * np.eye(K)
+    means = np.empty((T, n, K))
+    covs = np.empty((T, n, K, K))
+    m = alpha0.copy()
     P = Q.copy()
     for t in range(T):
         if t > 0:
             P = P + Q
-        S = x[t] @ P @ x[t] + sigma[t] ** 2
-        k = P @ x[t] / S
-        m = m + k * (y[t] - x[t] @ m)
-        P = P - np.outer(k, x[t] @ P)
-        P = 0.5 * (P + P.T)
+        Px = P @ x[t]
+        S = Px @ x[t] + sigma[:, t] ** 2
+        k = Px / S[:, None]
+        m = m + k * (y[t] - m @ x[t])[:, None]
+        P = P - k[:, :, None] * Px[:, None, :]
+        P = 0.5 * (P + P.swapaxes(1, 2))
         means[t] = m
         covs[t] = P
-    draws = np.empty((T, K))
+    draws = np.empty((T, n, K))
     draws[T - 1] = _mvn_draw(means[T - 1], covs[T - 1], rng)
     for t in range(T - 2, -1, -1):
         Pt = covs[t]
         J = Pt @ np.linalg.inv(Pt + Q)
-        mean = means[t] + J @ (draws[t + 1] - means[t])
+        mean = means[t] + (J @ (draws[t + 1] - means[t])[:, :, None])[:, :, 0]
         cov = Pt - J @ Pt
-        draws[t] = _mvn_draw(mean, 0.5 * (cov + cov.T), rng)
-    return draws
+        draws[t] = _mvn_draw(mean, 0.5 * (cov + cov.swapaxes(1, 2)), rng)
+    draws = draws.swapaxes(0, 1)
+    return draws if batched else draws[0]
 
 
 def ffbs_two_state(loglik, p00, p11, rng):
@@ -92,37 +101,47 @@ def ffbs_two_state(loglik, p00, p11, rng):
     under regime k at t-1 and l at t; the first period reads the k = 0 slice.
     The chain starts from its stationary law, weighed with the first
     emission in logs so that a regime without stationary mass is never
-    drawn at t = 1.  A forward or backward total that underflows to zero
-    falls back to equal odds.  Returns the draw and the number of such
-    fallbacks.
+    drawn at t = 1.  Each later period's kernel is rescaled by its largest
+    pair emission; a forward or backward total below the smallest normal
+    float is recomputed in logs, from log filter + log transition + log
+    emission.  Returns the draw and the number of steps weighed in logs.
     """
     T = loglik.shape[0]
+    tiny = np.finfo(float).tiny
     trans = np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
     denom = 2.0 - p00 - p11
     init = np.array([0.5, 0.5]) if denom <= 0.0 else np.array([(1.0 - p11) / denom, (1.0 - p00) / denom])
     kernels = trans[None] * np.exp(loglik[1:] - loglik[1:].max(axis=(1, 2), keepdims=True))
-    fallbacks = 0
+    log_steps = 0
     filt = np.empty((T, 2))
     with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)
         first = np.log(init) + loglik[0, 0]
     f = np.exp(first - first.max())
     filt[0] = f / f.sum()
+
+    def log_pairs(t):
+        # [k, l]: log f_{t-1}(k) + log P(k -> l) + log emission_t(k, l)
+        with np.errstate(divide="ignore"):
+            return np.log(filt[t - 1])[:, None] + (log_trans + loglik[t])
+
     for t in range(1, T):
         f = filt[t - 1] @ kernels[t - 1]
-        total = f.sum()
-        if total > 0:
-            filt[t] = f / total
-        else:
-            filt[t] = np.array([0.5, 0.5])
-            fallbacks += 1
+        if not f.sum() >= tiny:
+            lp = log_pairs(t)
+            f = np.exp(lp - lp.max()).sum(axis=0)
+            log_steps += 1
+        filt[t] = f / f.sum()
     s = np.empty(T, dtype=np.int8)
     s[T - 1] = rng.random() < filt[T - 1, 1]
     for t in range(T - 2, -1, -1):
         w = filt[t] * kernels[t][:, s[t + 1]]
-        total = w.sum()
-        fallbacks += not total > 0
-        s[t] = rng.random() < (w[1] / total if total > 0 else 0.5)
-    return s, fallbacks
+        if not w.sum() >= tiny:
+            lp = log_pairs(t + 1)[:, s[t + 1]]
+            w = np.exp(lp - lp.max())
+            log_steps += 1
+        s[t] = rng.random() < w[1] / w.sum()
+    return s, log_steps
 
 
 def predictive_per_record(est, horizon, nsim, rng, freeze_states=False):
@@ -255,9 +274,11 @@ def _unit_lower_solve(b0, rhs):
 
 
 def _mvn_draw(mean, cov, rng):
+    """One Gaussian draw per row of mean (n, K) and cov (n, K, K)."""
     w, V = np.linalg.eigh(cov)
     w = np.clip(w, 0.0, None)
-    return mean + (V * np.sqrt(w)) @ rng.normal(size=mean.size)
+    z = rng.normal(size=mean.shape)
+    return mean + ((V * np.sqrt(w)[:, None, :]) @ z[:, :, None])[:, :, 0]
 
 
 def mixture_density_fourier(y, weights, means, variances):
@@ -275,3 +296,48 @@ def mixture_density_fourier(y, weights, means, variances):
 
     val, _ = integrate.quad(integrand, 0, 50.0, limit=400)
     return val / np.pi
+
+
+def split_scan_lstsq(y, x):
+    """Best single split by one ``lstsq`` fit per segment and candidate.
+
+    The reference for ``sampler.best_single_split``: candidates t run over
+    [K + 2, T - K - 2), and the split minimises the summed residual sums
+    of squares of rows [0, t) and [t, T).  None when no candidate exists.
+    """
+    T, K = x.shape
+    lo, hi = K + 2, T - K - 2
+    if lo >= hi:
+        return None
+
+    def ssr(rows):
+        coef, *_ = np.linalg.lstsq(x[rows], y[rows], rcond=None)
+        err = y[rows] - x[rows] @ coef
+        return float(err @ err)
+
+    totals = [ssr(slice(0, t)) + ssr(slice(t, T)) for t in range(lo, hi)]
+    return lo + int(np.argmin(totals))
+
+
+def interweave_dense(obs, d, h_full, mu, psi, priors, rng):
+    """The non-centered (level, signed scale) re-draw through np.linalg.
+
+    The reference for ``sv._interweave_noncentered`` under psi_shape = 1/2:
+    the same 2x2 Gaussian posterior, factored by ``np.linalg.cholesky`` and
+    drawn with one ``rng.normal(size=2)``.  Returns (mu, psi, h_full).
+    """
+    htil = (h_full - mu) / np.sqrt(psi)
+    x1 = np.ones(obs.size)
+    x2 = htil[1:]
+    scale_prior_var = priors.psi_shape / priors.psi_rate
+    p11 = np.sum(d * x1 * x1) + 1.0 / priors.mu_var
+    p12 = np.sum(d * x1 * x2)
+    p22 = np.sum(d * x2 * x2) + 1.0 / scale_prior_var
+    prec = np.array([[p11, p12], [p12, p22]])
+    lin = np.array([np.sum(d * obs) + priors.mu_mean / priors.mu_var, np.sum(d * obs * x2)])
+    chol = np.linalg.cholesky(prec)
+    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, lin))
+    draw = mean + np.linalg.solve(chol.T, rng.normal(size=2))
+    mu_new, scale_new = float(draw[0]), float(draw[1])
+    psi_new = max(scale_new**2, 1e-12)
+    return mu_new, psi_new, mu_new + scale_new * htil

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import kv
+from scipy.special import kv, kve
 
 from mixtvp.distributions import (
     GigParams,
@@ -88,9 +88,44 @@ def test_gig_extreme_arguments_stay_finite():
         assert np.all(draws > 0)
 
 
+@pytest.mark.parametrize("a,b,c", [(1e-3, 1e-12, 1e-12), (-2e-3, 1e-20, 1e-6), (1e-8, 1e-100, 1e-100)])
+def test_gig_log_mean_when_omega_is_far_below_a(a, b, c):
+    # E[log X] = d/da log K_a(omega) + log(c/b)/2 for omega = sqrt(b*c); these
+    # parameters put alpha = sqrt(omega^2 + a^2) - |a| far below |a| * 1e-16
+    omega, h = np.sqrt(b * c), 1e-6
+    want = (np.log(kve(a + h, omega)) - np.log(kve(a - h, omega))) / (2 * h) + 0.5 * np.log(c / b)
+    logs = np.log(sample_gig(GigParams(a, b, c), np.random.default_rng(17), size=50_000))
+    assert abs(logs.mean() - want) < 5.0 * logs.std(ddof=1) / np.sqrt(logs.size)
+
+
 def test_gig_scalar_return():
     value = sample_gig(GigParams(1.0, 1.0, 1.0), np.random.default_rng(0))
     assert isinstance(value, float)
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        (2.5, 3.0, 2.0),  # a > 0
+        (0.25, 0.05, 8.0),  # a > 0, small b
+        (-99.0, 1.0, 250.0),  # a << 0, as in the volatility psi draw
+        (-99.0, 1.0, 1e-12),  # a << 0, psi near its floor
+        (1.5, 1e-160, 1e-170),  # b*c underflows: Gamma reduction
+        (-3.0, 1e-170, 1e-160),  # b*c underflows: inverse-Gamma reduction
+        (2.5, 3.0, 0.0),  # Gamma
+        (-3.0, 0.0, 4.0),  # inverse Gamma
+        (1e-3, 1e-12, 1e-12),  # omega far below |a|
+    ],
+)
+def test_scalar_gig_matches_array_on_the_same_stream(a, b, c):
+    # size=None runs the float path, the array sampler is the reference
+    for seed in range(200):
+        rng_scalar, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_gig(GigParams(a, b, c), rng_scalar)
+        want = sample_gig_array(a, b, c, rng_array)[0]
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * abs(want), (seed, got, want)
+        assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
 
 
 def test_gig_array_mixed_regions_match_exact_means():

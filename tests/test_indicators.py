@@ -157,15 +157,15 @@ def _ms_draws_side_by_side(alpha, block, p00, p11, cls, seed, pool_means=None, n
     """n chain draws from the package sampler and from the per-period oracle, one seed each."""
     pooled = regime_log_densities(alpha, block, cls, pool_means).sum(axis=1)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want, fallbacks = [], [], 0
+    got, want, log_steps = [], [], 0
     for _ in range(n):
         got.append(sample_indicators_ms(alpha, block, p00, p11, cls, rng_new, pool_means))
         s, hit = ffbs_two_state(pooled, p00, p11, rng_ref)
         want.append(s)
-        fallbacks += hit
+        log_steps += hit
     # both sides consumed the same stream
     assert rng_new.random() == rng_ref.random()
-    return np.array(got), np.array(want), fallbacks
+    return np.array(got), np.array(want), log_steps
 
 
 @pytest.mark.parametrize("cls", ["TVP-MIX", "TVP-RW", "TVP-POOL"])
@@ -183,15 +183,36 @@ def test_ms_sampler_matches_per_period_oracle(cls):
 def test_ms_sampler_matches_oracle_when_filter_totals_underflow():
     # regime 0 is absorbing and holds all stationary mass, and the path sits
     # at the center except in period 2, far beyond the spike scale: the
-    # forward total of period 2 underflows to zero, and since period 3
-    # favours regime 0 again, the fallback odds set the draw of s_2
+    # forward total of period 2 underflows to zero, and that period is
+    # weighed again in logs, which keeps s_2 (like every s_t) at regime 0
     T, K = 12, 2
     block = make_block([0.0, 0.0], [1.0, 1.0], [1e-3, 1e-3])
     alpha = np.outer(np.arange(T) == 1, [2.0, -3.0])
-    got, want, fallbacks = _ms_draws_side_by_side(alpha, block, 1.0, 0.6, "TVP-MIX", 5, n=200)
-    assert fallbacks > 0
-    assert 0 < got[:, 1].mean() < 1
+    got, want, log_steps = _ms_draws_side_by_side(alpha, block, 1.0, 0.6, "TVP-MIX", 5, n=200)
+    assert log_steps > 0
+    assert np.all(got[:, 1] == 0)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("absorbing", [0, 1])
+def test_ms_absorbing_regime_draws_no_zero_probability_path(absorbing):
+    # the absorbing regime holds all stationary mass, so the constant path
+    # in it is the only one of positive probability; the path sits at the
+    # center except in period 2, 2000 absorbing-regime scales off, so the
+    # largest pair emission of periods 2 and 3 is a forbidden pair's and
+    # the allowed pair's kernel underflows
+    T = 12
+    tight, wide = [1e-3, 1e-3], [1.0, 1.0]
+    # make_block takes the regime-1 roots, then the regime-0 roots
+    roots = (tight, wide) if absorbing else (wide, tight)
+    block = make_block([0.0, 0.0], *roots)
+    alpha = np.outer(np.arange(T) == 1, [2.0, 0.0])
+    p00, p11 = (0.6, 1.0) if absorbing else (1.0, 0.6)
+    rng = np.random.default_rng(41)
+    draws = np.array(
+        [sample_indicators_ms(alpha, block, p00, p11, "TVP-MIX", rng) for _ in range(200)]
+    )
+    assert np.all(draws == absorbing)
 
 
 @pytest.mark.parametrize("absorbing", [0, 1])

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from mixtvp.dgp import generate_var_break
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
     CLASS_CONST_NG,
@@ -21,6 +22,7 @@ from mixtvp.sampler import (
     SUB_SINGLE,
     EquationChainState,
     ModelSpec,
+    best_single_split,
     gibbs_sweep,
     init_equation_state,
     make_scales,
@@ -29,7 +31,8 @@ from mixtvp.sampler import (
     simulate_observations,
 )
 from mixtvp.sv import SvPriors
-from oracles import carter_kohn_tvp
+from mixtvp.var import split_equations
+from oracles import carter_kohn_tvp, split_scan_lstsq
 
 
 def test_const_ng_conjugate_recovery():
@@ -128,81 +131,72 @@ def test_rw_single_band_coverage():
     assert coverage >= 0.55
 
 
-class CenteredRwChain:
+class CenteredRwChains:
     """Independently coded centered sampler for the RW single-variance cell.
 
     Same model, different route: Kalman-filter FFBS for the path, direct
     conjugate updates elsewhere, GIG draws through scipy.  Used only to
-    cross-validate the non-centered machinery.
+    cross-validate the non-centered machinery.  ``n`` chains on the same
+    data run in lockstep from one generator: every conditional is drawn
+    for all chains at once, through one Kalman FFBS with a chain axis and
+    one array-parameter ``geninvgauss.rvs`` call per GIG step.
     """
 
-    def __init__(self, y, x, zeta, rng):
+    def __init__(self, y, x, zeta, n, rng):
         self.y, self.x, self.zeta, self.rng = y, x, zeta, rng
-        T, K = x.shape
+        K = x.shape[1]
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        self.alpha0 = beta.copy()
-        self.psi = np.full(K, 0.01)
-        self.tau_a = np.ones(K)
-        self.tau_r = np.ones(K)
-        self.lam = {"a": 1.0, "r": 1.0}
-        self.rho = {"a": 0.5, "r": 0.5}
-        self.sigma2 = float(np.var(y - x @ beta) + 1e-4)
-        self.path = np.tile(beta, (T, 1))
+        self.alpha0 = np.tile(beta, (n, 1))
+        self.psi = np.full((n, K), 0.01)
+        self.tau = {"a": np.ones((n, K)), "r": np.ones((n, K))}
+        self.lam = {"a": np.ones(n), "r": np.ones(n)}
+        self.rho = {"a": np.full(n, 0.5), "r": np.full(n, 0.5)}
+        self.sigma2 = np.full(n, float(np.var(y - x @ beta) + 1e-4))
 
     def _gig(self, a, b, c):
+        a, b, c = np.broadcast_arrays(a, b, c)
         z = stats.geninvgauss.rvs(a, np.sqrt(b * c), random_state=self.rng)
-        return max(z * np.sqrt(c / b), 1e-12)
+        return np.maximum(z * np.sqrt(c / b), 1e-12)
 
-    def _rho_step(self, which, tau):
-        rho, lam = self.rho[which], self.lam[which]
-        prop = rho * np.exp(0.4 * self.rng.normal())
-        p = tau.shape[0]
+    def _rho_step(self, which):
+        rho, lam, tau = self.rho[which], self.lam[which], self.tau[which]
+        prop = rho * np.exp(0.4 * self.rng.normal(size=rho.shape))
+        p = tau.shape[1]
 
         def logt(r):
             return (
                 p * (r * np.log(r * lam / 2.0) - gammaln(r))
-                + (r - 1.0) * np.log(tau).sum()
-                - 0.5 * r * lam * tau.sum()
+                + (r - 1.0) * np.log(tau).sum(axis=1)
+                - 0.5 * r * lam * tau.sum(axis=1)
                 - r
             )
 
-        if np.log(self.rng.random()) < logt(prop) - logt(rho) + np.log(prop / rho):
-            self.rho[which] = float(prop)
+        accept = np.log(self.rng.random(rho.shape)) < logt(prop) - logt(rho) + np.log(prop / rho)
+        self.rho[which] = np.where(accept, prop, rho)
 
     def sweep(self):
         T, K = self.x.shape
-        sig = np.full(T, np.sqrt(self.sigma2))
-        self.path = carter_kohn_tvp(self.y, self.x, self.psi, self.alpha0, sig, self.rng)
+        sig = np.repeat(np.sqrt(self.sigma2)[:, None], T, axis=1)
+        path = carter_kohn_tvp(self.y, self.x, self.psi, self.alpha0, sig, self.rng)
         # alpha0 enters only through the initial state
-        prec = 1.0 / self.tau_a + 1.0 / self.psi
-        mean = (self.path[0] / self.psi) / prec
-        self.alpha0 = mean + self.rng.normal(size=K) / np.sqrt(prec)
-        diffs = np.vstack([self.path[0] - self.alpha0, np.diff(self.path, axis=0)])
-        sse = (diffs**2).sum(axis=0)
-        self.psi = np.array(
-            [self._gig(0.5 * (1 - T), 1.0 / self.tau_r[k], sse[k]) for k in range(K)]
-        )
-        self.tau_a = np.array(
-            [
-                self._gig(self.rho["a"] - 0.5, self.rho["a"] * self.lam["a"], self.alpha0[k] ** 2)
-                for k in range(K)
-            ]
-        )
-        self.tau_r = np.array(
-            [
-                self._gig(self.rho["r"] - 0.5, self.rho["r"] * self.lam["r"], self.psi[k])
-                for k in range(K)
-            ]
-        )
-        for which, tau in (("a", self.tau_a), ("r", self.tau_r)):
-            rho = self.rho[which]
+        prec = 1.0 / self.tau["a"] + 1.0 / self.psi
+        mean = (path[:, 0] / self.psi) / prec
+        self.alpha0 = mean + self.rng.normal(size=mean.shape) / np.sqrt(prec)
+        diffs = np.concatenate([path[:, :1] - self.alpha0[:, None], np.diff(path, axis=1)], axis=1)
+        sse = (diffs**2).sum(axis=1)
+        self.psi = self._gig(0.5 * (1 - T), 1.0 / self.tau["r"], sse)
+        rho_a, rho_r = self.rho["a"][:, None], self.rho["r"][:, None]
+        self.tau["a"] = self._gig(rho_a - 0.5, rho_a * self.lam["a"][:, None], self.alpha0**2)
+        self.tau["r"] = self._gig(rho_r - 0.5, rho_r * self.lam["r"][:, None], self.psi)
+        for which in ("a", "r"):
+            rho, tau = self.rho[which], self.tau[which]
             self.lam[which] = self.rng.gamma(
-                shape=self.zeta + rho * K, scale=1.0 / (self.zeta + 0.5 * rho * tau.sum())
+                shape=self.zeta + rho * K, scale=1.0 / (self.zeta + 0.5 * rho * tau.sum(axis=1))
             )
-            self._rho_step(which, tau)
-        resid = self.y - (self.x * self.path).sum(axis=1)
+            self._rho_step(which)
+        resid = self.y - (self.x * path).sum(axis=2)
         shape = 0.01 + 0.5 * T
-        rate = 0.01 + 0.5 * float(resid @ resid)
+        rate = 0.01 + 0.5 * (resid**2).sum(axis=1)
         self.sigma2 = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
 
 
@@ -229,18 +223,16 @@ def test_rw_single_matches_centered_oracle():
         mine["psi"].append((d.sqrt_psi1**2).mean())
         mine["sigma2"].append(np.exp(d.h).mean())
 
-    other = {"alpha0": [], "psi": [], "sigma2": []}
-    for seed in range(20):
-        chain = CenteredRwChain(y, x, zeta=0.01, rng=np.random.default_rng(5000 + seed))
-        rec = {"alpha0": [], "psi": [], "sigma2": []}
-        for j in range(iters):
-            chain.sweep()
-            if j >= burn:
-                rec["alpha0"].append(chain.alpha0[0])
-                rec["psi"].append(chain.psi[0])
-                rec["sigma2"].append(chain.sigma2)
-        for k in rec:
-            other[k].append(np.mean(rec[k]))
+    # 20 oracle chains in lockstep, each averaged over its kept sweeps
+    chains = CenteredRwChains(y, x, zeta=0.01, n=20, rng=np.random.default_rng(5000))
+    other = {"alpha0": np.zeros(20), "psi": np.zeros(20), "sigma2": np.zeros(20)}
+    for j in range(iters):
+        chains.sweep()
+        if j >= burn:
+            other["alpha0"] += chains.alpha0[:, 0]
+            other["psi"] += chains.psi[:, 0]
+            other["sigma2"] += chains.sigma2
+    other = {k: v / (iters - burn) for k, v in other.items()}
 
     for k in mine:
         t, p = stats.ttest_ind(mine[k], other[k], equal_var=False)
@@ -308,6 +300,42 @@ def test_warns_on_short_sample():
     spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=4, burnin=2)
     with pytest.warns(UserWarning):
         run_chain(y, x, spec, seed=0)
+
+
+def test_best_single_split_matches_lstsq_scan_on_var_break_equations():
+    checked = 0
+    for p in (2, 4):
+        for seed in range(1, 41):
+            for y, x in split_equations(generate_var_break(T=200, seed=seed).Y, p):
+                assert best_single_split(y, x) == split_scan_lstsq(y, x), (p, seed, x.shape)
+                checked += 1
+    assert checked == 240
+
+
+@pytest.mark.parametrize("zero_rows", [slice(0, 60), slice(-60, None)])
+def test_best_single_split_keeps_lstsq_fit_on_rank_deficient_segments(zero_rows):
+    # the last column is zero on the first (or last) 60 rows, so every head
+    # (or tail) segment inside them has a singular X'X
+    rng = np.random.default_rng(8)
+    T = 160
+    x = np.column_stack([rng.normal(size=(T, 3)), np.ones(T), rng.normal(size=T)])
+    x[zero_rows, -1] = 0.0
+    shift = np.where(np.arange(T) < 78, 0.0, 1.5)
+    y = x @ np.array([0.5, -1.0, 0.3, 0.2, 0.8]) + shift + 0.3 * rng.normal(size=T)
+    want = split_scan_lstsq(y, x)
+    assert best_single_split(y, x) == want
+    assert abs(want - 78) <= 3
+
+
+def test_best_single_split_none_without_admissible_split():
+    rng = np.random.default_rng(1)
+    # candidates run over [K + 2, T - K - 2): none for T <= 2K + 4
+    for T, K in [(10, 3), (5, 1), (12, 5)]:
+        x, y = rng.normal(size=(T, K)), rng.normal(size=T)
+        assert best_single_split(y, x) is None
+        assert split_scan_lstsq(y, x) is None
+    x, y = rng.normal(size=(9, 2)), rng.normal(size=9)
+    assert best_single_split(y, x) == split_scan_lstsq(y, x) == 4
 
 
 def test_init_state_layouts():

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from mixtvp.sv import (
+    DEFAULT_SV_PRIORS,
     MIX_MEAN,
     MIX_PROB,
     MIX_VAR,
     SvState,
     _draw_h_joint,
+    _interweave_noncentered,
     initial_sv_state,
     sample_sv_prior,
     sv_sweep,
 )
-from oracles import carter_kohn_scalar
+from oracles import carter_kohn_scalar, interweave_dense
 
 
 def test_mixture_constants_match_log_chisq_moments():
@@ -125,3 +127,20 @@ def test_prior_simulation_and_validation():
         SvState(h=np.zeros(5), h0=0.0, mu=0.0, phi=0.5, psi=0.0)
     with pytest.raises(ValueError):
         sv_sweep(np.ones(5), st, rng)
+
+
+def test_interweave_matches_dense_oracle_on_the_same_stream():
+    rng = np.random.default_rng(12)
+    T = 198
+    for trial in range(50):
+        obs = rng.normal(-1.0, 2.0, size=T)
+        d = 1.0 / MIX_VAR[rng.integers(0, MIX_VAR.size, size=T)]
+        mu, psi = rng.normal(-1.0, 1.0), rng.uniform(1e-4, 0.5)
+        h_full = mu + np.cumsum(np.sqrt(psi) * rng.normal(size=T + 1))
+        rng_new, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        got = _interweave_noncentered(obs, d, h_full, mu, 0.9, psi, DEFAULT_SV_PRIORS, rng_new)
+        want = interweave_dense(obs, d, h_full, mu, psi, DEFAULT_SV_PRIORS, rng_ref)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=1e-12)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import mixtvp.sampler
+import mixtvp.sv
 from mixtvp.banded import NotPositiveDefiniteError
 from mixtvp.dgp import generate_var_break
 from mixtvp.sampler import (
@@ -224,6 +225,40 @@ def test_constant_block_failure_names_equation_iteration_and_step(monkeypatch):
         NotPositiveDefiniteError,
         match=r"^equation 2: iteration 3: constant block: precision not positive definite$",
     ):
+        estimate_var(_small_var_data(), 1, spec, seed=4)
+
+
+@pytest.mark.parametrize(
+    "target,error,message",
+    [
+        # a NaN in the log-variance path reaches the psi draw's GIG parameters
+        ("_draw_h_joint", ValueError, "volatility psi draw: GIG parameters must be finite"),
+        # a NaN innovation variance reaches the interweaving precision
+        (
+            "_draw_psi_centered",
+            NotPositiveDefiniteError,
+            "volatility interweave: precision not positive definite",
+        ),
+    ],
+)
+def test_volatility_failure_names_equation_iteration_and_step(monkeypatch, target, error, message):
+    real_step = getattr(mixtvp.sv, target)
+    calls = []
+
+    def step_failing_on_eighth_call(*args):
+        calls.append(None)
+        out = real_step(*args)
+        if len(calls) == 8:  # equation 2, iteration 3 at five iterations each
+            if target == "_draw_h_joint":
+                out = out.copy()
+                out[5] = np.nan
+            else:
+                out = np.nan
+        return out
+
+    monkeypatch.setattr(mixtvp.sv, target, step_failing_on_eighth_call)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=5, burnin=2)
+    with pytest.raises(error, match=rf"^equation 2: iteration 3: {message}$"):
         estimate_var(_small_var_data(), 1, spec, seed=4)
 
 
