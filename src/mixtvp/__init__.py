@@ -10,13 +10,12 @@ from .dgp import DgpConfig, generate, generate_var_break
 from .evaluation import (
     ForecastRecord,
     crps,
-    crps_ratio,
     equal_accuracy_test,
     expanding_windows,
     log_predictive_score,
-    lpbf_series,
-    rmse_ratio,
     run_forecast_harness,
+    score_rows,
+    tables_from_scores,
 )
 from .io import load_panel_csv, principal_components, run_config, standardize
 from .sampler import ModelSpec, PosteriorDraws, run_chain
@@ -38,7 +37,6 @@ __all__ = [
     "VarEstimate",
     "companion",
     "crps",
-    "crps_ratio",
     "equal_accuracy_test",
     "estimate_var",
     "expanding_windows",
@@ -48,13 +46,13 @@ __all__ = [
     "log_predictive_score",
     "low_freq",
     "low_freq_bands",
-    "lpbf_series",
     "principal_components",
-    "rmse_ratio",
     "run_chain",
     "run_config",
     "run_forecast_harness",
+    "score_rows",
     "simulate_predictive",
     "standardize",
     "structural_to_reduced",
+    "tables_from_scores",
 ]

@@ -25,6 +25,7 @@ from .evaluation import (
     parse_scores_csv,
     rmse_table_csv,
     run_forecast_harness,
+    score_rows,
     scores_csv,
     tables_from_scores,
 )
@@ -123,13 +124,10 @@ def _cmd_forecast(args) -> None:
         nsim=cfg.nsim,
         seed=cfg.seed,
     )
-    (out / "scores_model.csv").write_text(scores_csv(records["model"], "model"))
-    (out / "scores_benchmark.csv").write_text(
-        scores_csv(records["benchmark"], "benchmark")
-    )
-    _, mrows = parse_scores_csv(scores_csv(records["model"], "model"))
-    _, brows = parse_scores_csv(scores_csv(records["benchmark"], "benchmark"))
-    _write_tables(out, "model", tables_from_scores(mrows, brows))
+    rows = {name: score_rows(recs) for name, recs in records.items()}
+    for name in rows:
+        (out / f"scores_{name}.csv").write_text(scores_csv(rows[name], name))
+    _write_tables(out, "model", tables_from_scores(rows["model"], rows["benchmark"]))
     print(f"wrote score and metric tables under {out}")
 
 

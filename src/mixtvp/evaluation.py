@@ -1,9 +1,13 @@
 """Expanding-window forecast harness and scoring metrics.
 
-Point accuracy is summarized by RMSE ratios against a benchmark,
-density accuracy by log predictive scores (Gaussian-mixture form at one
-step, kernel density further out) and CRPS. A Diebold-Mariano style
-equal-accuracy test supplies significance stars for the tables.
+Scoring takes one path. ``run_forecast_harness`` yields
+``ForecastRecord``s; ``score_rows`` scores each record once (squared
+error of the predictive mean, CRPS, and the log predictive score:
+Gaussian-mixture form at one step, kernel density further out); the
+rows are written by ``scores_csv`` and read back by
+``parse_scores_csv``; ``tables_from_scores`` turns a model's rows and a
+benchmark's rows into RMSE and CRPS ratios, the cumulative log
+predictive Bayes factor, and Diebold-Mariano style equal-accuracy stars.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ __all__ = [
     "expanding_windows",
     "crps",
     "log_predictive_score",
-    "rmse_ratio",
-    "crps_ratio",
-    "lpbf_series",
     "equal_accuracy_test",
     "run_forecast_harness",
     "rmse_table_csv",
     "lpbf_csv",
+    "score_rows",
     "scores_csv",
     "parse_scores_csv",
     "tables_from_scores",
@@ -148,107 +150,6 @@ def log_predictive_score(record: ForecastRecord) -> tuple[float, bool]:
     if not np.isfinite(lps) or lps < LPS_FLOOR:
         return LPS_FLOOR, True
     return lps, False
-
-
-def _match(
-    model: list[ForecastRecord], bench: list[ForecastRecord]
-) -> list[tuple[ForecastRecord, ForecastRecord]]:
-    def key(r):
-        return (r.origin, r.horizon, r.variable)
-
-    bmap = {key(r): r for r in bench}
-    mmap = {key(r): r for r in model}
-    if set(bmap) != set(mmap) or len(bmap) != len(bench) or len(mmap) != len(model):
-        raise ValueError("records do not match one-to-one on (origin, h, variable)")
-    return [(mmap[k], bmap[k]) for k in sorted(bmap)]
-
-
-def rmse_ratio(
-    model: list[ForecastRecord],
-    bench: list[ForecastRecord],
-    pooled: bool = True,
-) -> dict[tuple[int, str], float]:
-    """RMSE ratios per (horizon, variable) plus a TOT row per horizon.
-
-    Points are predictive means. TOT pools squared errors across
-    variables by default; ``pooled=False`` averages the per-variable
-    RMSEs instead.
-    """
-    pairs = _match(model, bench)
-    sq: dict[tuple[int, str], list[tuple[float, float]]] = {}
-    for rm, rb in pairs:
-        if rm.realized is None:
-            raise ValueError("every matched record needs a realized value")
-        sq.setdefault((rm.horizon, rm.variable), []).append(
-            ((rm.point() - rm.realized) ** 2, (rb.point() - rb.realized) ** 2)
-        )
-    out: dict[tuple[int, str], float] = {}
-    horizons = sorted({h for h, _ in sq})
-    for h in horizons:
-        per_var = {v: np.asarray(sq[(hh, v)]) for hh, v in sq if hh == h}
-        for v, arr in sorted(per_var.items()):
-            out[(h, v)] = float(
-                np.sqrt(arr[:, 0].mean()) / np.sqrt(arr[:, 1].mean())
-            )
-        stacked = np.vstack(list(per_var.values()))
-        if pooled:
-            out[(h, "TOT")] = float(
-                np.sqrt(stacked[:, 0].mean()) / np.sqrt(stacked[:, 1].mean())
-            )
-        else:
-            num = np.mean([np.sqrt(a[:, 0].mean()) for a in per_var.values()])
-            den = np.mean([np.sqrt(a[:, 1].mean()) for a in per_var.values()])
-            out[(h, "TOT")] = float(num / den)
-    return out
-
-
-def crps_ratio(
-    model: list[ForecastRecord],
-    bench: list[ForecastRecord],
-    pooled: bool = True,
-) -> dict[tuple[int, str], float]:
-    """Mean-CRPS ratios per (horizon, variable) plus a TOT row."""
-    pairs = _match(model, bench)
-    vals: dict[tuple[int, str], list[tuple[float, float]]] = {}
-    for rm, rb in pairs:
-        vals.setdefault((rm.horizon, rm.variable), []).append(
-            (crps(rm.draws, rm.realized), crps(rb.draws, rb.realized))
-        )
-    out: dict[tuple[int, str], float] = {}
-    for h in sorted({h for h, _ in vals}):
-        per_var = {v: np.asarray(vals[(hh, v)]) for hh, v in vals if hh == h}
-        for v, arr in sorted(per_var.items()):
-            out[(h, v)] = float(arr[:, 0].mean() / arr[:, 1].mean())
-        stacked = np.vstack(list(per_var.values()))
-        if pooled:
-            out[(h, "TOT")] = float(stacked[:, 0].mean() / stacked[:, 1].mean())
-        else:
-            num = np.mean([a[:, 0].mean() for a in per_var.values()])
-            den = np.mean([a[:, 1].mean() for a in per_var.values()])
-            out[(h, "TOT")] = float(num / den)
-    return out
-
-
-def lpbf_series(
-    model: list[ForecastRecord], bench: list[ForecastRecord]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cumulative log predictive Bayes factor over forecast origins.
-
-    Per-origin score differences (summed across matched horizon and
-    variable pairs) are accumulated in origin order. Returns the origin
-    indices, the cumulative series, and how many scores hit the floor.
-    """
-    pairs = _match(model, bench)
-    per_origin: dict[int, float] = {}
-    floored = 0
-    for rm, rb in pairs:
-        sm, fm = log_predictive_score(rm)
-        sb, fb = log_predictive_score(rb)
-        floored += int(fm) + int(fb)
-        per_origin[rm.origin] = per_origin.get(rm.origin, 0.0) + (sm - sb)
-    origins = np.array(sorted(per_origin))
-    series = np.cumsum([per_origin[o] for o in origins])
-    return origins, series, floored
 
 
 @dataclass(frozen=True)
@@ -371,32 +272,42 @@ def lpbf_csv(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
 SCORE_HEADER = "model,origin,horizon,variable,point,realized,sq_error,crps,lps,lps_floored"
 
 
-def scores_csv(records: list[ForecastRecord], model_name: str) -> str:
-    """Per-record score dump: the exchange format between runs."""
-    rows = [SCORE_HEADER]
-
-    def key(r):
-        return (r.origin, r.horizon, r.variable)
-
-    for r in sorted(records, key=key):
+def score_rows(records: list[ForecastRecord]) -> list[dict]:
+    """One score row per record with a realized value, in (origin,
+    horizon, variable) order: the rows ``parse_scores_csv`` reads back."""
+    rows = []
+    for r in sorted(records, key=lambda r: (r.origin, r.horizon, r.variable)):
         if r.realized is None:
             continue
         lps, floored = log_predictive_score(r)
-        point = r.point()
-        cells = [
-            model_name,
-            str(r.origin),
-            str(r.horizon),
-            r.variable,
-            format(point, ".17g"),
-            format(r.realized, ".17g"),
-            format((point - r.realized) ** 2, ".17g"),
-            format(crps(r.draws, r.realized), ".17g"),
-            format(lps, ".17g"),
-            str(int(floored)),
+        point, realized = r.point(), float(r.realized)
+        rows.append(
+            {
+                "origin": r.origin,
+                "horizon": r.horizon,
+                "variable": r.variable,
+                "point": point,
+                "realized": realized,
+                "sq_error": (point - realized) ** 2,
+                "crps": crps(r.draws, realized),
+                "lps": lps,
+                "lps_floored": int(floored),
+            }
+        )
+    return rows
+
+
+def scores_csv(rows: list[dict], model_name: str) -> str:
+    """Per-record score dump of ``score_rows``: the exchange format between runs."""
+    lines = [SCORE_HEADER]
+    for row in rows:
+        cells = [model_name, str(row["origin"]), str(row["horizon"]), row["variable"]]
+        cells += [
+            format(row[k], ".17g") for k in ("point", "realized", "sq_error", "crps", "lps")
         ]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+        cells.append(str(row["lps_floored"]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def parse_scores_csv(text: str) -> tuple[str, list[dict]]:
@@ -435,18 +346,20 @@ def parse_scores_csv(text: str) -> tuple[str, list[dict]]:
 def tables_from_scores(
     model_rows: list[dict], bench_rows: list[dict], pooled: bool = True
 ) -> dict:
-    """Ratio/LPBF/star tables from two matched score dumps.
+    """Ratio/LPBF/star tables from a model's and a benchmark's score rows.
 
-    Returns a dict with "rmse" and "crps" ratio tables keyed
-    (horizon, variable), "stars" equal-accuracy results on squared
-    errors, and the cumulative "lpbf" series as (origins, values).
+    Each (origin, horizon, variable) key must appear exactly once on
+    each side; anything else is refused. Returns a dict with "rmse" and
+    "crps" ratio tables keyed (horizon, variable), "stars" equal-accuracy
+    results on squared errors, and the cumulative "lpbf" series as
+    (origins, values).
     """
     def key(row):
         return (row["origin"], row["horizon"], row["variable"])
 
     mmap = {key(r): r for r in model_rows}
     bmap = {key(r): r for r in bench_rows}
-    if set(mmap) != set(bmap) or len(mmap) != len(model_rows):
+    if set(mmap) != set(bmap) or len(mmap) != len(model_rows) or len(bmap) != len(bench_rows):
         raise ValueError("score files do not match one-to-one")
 
     cells: dict[tuple[int, str], list[tuple]] = {}

@@ -222,7 +222,6 @@ _RUN_KEYS = {
     "benchmark_subclass": str,
     "store": str,
     "pair": "ints",
-    "freeze_states": bool,
 }
 
 
@@ -290,7 +289,6 @@ class RunConfig:
     benchmark: ModelSpec | None = None
     store: str | None = None
     pair: tuple[int, int] | None = None
-    freeze_states: bool = False
 
 
 def run_config(text: str) -> RunConfig:
@@ -317,8 +315,8 @@ def run_config(text: str) -> RunConfig:
         if bclass in CONST_CLASSES:
             bsub = None
         benchmark = replace(spec, model_class=bclass, subclass=bsub)
-    else:
-        run_kwargs.pop("benchmark_subclass", None)
+    elif "benchmark_subclass" in run_kwargs:
+        raise ValueError("benchmark_subclass needs a benchmark_class entry")
     pair = run_kwargs.get("pair")
     if pair is not None and len(pair) != 2:
         raise ValueError("pair needs exactly two indices")

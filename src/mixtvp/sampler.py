@@ -182,10 +182,6 @@ class EquationChainState:
     sv: SvState
     pool: PoolState | None
 
-    def variance_indicators(self) -> np.ndarray | None:
-        """The S argument for variance layouts: None collapses to one regime."""
-        return self.S
-
 
 @dataclass
 class SweepScales:
@@ -229,10 +225,7 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     T, K = x.shape
     sigma = state.sv.sigma()
     if spec.is_tvp:
-        design = build_design_rows(
-            x, state.alpha_tilde, state.variance_indicators(), state.block, sigma
-        )
-        xhat = design.xhat
+        xhat = build_design_rows(x, state.alpha_tilde, state.S, state.block, sigma).xhat
     else:
         xhat = x
     y_eff = y
@@ -264,9 +257,7 @@ def _draw_states(y, x, spec, block, state, rng):
     """Step 2: normalized path through the static representation."""
     T, K = x.shape
     sigma = state.sv.sigma()
-    design = build_design_rows(
-        x, state.alpha_tilde, state.variance_indicators(), block, sigma
-    )
+    design = build_design_rows(x, state.alpha_tilde, state.S, block, sigma)
     Phi = build_phi(_phi_diagonals(spec, state.S, T, K))
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
@@ -356,7 +347,7 @@ def gibbs_sweep(
     alpha_tilde = _draw_states(y, x, spec, block, replace(state, block=block), rng)
 
     interim = replace(state, block=block, ng=ng, alpha_tilde=alpha_tilde)
-    alpha = reconstruct_centered(block, interim.variance_indicators(), alpha_tilde)
+    alpha = reconstruct_centered(block, interim.S, alpha_tilde)
     sv = _update_volatility(y, x, alpha, spec, interim.sv, rng)
     interim = replace(interim, sv=sv)
 
@@ -664,7 +655,12 @@ def run_chain(
     seed,
     init: EquationChainState | None = None,
 ) -> PosteriorDraws:
-    """Run one equation's chain start to finish and collect the records."""
+    """Run one equation's chain start to finish and collect the records.
+
+    Sweeps ``burnin`` .. ``iterations - 1`` at step ``thin`` are recorded.
+    ``_record`` alone decides what a record holds; each field's array is
+    allocated from its first record's shape and dtype.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
@@ -679,46 +675,8 @@ def run_chain(
     state = init if init is not None else init_equation_state(y, x, spec, rng)
     scales = make_scales(spec)
 
-    record_iters = range(spec.burnin, spec.iterations, spec.thin)
-    n = len(record_iters)
-    groups = _group_names(spec)
-    has_law = spec.law is not None
-
-    rec = {
-        "alpha0": np.empty((n, K)),
-        "h": np.empty((n, T)),
-        "h0": np.empty(n),
-        "sv_mu": np.empty(n),
-        "sv_phi": np.empty(n),
-        "sv_psi": np.empty(n),
-        "alpha_last": np.empty((n, K)),
-    }
-    if spec.is_tvp:
-        rec["sqrt_psi1"] = np.empty((n, K))
-        if spec.n_variance_groups == 2 or spec.subclass == SUB_SSVS_MIX:
-            rec["sqrt_psi0"] = np.empty((n, K))
-        if spec.store_paths:
-            rec["alpha"] = np.empty((n, T, K))
-    if groups:
-        rec["lam"] = np.empty((n, len(groups)))
-        rec["rho"] = np.empty((n, len(groups)))
-    if has_law:
-        if spec.store_paths:
-            rec["S"] = np.empty((n, T, K), dtype=np.int8)
-        rec["S_last"] = np.empty((n, K), dtype=np.int8)
-        if spec.law == LAW_MS:
-            rec["p00"] = np.empty(n)
-            rec["p11"] = np.empty(n)
-        else:
-            rec["p_mix"] = np.empty((n, K))
-    if spec.model_class == CLASS_POOL:
-        N = spec.n_clusters
-        rec["pool_omega"] = np.empty((n, N))
-        rec["pool_xi"] = np.empty(n)
-        rec["pool_theta"] = np.empty((n, T), dtype=np.int64)
-        rec["pool_mu"] = np.empty((n, N, K))
-        rec["pool_occupied"] = np.empty(n, dtype=np.int64)
-
+    n = len(range(spec.burnin, spec.iterations, spec.thin))
+    rec: dict[str, np.ndarray] = {}
     slot = 0
     next_record = spec.burnin
     for it in range(spec.iterations):
@@ -727,7 +685,11 @@ def run_chain(
         except (ArithmeticError, ValueError) as exc:
             raise with_context(exc, f"iteration {it + 1}") from exc
         if it == next_record:
-            _record(rec, slot, state, spec, T, K)
+            for name, value in _record(state, spec).items():
+                if name not in rec:
+                    value = np.asarray(value)
+                    rec[name] = np.empty((n,) + value.shape, dtype=value.dtype)
+                rec[name][slot] = value
             slot += 1
             next_record += spec.thin
     assert slot == n
@@ -741,52 +703,58 @@ def run_chain(
         "burnin": str(spec.burnin),
         "thin": str(spec.thin),
         "sv": str(int(spec.sv)),
-        "groups": ",".join(groups),
+        "groups": ",".join(_group_names(spec)),
         "n_records": str(n),
         "seed": " ".join(str(seed).split()),
     }
     return PosteriorDraws(meta=meta, **rec)
 
 
-def _record(rec, slot, state, spec, T, K):
-    block = state.block
-    rec["alpha0"][slot] = block.alpha0
-    rec["h"][slot] = state.sv.h
-    rec["h0"][slot] = state.sv.h0
-    rec["sv_mu"][slot] = state.sv.mu
-    rec["sv_phi"][slot] = state.sv.phi
-    rec["sv_psi"][slot] = state.sv.psi
+def _record(state: EquationChainState, spec: ModelSpec) -> dict:
+    """What one record of the chain stores, keyed by ``PosteriorDraws`` field.
+
+    The keys, shapes and dtypes of the first record fix the store's layout.
+    """
+    block, sv = state.block, state.sv
+    out = {
+        "alpha0": block.alpha0,
+        "h": sv.h,
+        "h0": sv.h0,
+        "sv_mu": sv.mu,
+        "sv_phi": sv.phi,
+        "sv_psi": sv.psi,
+    }
     if spec.is_tvp:
-        alpha = reconstruct_centered(
-            block, state.variance_indicators(), state.alpha_tilde
-        )
-        rec["sqrt_psi1"][slot] = block.sqrt_psi1
-        if "sqrt_psi0" in rec:
-            rec["sqrt_psi0"][slot] = block.sqrt_psi0
-        if "alpha" in rec:
-            rec["alpha"][slot] = alpha
+        alpha = reconstruct_centered(block, state.S, state.alpha_tilde)
+        out["sqrt_psi1"] = block.sqrt_psi1
+        if block.sqrt_psi0 is not None:
+            out["sqrt_psi0"] = block.sqrt_psi0
+        if spec.store_paths:
+            out["alpha"] = alpha
+        out["alpha_last"] = alpha[-1]
     else:
-        alpha = np.broadcast_to(block.alpha0, (T, K))
-    rec["alpha_last"][slot] = alpha[-1]
-    if state.ng is not None and "lam" in rec:
-        for g, name in enumerate(_group_names(spec)):
-            rec["lam"][slot, g] = state.ng.lam[name]
-            rec["rho"][slot, g] = state.ng.rho[name]
+        out["alpha_last"] = block.alpha0
+    names = _group_names(spec)
+    if names:
+        out["lam"] = [state.ng.lam[g] for g in names]
+        out["rho"] = [state.ng.rho[g] for g in names]
     if state.S is not None:
-        if "S" in rec:
-            rec["S"][slot] = state.S
-        rec["S_last"][slot] = state.S[-1]
+        if spec.store_paths:
+            out["S"] = state.S
+        out["S_last"] = state.S[-1]
         if spec.law == LAW_MS:
-            rec["p00"][slot] = state.p00
-            rec["p11"][slot] = state.p11
+            out["p00"] = state.p00
+            out["p11"] = state.p11
         else:
-            rec["p_mix"][slot] = state.p_mix
+            out["p_mix"] = state.p_mix
     if state.pool is not None:
-        rec["pool_omega"][slot] = state.pool.omega
-        rec["pool_xi"][slot] = state.pool.xi
-        rec["pool_theta"][slot] = state.pool.theta
-        rec["pool_mu"][slot] = state.pool.mu
-        rec["pool_occupied"][slot] = int(np.sum(state.pool.occupancy() > 0))
+        pool = state.pool
+        out["pool_omega"] = pool.omega
+        out["pool_xi"] = pool.xi
+        out["pool_theta"] = pool.theta
+        out["pool_mu"] = pool.mu
+        out["pool_occupied"] = int(np.sum(pool.occupancy() > 0))
+    return out
 
 
 def sample_prior_state(
@@ -860,9 +828,7 @@ def simulate_observations(
     """Draw y given the current latent state (the measurement equation)."""
     T, K = x.shape
     if spec.is_tvp:
-        alpha = reconstruct_centered(
-            state.block, state.variance_indicators(), state.alpha_tilde
-        )
+        alpha = reconstruct_centered(state.block, state.S, state.alpha_tilde)
     else:
         alpha = np.broadcast_to(state.block.alpha0, (T, K))
     return (x * alpha).sum(axis=1) + state.sv.sigma() * rng.normal(size=T)

@@ -9,16 +9,14 @@ from mixtvp.evaluation import (
     LPS_FLOOR,
     ForecastRecord,
     crps,
-    crps_ratio,
     equal_accuracy_test,
     expanding_windows,
     log_predictive_score,
     lpbf_csv,
-    lpbf_series,
     parse_scores_csv,
-    rmse_ratio,
     rmse_table_csv,
     run_forecast_harness,
+    score_rows,
     scores_csv,
     tables_from_scores,
 )
@@ -90,6 +88,10 @@ def test_lps_kde_tracks_gaussian_truth():
     assert val == pytest.approx(stats.norm.logpdf(0.0), abs=0.01)
 
 
+def _tables(model, bench, pooled=True):
+    return tables_from_scores(score_rows(model), score_rows(bench), pooled=pooled)
+
+
 def test_rmse_ratio_identities():
     bench, model, half = [], [], []
     rng = np.random.default_rng(2)
@@ -101,13 +103,27 @@ def test_rmse_ratio_identities():
             model.append(_rec([bpoint, bpoint], realized, h=1, origin=o, var=v))
             mid = realized + 0.5 * (bpoint - realized)
             half.append(_rec([mid, mid], realized, h=1, origin=o, var=v))
-    same = rmse_ratio(model, bench)
+    same = _tables(model, bench)["rmse"]
     assert same[(1, "a")] == pytest.approx(1.0) and same[(1, "TOT")] == pytest.approx(1.0)
-    halved = rmse_ratio(half, bench)
+    halved = _tables(half, bench)["rmse"]
     assert halved[(1, "TOT")] == pytest.approx(0.5)
     assert halved[(1, "b")] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        rmse_ratio(model[:-1], bench)
+    with pytest.raises(ValueError, match="one-to-one"):
+        _tables(model[:-1], bench)
+
+
+def test_tables_refuse_duplicated_keys_on_either_side():
+    rng = np.random.default_rng(12)
+    records = []
+    for o in range(4):
+        realized = rng.normal()
+        records.append(_rec(realized + rng.normal(size=2), realized, origin=o))
+    once = score_rows(records)
+    twice = score_rows(records + records[-1:])
+    with pytest.raises(ValueError, match="one-to-one"):
+        tables_from_scores(twice, once)
+    with pytest.raises(ValueError, match="one-to-one"):
+        tables_from_scores(once, twice)
 
 
 def test_rmse_tot_pooling_vs_averaging():
@@ -116,16 +132,17 @@ def test_rmse_tot_pooling_vs_averaging():
     for o in range(8):
         for v, scale in (("a", 1.0), ("b", 4.0)):
             realized = rng.normal()
-            bench.append(_rec([realized + scale], realized, h=1, origin=o, var=v))
-            model.append(_rec([realized + 0.5 * scale], realized, h=1, origin=o, var=v))
-    pooled = rmse_ratio(model, bench, pooled=True)
-    averaged = rmse_ratio(model, bench, pooled=False)
+            bpoint, mpoint = realized + scale, realized + 0.5 * scale
+            bench.append(_rec([bpoint, bpoint], realized, h=1, origin=o, var=v))
+            model.append(_rec([mpoint, mpoint], realized, h=1, origin=o, var=v))
+    pooled = _tables(model, bench, pooled=True)["rmse"]
+    averaged = _tables(model, bench, pooled=False)["rmse"]
     assert pooled[(1, "TOT")] == pytest.approx(0.5)
     assert averaged[(1, "TOT")] == pytest.approx(0.5)
     # with one variable the pooled TOT is exactly the per-variable ratio
     only_a = [r for r in model if r.variable == "a"]
     only_ab = [r for r in bench if r.variable == "a"]
-    one = rmse_ratio(only_a, only_ab)
+    one = _tables(only_a, only_ab)["rmse"]
     assert one[(1, "TOT")] == one[(1, "a")]
 
 
@@ -136,7 +153,7 @@ def test_scale_invariance_of_ratios_and_lpbf():
         realized = rng.normal()
         bench.append(_rec(rng.normal(size=200) + realized, realized, origin=o))
         model.append(_rec(rng.normal(size=200) * 0.8 + realized, realized, origin=o))
-    base = rmse_ratio(model, bench)[(2, "TOT")]
+    base = _tables(model, bench)["rmse"][(2, "TOT")]
 
     def scaled(rs, c):
         return [
@@ -144,14 +161,14 @@ def test_scale_invariance_of_ratios_and_lpbf():
             for r in rs
         ]
 
-    big = rmse_ratio(scaled(model, 7.0), scaled(bench, 7.0))[(2, "TOT")]
-    assert big == pytest.approx(base, rel=1e-12)
+    big = _tables(scaled(model, 7.0), scaled(bench, 7.0))
+    assert big["rmse"][(2, "TOT")] == pytest.approx(base, rel=1e-12)
 
-    _, s1, _ = lpbf_series(model, bench)
-    _, s2, _ = lpbf_series(scaled(model, 7.0), scaled(bench, 7.0))
+    _, s1 = _tables(model, bench)["lpbf"]
+    _, s2 = big["lpbf"]
     # log-scale shifts cancel in the difference
     np.testing.assert_allclose(s1, s2, atol=1e-9)
-    _, same, _ = lpbf_series(model, model)
+    _, same = _tables(model, model)["lpbf"]
     np.testing.assert_allclose(same, 0.0, atol=1e-12)
 
 
@@ -221,16 +238,13 @@ def test_harness_smoke_and_tables():
     assert r0.comp_mean is not None and r0.horizon == 1
     assert r0.realized == Y[r0.origin + 1, 0]
 
-    ratios = {name: rmse_ratio(records[name], records["min"]) for name in specs}
+    tables = {name: _tables(records[name], records["min"]) for name in specs}
+    ratios = {name: t["rmse"] for name, t in tables.items()}
     assert ratios["min"][(1, "TOT")] == pytest.approx(1.0)
     table = rmse_table_csv(ratios)
     assert table.splitlines()[0].startswith("model,h1_TOT,h1_y1")
 
-    series = {}
-    for name in specs:
-        origins, vals, _ = lpbf_series(records[name], records["min"])
-        series[name] = (origins, vals)
-    text = lpbf_csv(series)
+    text = lpbf_csv({name: t["lpbf"] for name, t in tables.items()})
     lines = text.strip().splitlines()
     assert lines[0] == "origin,ng,min"
     assert len(lines) == 5
@@ -256,26 +270,34 @@ def test_scores_csv_round_trip_and_tables():
     records = run_forecast_harness(
         Y, 1, specs, first_holdout=34, horizons=(1, 2), nsim=6, seed=13
     )
-    text = scores_csv(records["ng"], "ng")
-    name, rows = parse_scores_csv(text)
+    rows = score_rows(records["ng"])
+    name, parsed = parse_scores_csv(scores_csv(rows, "ng"))
     assert name == "ng"
-    # one row per scored record (all have realizations here)
+    # one row per scored record (all have realizations here), read back exactly
     scored = [r for r in records["ng"] if r.realized is not None]
     assert len(rows) == len(scored)
+    assert parsed == rows
 
-    # tables rebuilt from the CSV match the ones computed from records
-    _, brows = parse_scores_csv(scores_csv(records["min"], "min"))
-    tables = tables_from_scores(rows, brows)
-    direct_rmse = rmse_ratio(records["ng"], records["min"])
-    direct_crps = crps_ratio(records["ng"], records["min"])
-    for key, val in direct_rmse.items():
-        assert tables["rmse"][key] == pytest.approx(val, rel=1e-12)
-    for key, val in direct_crps.items():
-        assert tables["crps"][key] == pytest.approx(val, rel=1e-12)
-    origins, series, _ = lpbf_series(records["ng"], records["min"])
-    t_origins, t_series = tables["lpbf"]
-    np.testing.assert_array_equal(t_origins, origins)
-    np.testing.assert_allclose(t_series, series, rtol=1e-12)
+    # tables rebuilt from the CSV equal the ones computed from the rows
+    brows = score_rows(records["min"])
+    _, bparsed = parse_scores_csv(scores_csv(brows, "min"))
+    direct = tables_from_scores(rows, brows)
+    tables = tables_from_scores(parsed, bparsed)
+    assert tables["rmse"] == direct["rmse"]
+    assert tables["crps"] == direct["crps"]
+    assert tables["stars"] == direct["stars"]
+    np.testing.assert_array_equal(tables["lpbf"][0], direct["lpbf"][0])
+    np.testing.assert_array_equal(tables["lpbf"][1], direct["lpbf"][1])
+
+
+def test_score_rows_skip_unrealized_and_sort():
+    late = _rec([0.0, 1.0], 0.5, h=1, origin=3, var="b")
+    early = _rec([0.0, 2.0], 1.5, h=2, origin=1, var="a")
+    rows = score_rows([late, _rec([0.0, 1.0], None, origin=0), early])
+    assert [(r["origin"], r["horizon"], r["variable"]) for r in rows] == [(1, 2, "a"), (3, 1, "b")]
+    assert rows[0]["point"] == 1.0 and rows[0]["sq_error"] == 0.25
+    assert rows[0]["crps"] == crps(early.draws, 1.5)
+    assert (rows[0]["lps"], bool(rows[0]["lps_floored"])) == log_predictive_score(early)
 
 
 def test_parse_scores_csv_errors():

@@ -280,7 +280,6 @@ def test_run_config_subclass_none_and_flags():
         "subclass = none\n"
         "sv = false\n"
         "standardize = false\n"
-        "freeze_states = true\n"
         "pair = 1, 2\n"
         "store = out/est\n"
     )
@@ -289,9 +288,13 @@ def test_run_config_subclass_none_and_flags():
     assert cfg.spec.subclass is None
     assert cfg.spec.sv is False
     assert cfg.standardize is False
-    assert cfg.freeze_states is True
     assert cfg.pair == (1, 2)
     assert cfg.store == "out/est"
+    # keys no command reads are refused, not ignored
+    with pytest.raises(ValueError, match="^line 4: unknown key 'freeze_states'$"):
+        run_config(text.replace("standardize = false", "freeze_states = true"))
+    with pytest.raises(ValueError, match="^benchmark_subclass needs a benchmark_class entry$"):
+        run_config(text + "benchmark_subclass = SINGLE\n")
 
 
 def test_run_config_validation():

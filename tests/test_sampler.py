@@ -22,6 +22,7 @@ from mixtvp.sampler import (
     SUB_SINGLE,
     EquationChainState,
     ModelSpec,
+    PosteriorDraws,
     best_single_split,
     gibbs_sweep,
     init_equation_state,
@@ -352,3 +353,69 @@ def test_init_state_layouts():
     st2 = init_equation_state(y, x, single, rng)
     assert st2.S is None and st2.block.sqrt_psi0 is None
     assert st2.ng.tau.shape == (4,)
+
+
+# What a store holds per cell, beyond the fields every store has; a
+# trailing * marks a per-period field kept only with store_paths.
+STORE_LAYOUTS = [
+    (CLASS_CONST_NG, None, "lam rho"),
+    (CLASS_CONST_MIN, None, ""),
+    (CLASS_MIX, "FLEX-MS", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p00 p11"),
+    (CLASS_MIX, "FLEX-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix"),
+    (CLASS_MIX, "SINGLE", "sqrt_psi1 alpha* lam rho"),
+    (CLASS_MIX, "SSVS-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix"),
+    (CLASS_RW, "FLEX-MS", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p00 p11"),
+    (CLASS_RW, "FLEX-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix"),
+    (CLASS_RW, "SINGLE", "sqrt_psi1 alpha* lam rho"),
+    (CLASS_RW, "SSVS-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix"),
+    (CLASS_POOL, "FLEX-MS", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p00 p11 POOL"),
+    (CLASS_POOL, "FLEX-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix POOL"),
+    (CLASS_POOL, "SINGLE", "sqrt_psi1 alpha* lam rho POOL"),
+    (CLASS_POOL, "SSVS-MIX", "sqrt_psi1 sqrt_psi0 alpha* lam rho S* S_last p_mix POOL"),
+]
+# root groups with lam/rho records: means, then slab and spike when sampled
+LAYOUT_GROUPS = {None: 1, "FLEX-MS": 3, "FLEX-MIX": 3, "SINGLE": 2, "SSVS-MIX": 2}
+ALWAYS_STORED = "alpha0 h h0 sv_mu sv_phi sv_psi alpha_last"
+POOL_FIELDS = "pool_omega pool_xi pool_theta pool_mu pool_occupied"
+# dtype and shape per field in the symbols n (records), T, K, G (groups), N (clusters)
+FIELD_LAYOUT = {
+    "alpha0": ("float64", "nK"), "h": ("float64", "nT"), "h0": ("float64", "n"),
+    "sv_mu": ("float64", "n"), "sv_phi": ("float64", "n"), "sv_psi": ("float64", "n"),
+    "alpha_last": ("float64", "nK"), "sqrt_psi1": ("float64", "nK"),
+    "sqrt_psi0": ("float64", "nK"), "alpha": ("float64", "nTK"),
+    "S": ("int8", "nTK"), "S_last": ("int8", "nK"), "p00": ("float64", "n"),
+    "p11": ("float64", "n"), "p_mix": ("float64", "nK"), "lam": ("float64", "nG"),
+    "rho": ("float64", "nG"), "pool_omega": ("float64", "nN"), "pool_xi": ("float64", "n"),
+    "pool_theta": ("int64", "nT"), "pool_mu": ("float64", "nNK"),
+    "pool_occupied": ("int64", "n"),
+}
+
+
+@pytest.mark.parametrize("store_paths", [True, False])
+@pytest.mark.parametrize("model_class,subclass,extra", STORE_LAYOUTS)
+def test_stored_layout_per_cell(tmp_path, model_class, subclass, extra, store_paths):
+    rng = np.random.default_rng(17)
+    T, K = 30, 2
+    x = np.column_stack([rng.normal(size=T), np.ones(T)])
+    y = x @ np.array([0.5, 0.2]) + 0.3 * rng.normal(size=T)
+    spec = ModelSpec(
+        model_class=model_class, subclass=subclass, iterations=7, burnin=2, thin=2,
+        store_paths=store_paths, n_clusters=4,
+        prior_variances=(1.0, 1.0) if model_class == CLASS_CONST_MIN else None,
+    )
+    run_chain(y, x, spec, seed=5).save(tmp_path)
+    draws = PosteriorDraws.load(tmp_path)
+
+    want = set(ALWAYS_STORED.split())
+    for name in extra.replace("POOL", POOL_FIELDS).split():
+        if not name.endswith("*"):
+            want.add(name)
+        elif store_paths:
+            want.add(name[:-1])
+    held = {name for name in PosteriorDraws.ARRAY_FIELDS if getattr(draws, name) is not None}
+    assert held == want
+    sizes = {"n": 3, "T": T, "K": K, "G": LAYOUT_GROUPS[subclass], "N": 4}
+    for name in held:
+        dtype, dims = FIELD_LAYOUT[name]
+        arr = getattr(draws, name)
+        assert (name, arr.dtype, arr.shape) == (name, np.dtype(dtype), tuple(sizes[d] for d in dims))
