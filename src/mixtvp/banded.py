@@ -6,7 +6,9 @@ Products with Phi and Phi' and solves against Phi run in O(T*K) time.  The
 posterior precisions of the state and volatility paths are symmetric banded:
 each is factored once as U'U by banded Cholesky, and every solve or draw
 goes through two banded triangular solves with that factor, so no dense
-matrix of path size is formed.
+matrix of path size is formed.  A state law without autoregression
+(Phi = I) uses none of this: its precision is block diagonal, and
+``statespace.draw_states_fast`` draws it period by period in closed form.
 """
 
 from __future__ import annotations

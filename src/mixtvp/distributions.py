@@ -124,6 +124,63 @@ def _draw_gig(a: np.ndarray, b: np.ndarray, c: np.ndarray, rng: np.random.Genera
     return out
 
 
+def _psi(x, alpha, lam):
+    """Log density of log(X / mode), up to a constant: psi(0) = 0 at the mode."""
+    return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
+
+
+def _dpsi(x, alpha, lam):
+    return -alpha * np.sinh(x) - lam * np.expm1(x)
+
+
+def _psi_log(x, log_alpha, lam):
+    """``_psi`` with alpha given by its log, so alpha*cosh(x) overflows only where psi does."""
+    return -0.5 * (np.exp(log_alpha + x) + np.exp(log_alpha - x)) + np.exp(log_alpha) - lam * (np.expm1(x) - x)
+
+
+def _dpsi_log(x, log_alpha, lam):
+    return -0.5 * (np.exp(log_alpha + x) - np.exp(log_alpha - x)) - lam * np.expm1(x)
+
+
+def _envelope(lam, alpha, scale, left_log_term, psi, dpsi):
+    """Devroye's envelope constants, one column per element.
+
+    ``scale`` is what ``psi`` takes for alpha (alpha itself, or its log);
+    ``left_log_term`` is log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), the
+    left switch point's fallback when the log-density is nearly flat.
+    """
+    # Right and left switch points of the three-piece envelope, from
+    # -psi(1) and -psi(-1).  In the left fallback 1/lam is inf at lam = 0
+    # and the log term is inf at alpha = 0 (never both, as omega > 0), so
+    # the minimum picks the formula that applies.
+    x0 = alpha * (math.cosh(1.0) - 1.0) + lam * (math.e - 2.0)
+    t = np.where(
+        (0.5 <= x0) & (x0 <= 2.0),
+        1.0,
+        np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), np.log(4.0 / (alpha + 2.0 * lam))),
+    )
+    x1 = alpha * (math.cosh(1.0) - 1.0) + lam / math.e
+    s = np.where(
+        (0.5 <= x1) & (x1 <= 2.0),
+        1.0,
+        np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)), np.minimum(1.0 / lam, left_log_term)),
+    )
+    eta = -psi(t, scale, lam)
+    zeta = -dpsi(t, scale, lam)
+    theta = -psi(-s, scale, lam)
+    xi = dpsi(-s, scale, lam)
+    p = 1.0 / xi
+    r = 1.0 / zeta
+    t_star = t - r * eta
+    s_star = s - p * theta
+    q = t_star + s_star
+    # cumulative weights of the center and right pieces
+    total = p + q + r
+    cut_mid = q / total
+    cut_right = (q + r) / total
+    return np.stack([scale, lam, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right])
+
+
 def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws from p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}, lam >= 0.
 
@@ -138,61 +195,31 @@ def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator)
     # constant would be NaN and no candidate would ever be accepted
     alpha = omega * omega / (np.sqrt(omega * omega + lam * lam) + lam)
 
-    def psi(x, alpha, lam):
-        return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
-
-    def dpsi(x, alpha, lam):
-        return -alpha * np.sinh(x) - lam * np.expm1(x)
-
     # Candidates far in a tail overflow cosh to inf (a certain rejection),
     # and the unused branches of np.where may divide by zero.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Right and left switch points of the three-piece envelope, from
-        # -psi(1) and -psi(-1).  In the left fallback 1/lam is inf at
-        # lam = 0 and the log term is inf at alpha = 0 (never both, as
-        # omega > 0), so the minimum picks the formula that applies.
-        x0 = alpha * (math.cosh(1.0) - 1.0) + lam * (math.e - 2.0)
-        t = np.where(
-            (0.5 <= x0) & (x0 <= 2.0),
-            1.0,
-            np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), np.log(4.0 / (alpha + 2.0 * lam))),
-        )
-        x1 = alpha * (math.cosh(1.0) - 1.0) + lam / math.e
-        s = np.where(
-            (0.5 <= x1) & (x1 <= 2.0),
-            1.0,
-            np.where(
-                x1 > 2.0,
-                np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)),
-                np.minimum(
-                    1.0 / lam,
-                    # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no
-                    # 1/alpha^2 to overflow for small alpha
-                    np.log(1.0 + (1.0 + np.sqrt(1.0 + 2.0 * alpha)) / alpha),
-                ),
-            ),
-        )
-
-        eta = -psi(t, alpha, lam)
-        zeta = -dpsi(t, alpha, lam)
-        theta = -psi(-s, alpha, lam)
-        xi = dpsi(-s, alpha, lam)
-        p = 1.0 / xi
-        r = 1.0 / zeta
-        t_star = t - r * eta
-        s_star = s - p * theta
-        q = t_star + s_star
-        # cumulative weights of the center and right pieces
-        total = p + q + r
-        cut_mid = q / total
-        cut_right = (q + r) / total
+        # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2
+        # to overflow for small alpha
+        left = np.log(1.0 + (1.0 + np.sqrt(1.0 + 2.0 * alpha)) / alpha)
+        consts = _envelope(lam, alpha, alpha, left, _psi, _dpsi)
+        # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
+        # overflows, the left switch point falls back to 1/lam and
+        # alpha*cosh(s) to inf*0.  Those elements take alpha by its log,
+        # in the envelope and in every acceptance test.
+        in_logs = ~np.isfinite(consts).all(axis=0)
+        any_logs = in_logs.any()
+        if any_logs:
+            lam_, omega_ = lam[in_logs], omega[in_logs]
+            log_alpha = 2.0 * np.log(omega_) - np.log(np.sqrt(omega_ * omega_ + lam_ * lam_) + lam_)
+            alpha_ = np.exp(log_alpha)
+            left = np.log(alpha_ + 1.0 + np.sqrt(1.0 + 2.0 * alpha_)) - log_alpha
+            consts[:, in_logs] = _envelope(lam_, alpha_, log_alpha, left, _psi_log, _dpsi_log)
 
         out = np.empty(lam.shape)
         pending = np.arange(lam.size)
         # one row per constant, one column per element still to be drawn
-        consts = np.stack([alpha, lam, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right])
         while pending.size:
-            alpha_, lam_, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
+            scale, lam_, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
             u, v, w = rng.random((3, pending.size))
             mid = u < cut_mid
             right = ~mid & (u < cut_right)
@@ -203,12 +230,19 @@ def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator)
             log_envelope = np.where(
                 mid, 0.0, np.where(right, -eta - zeta * (cand - t), -theta + xi * (cand + s))
             )
-            accept = np.log(w) + log_envelope <= psi(cand, alpha_, lam_)
+            target = _psi(cand, scale, lam_)
+            if any_logs:
+                target = np.where(in_logs[pending], _psi_log(cand, scale, lam_), target)
+            accept = np.log(w) + log_envelope <= target
             out[pending[accept]] = cand[accept]
             pending = pending[~accept]
             consts = consts[:, ~accept]
     mode = (lam + np.sqrt(lam * lam + omega * omega)) / omega
-    return np.exp(out) * mode
+    draws = np.exp(out) * mode
+    if any_logs:
+        # the log-scale draw can sit below the smallest normal exp(out)
+        draws[in_logs] = np.exp(out[in_logs] + np.log(mode[in_logs]))
+    return draws
 
 
 def _draw_gig_scalar(a: float, b: float, c: float, rng: np.random.Generator) -> float:
@@ -229,20 +263,8 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) -> float:
-    """``_gig_two_param`` for one (lam, omega > 0) on Python floats.
-
-    The same envelope, the same branch choices and one ``rng.random(3)``
-    per round, taken as (u, v, w) as the array path takes its rows.
-    """
-    alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
-
-    def psi(x):
-        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
-
-    def dpsi(x):
-        return -alpha * math.sinh(x) - lam * math.expm1(x)
-
+def _envelope_scalar(lam: float, alpha: float, left_log_term: float, psi, dpsi) -> tuple:
+    """``_envelope`` for one element on Python floats, without its ``scale`` and ``lam`` rows."""
     x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
     if 0.5 <= x0 <= 2.0:
         t = 1.0
@@ -258,10 +280,7 @@ def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) ->
     else:
         # the fallback picks 1/lam (inf at lam = 0) or the log term (inf at
         # alpha = 0); never both, as omega > 0
-        s = min(
-            1.0 / lam if lam > 0.0 else math.inf,
-            math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf,
-        )
+        s = min(1.0 / lam if lam > 0.0 else math.inf, left_log_term)
 
     eta = -psi(t)
     zeta = -dpsi(t)
@@ -273,8 +292,45 @@ def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) ->
     s_star = s - p * theta
     q = t_star + s_star
     total = p + q + r
-    cut_mid = q / total
-    cut_right = (q + r) / total
+    return t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, q / total, (q + r) / total
+
+
+def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) -> float:
+    """``_gig_two_param`` for one (lam, omega > 0) on Python floats.
+
+    The same envelope, the same branch choices and one ``rng.random(3)``
+    per round, taken as (u, v, w) as the array path takes its rows.
+    """
+    alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
+
+    def psi(x):
+        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
+
+    def dpsi(x):
+        return -alpha * math.sinh(x) - lam * math.expm1(x)
+
+    left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
+    try:
+        consts = _envelope_scalar(lam, alpha, left, psi, dpsi)
+        in_logs = not all(map(math.isfinite, consts))
+    except (OverflowError, ZeroDivisionError):
+        in_logs = True
+    if in_logs:
+        # alpha by its log, as the array path does for the same elements
+        log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
+        alpha_ = math.exp(log_alpha)
+
+        def psi(x):
+            return (
+                -0.5 * (math.exp(log_alpha + x) + math.exp(log_alpha - x)) + alpha_ - lam * (math.expm1(x) - x)
+            )
+
+        def dpsi(x):
+            return -0.5 * (math.exp(log_alpha + x) - math.exp(log_alpha - x)) - lam * math.expm1(x)
+
+        left = math.log(alpha_ + 1.0 + math.sqrt(1.0 + 2.0 * alpha_)) - log_alpha
+        consts = _envelope_scalar(lam, alpha_, left, psi, dpsi)
+    t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
 
     while True:
         u, v, w = rng.random(3).tolist()
@@ -291,8 +347,10 @@ def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) ->
             if _log(w) + log_envelope <= psi(cand):
                 break
         except OverflowError:
-            pass  # a candidate far in a tail: cosh overflows, a certain rejection
+            pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
     mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
+    if in_logs:
+        return math.exp(cand + math.log(mode))
     return math.exp(cand) * mode
 
 

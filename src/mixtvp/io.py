@@ -312,8 +312,13 @@ def run_config(text: str) -> RunConfig:
     if "benchmark_class" in run_kwargs:
         bclass = run_kwargs.pop("benchmark_class")
         bsub = run_kwargs.pop("benchmark_subclass", None)
-        if bclass in CONST_CLASSES:
+        if bsub is not None and bsub.lower() == "none":
             bsub = None
+        if bclass in CONST_CLASSES and bsub is not None:
+            raise ValueError(
+                f"benchmark_subclass {bsub} given, but benchmark_class {bclass} "
+                "is a constant class and takes no subclass"
+            )
         benchmark = replace(spec, model_class=bclass, subclass=bsub)
     elif "benchmark_subclass" in run_kwargs:
         raise ValueError("benchmark_subclass needs a benchmark_class entry")

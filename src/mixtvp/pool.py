@@ -125,18 +125,25 @@ def update_xi(xi, omega, priors: PoolPriors, rng, scale: float = 0.3) -> tuple[f
 
 
 def sample_group_indicators(alpha_tilde, omega, mu, rng) -> np.ndarray:
-    """Cluster labels per period under unit innovation variance."""
-    diff = alpha_tilde[:, None, :] - mu[None, :, :]
-    logw = np.log(np.maximum(omega, WEIGHT_FLOOR))[None, :] - 0.5 * (diff**2).sum(axis=2)
+    """Cluster labels per period under unit innovation variance.
+
+    The log weight of cluster j in period t is log omega_j - |a_t - mu_j|^2 / 2.
+    Expanding the square leaves a_t'mu_j - |mu_j|^2 / 2 plus -|a_t|^2 / 2,
+    which is the same for every cluster of a row and drops out of the
+    draw, so all (T, N) scores come from one (T, K) x (K, N) product.
+    """
+    log_omega = np.log(np.maximum(omega, WEIGHT_FLOOR))
+    logw = alpha_tilde @ mu.T + (log_omega - 0.5 * np.einsum("nk,nk->n", mu, mu))
     return sample_categorical_rows(logw, rng)
 
 
 def group_mean_moments(alpha_tilde, theta, n_clusters, lam0):
     """Posterior mean and variance of each cluster mean, shapes (N, K)."""
-    T, K = alpha_tilde.shape
-    counts = np.bincount(theta, minlength=n_clusters).astype(float)
-    sums = np.zeros((n_clusters, K))
-    np.add.at(sums, theta, alpha_tilde)
+    T = alpha_tilde.shape[0]
+    members = np.zeros((n_clusters, T))
+    members[theta, np.arange(T)] = 1.0
+    counts = members.sum(axis=1)
+    sums = members @ alpha_tilde
     prec = counts[:, None] + 1.0 / lam0[None, :]
     return sums / prec, 1.0 / prec
 

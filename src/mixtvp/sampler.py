@@ -197,13 +197,18 @@ def make_scales(spec: ModelSpec) -> SweepScales:
     return SweepScales(rho={n: MhScale(scale=0.4) for n in names}, xi=xi)
 
 
-def _phi_diagonals(spec: ModelSpec, S: np.ndarray | None, T: int, K: int) -> np.ndarray:
+def _phi_diagonals(spec: ModelSpec, S: np.ndarray | None, T: int, K: int) -> np.ndarray | None:
+    """AR diagonals of the state law, or None for a law without autoregression.
+
+    The class decides, not the drawn regimes: the pooled law and the
+    single-variance mixture carry none, while a two-regime mixture keeps
+    its coupling even when every S_t is 0.
+    """
     if spec.model_class == CLASS_RW:
         return np.ones((T, K))
     if spec.model_class == CLASS_MIX and S is not None:
         return S.astype(float)
-    # pooled laws and the single-variance mixture carry no autoregression
-    return np.zeros((T, K))
+    return None
 
 
 def _block_from_coefs(
@@ -258,7 +263,8 @@ def _draw_states(y, x, spec, block, state, rng):
     T, K = x.shape
     sigma = state.sv.sigma()
     design = build_design_rows(x, state.alpha_tilde, state.S, block, sigma)
-    Phi = build_phi(_phi_diagonals(spec, state.S, T, K))
+    diagonals = _phi_diagonals(spec, state.S, T, K)
+    Phi = None if diagonals is None else build_phi(diagonals)
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
     else:
@@ -804,8 +810,11 @@ def sample_prior_state(
         S = (rng.random(size=(T, K)) < p_mix).astype(np.int8)
 
     if spec.is_tvp:
-        Phi = build_phi(_phi_diagonals(spec, S, T, K))
-        alpha_tilde = solve_lower(Phi, rng.normal(size=T * K)).reshape(T, K)
+        diagonals = _phi_diagonals(spec, S, T, K)
+        alpha_tilde = rng.normal(size=T * K)
+        if diagonals is not None:
+            alpha_tilde = solve_lower(build_phi(diagonals), alpha_tilde)
+        alpha_tilde = alpha_tilde.reshape(T, K)
     else:
         alpha_tilde = np.zeros((T, K))
     sv = sample_sv_prior(T, rng, spec.sv_priors)

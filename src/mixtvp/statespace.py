@@ -1,4 +1,4 @@
-"""Static-form state regression: design rows and the banded joint draw.
+"""Static-form state regression: design rows and the joint state draw.
 
 The normalized states enter the observation equation through per-period
 rows only, so with W~ = Sigma^{-1} W (one K-row per period) their
@@ -17,6 +17,13 @@ b has mean W~'y~ + Phi'Phi a_0 and covariance W~'W~ + Phi'Phi = Q, so the
 draw is N(Q^{-1}(W~'y~ + Phi'Phi a_0), Q^{-1}), the posterior under the
 prior a_0 + Phi^{-1} u (Rue 2001; Chan and Jeliazkov 2009).  The AR
 diagonals of Phi may take any values.
+
+A law of motion without autoregression (Phi = I: the pooled law and the
+single-variance mixture, whose states are exchangeable across periods)
+makes Q block diagonal with blocks I + w_t w_t'.  The same b is then
+solved per period by Sherman-Morrison, with no factorization:
+
+    draw_t = b_t - w_t (w_t'b_t) / (1 + |w_t|^2),   b = W~'(y~ - v) + a_0 + u.
 """
 
 from __future__ import annotations
@@ -25,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BlockBidiagonalLowerUnit, factor_banded, solve_factored
+from .banded import (
+    BlockBidiagonalLowerUnit,
+    NotPositiveDefiniteError,
+    factor_banded,
+    solve_factored,
+)
 from .shrinkage import ConstantBlock
 
 SQRT_PSI_FLOOR = 1e-10
@@ -102,19 +114,23 @@ def draw_states_fast(
     ytilde: np.ndarray,
     wtilde: np.ndarray,
     a0: np.ndarray,
-    Phi: BlockBidiagonalLowerUnit,
+    Phi: BlockBidiagonalLowerUnit | None,
     rng: np.random.Generator | None,
     size: int | None = None,
     noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Joint draw of the normalized states from their banded precision.
+    """Joint draw of the normalized states from their posterior precision.
 
-    ``noise`` injects the (u, v) pair directly (deterministic use in
-    identity checks); otherwise both are standard normal from ``rng``, u
-    first.  Batched draws share the single factorization when ``size`` is
-    given.
+    ``Phi`` couples consecutive periods, and the draw goes through one
+    banded factorization of the precision.  ``Phi=None`` stands for the
+    identity (a law without autoregression): the precision is then block
+    diagonal and each period is drawn in closed form, with no
+    factorization.  ``noise`` injects the (u, v) pair directly
+    (deterministic use in identity checks); otherwise both are standard
+    normal from ``rng``, u first.  Batched draws share the single
+    factorization when ``size`` is given.
     """
-    T, K = Phi.T, Phi.K
+    T, K = wtilde.shape if Phi is None else (Phi.T, Phi.K)
     nu = T * K
     if ytilde.shape != (T,) or wtilde.shape != (T, K) or a0.shape != (nu,):
         raise ValueError("input dimensions do not match Phi")
@@ -127,10 +143,22 @@ def draw_states_fast(
         u = rng.normal(size=(n, nu))
         v = rng.normal(size=(n, T))
 
-    U = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
-    b = (wtilde * (ytilde - v)[:, :, None]).reshape(n, nu)
-    b += Phi.rmatvec(Phi.matvec(a0) + u)
-    draws = solve_factored(U, b.T).T
+    b = wtilde * (ytilde - v)[:, :, None]
+    if Phi is None:
+        b += (a0 + u).reshape(n, T, K)
+        # Sherman-Morrison on each block I + w_t w_t' of the precision
+        denom = 1.0 + np.einsum("tk,tk->t", wtilde, wtilde)
+        bad = ~np.isfinite(denom)
+        if bad.any():
+            raise NotPositiveDefiniteError(
+                f"state draw: non-finite pivot in the precision at period {int(np.argmax(bad)) + 1}"
+            )
+        proj = np.einsum("ntk,tk->nt", b, wtilde) / denom
+        draws = (b - proj[:, :, None] * wtilde).reshape(n, nu)
+    else:
+        U = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
+        b = b.reshape(n, nu) + Phi.rmatvec(Phi.matvec(a0) + u)
+        draws = solve_factored(U, b.T).T
     return draws[0] if size is None else draws
 
 

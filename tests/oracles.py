@@ -341,3 +341,18 @@ def interweave_dense(obs, d, h_full, mu, psi, priors, rng):
     mu_new, scale_new = float(draw[0]), float(draw[1])
     psi_new = max(scale_new**2, 1e-12)
     return mu_new, psi_new, mu_new + scale_new * htil
+
+
+def group_indicators_by_differences(alpha_tilde, omega, mu, rng):
+    """Pool cluster labels scored from the full (T, N, K) difference array.
+
+    The reference for ``pool.sample_group_indicators``: log omega_j minus
+    half the squared distance of each period's state to each cluster mean,
+    then an inverse-cdf draw per row from one ``rng.random(T)``.
+    """
+    diff = alpha_tilde[:, None, :] - mu[None, :, :]
+    logw = np.log(np.maximum(omega, 1e-300))[None, :] - 0.5 * (diff**2).sum(axis=2)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    cdf = np.cumsum(w, axis=1)
+    u = rng.random(logw.shape[0]) * cdf[:, -1]
+    return (cdf < u[:, None]).sum(axis=1).clip(0, logw.shape[1] - 1)

@@ -1,10 +1,16 @@
 """Sampler checks against quadrature oracles and exact reductions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import kv, kve
 
+import mixtvp
 from mixtvp.distributions import (
     GigParams,
     sample_categorical,
@@ -96,6 +102,36 @@ def test_gig_log_mean_when_omega_is_far_below_a(a, b, c):
     want = (np.log(kve(a + h, omega)) - np.log(kve(a - h, omega))) / (2 * h) + 0.5 * np.log(c / b)
     logs = np.log(sample_gig(GigParams(a, b, c), np.random.default_rng(17), size=50_000))
     assert abs(logs.mean() - want) < 5.0 * logs.std(ddof=1) / np.sqrt(logs.size)
+
+
+def test_gig_returns_when_b_times_c_is_subnormal():
+    # b*c = 1e-320 leaves alpha ~ 5e-313, whose inverse overflows; the
+    # envelope must still come out finite.  A child process with a timeout
+    # turns a sampler that never returns into a failure, not a hung suite.
+    code = (
+        "import numpy as np\n"
+        "from mixtvp.distributions import GigParams, sample_gig, sample_gig_array\n"
+        "rng = np.random.default_rng(3)\n"
+        "draws = sample_gig_array(np.full(2000, 1e-8), [1e-160], [1e-160], rng)\n"
+        "mixed = sample_gig_array([1e-8, 2.0, -2e-9], [1e-160, 1.0, 1e-170], [1e-160, 3.0, 1e-150], rng)\n"
+        "one = sample_gig(GigParams(1e-8, 1e-160, 1e-160), rng)\n"
+        "logs = np.log(draws)\n"
+        "print(bool(np.all(np.isfinite(draws)) and np.all(draws > 0)),"
+        " bool(np.all(np.isfinite(mixed)) and np.all(mixed > 0)),"
+        " bool(np.isfinite(one) and one > 0), logs.mean(), logs.std(ddof=1))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mixtvp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+    )
+    finite, mixed_finite, one_finite, log_mean, log_sd = out.stdout.split()
+    assert finite == mixed_finite == one_finite == "True"
+    # log X has density propto exp(a y - omega cosh y): E[log X] from the
+    # Bessel function as below, and nearly flat over |y| < log(2 / omega)
+    a, omega, h = 1e-8, 1e-160, 1e-6
+    want = (np.log(kve(a + h, omega)) - np.log(kve(a - h, omega))) / (2 * h)
+    assert abs(float(log_mean) - want) < 5.0 * float(log_sd) / np.sqrt(2000)
+    assert abs(float(log_sd) - np.log(2.0 / omega) / np.sqrt(3.0)) < 0.1 * float(log_sd)
 
 
 def test_gig_scalar_return():

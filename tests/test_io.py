@@ -297,6 +297,16 @@ def test_run_config_subclass_none_and_flags():
         run_config(text + "benchmark_subclass = SINGLE\n")
 
 
+def test_run_config_refuses_a_subclass_on_a_constant_benchmark():
+    text = "model_class = TVP-POOL\nsubclass = SINGLE\nbenchmark_class = CONST-MIN\n"
+    assert run_config(text).benchmark.subclass is None
+    assert run_config(text + "benchmark_subclass = none\n").benchmark.subclass is None
+    with pytest.raises(ValueError, match="^benchmark_subclass FLEX-MIX given, but benchmark_class CONST-MIN"):
+        run_config(text + "benchmark_subclass = FLEX-MIX\n")
+    tvp = run_config(text.replace("CONST-MIN", "TVP-MIX") + "benchmark_subclass = FLEX-MIX\n")
+    assert (tvp.benchmark.model_class, tvp.benchmark.subclass) == ("TVP-MIX", "FLEX-MIX")
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="pair"):
         run_config("model_class = TVP-RW\nsubclass = SINGLE\npair = 1\n")

@@ -19,6 +19,7 @@ from mixtvp.pool import (
     update_xi,
     weight_posterior_params,
 )
+from oracles import group_indicators_by_differences
 from test_distributions import gig_moment_quadrature
 
 
@@ -128,6 +129,36 @@ def test_group_indicator_frequencies():
     freq = hits / n
     se = np.sqrt(want * (1 - want) / n)
     assert np.all(np.abs(freq - want) < 5.0 * se)
+
+
+def test_group_indicators_match_difference_oracle_on_the_same_stream():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        T = int(rng.integers(1, 60))
+        N = int(rng.integers(1, 12))
+        K = int(rng.integers(1, 16))
+        alpha = rng.normal(size=(T, K)) * rng.uniform(0.1, 3.0)
+        mu = rng.normal(size=(N, K)) * rng.uniform(0.1, 3.0)
+        omega = rng.dirichlet(np.full(N, 0.3))
+        seed = int(rng.integers(2**32))
+        got = sample_group_indicators(alpha, omega, mu, np.random.default_rng(seed))
+        want = group_indicators_by_differences(alpha, omega, mu, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_group_mean_moments_match_per_cluster_sums():
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        T, N, K = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        alpha = rng.normal(size=(T, K))
+        theta = rng.integers(0, N, size=T)
+        lam0 = rng.uniform(0.5, 2.0, size=K)
+        mean, var = group_mean_moments(alpha, theta, N, lam0)
+        for j in range(N):
+            rows = alpha[theta == j]
+            prec = rows.shape[0] + 1.0 / lam0
+            np.testing.assert_allclose(mean[j], rows.sum(axis=0) / prec, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(var[j], 1.0 / prec, rtol=1e-14)
 
 
 def test_pool_sweep_and_state():

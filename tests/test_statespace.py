@@ -122,6 +122,59 @@ def test_state_draw_failure_names_step_and_period():
         draw_states_fast(ytilde, wtilde, a0, Phi, rng)
 
 
+def test_identity_law_draw_matches_dense_formula_with_injected_noise():
+    rng = np.random.default_rng(16)
+    shapes = [(int(rng.integers(1, 12)), int(rng.integers(1, 5))) for _ in range(25)]
+    for T, K in shapes + [(7, 1), (1, 1)]:
+        ytilde, wtilde, _, _ = random_instance(rng, T, K)
+        a0 = rng.normal(size=T * K)
+        u = rng.normal(size=T * K)
+        v = rng.normal(size=T)
+        draw = draw_states_fast(ytilde, wtilde, a0, None, rng=None, noise=(u, v))
+        want = dense_draw(ytilde, wtilde, a0, build_phi(np.zeros((T, K))), u, v)
+        np.testing.assert_allclose(draw, want, atol=1e-9)
+
+
+def test_identity_law_draw_matches_banded_draw_on_the_same_seed():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        T, K = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        ytilde, wtilde, _, _ = random_instance(rng, T, K)
+        a0 = rng.normal(size=T * K)
+        for size in (None, 3):
+            seed = int(rng.integers(2**32))
+            closed_rng, banded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            closed = draw_states_fast(ytilde, wtilde, a0, None, closed_rng, size=size)
+            banded = draw_states_fast(
+                ytilde, wtilde, a0, build_phi(np.zeros((T, K))), banded_rng, size=size
+            )
+            np.testing.assert_allclose(closed, banded, rtol=0.0, atol=1e-12)
+            assert closed_rng.random() == banded_rng.random()
+
+
+def test_identity_law_draw_covariance():
+    rng = np.random.default_rng(18)
+    T, K = 4, 3
+    wtilde = rng.normal(size=(T, K))
+    ytilde = rng.normal(size=T)
+    a0 = rng.normal(size=T * K)
+    n = 40_000
+    draws = draw_states_fast(ytilde, wtilde, a0, None, rng=np.random.default_rng(19), size=n)
+    mean, cov = dense_state_posterior(ytilde, wtilde, a0, np.eye(T * K))
+    se = np.sqrt(np.diag(cov) / n)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
+    rel = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
+    assert rel < 0.03
+
+
+def test_identity_law_draw_failure_names_step_and_period():
+    rng = np.random.default_rng(20)
+    ytilde, wtilde, a0, _ = random_instance(rng, 6, 2)
+    wtilde[3, 1] = np.inf
+    with pytest.raises(NotPositiveDefiniteError, match="state draw: .* period 4"):
+        draw_states_fast(ytilde, wtilde, a0, None, rng)
+
+
 def test_design_rows_layouts():
     T, K = 4, 2
     x = np.arange(1.0, 1.0 + T * K).reshape(T, K)
@@ -215,3 +268,7 @@ def test_dimension_validation():
         draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), Phi, np.random.default_rng(0))
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(5), Phi, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), None, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), None, np.random.default_rng(0))
