@@ -61,10 +61,6 @@ class BlockBidiagonalLowerUnit:
     def nu(self) -> int:
         return self.T * self.K
 
-    def phi_body(self) -> np.ndarray:
-        """Autoregressive diagonals phi_2..phi_T as a (T-1, K) array."""
-        return -self.subdiag
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Phi x for a (nu,) vector or an (n, nu) batch."""
         b = _as_blocks(x, self.T, self.K)

@@ -5,21 +5,15 @@ The generalized inverse Gaussian here follows the three-parameter density
     p(x) propto x^(a-1) exp{-(b*x + c/x) / 2},   x > 0,
 
 so Gamma(a, rate b/2) is the c = 0 special case and InverseGamma(-a, c/2)
-the b = 0 special case.  ``sample_gig_array`` draws one variate per
-element of parameter arrays (a, b, c): entries whose b*c is zero, exactly
-or by underflow, are split out by mask to the exact Gamma and
-inverse-Gamma reductions, and the rest go through Devroye's (2014)
-rejection scheme on the log scale, which stays valid for arbitrarily small
-or large b*c.  Its envelope constants are computed per element, and each
-round re-proposes only the rejected elements.
-
-``sample_gig`` draws from one parameter set.  With ``size`` given it runs
-the array sampler; with ``size=None`` (one draw, as a Gibbs step needs) it
-runs the same algorithm on Python floats, which avoids numpy's per-call
-overhead on length-one arrays.  The float path takes the same reductions,
-draws the same three uniforms per rejection round, and so consumes the
-generator exactly as the array path does at size 1; its draws agree with
-the array path's to rounding.
+the b = 0 special case.  One algorithm draws every variate, on Python
+floats: a parameter set whose b*c is zero, exactly or by underflow, takes
+the exact Gamma or inverse-Gamma reduction (one ``rng.gamma`` call), and
+any other goes through Devroye's (2014) rejection scheme on the log scale,
+which stays valid for arbitrarily small or large b*c and takes one
+``rng.random(3)`` per round.  ``sample_gig`` draws once from one
+parameter set; ``sample_gig_array`` draws once per element of parameter
+arrays, element after element, so n elements consume the generator as n
+successive ``sample_gig`` calls do.
 """
 
 from __future__ import annotations
@@ -70,25 +64,18 @@ class GigParams:
                 raise ValueError(f"GIG parameters {reason}")
 
 
-def sample_gig(params: GigParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from the generalized inverse Gaussian distribution.
-
-    Returns a float when ``size`` is None, drawn on Python floats; else an
-    array of ``size`` draws from the array sampler.
-    """
+def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
+    """One draw from the generalized inverse Gaussian distribution."""
     # GigParams has already checked the parameters
-    if size is None:
-        return _draw_gig_scalar(float(params.a), float(params.b), float(params.c), rng)
-    return _draw_gig(*(np.full(int(size), v, dtype=float) for v in (params.a, params.b, params.c)), rng)
+    return _draw_gig(float(params.a), float(params.b), float(params.c), rng)
 
 
 def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     """One GIG draw per element of (a, b, c), broadcast to a common 1-d shape.
 
     Every element must lie in a region ``GigParams`` accepts; the first one
-    that does not is named by its index in the ``ValueError``.  Gamma
-    draws are taken first, then inverse-Gamma draws, then the rejection
-    rounds, each in element order.
+    that does not is named by its index in the ``ValueError``.  The
+    elements are then drawn in order, each as ``sample_gig`` draws it.
     """
     a, b, c = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c)))
     if a.ndim != 1:
@@ -97,174 +84,43 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     if found is not None:
         i, reason = found
         raise ValueError(f"GIG parameters at index {i} (a={a[i]}, b={b[i]}, c={c[i]}) {reason}")
-    return _draw_gig(a, b, c, rng)
+    no_reduction = (a == 0.0) & (b * c == 0.0)
+    if no_reduction.any():
+        i = int(np.argmax(no_reduction))
+        raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
+    return np.array([_draw_gig(*abc, rng) for abc in zip(a.tolist(), b.tolist(), c.tolist())])
 
 
-def _draw_gig(a: np.ndarray, b: np.ndarray, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws for same-shape 1-d parameter arrays inside the valid regions."""
-    omega = np.sqrt(b * c)
+def _draw_gig(a: float, b: float, c: float, rng: np.random.Generator) -> float:
+    """One draw for parameters inside the valid regions."""
+    omega = math.sqrt(b * c)
     # b*c is zero exactly (b or c is zero) or by underflow; the dominant
     # reduction is then exact at this precision
-    reduced = omega == 0.0
-    if not reduced.any():
-        draws = _gig_two_param(np.abs(a), omega, rng)
-        return np.where(a < 0.0, 1.0 / draws, draws) * np.sqrt(c / b)
-    if np.any(reduced & (a == 0.0)):
-        i = int(np.argmax(reduced & (a == 0.0)))
-        raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
-    gamma = reduced & (a > 0.0)
-    inv_gamma = reduced & (a < 0.0)
-    out = np.empty(a.shape)
-    if gamma.any():
-        out[gamma] = rng.gamma(shape=a[gamma], scale=2.0 / b[gamma])
-    if inv_gamma.any():
-        out[inv_gamma] = 1.0 / rng.gamma(shape=-a[inv_gamma], scale=2.0 / c[inv_gamma])
-    if not reduced.all():
-        out[~reduced] = _draw_gig(a[~reduced], b[~reduced], c[~reduced], rng)
-    return out
-
-
-def _psi(x, alpha, lam):
-    """Log density of log(X / mode), up to a constant: psi(0) = 0 at the mode."""
-    return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
-
-
-def _dpsi(x, alpha, lam):
-    return -alpha * np.sinh(x) - lam * np.expm1(x)
-
-
-def _psi_log(x, log_alpha, lam):
-    """``_psi`` with alpha given by its log, so alpha*cosh(x) overflows only where psi does."""
-    return -0.5 * (np.exp(log_alpha + x) + np.exp(log_alpha - x)) + np.exp(log_alpha) - lam * (np.expm1(x) - x)
-
-
-def _dpsi_log(x, log_alpha, lam):
-    return -0.5 * (np.exp(log_alpha + x) - np.exp(log_alpha - x)) - lam * np.expm1(x)
-
-
-def _envelope(lam, alpha, scale, left_log_term, psi, dpsi):
-    """Devroye's envelope constants, one column per element.
-
-    ``scale`` is what ``psi`` takes for alpha (alpha itself, or its log);
-    ``left_log_term`` is log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), the
-    left switch point's fallback when the log-density is nearly flat.
-    """
-    # Right and left switch points of the three-piece envelope, from
-    # -psi(1) and -psi(-1).  In the left fallback 1/lam is inf at lam = 0
-    # and the log term is inf at alpha = 0 (never both, as omega > 0), so
-    # the minimum picks the formula that applies.
-    x0 = alpha * (math.cosh(1.0) - 1.0) + lam * (math.e - 2.0)
-    t = np.where(
-        (0.5 <= x0) & (x0 <= 2.0),
-        1.0,
-        np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), np.log(4.0 / (alpha + 2.0 * lam))),
-    )
-    x1 = alpha * (math.cosh(1.0) - 1.0) + lam / math.e
-    s = np.where(
-        (0.5 <= x1) & (x1 <= 2.0),
-        1.0,
-        np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * math.cosh(1.0) + lam)), np.minimum(1.0 / lam, left_log_term)),
-    )
-    eta = -psi(t, scale, lam)
-    zeta = -dpsi(t, scale, lam)
-    theta = -psi(-s, scale, lam)
-    xi = dpsi(-s, scale, lam)
-    p = 1.0 / xi
-    r = 1.0 / zeta
-    t_star = t - r * eta
-    s_star = s - p * theta
-    q = t_star + s_star
-    # cumulative weights of the center and right pieces
-    total = p + q + r
-    cut_mid = q / total
-    cut_right = (q + r) / total
-    return np.stack([scale, lam, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right])
-
-
-def _gig_two_param(lam: np.ndarray, omega: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws from p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}, lam >= 0.
-
-    One draw per element of the arrays ``lam`` and ``omega > 0``.  Rejection
-    sampler of Devroye (2014) built on the log-concave density of
-    log(X / mode): a flat center piece with two exponential tails.  The
-    acceptance rate is bounded away from zero uniformly in (lam, omega).
-    """
-    # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
-    # rounds it to 0 when omega << lam: the left switch point would then be
-    # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
-    # constant would be NaN and no candidate would ever be accepted
-    alpha = omega * omega / (np.sqrt(omega * omega + lam * lam) + lam)
-
-    # Candidates far in a tail overflow cosh to inf (a certain rejection),
-    # and the unused branches of np.where may divide by zero.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2
-        # to overflow for small alpha
-        left = np.log(1.0 + (1.0 + np.sqrt(1.0 + 2.0 * alpha)) / alpha)
-        consts = _envelope(lam, alpha, alpha, left, _psi, _dpsi)
-        # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
-        # overflows, the left switch point falls back to 1/lam and
-        # alpha*cosh(s) to inf*0.  Those elements take alpha by its log,
-        # in the envelope and in every acceptance test.
-        in_logs = ~np.isfinite(consts).all(axis=0)
-        any_logs = in_logs.any()
-        if any_logs:
-            lam_, omega_ = lam[in_logs], omega[in_logs]
-            log_alpha = 2.0 * np.log(omega_) - np.log(np.sqrt(omega_ * omega_ + lam_ * lam_) + lam_)
-            alpha_ = np.exp(log_alpha)
-            left = np.log(alpha_ + 1.0 + np.sqrt(1.0 + 2.0 * alpha_)) - log_alpha
-            consts[:, in_logs] = _envelope(lam_, alpha_, log_alpha, left, _psi_log, _dpsi_log)
-
-        out = np.empty(lam.shape)
-        pending = np.arange(lam.size)
-        # one row per constant, one column per element still to be drawn
-        while pending.size:
-            scale, lam_, t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
-            u, v, w = rng.random((3, pending.size))
-            mid = u < cut_mid
-            right = ~mid & (u < cut_right)
-            log_v = np.log(v)
-            cand = np.where(
-                mid, -s_star + q * v, np.where(right, t_star - r * log_v, -s_star + p * log_v)
-            )
-            log_envelope = np.where(
-                mid, 0.0, np.where(right, -eta - zeta * (cand - t), -theta + xi * (cand + s))
-            )
-            target = _psi(cand, scale, lam_)
-            if any_logs:
-                target = np.where(in_logs[pending], _psi_log(cand, scale, lam_), target)
-            accept = np.log(w) + log_envelope <= target
-            out[pending[accept]] = cand[accept]
-            pending = pending[~accept]
-            consts = consts[:, ~accept]
-    mode = (lam + np.sqrt(lam * lam + omega * omega)) / omega
-    draws = np.exp(out) * mode
-    if any_logs:
-        # the log-scale draw can sit below the smallest normal exp(out)
-        draws[in_logs] = np.exp(out[in_logs] + np.log(mode[in_logs]))
-    return draws
-
-
-def _draw_gig_scalar(a: float, b: float, c: float, rng: np.random.Generator) -> float:
-    """One draw for valid parameters on Python floats; mirrors ``_draw_gig`` at size 1."""
-    omega = math.sqrt(b * c)
     if omega == 0.0:
         if a == 0.0:
             raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
         if a > 0.0:
             return float(rng.gamma(shape=a, scale=2.0 / b))
-        return 1.0 / rng.gamma(shape=-a, scale=2.0 / c)
-    draw = _gig_two_param_scalar(abs(a), omega, rng)
+        # for small -a the Gamma draw underflows to exactly 0
+        g = rng.gamma(shape=-a, scale=2.0 / c)
+        return 1.0 / g if g > 0.0 else math.inf
+    draw = _gig_two_param(abs(a), omega, rng)
     return (1.0 / draw if a < 0.0 else draw) * math.sqrt(c / b)
 
 
 def _log(x: float) -> float:
-    """log that maps 0 to -inf, as np.log does, instead of raising."""
+    """log that maps 0 to -inf instead of raising."""
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _envelope_scalar(lam: float, alpha: float, left_log_term: float, psi, dpsi) -> tuple:
-    """``_envelope`` for one element on Python floats, without its ``scale`` and ``lam`` rows."""
+def _envelope(lam: float, alpha: float, left_log_term: float, psi, dpsi) -> tuple:
+    """Devroye's envelope constants for the log-density ``psi`` of log(X / mode).
+
+    ``left_log_term`` is log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), the
+    left switch point's fallback when the log-density is nearly flat.
+    """
+    # Right and left switch points of the three-piece envelope, from
+    # -psi(1) and -psi(-1)
     x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
     if 0.5 <= x0 <= 2.0:
         t = 1.0
@@ -291,32 +147,47 @@ def _envelope_scalar(lam: float, alpha: float, left_log_term: float, psi, dpsi) 
     t_star = t - r * eta
     s_star = s - p * theta
     q = t_star + s_star
+    # cumulative weights of the center and right pieces
     total = p + q + r
     return t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, q / total, (q + r) / total
 
 
-def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) -> float:
-    """``_gig_two_param`` for one (lam, omega > 0) on Python floats.
+def _gig_two_param(lam: float, omega: float, rng: np.random.Generator) -> float:
+    """One draw from p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}, lam >= 0, omega > 0.
 
-    The same envelope, the same branch choices and one ``rng.random(3)``
-    per round, taken as (u, v, w) as the array path takes its rows.
+    Rejection sampler of Devroye (2014) built on the log-concave density of
+    log(X / mode): a flat center piece with two exponential tails.  The
+    acceptance rate is bounded away from zero uniformly in (lam, omega).
+    Each round takes one ``rng.random(3)`` as (u, v, w): u picks the piece,
+    v places the candidate in it and w decides acceptance.
     """
+    # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
+    # rounds it to 0 when omega << lam: the left switch point would then be
+    # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
+    # constant would be NaN and no candidate would ever be accepted
     alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
 
     def psi(x):
+        # log density of log(X / mode), up to a constant: psi(0) = 0
         return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
 
     def dpsi(x):
         return -alpha * math.sinh(x) - lam * math.expm1(x)
 
+    # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
+    # overflow for small alpha
     left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
     try:
-        consts = _envelope_scalar(lam, alpha, left, psi, dpsi)
+        consts = _envelope(lam, alpha, left, psi, dpsi)
         in_logs = not all(map(math.isfinite, consts))
     except (OverflowError, ZeroDivisionError):
         in_logs = True
     if in_logs:
-        # alpha by its log, as the array path does for the same elements
+        # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
+        # overflows, the left switch point falls back to 1/lam and
+        # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
+        # envelope and in every acceptance test, so that alpha*cosh(x)
+        # overflows only where psi does.
         log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
         alpha_ = math.exp(log_alpha)
 
@@ -329,7 +200,7 @@ def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) ->
             return -0.5 * (math.exp(log_alpha + x) - math.exp(log_alpha - x)) - lam * math.expm1(x)
 
         left = math.log(alpha_ + 1.0 + math.sqrt(1.0 + 2.0 * alpha_)) - log_alpha
-        consts = _envelope_scalar(lam, alpha_, left, psi, dpsi)
+        consts = _envelope(lam, alpha_, left, psi, dpsi)
     t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
 
     while True:
@@ -350,6 +221,7 @@ def _gig_two_param_scalar(lam: float, omega: float, rng: np.random.Generator) ->
             pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
     mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
     if in_logs:
+        # the log-scale draw can sit below the smallest normal exp(cand)
         return math.exp(cand + math.log(mode))
     return math.exp(cand) * mode
 
@@ -371,20 +243,6 @@ def sample_dirichlet(concentrations: np.ndarray, rng: np.random.Generator) -> np
     log_g -= log_g.max()
     w = np.exp(log_g)
     return w / w.sum()
-
-
-def sample_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Single draw of a 0-based category index proportional to ``weights``."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d array")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be non-negative and finite")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("weights sum to zero")
-    u = rng.random() * total
-    return int(np.searchsorted(np.cumsum(w), u, side="right").clip(0, w.size - 1))
 
 
 def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

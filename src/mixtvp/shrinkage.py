@@ -77,9 +77,6 @@ class NgHyper:
         if np.any(self.tau <= 0.0):
             raise ValueError("tau must be positive")
 
-    def tau_of(self, name: str) -> np.ndarray:
-        return self.tau[self.groups[name]]
-
     def per_coef(self) -> tuple[np.ndarray, np.ndarray]:
         """rho and lam broadcast to one value per block entry."""
         m = self.tau.shape[0]

@@ -9,9 +9,9 @@ mixing fast when the innovation variance is small.
 
 The path steps work on length-T arrays; the parameter steps reduce the
 path to a few dot products and then run on Python floats: the level and
-persistence draws, the innovation-variance GIG draw (``sample_gig`` at
-``size=None``) and the interweaving step's 2x2 Gaussian, whose Cholesky
-factor is written out in closed form.  A failure in a step names it
+persistence draws, the innovation-variance GIG draw (``sample_gig``) and
+the interweaving step's 2x2 Gaussian, whose Cholesky factor is written
+out in closed form.  A failure in a step names it
 ("volatility draw", "volatility psi draw", "volatility interweave").
 """
 

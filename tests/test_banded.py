@@ -33,7 +33,6 @@ def test_build_phi_matches_dense_layout():
     expected[4, 2] = -1.0
     expected[5, 3] = -1.0
     np.testing.assert_allclose(D, expected)
-    np.testing.assert_allclose(Phi.phi_body(), phi[1:])
 
 
 def test_solve_lower_random_walk_cumulates():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from scipy.special import kv, kve
 import mixtvp
 from mixtvp.distributions import (
     GigParams,
-    sample_categorical,
     sample_categorical_rows,
     sample_dirichlet,
     sample_gamma_rate,
@@ -44,7 +44,7 @@ def gig_moment_quadrature(a, b, c, k):
 def test_gig_mean_matches_quadrature(a, b, c):
     rng = np.random.default_rng(42)
     n = 200_000
-    draws = sample_gig(GigParams(a, b, c), rng, size=n)
+    draws = sample_gig_array(np.full(n, a), b, c, rng)
     expected = gig_moment_quadrature(a, b, c, 1)
     se = draws.std(ddof=1) / np.sqrt(n)
     assert abs(draws.mean() - expected) < 5 * se
@@ -53,7 +53,7 @@ def test_gig_mean_matches_quadrature(a, b, c):
 def test_gig_second_moment_matches_quadrature():
     a, b, c = 1.0, 4.0, 1.0
     rng = np.random.default_rng(1)
-    draws = sample_gig(GigParams(a, b, c), rng, size=200_000)
+    draws = sample_gig_array(np.full(200_000, a), b, c, rng)
     expected = gig_moment_quadrature(a, b, c, 2)
     se = (draws**2).std(ddof=1) / np.sqrt(draws.size)
     assert abs((draws**2).mean() - expected) < 5 * se
@@ -61,7 +61,7 @@ def test_gig_second_moment_matches_quadrature():
 
 def test_gig_gamma_reduction_is_exact_dispatch():
     # c = 0 must delegate to the Gamma generator bitwise
-    draws = sample_gig(GigParams(2.5, 3.0, 0.0), np.random.default_rng(9), size=5)
+    draws = sample_gig_array(np.full(5, 2.5), 3.0, 0.0, np.random.default_rng(9))
     expected = np.random.default_rng(9).gamma(shape=2.5, scale=2.0 / 3.0, size=5)
     np.testing.assert_array_equal(draws, expected)
 
@@ -69,7 +69,7 @@ def test_gig_gamma_reduction_is_exact_dispatch():
 def test_gig_inverse_gamma_reduction_mean():
     # b = 0, a = -3, c = 4 is InverseGamma(3, 2) with mean 2 / (3 - 1) = 1
     rng = np.random.default_rng(4)
-    draws = sample_gig(GigParams(-3.0, 0.0, 4.0), rng, size=300_000)
+    draws = sample_gig_array(np.full(300_000, -3.0), 0.0, 4.0, rng)
     assert draws.mean() == pytest.approx(1.0, rel=0.02)
 
 
@@ -89,7 +89,7 @@ def test_gig_invalid_parameters():
 def test_gig_extreme_arguments_stay_finite():
     rng = np.random.default_rng(10)
     for a, b, c in [(0.0, 1e-6, 1e-6), (-0.5, 1e-8, 50.0), (10.0, 200.0, 1e-12), (0.5, 1e-30, 1e-30)]:
-        draws = sample_gig(GigParams(a, b, c), rng, size=1000)
+        draws = sample_gig_array(np.full(1000, a), b, c, rng)
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0)
 
@@ -100,7 +100,7 @@ def test_gig_log_mean_when_omega_is_far_below_a(a, b, c):
     # parameters put alpha = sqrt(omega^2 + a^2) - |a| far below |a| * 1e-16
     omega, h = np.sqrt(b * c), 1e-6
     want = (np.log(kve(a + h, omega)) - np.log(kve(a - h, omega))) / (2 * h) + 0.5 * np.log(c / b)
-    logs = np.log(sample_gig(GigParams(a, b, c), np.random.default_rng(17), size=50_000))
+    logs = np.log(sample_gig_array(np.full(50_000, a), b, c, np.random.default_rng(17)))
     assert abs(logs.mean() - want) < 5.0 * logs.std(ddof=1) / np.sqrt(logs.size)
 
 
@@ -154,14 +154,28 @@ def test_gig_scalar_return():
     ],
 )
 def test_scalar_gig_matches_array_on_the_same_stream(a, b, c):
-    # size=None runs the float path, the array sampler is the reference
-    for seed in range(200):
-        rng_scalar, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_gig(GigParams(a, b, c), rng_scalar)
-        want = sample_gig_array(a, b, c, rng_array)[0]
-        assert isinstance(got, float)
-        assert abs(got - want) <= 1e-12 * abs(want), (seed, got, want)
-        assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
+    # the array sampler draws its elements one after another, each as
+    # sample_gig draws it
+    n = 200
+    rng_scalar, rng_array = np.random.default_rng(5), np.random.default_rng(5)
+    got = [sample_gig(GigParams(a, b, c), rng_scalar) for _ in range(n)]
+    want = sample_gig_array(np.full(n, a), b, c, rng_array)
+    assert all(isinstance(v, float) for v in got)
+    np.testing.assert_array_equal(got, want)
+    assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
+
+
+def test_gig_inverse_gamma_reduction_returns_inf_when_the_gamma_draw_underflows():
+    # b*c underflows to 0, so each element is 1 / Gamma(1e-3, scale 2/c),
+    # and a Gamma draw at shape 1e-3 is exactly 0 about half the time
+    c = 1e-160
+    with np.errstate(divide="ignore"):
+        want = 1.0 / np.random.default_rng(6).gamma(shape=1e-3, scale=2.0 / c, size=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither an exception nor a divide-by-zero warning
+        got = sample_gig_array(np.full(2000, -1e-3), 1e-170, c, np.random.default_rng(6))
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    np.testing.assert_array_equal(got, want)
 
 
 def test_gig_array_mixed_regions_match_exact_means():
@@ -240,17 +254,6 @@ def test_dirichlet_invalid():
         sample_dirichlet(np.array([1.0, 0.0]), rng)
     with pytest.raises(ValueError):
         sample_dirichlet(np.array([]), rng)
-
-
-def test_categorical_degenerate_and_frequencies():
-    rng = np.random.default_rng(8)
-    assert all(sample_categorical(np.array([0.0, 0.0, 1.0]), rng) == 2 for _ in range(20))
-    counts = np.bincount(
-        [sample_categorical(np.array([0.2, 0.3, 0.5]), rng) for _ in range(30_000)], minlength=3
-    )
-    np.testing.assert_allclose(counts / 30_000, [0.2, 0.3, 0.5], atol=0.01)
-    with pytest.raises(ValueError):
-        sample_categorical(np.zeros(3), rng)
 
 
 def test_categorical_rows_matches_scalar_frequencies():
