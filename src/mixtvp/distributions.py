@@ -255,6 +255,12 @@ def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     return (cdf < u[:, None]).sum(axis=1).clip(0, lw.shape[1] - 1)
 
 
+def log_uniform(rng: np.random.Generator) -> float:
+    """Log of one uniform draw, as a Metropolis-Hastings step compares it; exactly 0 gives -inf."""
+    u = rng.random()
+    return math.log(u) if u > 0.0 else -math.inf
+
+
 def sample_gamma_rate(shape: float, rate: float, rng: np.random.Generator, size=None):
     """Gamma draw in shape/rate form, matching the G(a, b) convention here."""
     if shape <= 0.0 or rate <= 0.0:

@@ -12,10 +12,10 @@ predictive Bayes factor, and Diebold-Mariano style equal-accuracy stars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .sampler import ModelSpec
 from .var import estimate_var, simulate_predictive
@@ -122,6 +122,14 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), 1e-12)
 
 
+def _log_sum_exp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), shifted by the largest term; an infinite or NaN top is returned as is."""
+    top = float(x.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
 def log_predictive_score(record: ForecastRecord) -> tuple[float, bool]:
     """Log density of the realized value, with an underflow flag.
 
@@ -139,14 +147,14 @@ def log_predictive_score(record: ForecastRecord) -> tuple[float, bool]:
         if mu.size < 2:
             raise ValueError("need at least two predictive components")
         logpdf = -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
-        lps = float(logsumexp(logpdf) - np.log(mu.size))
+        lps = _log_sum_exp(logpdf) - math.log(mu.size)
     else:
         x = np.asarray(record.draws, dtype=float)
         if x.size < 2:
             raise ValueError("need at least two predictive components")
         bw = _silverman_bandwidth(x)
         z = (y - x) / bw
-        lps = float(logsumexp(-0.5 * z**2) - np.log(x.size * bw * np.sqrt(2 * np.pi)))
+        lps = _log_sum_exp(-0.5 * z**2) - math.log(x.size * bw * math.sqrt(2 * math.pi))
     if not np.isfinite(lps) or lps < LPS_FLOOR:
         return LPS_FLOOR, True
     return lps, False
@@ -186,7 +194,8 @@ def equal_accuracy_test(
     if lrv <= 0.0:
         lrv = gamma0
     stat = d.mean() / np.sqrt(lrv / n)
-    pvalue = float(2.0 * (1.0 - ndtr(abs(stat))))
+    # two-sided Gaussian tail: 2 * (1 - Phi(|z|)) = erfc(|z| / sqrt 2)
+    pvalue = math.erfc(abs(float(stat)) / math.sqrt(2.0))
     stars = "***" if pvalue < 0.01 else "**" if pvalue < 0.05 else "*" if pvalue < 0.10 else ""
     return TestResult(stat=float(stat), pvalue=pvalue, stars=stars, degenerate=False)
 

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .shrinkage import ConstantBlock
 
@@ -68,6 +67,51 @@ class BernoulliCounts:
             raise ValueError("prior counts must be positive")
 
 
+def _pair_residuals(
+    alpha: np.ndarray,
+    block: ConstantBlock,
+    model_class: str,
+    pool_means: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation of alpha from its mean under each regime pair, and the variances.
+
+    resid[k, l] is the (T, K) residual of the centered paths under regime
+    k at t-1 and regime l at t; its leading axis has length one when the
+    mean does not depend on k.  var[l] holds the K floored variances of
+    regime l.  Regime means follow the class: the mixture class reverts
+    to the center in regime 0 and carries the previous deviation scaled
+    by the root ratio in regime 1; the random-walk class carries the
+    scaled deviation in both regimes; the pool class centers both regimes
+    on the (scaled) cluster means, with no dependence on the previous
+    period.  The first period starts the normalized state at zero, so its
+    residuals do not depend on k.
+
+    The roots are signed regression coefficients, so the carry ratio and
+    the pool offsets keep their signs; only the variances are squared.
+    """
+    if block.sqrt_psi0 is None:
+        raise ValueError("regime densities need both variance regimes")
+    root = np.array([block.sqrt_psi0, block.sqrt_psi1])
+    var = np.maximum(root**2, VAR_FLOOR)
+    e = alpha - block.alpha0
+
+    if model_class == CLASS_POOL:
+        if pool_means is None:
+            raise ValueError("pool class needs cluster means per period")
+        return (e - root[:, None, :] * pool_means)[None], var
+    if model_class not in (CLASS_MIX, CLASS_RW):
+        raise ValueError(f"unknown model class {model_class!r}")
+    # ratio[k, l] = root_l / root_k per coefficient; the departing root is
+    # floored in magnitude with its sign kept
+    denom = np.copysign(np.maximum(np.abs(root), np.sqrt(VAR_FLOOR)), root)
+    ratio = root[None, :, :] / denom[:, None, :]
+    if model_class == CLASS_MIX:
+        ratio[:, 0] = 0.0
+    dev = np.zeros_like(e)
+    dev[1:] = e[:-1]
+    return e - ratio[:, :, None, :] * dev, var
+
+
 def regime_log_densities(
     alpha: np.ndarray,
     block: ConstantBlock,
@@ -77,48 +121,32 @@ def regime_log_densities(
     """Pairwise log transition densities, shape (T, K, 2, 2).
 
     Entry [t, i, k, l] is the log density of alpha[t, i] given regime k
-    at t-1 and regime l at t.  alpha holds the centered paths.  Regime
-    means follow the class: the mixture class reverts to the center in
-    regime 0 and carries the previous deviation scaled by the root ratio
-    in regime 1; the random-walk class carries the scaled deviation in
-    both regimes; the pool class centers both regimes on the (scaled)
-    cluster means, with no dependence on the previous period.  The first
-    period starts the normalized state at zero, so its densities do not
-    depend on k.
-
-    The roots are signed regression coefficients, so the carry ratio and
-    the pool offsets keep their signs; only the variances are squared.
+    at t-1 and regime l at t; alpha holds the centered paths and
+    ``_pair_residuals`` states the regime means.
     """
-    T, K = alpha.shape
-    if block.sqrt_psi0 is None:
-        raise ValueError("regime densities need both variance regimes")
-    root = np.stack([block.sqrt_psi0, block.sqrt_psi1], axis=-1)
-    var = np.maximum(root**2, VAR_FLOOR)
-    # ratio[i, k, l] = root_l / root_k for coefficient i; the departing
-    # root is floored in magnitude with its sign kept
-    denom = np.copysign(np.maximum(np.abs(root), np.sqrt(VAR_FLOOR)), root)
-    ratio = root[:, None, :] / denom[:, :, None]
+    resid, var = _pair_residuals(alpha, block, model_class, pool_means)
+    resid = np.broadcast_to(resid, (2, 2) + alpha.shape).transpose(2, 3, 0, 1)
+    var = var.T[:, None, :]
+    return -0.5 * (np.log(2.0 * np.pi * var) + resid**2 / var)
 
-    dev = np.zeros((T, K))
-    dev[1:] = alpha[:-1] - block.alpha0
 
-    if model_class == CLASS_MIX:
-        carry = ratio * np.array([0.0, 1.0])
-    elif model_class == CLASS_RW:
-        carry = ratio
-    elif model_class == CLASS_POOL:
-        if pool_means is None:
-            raise ValueError("pool class needs cluster means per period")
-        carry = np.zeros((K, 2, 2))
-    else:
-        raise ValueError(f"unknown model class {model_class!r}")
+def summed_log_densities(
+    alpha: np.ndarray,
+    block: ConstantBlock,
+    model_class: str,
+    pool_means: np.ndarray | None = None,
+) -> np.ndarray:
+    """``regime_log_densities`` summed over coefficients, shape (T, 2, 2).
 
-    mean = block.alpha0[None, :, None, None] + carry[None] * dev[:, :, None, None]
-    if model_class == CLASS_POOL:
-        mean = mean + (root[:, None, :] * pool_means[:, :, None, None])
-
-    resid2 = (alpha[:, :, None, None] - mean) ** 2
-    return -0.5 * (np.log(2.0 * np.pi * var[:, None, :]) + resid2 / var[:, None, :])
+    Each regime pair's squared residuals meet the inverse variances in
+    one matrix product, and the normalizing logs are summed once per
+    regime.
+    """
+    resid, var = _pair_residuals(alpha, block, model_class, pool_means)
+    quad = (resid * resid) @ (1.0 / var)[:, :, None]
+    log_norm = np.log(2.0 * np.pi * var).sum(axis=1)
+    out = -0.5 * (quad[..., 0] + log_norm[:, None])
+    return np.broadcast_to(out, (2, 2, alpha.shape[0])).transpose(2, 0, 1)
 
 
 def stationary_probs(p00: float, p11: float) -> np.ndarray:
@@ -161,7 +189,7 @@ def sample_indicators_ms(
     from log filter + log transition + log emission, so a state or
     transition of probability zero is never drawn.
     """
-    loglik = regime_log_densities(alpha, block, model_class, pool_means).sum(axis=1)
+    loglik = summed_log_densities(alpha, block, model_class, pool_means)
     T = loglik.shape[0]
     trans = np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
 
@@ -200,12 +228,11 @@ def sample_indicators_ms(
         filt.append((f0, f1))
     # one uniform per period, consumed from s_T back to s_1
     u = rng.random(T).tolist()
-    s = np.empty(T, dtype=np.int8)
     nxt = int(u[0] < f1)
-    s[T - 1] = nxt
-    for t in range(T - 2, -1, -1):
-        f0, f1 = filt[t]
-        k00, k01, k10, k11 = rows[t]
+    path = [nxt]
+    for t, (f0, f1), (k00, k01, k10, k11), ut in zip(
+        range(T - 2, -1, -1), reversed(filt[:-1]), reversed(rows), u[1:]
+    ):
         w0, w1 = (f0 * k01, f1 * k11) if nxt else (f0 * k00, f1 * k10)
         total = w0 + w1
         if not total >= _TINY:
@@ -214,9 +241,9 @@ def sample_indicators_ms(
             top = max(a0, a1)
             w0, w1 = math.exp(a0 - top), math.exp(a1 - top)
             total = w0 + w1
-        nxt = int(u[T - 1 - t] < w1 / total)
-        s[t] = nxt
-    return s
+        nxt = int(ut < w1 / total)
+        path.append(nxt)
+    return np.array(path[::-1], dtype=np.int8)
 
 
 def sample_indicators_mix(
@@ -253,17 +280,15 @@ def sample_indicators_mix(
         if t + 1 < T:
             nxt = out[t + 1]
             logit = logit + loglik[t + 1, cols, 1, nxt] - loglik[t + 1, cols, 0, nxt]
-        out[t] = rng.random(size=K) < expit(logit)
+        # the logistic as exp(-log(1 + e^-x)), which cannot overflow
+        out[t] = rng.random(size=K) < np.exp(-np.logaddexp(0.0, -logit))
     return out
 
 
 def transition_posterior_params(s: np.ndarray, counts: MsCounts):
     """Beta parameters for (p00, p11) given the sampled chain."""
-    prev, cur = s[:-1], s[1:]
-    t00 = float(np.sum((prev == 0) & (cur == 0)))
-    t01 = float(np.sum((prev == 0) & (cur == 1)))
-    t10 = float(np.sum((prev == 1) & (cur == 0)))
-    t11 = float(np.sum((prev == 1) & (cur == 1)))
+    # transition k -> l counted in bin 2k + l
+    t00, t01, t10, t11 = np.bincount(2 * s[:-1] + s[1:], minlength=4).tolist()
     return (t00 + counts.c00, t01 + counts.c10), (t11 + counts.c01, t10 + counts.c11)
 
 

@@ -10,13 +10,14 @@ clusters is how the model learns the effective number of regimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     GigParams,
+    log_uniform,
     sample_categorical_rows,
     sample_dirichlet,
     sample_gig_array,
@@ -105,22 +106,37 @@ def sample_weights(theta, n_clusters, xi, rng) -> np.ndarray:
     return sample_dirichlet(weight_posterior_params(theta, n_clusters, xi), rng)
 
 
+def _xi_log_kernel(xi: float, n_clusters: int, sum_log_omega: float, d0: float) -> float:
+    loglik = (
+        math.lgamma(n_clusters * xi) - n_clusters * math.lgamma(xi) + (xi - 1.0) * sum_log_omega
+    )
+    logprior = (d0 - 1.0) * math.log(xi) - d0 * n_clusters * xi
+    return loglik + logprior
+
+
+def _sum_log_weights(omega: np.ndarray) -> float:
+    return float(np.log(np.maximum(omega, WEIGHT_FLOOR)).sum())
+
+
 def _xi_log_target(xi: float, omega: np.ndarray, priors: PoolPriors) -> float:
     """Log posterior kernel of the symmetric Dirichlet concentration."""
-    N = omega.shape[0]
-    log_omega = np.log(np.maximum(omega, WEIGHT_FLOOR))
-    loglik = gammaln(N * xi) - N * gammaln(xi) + (xi - 1.0) * log_omega.sum()
-    logprior = (priors.d0 - 1.0) * np.log(xi) - priors.d0 * N * xi
-    return float(loglik + logprior)
+    return _xi_log_kernel(xi, omega.shape[0], _sum_log_weights(omega), priors.d0)
 
 
 def update_xi(xi, omega, priors: PoolPriors, rng, scale: float = 0.3) -> tuple[float, bool]:
     """Random-walk step on log xi; returns the new value and acceptance."""
-    prop = xi * np.exp(scale * rng.normal())
-    log_ratio = _xi_log_target(prop, omega, priors) - _xi_log_target(xi, omega, priors)
-    log_ratio += np.log(prop / xi)
-    if np.log(rng.random()) < log_ratio:
-        return float(prop), True
+    try:
+        prop = xi * math.exp(scale * rng.normal())
+    except OverflowError:
+        prop = math.inf
+    # every step draws its uniform, also when the proposal left (0, inf)
+    log_u = log_uniform(rng)
+    if not 0.0 < prop < math.inf:
+        return float(xi), False
+    stats = (omega.shape[0], _sum_log_weights(omega), priors.d0)
+    log_ratio = _xi_log_kernel(prop, *stats) - _xi_log_kernel(xi, *stats) + math.log(prop / xi)
+    if log_u < log_ratio:
+        return prop, True
     return float(xi), False
 
 

@@ -350,31 +350,24 @@ def gibbs_sweep(
         return replace(state, block=block, ng=ng, sv=sv)
 
     block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
-    alpha_tilde = _draw_states(y, x, spec, block, replace(state, block=block), rng)
+    # each step gets what this sweep drew as arguments and reads the rest from
+    # the incoming state, so the sweep builds its result once, at the end
+    alpha_tilde = _draw_states(y, x, spec, block, state, rng)
+    alpha = reconstruct_centered(block, state.S, alpha_tilde)
+    sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
 
-    interim = replace(state, block=block, ng=ng, alpha_tilde=alpha_tilde)
-    alpha = reconstruct_centered(block, interim.S, alpha_tilde)
-    sv = _update_volatility(y, x, alpha, spec, interim.sv, rng)
-    interim = replace(interim, sv=sv)
-
+    S, p00, p11, p_mix = state.S, state.p00, state.p11, state.p_mix
     if spec.law is not None:
-        S, p00, p11, p_mix = _update_indicators(alpha, spec, block, interim, rng)
+        S, p00, p11, p_mix = _update_indicators(alpha, spec, block, state, rng)
         alpha_tilde = normalized_from_centered(block, S, alpha)
-        interim = replace(
-            interim, S=S, p00=p00, p11=p11, p_mix=p_mix, alpha_tilde=alpha_tilde
-        )
 
+    pool = state.pool
     if spec.model_class == CLASS_POOL:
-        pool = pool_sweep(
-            interim.alpha_tilde,
-            interim.pool,
-            spec.pool_priors(),
-            rng,
-            scales.xi,
-            adapting,
-        )
-        interim = replace(interim, pool=pool)
-    return interim
+        pool = pool_sweep(alpha_tilde, pool, spec.pool_priors(), rng, scales.xi, adapting)
+    return EquationChainState(
+        block=block, alpha_tilde=alpha_tilde, S=S, p00=p00, p11=p11,
+        p_mix=p_mix, ng=ng, sv=sv, pool=pool,
+    )
 
 
 def ar_ols_variances(x: np.ndarray, p: int) -> np.ndarray:

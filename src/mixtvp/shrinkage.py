@@ -8,14 +8,14 @@ group (means, slab roots, spike roots).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .banded import NotPositiveDefiniteError
-from .distributions import sample_gamma_rate, sample_gig_array
+from .distributions import log_uniform, sample_gamma_rate, sample_gig_array
 
 TAU_FLOOR = 1e-12
 
@@ -104,34 +104,36 @@ def default_ng_hyper(K: int, n_variance_groups: int, zeta: float = 0.01) -> NgHy
     )
 
 
+def _factor_block(y, xhat, sigma, tau, prior_mean):
+    """Lower Cholesky factor L of the block precision, and L^-1 times its linear term."""
+    xw = xhat / sigma[:, None]
+    prec = xw.T @ xw
+    prec.flat[:: prec.shape[0] + 1] += 1.0 / tau
+    lin = xw.T @ (y / sigma)
+    if prior_mean is not None:
+        lin = lin + prior_mean / tau
+    chol, info = dpotrf(prec, lower=1)
+    # a non-finite precision factors without error into a NaN factor
+    if info != 0 or not chol.diagonal().min() > 0.0:
+        raise NotPositiveDefiniteError("constant block: precision not positive definite")
+    return chol, dtrtrs(chol, lin, lower=1)[0]
+
+
 def constant_block_moments(y, xhat, sigma, tau, prior_mean=None):
-    """Gaussian posterior of the block: mean and upper Cholesky of precision.
+    """Gaussian posterior of the block: mean and lower Cholesky factor of precision.
 
     Weighted regression of y/sigma on xhat/sigma with independent N(m, tau)
     priors (m = 0 unless given).
     """
-    xw = xhat / sigma[:, None]
-    yw = y / sigma
-    prec = xw.T @ xw
-    prec[np.diag_indices_from(prec)] += 1.0 / tau
-    lin = xw.T @ yw
-    if prior_mean is not None:
-        lin = lin + prior_mean / tau
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        chol = None
-    # a non-finite precision factors without error into a NaN factor
-    if chol is None or not np.all(np.diag(chol) > 0.0):
-        raise NotPositiveDefiniteError("constant block: precision not positive definite")
-    mean = solve_triangular(chol.T, solve_triangular(chol, lin, lower=True), lower=False)
-    return mean, chol
+    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
+    return dtrtrs(chol, half, lower=1, trans=1)[0], chol
 
 
 def draw_constant_block(y, xhat, sigma, tau, rng, prior_mean=None) -> np.ndarray:
-    mean, chol = constant_block_moments(y, xhat, sigma, tau, prior_mean)
-    z = rng.normal(size=mean.shape[0])
-    return mean + solve_triangular(chol.T, z, lower=False)
+    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
+    z = rng.normal(size=half.shape[0])
+    # mean + L^-T z = L^-T (L^-1 lin + z)
+    return dtrtrs(chol, half + z, lower=1, trans=1)[0]
 
 
 def draw_tau(coefs: np.ndarray, hyper: NgHyper, rng: np.random.Generator) -> np.ndarray:
@@ -151,30 +153,44 @@ def draw_lambda(tau_group, rho, zeta, rng) -> float:
     return float(sample_gamma_rate(shape, rate, rng))
 
 
-def _rho_log_target(rho: float, tau_group: np.ndarray, lam: float) -> float:
+def _rho_log_kernel(rho: float, lam: float, p: int, sum_log_tau: float, sum_tau: float) -> float:
     # product of Gamma(tau_j; rho, rho*lam/2) likelihoods, Exponential(1) prior
-    p = tau_group.shape[0]
+    rate = rho * lam / 2.0
+    log_rate = math.log(rate) if rate > 0.0 else -math.inf
     return (
-        p * (rho * np.log(rho * lam / 2.0) - gammaln(rho))
-        + (rho - 1.0) * float(np.sum(np.log(tau_group)))
-        - 0.5 * rho * lam * float(np.sum(tau_group))
+        p * (rho * log_rate - math.lgamma(rho))
+        + (rho - 1.0) * sum_log_tau
+        - 0.5 * rho * lam * sum_tau
         - rho
     )
 
 
+def _scale_stats(tau_group: np.ndarray) -> tuple[int, float, float]:
+    """Count, sum of logs and sum of the local scales: all the rho target reads of them."""
+    return tau_group.shape[0], float(np.log(tau_group).sum()), float(tau_group.sum())
+
+
+def _rho_log_target(rho: float, tau_group: np.ndarray, lam: float) -> float:
+    return _rho_log_kernel(rho, lam, *_scale_stats(tau_group))
+
+
 def update_rho(tau_group, lam, rho, scale, rng) -> tuple[float, bool]:
     """Log-scale random-walk step on the group hyper-shape."""
-    prop = rho * np.exp(scale * rng.normal())
-    if not np.isfinite(prop) or prop <= 0.0:
+    try:
+        prop = rho * math.exp(scale * rng.normal())
+    except OverflowError:
         return rho, False
+    if not 0.0 < prop < math.inf:
+        return rho, False
+    stats = _scale_stats(tau_group)
     log_accept = (
-        _rho_log_target(prop, tau_group, lam)
-        - _rho_log_target(rho, tau_group, lam)
-        + np.log(prop)
-        - np.log(rho)
+        _rho_log_kernel(prop, lam, *stats)
+        - _rho_log_kernel(rho, lam, *stats)
+        + math.log(prop)
+        - math.log(rho)
     )
-    if np.log(rng.random()) <= log_accept:
-        return float(prop), True
+    if log_uniform(rng) <= log_accept:
+        return prop, True
     return rho, False
 
 

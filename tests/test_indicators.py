@@ -16,10 +16,12 @@ from mixtvp.indicators import (
     BernoulliCounts,
     MsCounts,
     bernoulli_posterior_params,
+    VAR_FLOOR,
     regime_log_densities,
     sample_indicators_mix,
     sample_indicators_ms,
     stationary_probs,
+    summed_log_densities,
     transition_posterior_params,
     update_bernoulli_probs,
     update_transition_probs,
@@ -36,14 +38,16 @@ def make_block(alpha0, sp1, sp0):
     )
 
 
-def loglik_reference(alpha, alpha0, sp1, sp0, model_class, pool_means=None):
+def loglik_reference(alpha, alpha0, sp1, sp0, model_class, pool_means=None, var_floor=0.0):
     """Straight-loop pairwise transition log densities, (T, K, 2, 2).
 
     Entry [t, i, k, l]: density of alpha[t, i] under regime k at t-1 and
     regime l at t.  Regime 1 (and both regimes of the random-walk class)
     carries the previous deviation from the center rescaled by the ratio
     of the arriving and departing innovation roots.  Roots are signed;
-    the ratio and pool offsets keep the sign, the scale drops it.
+    the ratio and pool offsets keep the sign, the scale drops it.  With
+    a positive ``var_floor`` the variance is floored there, and the
+    departing root in magnitude at its square root, sign kept.
     """
     T, K = alpha.shape
     out = np.zeros((T, K, 2, 2))
@@ -54,13 +58,15 @@ def loglik_reference(alpha, alpha0, sp1, sp0, model_class, pool_means=None):
             for k in range(2):
                 for l in range(2):
                     rl, rk = roots[i, l], roots[i, k]
+                    rk = np.copysign(max(abs(rk), np.sqrt(var_floor)), rk)
+                    scale = np.sqrt(max(rl**2, var_floor))
                     if model_class == "TVP-MIX":
                         m = alpha0[i] + (rl / rk) * dev if l == 1 else alpha0[i]
                     elif model_class == "TVP-RW":
                         m = alpha0[i] + (rl / rk) * dev
                     else:
                         m = alpha0[i] + rl * pool_means[t, i]
-                    out[t, i, k, l] = stats.norm.logpdf(alpha[t, i], m, abs(rl))
+                    out[t, i, k, l] = stats.norm.logpdf(alpha[t, i], m, scale)
     return out
 
 
@@ -111,6 +117,28 @@ def test_regime_log_densities_match_reference():
         got = regime_log_densities(alpha, block_signed, cls)
         want = loglik_reference(alpha, alpha0, sp1_signed, sp0_signed, cls)
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("cls", ["TVP-MIX", "TVP-RW", "TVP-POOL"])
+@pytest.mark.parametrize("T", [1, 7])
+def test_summed_log_densities_match_reference_sum(cls, T):
+    rng = np.random.default_rng(29)
+    K = 5
+    alpha0 = rng.normal(size=K)
+    # signed roots; the last two lie below sqrt(VAR_FLOOR) = 1e-5, so their
+    # variances and departing roots are floored
+    sp1 = np.array([0.9, -1.3, 0.4, 3e-6, -0.7])
+    sp0 = np.array([-0.08, 0.15, 0.05, 0.2, -2e-7])
+    alpha = alpha0 + rng.normal(size=(T, K)) * 0.3
+    pool_means = rng.normal(size=(T, K)) if cls == "TVP-POOL" else None
+    block = make_block(alpha0, sp1, sp0)
+    got = summed_log_densities(alpha, block, cls, pool_means)
+    want = loglik_reference(alpha, alpha0, sp1, sp0, cls, pool_means, var_floor=VAR_FLOOR)
+    assert got.shape == (T, 2, 2)
+    np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(
+        regime_log_densities(alpha, block, cls, pool_means), want, rtol=1e-12
+    )
 
 
 def test_pool_regime_means():
