@@ -7,8 +7,11 @@ CSV or raw draw stores. The same seed means byte-identical output files.
 ``spectral`` reads every (record, period) draw of an equation store set
 and hands the stacked paths to ``spectral.low_freq_path_bands``, which
 runs the whole structural -> reduced -> companion -> Pi(0) pipeline as
-array operations over period blocks, with one eigen-decomposition per
-draw.
+array operations over period blocks. A power screen certifies most
+stable draws, and one batched eigen-decomposition per block decides the
+rest. A store with a non-finite coefficient or a non-finite or
+non-positive error variance is refused, naming the equation, record and
+period.
 """
 
 from __future__ import annotations

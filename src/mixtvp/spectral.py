@@ -5,13 +5,16 @@ accumulated from the companion form, and the ratio of its off-diagonal
 to diagonal entries summarizes the low-frequency co-movement of a pair
 of variables. Unstable draws are flagged and excluded from bands.
 
-Bands over a whole posterior sample run as one array pipeline over the
-stacked (record, period) draws: structural to reduced form, companion
-matrix, one batched eigen-decomposition per draw for the stability
-test, one batched solve for the leading columns of (I - F)^-1, and
-per-period quantiles. Periods are processed in blocks of at most
-``_BLOCK_DRAWS`` draws so that the (draws, mp, mp) intermediates stay
-bounded however many records the sample holds.
+Every stability decision goes through ``_stable_draws``: a draw whose
+powers F^(2^j), j <= 6, shrink fast enough is certified stable without
+an eigen-decomposition, and only the draws left over go to one batched
+``np.linalg.eigvals`` call. Bands over a whole posterior sample run as
+one array pipeline over the stacked (record, period) draws: structural
+to reduced form, companion matrix, that stability decision, one batched
+solve for the leading columns of (I - F)^-1, and per-period quantiles.
+Periods are processed in blocks of at most ``_BLOCK_DRAWS`` draws so
+that the (draws, mp, mp) intermediates stay bounded however many
+records the sample holds.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ __all__ = [
 ]
 
 STABILITY_MARGIN = 1e-8
+# squarings of the power screen, so powers up to F^64
+_SCREEN_SQUARINGS = 6
+# relative slack of the screen's certificate, far above the rounding of the
+# squarings and of eigvals
+_SCREEN_SLACK = 1e-3
+# backward error of eigvals that a certificate covers, relative to ||F||_inf
+_EIG_BACKWARD = 1e-12
 # draws per period block of low_freq_path_bands; at least one period per block
 _BLOCK_DRAWS = 4096
 
@@ -59,7 +69,62 @@ class CompanionForm:
         return float(np.max(np.abs(np.linalg.eigvals(self.F))))
 
     def is_stable(self, margin: float = STABILITY_MARGIN) -> bool:
-        return self.spectral_radius() < 1.0 - margin
+        return bool(_stable_draws(self.F, margin))
+
+
+def _power_screen(F: np.ndarray, margin: float) -> np.ndarray:
+    """Draws of a finite (n, d, d) stack certified stable by their powers.
+
+    rho(F)^k <= ||F^k||_inf for every k, so a draw is certified when a power
+    P ~ F^k, k = 2^j from repeated squaring, has ||P|| + E below
+    (1 - margin)^k (1 - ``_SCREEN_SLACK``).  E bounds ||P - (F + D)^k|| over
+    every D with ||D|| <= ``_EIG_BACKWARD`` ||F||: the rounding of the
+    squarings and a backward error of eigvals, so that a certified draw is
+    one that eigvals, backward stable within that bound, calls stable too.
+    Squaring P, whose error bound is E, leaves an error of at most
+    gamma ||P||^2 + 2 ||P|| E + E^2, gamma = d eps.
+    """
+    n, d = F.shape[:2]
+    certified = np.zeros(n, dtype=bool)
+    todo = np.arange(n)
+    gamma = d * np.finfo(float).eps
+    norm = np.abs(F).sum(axis=-1).max(axis=-1)
+    err, P = _EIG_BACKWARD * norm, F
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(_SCREEN_SQUARINGS + 1):
+            if j:
+                err = gamma * norm**2 + 2.0 * norm * err + err**2
+                P = P @ P
+                norm = np.abs(P).sum(axis=-1).max(axis=-1)
+            bound = norm + err
+            ok = bound < (1.0 - margin) ** (2**j) * (1.0 - _SCREEN_SLACK)
+            certified[todo[ok]] = True
+            # an overflowed power certifies nothing more
+            keep = ~ok & np.isfinite(bound)
+            if not keep.any():
+                break
+            todo, P, norm, err = todo[keep], P[keep], norm[keep], err[keep]
+    return certified
+
+
+def _stable_draws(F: np.ndarray, margin: float = STABILITY_MARGIN) -> np.ndarray:
+    """Whether max |eig F| < 1 - margin, for stacked (..., d, d) draws.
+
+    The package's one stability decision.  The power screen certifies
+    most stable draws; the rest go to one batched ``np.linalg.eigvals``
+    call, which decides them.  Raises ``ValueError`` for a draw with a
+    non-finite entry.
+    """
+    F = np.asarray(F, dtype=float)
+    flat = F.reshape((-1,) + F.shape[-2:])
+    if not np.isfinite(flat).all():
+        raise ValueError("companion matrix has a non-finite entry")
+    stable = _power_screen(flat, margin)
+    rest = np.flatnonzero(~stable)
+    if rest.size:
+        radius = np.max(np.abs(np.linalg.eigvals(flat[rest])), axis=-1)
+        stable[rest] = radius < 1.0 - margin
+    return stable.reshape(F.shape[:-2])
 
 
 def _companion_matrix(A: np.ndarray, p: int) -> np.ndarray:
@@ -98,10 +163,10 @@ def _low_freq_stack(F: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.nd
     """Pi(0) and the stability flag of stacked draws.
 
     ``F`` is (..., d, d), ``sigma`` the (..., m, m) covariance in the
-    leading block of Upsilon. Each draw gets one eigen-decomposition;
-    unstable draws are skipped by the solve and get NaN entries.
+    leading block of Upsilon. Stability is ``_stable_draws``; unstable
+    draws are skipped by the solve and get NaN entries.
     """
-    stable = np.max(np.abs(np.linalg.eigvals(F)), axis=-1) < 1.0 - STABILITY_MARGIN
+    stable = _stable_draws(F)
     d, m = F.shape[-1], sigma.shape[-1]
     lhs = np.eye(d) - np.where(stable[..., None, None], F, 0.0)
     # only the leading m x m block of (I-F)^-1 meets Upsilon
@@ -172,9 +237,19 @@ def low_freq_path_bands(
     ``alphas[k]`` is equation k's (n, T, K_k) coefficient paths in the
     layout of ``var.structural_from_paths`` and ``sigma2s[k]`` its
     (n, T) error variances. Returns a (T, len(quantiles)) array and the
-    number of unstable (record, period) draws excluded; raises
-    ``ValueError`` naming the first period whose draws are all unstable.
+    number of unstable (record, period) draws excluded. Raises
+    ``ValueError`` naming the equation, record and period of the first
+    non-finite coefficient or non-finite or non-positive variance, or the
+    first period whose draws are all unstable.
     """
+    for k, (a, s) in enumerate(zip(alphas, sigma2s)):
+        for bad, what in (
+            (~np.isfinite(a).all(axis=-1), "a non-finite coefficient"),
+            (~(np.isfinite(s) & (s > 0.0)), "a non-finite or non-positive error variance"),
+        ):
+            if bad.any():
+                r, t = np.unravel_index(np.argmax(bad), bad.shape)
+                raise ValueError(f"equation {k + 1} has {what} at record {r}, t={t}")
     n, T = np.shape(sigma2s[0])
     step = max(1, _BLOCK_DRAWS // n)
     bands = np.empty((T, len(quantiles)))

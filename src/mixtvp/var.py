@@ -11,7 +11,6 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -373,50 +372,78 @@ class ForecastDistribution:
 
 # record x path rows per block of simulate_predictive; whole records, at least one
 _BLOCK_ROWS = 2048
+# smallest root magnitude a regime switch divides by
+_ROOT_FLOOR = 1e-150
 
 
-def _state_paths(eq, spec, recs, nsim, freeze, work, rng):
-    """Yield one equation's coefficients and error sds, one period per step.
+def _per_record(w, a):
+    """Per-record weights w (R, n, k) applied to a (k, R, nsim); (R, n, nsim)."""
+    return w @ a.transpose(1, 0, 2)
 
-    Arrays are (K, R, nsim) for R records of nsim paths; per-path scalars
-    (log variance, Markov regime) are (R, nsim).  The state is the
-    deviation d from alpha0, moved as d <- g d + root z with the arriving
-    regime's root.  The gain g is one within a regime (zero in the mixture
-    class's regime 0) and on a switch the ratio of the arriving to the
-    departing root, floored in magnitude, so zero-variance records stay
-    plug-in.  The pooled class and the single-variance mixture cell
-    regenerate d = root (mu + z), mu a cluster mean or zero.  ``work``
-    (2, K_max, R, nsim) is scratch shared by the block's equations: the
-    normals, then the coefficients, which the caller may overwrite.
+
+def _state_paths(eq, spec, recs, x, freeze, work, rng):
+    """Yield one equation's row of the system, one period per step.
+
+    A step gives the contemporaneous coefficients alpha[:i], shape
+    (i, R, nsim) or (i, R, 1), the lag and intercept term alpha[i:] . x and
+    the error sd, (R, nsim) each, for R records of nsim paths.  ``x`` is the
+    (mp+1, R, nsim) regressor array that the caller shifts in place between
+    steps; ``work`` (2, K_max, R, nsim) is scratch shared by the block's
+    equations.  ``freeze`` holds the period-T coefficients and volatility.
+
+    The state is carried standardized, alpha = alpha0 + f(s) u, where f is
+    the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u starts
+    at (alpha_T - alpha0) / f(s_T).  The random walk moves u <- u + z, the
+    mixture class with a law u <- s u + z (regime 0 forgets), and the pooled
+    class and the single-variance mixture cell regenerate u = mu + z, mu a
+    cluster mean or zero.  No coefficient array is formed: per-record weight
+    vectors (alpha0[i:], f0[i:], f1[i:]) meet x and x * u in small matrix
+    products.  A root under the floor has lambda = root / f < 1, which
+    scales z and, on a switch into its regime, u: a record whose regime has
+    a zero root keeps alpha_T (plug-in), and one that switches out of it
+    carries (alpha_T - alpha0) / floor, as the old ratio of roots did.
     """
     h = eq.h[recs, -1][:, None]
-    alpha = eq.alpha_last[recs].T[:, :, None]
-    if freeze:
-        yield from repeat((alpha, np.exp(0.5 * h)))
+    a_last = eq.alpha_last[recs]
+    K, i = a_last.shape[1], a_last.shape[1] - x.shape[0]
     mu, phi = eq.sv_mu[recs][:, None], eq.sv_phi[recs][:, None]
-    sd_sv, h_dev = np.sqrt(eq.sv_psi[recs])[:, None], np.repeat(h - mu, nsim, axis=1)
-    K, R = alpha.shape[:2]
-    law, s = spec.law, None
-    if spec.is_tvp:
-        alpha0 = eq.alpha0[recs].T[:, :, None]
-        d = np.repeat(alpha - alpha0, nsim, axis=2)
-        z, alpha = work[0, :K], work[1, :K]
-        carry = spec.model_class == CLASS_RW or (spec.model_class == CLASS_MIX and law is not None)
-        r1 = eq.sqrt_psi1[recs].T[:, :, None]
-        r0 = r1 if law is None else eq.sqrt_psi0[recs].T[:, :, None]
-        # the switch ratios, once per block; g00 and g10 by class
-        up = r1 / np.copysign(np.maximum(np.abs(r0), 1e-150), r0)
-        down = r0 / np.copysign(np.maximum(np.abs(r1), 1e-150), r1)
-        g00, g10 = (1.0, down) if spec.model_class == CLASS_RW else (0.0, 0.0)
+    sd_sv, h_dev = np.sqrt(eq.sv_psi[recs])[:, None], np.repeat(h - mu, x.shape[2], axis=1)
+    if freeze or not spec.is_tvp:
+        b0, w = a_last.T[:i, :, None], a_last[:, None, i:]
+        sd = np.exp(0.5 * h)
+        while True:
+            if not freeze:
+                h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
+                sd = np.exp(0.5 * (mu + h_dev))
+            yield b0, _per_record(w, x)[:, 0], sd
+    (R, nsim), law, cls = h_dev.shape, spec.law, spec.model_class
+    a0 = eq.alpha0[recs]
+    b0_center, w0 = a0.T[:i, :, None], a0[:, None, i:]
+    z, xu = work[0, :K], work[1, : K - i]
+    carry = cls == CLASS_RW or (cls == CLASS_MIX and law is not None)
+    r1 = eq.sqrt_psi1[recs]
+    r0 = r1 if law is None else eq.sqrt_psi0[recs]
+    f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
+    lam1, lam0 = (r1 / f1).T[:, :, None], (r0 / f0).T[:, :, None]
+    floored = np.any(lam1 != 1.0) or np.any(lam0 != 1.0)
+    w = f1[:, None, i:] if law is None else np.stack([f0[:, i:], f1[:, i:]], axis=1)
+    s = s_rec = None
     if law == LAW_MS:
         # one regime per path, broadcast over the coefficients
-        s = np.repeat(eq.S_last[recs, :1] == 1, nsim, axis=1)
+        s_rec = eq.S_last[recs, :1] == 1
+        s = np.repeat(s_rec, nsim, axis=1)
         p01, p11 = (1.0 - eq.p00[recs])[:, None], eq.p11[recs][:, None]
     elif law == LAW_MIX:
-        s = np.repeat(eq.S_last[recs].T[:, :, None] == 1, nsim, axis=2)
+        s_rec = eq.S_last[recs] == 1
+        s = np.repeat(s_rec.T[:, :, None], nsim, axis=2)
         p_mix = eq.p_mix[recs].T[:, :, None]
-    pool = spec.model_class == CLASS_POOL
-    if pool:
+    u = z
+    if carry:
+        start = f1 if s_rec is None else np.where(s_rec, f1, f0)
+        u = np.repeat(((a_last - a0) / start).T[:, :, None], nsim, axis=2)
+    # the contemporaneous coefficients' roots
+    c1, c0 = f1.T[:i, :, None], f0.T[:i, :, None]
+    if cls == CLASS_POOL:
         log_omega = np.log(np.maximum(eq.pool_omega[recs], 1e-300))
         cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=1, keepdims=True)), axis=1)
         N = cdf.shape[1]
@@ -424,27 +451,40 @@ def _state_paths(eq, spec, recs, nsim, freeze, work, rng):
     while True:
         h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
         sd = np.exp(0.5 * (mu + h_dev))
-        if not spec.is_tvp:
-            yield alpha, sd
-            continue
         prev = s
         if law == LAW_MS:
             s = rng.random(prev.shape) < np.where(prev, p11, p01)
         elif law == LAW_MIX:
             s = rng.random(prev.shape) < p_mix
         rng.standard_normal(out=z)
-        if pool:
-            u = rng.random((R, nsim)) * cdf[:, -1:]
-            theta = np.minimum((cdf[:, :, None] < u[:, None, :]).sum(axis=1), N - 1)
+        if cls == CLASS_POOL:
+            pick = rng.random((R, nsim)) * cdf[:, -1:]
+            theta = np.minimum((cdf[:, :, None] < pick[:, None, :]).sum(axis=1), N - 1)
             z += np.take(pool_mu, N * np.arange(R)[:, None] + theta, axis=1)
-        z *= r1 if s is None else np.where(s, r1, r0)
-        if not carry:
-            d[...] = z
+        if floored:
+            lam = lam1 if s is None else np.where(s, lam1, lam0)
+            z *= lam
+            if carry and s is not None:
+                u *= np.where(prev == s, 1.0, lam)
+        if carry:
+            if cls == CLASS_MIX:
+                u *= s
+            u += z
+        root = c1 if s is None else np.where(s if law == LAW_MS else s[:i], c1, c0)
+        b0 = b0_center + root * u[:i]
+        rhs = _per_record(w0, x)[:, 0]
+        np.multiply(x, u[i:], out=xu)
+        if law is None:
+            rhs += _per_record(w, xu)[:, 0]
+        elif law == LAW_MS:
+            t = _per_record(w, xu)
+            rhs += np.where(s, t[:, 1], t[:, 0])
         else:
-            if s is not None:
-                d *= np.where(prev, np.where(s, 1.0, g10), np.where(s, up, g00))
-            d += z
-        yield np.add(d, alpha0, out=alpha), sd
+            # split x * u by regime so that each meets its own root
+            xsu = xu * s[i:]
+            xu -= xsu
+            rhs += _per_record(w[:, :1], xu)[:, 0] + _per_record(w[:, 1:], xsu)[:, 0]
+        yield b0, rhs, sd
 
 
 def simulate_predictive(
@@ -464,7 +504,10 @@ def simulate_predictive(
     volatilities at their period-T values instead, for sensitivity runs.
     Whole records run in blocks of about ``_BLOCK_ROWS`` paths, a period at
     a time; each equation's states feed its row of the system at once, so
-    no state path is stored.
+    no state path is stored.  The states move as standardized deviations
+    u, alpha = alpha0 + f(s) u with f the regime's root floored at
+    ``_ROOT_FLOOR`` (see ``_state_paths``): a zero-variance record stays
+    plug-in, and a switch out of a zero root carries the floored ratio.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -494,16 +537,14 @@ def simulate_predictive(
 def _simulate_block(est, recs, rng, freeze, draws, h1_mean, h1_var):
     """Fill one block's draws (R, nsim, horizon, m) and one-step components."""
     (R, nsim, horizon, m), p = draws.shape, est.p
-    work = np.empty((2, p * m + m, R, nsim))
-    paths = [_state_paths(eq, est.spec, recs, nsim, freeze, work, rng) for eq in est.equations]
     # lag regressors, newest lag first, then the intercept
     x = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None] * np.ones((R, nsim))
+    work = np.empty((2, p * m + m, R, nsim))
+    paths = [_state_paths(eq, est.spec, recs, x, freeze, work, rng) for eq in est.equations]
     for t in range(horizon):
         rows = []
         for i, path in enumerate(paths):
-            alpha, sd = next(path)
-            # the lag and intercept terms; alpha[:i] stays intact
-            rhs = np.multiply(alpha[i:], x, out=work[1, i : p * m + i + 1]).sum(axis=0)
+            b0, rhs, sd = next(path)
             # the draw, and at t = 0 the Gaussian components: the mean and
             # row i of L = (I - B0)^{-1} diag(sd)
             v = np.zeros((2 + m if t == 0 else 1, R, nsim))
@@ -512,7 +553,7 @@ def _simulate_block(est, recs, rng, freeze, draws, h1_mean, h1_var):
                 v[1], v[2 + i] = rhs, sd
             # row i of (I - B0) y = rhs + shock: the rows j < i are known
             for j in range(i):
-                v += alpha[j] * rows[j]
+                v += b0[j] * rows[j]
             rows.append(v)
             draws[:, :, t, i] = v[0]
             if t == 0:

@@ -229,6 +229,25 @@ def test_spectral_refuses_mismatched_or_unstable_stores(tmp_path):
         main(["spectral", "--spec", str(cfg), "--out", out])
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha_last", np.nan, "equation 2 has a non-finite coefficient at record 1, t=0"),
+        ("h", np.inf, "equation 2 has a non-finite or non-positive error variance at record 1, t=4"),
+    ],
+)
+def test_spectral_refuses_non_finite_draws(tmp_path, field, value, message):
+    est = tmp_path / "est"
+    cfg = _spectral_config(tmp_path, est, "model_class = CONST-NG\nsv = false\n")
+    main(["estimate", "--spec", str(cfg), "--out", str(est)])
+    eq2 = PosteriorDraws.load(est / "eq2")
+    arr = getattr(eq2, field).copy()
+    arr[1, 0 if field == "alpha_last" else 4] = value
+    replace(eq2, **{field: arr}).save(est / "eq2")
+    with pytest.raises(SystemExit, match=message):
+        main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "out")])
+
+
 @pytest.mark.parametrize("pair", ["0, 2", "1, 3"])
 def test_spectral_refuses_pair_out_of_range(tmp_path, pair):
     est = tmp_path / "est"

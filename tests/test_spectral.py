@@ -7,7 +7,10 @@ import mixtvp.spectral
 from mixtvp.spectral import (
     STABILITY_MARGIN,
     CompanionForm,
+    _companion_matrix,
     _nanquantile_columns,
+    _power_screen,
+    _stable_draws,
     bands_csv,
     companion,
     low_freq,
@@ -15,7 +18,7 @@ from mixtvp.spectral import (
     low_freq_matrix,
     low_freq_path_bands,
 )
-from mixtvp.var import structural_from_paths, structural_to_reduced
+from mixtvp.var import reduced_from_paths, structural_from_paths, structural_to_reduced
 
 
 def _truncated_longrun(F, upsilon, J, L=4000):
@@ -175,6 +178,8 @@ def test_path_bands_name_the_all_unstable_period():
 
 
 def test_one_eigen_decomposition_call_whatever_the_sample_size(monkeypatch):
+    # at most one batched eigvals call, over exactly the draws the power
+    # screen did not certify
     calls = []
     real = np.linalg.eigvals
 
@@ -183,13 +188,105 @@ def test_one_eigen_decomposition_call_whatever_the_sample_size(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    for n, T in ((3, 4), (40, 60)):
+    # every draw of the first sample is certified, some of the second are not
+    for n, T, scale in ((3, 4, 0.1), (40, 60, 0.3)):
+        alphas, sigma2s = _tvp_paths(n=n, T=T, scale=scale)
+        A, _ = reduced_from_paths(alphas, sigma2s)
+        uncertified = np.count_nonzero(~_power_screen(_companion_matrix(A, 2).reshape(-1, 6, 6), STABILITY_MARGIN))
         calls.clear()
-        low_freq_path_bands(*_tvp_paths(n=n, T=T, scale=0.1), 2, 0, 1)
-        assert len(calls) == 1 and calls[0][:-1] == (n, T, 6)
+        low_freq_path_bands(alphas, sigma2s, 2, 0, 1)
+        assert len(calls) == (uncertified > 0)
+        assert all(shape == (uncertified, 6, 6) for shape in calls)
+    assert uncertified > 0
     calls.clear()
     low_freq(companion(np.array([[0.5, 0.1, 0.0]]), np.eye(1), p=2), 0, 0)
-    assert len(calls) == 1
+    assert len(calls) <= 1
+
+
+def _screen_cases():
+    """Stacked 6 x 6 draws named by family, each a hard case for the screen."""
+    rng = np.random.default_rng(7)
+    theta = 1.0 - STABILITY_MARGIN
+
+    def companion_with_radius(radius):
+        # A_l -> c^l A_l scales every root of the companion matrix by c
+        A = rng.normal(size=(3, 6))
+        rho = np.max(np.abs(np.linalg.eigvals(_companion_matrix(np.column_stack([A, np.zeros(3)]), 2))))
+        c = radius / rho
+        A[:, 3:] *= c
+        return _companion_matrix(np.column_stack([c * A, np.zeros(3)]), 2)
+
+    near = [
+        companion_with_radius(theta + sign * delta)
+        for delta in 10.0 ** -np.arange(4, 11)
+        for sign in (-1.0, 1.0)
+        for _ in range(20)
+    ]
+    inside = [companion_with_radius(r) for r in rng.uniform(0.05, 0.999, size=200)]
+
+    def jordan_like(lam, cond):
+        # a defective block behind an ill-conditioned similarity
+        J = lam * np.eye(6) + np.eye(6, k=1)
+        S = rng.normal(size=(6, 6)) @ np.diag(np.logspace(0, np.log10(cond), 6))
+        return S @ J @ np.linalg.inv(S)
+
+    jordan = [
+        jordan_like(lam, cond)
+        for lam in (0.01, 0.3, 0.5, 0.9, 0.99, theta - 1e-6, theta + 1e-6, 1.01)
+        for cond in (1.0, 1e3, 1e6)
+        for _ in range(5)
+    ]
+    # entries near 1e40: every power past the first overflows
+    exploding = [1e40 * rng.normal(size=(6, 6)) for _ in range(20)]
+    exploding += [companion_with_radius(r) for r in (1.5, 10.0, 1e5)]
+    return {
+        "near_margin": np.array(near),
+        "inside": np.array(inside),
+        "jordan": np.array(jordan),
+        "exploding": np.array(exploding),
+    }
+
+
+@pytest.mark.parametrize("family", ["near_margin", "inside", "jordan", "exploding"])
+def test_stability_decision_equals_eigvals(family):
+    F = _screen_cases()[family]
+    want = np.max(np.abs(np.linalg.eigvals(F)), axis=-1) < 1.0 - STABILITY_MARGIN
+    certified = _power_screen(F, STABILITY_MARGIN)
+    assert not np.any(certified & ~want)
+    np.testing.assert_array_equal(_stable_draws(F), want)
+    if family == "inside":
+        assert certified.mean() > 0.5
+    if family == "exploding":
+        assert not want.any()
+
+
+def test_stability_decision_refuses_non_finite_draws():
+    F = np.zeros((3, 2, 2))
+    for bad in (np.nan, np.inf):
+        F[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            _stable_draws(F)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            CompanionForm(F=F[1], upsilon=np.eye(2), J=np.eye(2)).is_stable()
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("sigma2", np.inf, "equation 1 has a non-finite or non-positive error variance at record 1, t=1"),
+        ("sigma2", 0.0, "equation 1 has a non-finite or non-positive error variance at record 1, t=1"),
+        ("alpha", np.nan, "equation 3 has a non-finite coefficient at record 1, t=1"),
+        ("alpha", -np.inf, "equation 3 has a non-finite coefficient at record 1, t=1"),
+    ],
+)
+def test_path_bands_refuse_non_finite_draws(where, value, message):
+    alphas, sigma2s = _tvp_paths(n=4, T=5, scale=0.1)
+    if where == "sigma2":
+        sigma2s[0][1, 1] = value
+    else:
+        alphas[2][1, 1, 4] = value
+    with pytest.raises(ValueError, match=message):
+        low_freq_path_bands(alphas, sigma2s, 2, 0, 1)
 
 
 def test_nanquantile_columns_matches_numpy():

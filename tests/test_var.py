@@ -330,6 +330,108 @@ def test_predictive_zero_state_variance_is_plugin():
     np.testing.assert_allclose(frozen.h1_var, 0.09, atol=1e-15)
 
 
+def _forced_regime_record(rng, K, T, law):
+    """Records whose regime at T+1 is forced and whose arriving roots are 0
+    except where the departing root is 0, so that alpha at T+1 is fixed up
+    to noise 1e-150 times its size.
+
+    Record 0 stays in its regime (plug-in), record 1 switches into zero
+    roots (alpha0; under FLEX-MIX some of its coefficients stay), record 2
+    switches out of a zero root into a non-zero one (the floored ratio
+    carries (alpha_T - alpha0) / 1e-150).
+    """
+    n = 3
+    alpha0, alpha_last = rng.normal(size=(n, K)), rng.normal(size=(n, K))
+    s_last = np.array([1, 0, 0])[:, None] * np.ones((1, K), dtype=int)
+    s_next = np.array([1, 1, 1])[:, None] * np.ones((1, K), dtype=int)
+    if law == SUB_FLEX_MIX:
+        # per-coefficient regimes; record 1 mixes staying and switching
+        s_last, s_next = rng.integers(0, 2, size=(n, K)), rng.integers(0, 2, size=(n, K))
+        s_last[0], s_next[2] = s_next[0], 1 - s_last[2]
+    roots = rng.uniform(0.1, 0.5, size=(2, n, K)) * rng.choice([-1.0, 1.0], size=(2, n, K))
+    for r in range(n):
+        for k in range(K):
+            roots[s_next[r, k], r, k] = 0.0
+            if r == 2 and s_last[r, k] != s_next[r, k]:
+                roots[s_last[r, k], r, k] = 0.0
+                roots[s_next[r, k], r, k] = 0.4
+    log_var = np.log(rng.uniform(0.2, 1.0, size=n))
+    fields = dict(
+        meta={},
+        alpha0=alpha0,
+        h=np.tile(log_var[:, None], (1, T)),
+        h0=log_var.copy(),
+        sv_mu=log_var.copy(),
+        sv_phi=np.zeros(n),
+        sv_psi=np.full(n, 1e-18),
+        alpha_last=alpha_last,
+        sqrt_psi1=roots[1],
+        sqrt_psi0=roots[0],
+        S_last=s_last,
+    )
+    if law == SUB_FLEX_MS:
+        # p00 and p11 in {0, 1}: regime 1 next in every record
+        fields.update(p00=np.zeros(n), p11=np.ones(n))
+    else:
+        fields.update(p_mix=s_next.astype(float))
+    return PosteriorDraws(**fields)
+
+
+@pytest.mark.parametrize("model_class", [CLASS_RW, CLASS_MIX])
+@pytest.mark.parametrize("subclass", [SUB_FLEX_MS, SUB_FLEX_MIX])
+def test_predictive_forced_regimes_and_zero_roots_match_oracle(model_class, subclass):
+    # alpha at T+1 is fixed, so the one-step means agree whatever the
+    # random streams; record 2 reads ~1e150 and tests the 1e-150 floor
+    rng = np.random.default_rng(21)
+    T = 15
+    Y = _small_var_data(seed=6, T=T, m=2)
+    eqs = [_forced_regime_record(rng, 2 + i + 1, T, subclass) for i in range(2)]
+    spec = ModelSpec(model_class=model_class, subclass=subclass, iterations=4, burnin=1)
+    est = VarEstimate(Y=Y, p=1, spec=spec, equations=eqs, names=("y1", "y2"))
+    fd = simulate_predictive(est, horizon=1, nsim=50, rng=np.random.default_rng(1))
+    _, h1_mean, _ = predictive_per_record(est, 1, 50, np.random.default_rng(2))
+    np.testing.assert_allclose(fd.h1_mean, h1_mean, rtol=1e-12, atol=1e-12)
+    assert np.abs(fd.h1_mean[100:]).min() > 1e140
+    if subclass == SUB_FLEX_MS:
+        # record 0 keeps alpha_T, record 1 moves to alpha0
+        x = np.append(Y[-1], 1.0)
+        for r, source in ((0, "alpha_last"), (1, "alpha0")):
+            coef = getattr(eqs[0], source)[r]
+            np.testing.assert_allclose(fd.h1_mean[r * 50 : (r + 1) * 50, 0], coef @ x, rtol=1e-12)
+
+
+@pytest.mark.parametrize("model_class", [CLASS_RW, CLASS_MIX])
+def test_predictive_zero_root_regime_builds_no_deviation(model_class):
+    # y = intercept + ~0 shock; the intercept's regime-0 root is 0 and its
+    # deviation starts at 0, regime 1 (root 1) is absorbing and entered
+    # with probability 1/2 a period.  Entering at step tau leaves
+    # h - tau + 1 unit innovations at step h, none from the stay in regime
+    # 0, so E[y_h^2] = sum_tau 2^-tau (h - tau + 1)
+    T, log_var = 10, np.log(1e-30)
+    record = PosteriorDraws(
+        meta={},
+        alpha0=np.zeros((1, 2)),
+        h=np.full((1, T), log_var),
+        h0=np.array([log_var]),
+        sv_mu=np.array([log_var]),
+        sv_phi=np.zeros(1),
+        sv_psi=np.full(1, 1e-18),
+        alpha_last=np.zeros((1, 2)),
+        sqrt_psi1=np.array([[0.0, 1.0]]),
+        sqrt_psi0=np.zeros((1, 2)),
+        S_last=np.zeros((1, 2), dtype=int),
+        p00=np.array([0.5]),
+        p11=np.array([1.0]),
+    )
+    spec = ModelSpec(model_class=model_class, subclass=SUB_FLEX_MS, iterations=2, burnin=1)
+    est = VarEstimate(Y=_small_var_data(seed=4, T=T, m=1), p=1, spec=spec, equations=[record], names=("y1",))
+    fd = simulate_predictive(est, horizon=3, nsim=20000, rng=np.random.default_rng(5))
+    for h in (1, 2, 3):
+        sq = fd.draws[:, h - 1, 0] ** 2
+        want = sum(0.5**tau * (h - tau + 1) for tau in range(1, h + 1))
+        assert abs(sq.mean() - want) < 4 * sq.std() / np.sqrt(sq.size), (h, sq.mean(), want)
+
+
 def test_predictive_smoke_across_grid():
     Y = _small_var_data(seed=9, T=40, m=2)
     rng = np.random.default_rng(77)
