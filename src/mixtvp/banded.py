@@ -2,11 +2,11 @@
 
 The non-centered state equation couples consecutive periods through a unit
 lower block-bidiagonal matrix Phi whose subdiagonal blocks are diagonal.
-Products with Phi and Phi' and solves against Phi run in O(T*K) time.  The
-posterior precisions of the state and volatility paths are symmetric banded:
-each is factored once as U'U by banded Cholesky, and every solve or draw
-goes through two banded triangular solves with that factor, so no dense
-matrix of path size is formed.  A state law without autoregression
+Products with Phi and Phi' run in O(T*K) time.  The posterior precisions
+of the state and volatility paths are symmetric banded: each is factored
+once as U'U by banded Cholesky, and every solve or draw goes through two
+banded triangular solves with that factor, so no dense matrix of path size
+is formed.  A state law without autoregression
 (Phi = I) uses none of this: its precision is block diagonal, and
 ``statespace.draw_states_fast`` draws it period by period in closed form.
 """
@@ -101,21 +101,6 @@ def build_phi(phi_diagonals: np.ndarray) -> BlockBidiagonalLowerUnit:
         raise ValueError("phi_diagonals must be 2-d with shape (T, K)")
     T, K = phi.shape
     return BlockBidiagonalLowerUnit(T=T, K=K, subdiag=-phi[1:].copy())
-
-
-def solve_lower(Phi: BlockBidiagonalLowerUnit, rhs: np.ndarray) -> np.ndarray:
-    """Solve Phi x = rhs by forward substitution in O(T*K).
-
-    ``rhs`` may be a (nu,) vector or a (n, nu) batch; the solve is applied
-    row-wise in the batched case.
-    """
-    T, K = Phi.T, Phi.K
-    r = _as_blocks(rhs, T, K)
-    x = np.empty_like(r)
-    x[..., 0, :] = r[..., 0, :]
-    for t in range(1, T):
-        x[..., t, :] = r[..., t, :] - Phi.subdiag[t - 1] * x[..., t - 1, :]
-    return x.reshape(rhs.shape)
 
 
 def factor_banded(ab: np.ndarray, step: str, block: int = 1, first: int = 1) -> np.ndarray:

@@ -101,7 +101,7 @@ def _cmd_estimate(args) -> None:
     cfg = _load_config(args)
     out = _out_dir(args)
     Y, names = _build_panel(cfg)
-    est = estimate_var(Y, cfg.spec.p, cfg.spec, seed=cfg.seed, names=names)
+    est = estimate_var(Y, cfg.spec, seed=cfg.seed, names=names)
     for i, eq in enumerate(est.equations):
         eq.save(out / f"eq{i + 1}")
     (out / "variables.txt").write_text("\n".join(names) + "\n")
@@ -119,13 +119,7 @@ def _cmd_forecast(args) -> None:
     Y, names = _build_panel(cfg)
     specs = {"model": cfg.spec, "benchmark": benchmark}
     records = run_forecast_harness(
-        Y,
-        cfg.spec.p,
-        specs,
-        cfg.first_holdout,
-        cfg.horizons,
-        nsim=cfg.nsim,
-        seed=cfg.seed,
+        Y, specs, cfg.first_holdout, cfg.horizons, nsim=cfg.nsim, seed=cfg.seed
     )
     rows = {name: score_rows(recs) for name, recs in records.items()}
     for name in rows:

@@ -202,7 +202,6 @@ def equal_accuracy_test(
 
 def run_forecast_harness(
     Y: np.ndarray,
-    p: int,
     specs: dict[str, ModelSpec],
     first_holdout: int,
     horizons: tuple[int, ...],
@@ -228,7 +227,7 @@ def run_forecast_harness(
         hmax = max(by_origin[origin])
         for mi, (name, spec) in enumerate(specs.items()):
             s_est, s_sim = model_seeds[mi].spawn(2)
-            est = estimate_var(Y[: origin + 1], p, spec, seed=s_est)
+            est = estimate_var(Y[: origin + 1], spec, seed=s_est)
             fd = simulate_predictive(
                 est, hmax, nsim, np.random.default_rng(s_sim)
             )

@@ -18,9 +18,7 @@ __all__ = [
     "TimeSeriesPanel",
     "RunConfig",
     "transform_series",
-    "inverse_transform",
     "standardize",
-    "destandardize",
     "principal_components",
     "load_panel_csv",
     "parse_config",
@@ -88,23 +86,10 @@ def transform_series(x: np.ndarray, tcode: int) -> np.ndarray:
     raise ValueError(f"unsupported transformation code {tcode}")
 
 
-def inverse_transform(
-    last_level: float, future: np.ndarray, tcode: int
-) -> np.ndarray:
-    """Map transformed forecasts back to levels (codes 1 and 5 only)."""
-    future = np.asarray(future, dtype=float)
-    if tcode == 1:
-        return future.copy()
-    if tcode == 5:
-        return last_level * np.exp(np.cumsum(future))
-    raise ValueError("only codes 1 and 5 have a level inverse here")
-
-
 def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center and scale columns by the sample (n-1) standard deviation.
 
-    Returns the standardized array plus the per-column means and scales
-    needed to undo the mapping on forecasts.
+    Returns the standardized array plus the per-column means and scales.
     """
     values = np.asarray(values, dtype=float)
     mean = values.mean(axis=0)
@@ -112,10 +97,6 @@ def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if np.any(sd <= 0.0):
         raise ValueError("zero-variance column cannot be standardized")
     return (values - mean) / sd, mean, sd
-
-
-def destandardize(values: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    return np.asarray(values) * sd + mean
 
 
 def principal_components(

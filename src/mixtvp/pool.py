@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
-    GigParams,
     log_uniform,
     sample_categorical_rows,
     sample_dirichlet,
@@ -173,12 +172,6 @@ def _l_posterior_arrays(mu: np.ndarray, ranges: np.ndarray, priors: PoolPriors):
     """Generalized inverse Gaussian (a, b, c) of the scales: scalar a and b, c per coefficient."""
     a = priors.e0 - 0.5 * mu.shape[0]
     return a, 2.0 * priors.e1, (mu**2).sum(axis=0) / ranges
-
-
-def l_posterior_params(mu: np.ndarray, ranges: np.ndarray, priors: PoolPriors) -> list[GigParams]:
-    """Per-coefficient generalized inverse Gaussian parameters."""
-    a, b, c = _l_posterior_arrays(mu, ranges, priors)
-    return [GigParams(a=a, b=b, c=float(cj)) for cj in c]
 
 
 def sample_l(mu, ranges, priors: PoolPriors, rng) -> np.ndarray:

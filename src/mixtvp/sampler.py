@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .banded import build_phi, solve_lower
+from .banded import build_phi
 from .indicators import (
     CLASS_MIX,
     CLASS_POOL,
@@ -27,7 +27,6 @@ from .indicators import (
     MsCounts,
     sample_indicators_mix,
     sample_indicators_ms,
-    simulate_ms_chain,
     update_bernoulli_probs,
     update_transition_probs,
 )
@@ -50,13 +49,13 @@ from .statespace import (
     draw_states_fast,
     normalized_from_centered,
     reconstruct_centered,
+    state_loadings,
 )
 from .sv import (
     DEFAULT_SV_PRIORS,
     SvPriors,
     SvState,
     initial_sv_state,
-    sample_sv_prior,
     sv_sweep,
 )
 
@@ -225,12 +224,19 @@ def _block_from_coefs(
     return ConstantBlock(*parts)
 
 
+def _fixed_spike(x: np.ndarray, spec: ModelSpec) -> np.ndarray | None:
+    """SSVS-MIX's unsampled spike roots, sqrt(kappa) times each covariate's AR residual sd."""
+    if spec.subclass != SUB_SSVS_MIX:
+        return None
+    return np.sqrt(spec.kappa * ar_ols_variances(x, spec.p))
+
+
 def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     """Step 1: constant block plus the full shrinkage hierarchy."""
     T, K = x.shape
     sigma = state.sv.sigma()
     if spec.is_tvp:
-        xhat = build_design_rows(x, state.alpha_tilde, state.S, state.block, sigma).xhat
+        xhat = build_design_rows(x, state.alpha_tilde, state.S)
     else:
         xhat = x
     y_eff = y
@@ -262,7 +268,7 @@ def _draw_states(y, x, spec, block, state, rng):
     """Step 2: normalized path through the static representation."""
     T, K = x.shape
     sigma = state.sv.sigma()
-    design = build_design_rows(x, state.alpha_tilde, state.S, block, sigma)
+    wtilde = state_loadings(x, state.S, block, sigma)
     diagonals = _phi_diagonals(spec, state.S, T, K)
     Phi = None if diagonals is None else build_phi(diagonals)
     if spec.model_class == CLASS_POOL:
@@ -270,7 +276,7 @@ def _draw_states(y, x, spec, block, state, rng):
     else:
         a0 = np.zeros(T * K)
     ytilde = (y - x @ block.alpha0) / sigma
-    draw = draw_states_fast(ytilde, design.wtilde, a0, Phi, rng)
+    draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng)
     return draw.reshape(T, K)
 
 
@@ -338,7 +344,7 @@ def gibbs_sweep(
             else np.zeros(K)
         )
         coefs = draw_constant_block(y, x, state.sv.sigma(), tau, rng, prior_mean=mean)
-        block = ConstantBlock(alpha0=coefs)
+        block = _block_from_coefs(coefs, spec)
         alpha = np.broadcast_to(block.alpha0, (T, K))
         sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
         return replace(state, block=block, sv=sv)
@@ -466,21 +472,8 @@ def init_equation_state(
         )
     sv = initial_sv_state(resid)
 
-    if not spec.is_tvp:
-        block = ConstantBlock(alpha0=beta)
-    elif spec.subclass == SUB_SSVS_MIX:
-        spike = np.sqrt(spec.kappa * ar_ols_variances(x, spec.p))
-        block = ConstantBlock(
-            alpha0=beta, sqrt_psi1=np.full(K, ROOT_INIT), sqrt_psi0=spike
-        )
-    elif spec.n_variance_groups == 2:
-        block = ConstantBlock(
-            alpha0=beta,
-            sqrt_psi1=np.full(K, ROOT_INIT),
-            sqrt_psi0=np.full(K, ROOT_INIT / 2),
-        )
-    else:
-        block = ConstantBlock(alpha0=beta, sqrt_psi1=np.full(K, ROOT_INIT))
+    roots = [np.full(K, ROOT_INIT), np.full(K, ROOT_INIT / 2)][: spec.n_variance_groups]
+    block = _block_from_coefs(np.concatenate([beta, *roots]), spec, _fixed_spike(x, spec))
 
     if spec.law is None:
         S = None
@@ -755,82 +748,3 @@ def _record(state: EquationChainState, spec: ModelSpec) -> dict:
         out["pool_occupied"] = int(np.sum(pool.occupancy() > 0))
     return out
 
-
-def sample_prior_state(
-    x: np.ndarray, spec: ModelSpec, rng: np.random.Generator
-) -> EquationChainState:
-    """Draw every sampled symbol from its prior (non-pooled classes).
-
-    The pooled law scales its mean prior by the empirical range of the
-    states, so it has no closed prior to simulate from here.
-    """
-    if spec.model_class == CLASS_POOL:
-        raise ValueError("the pooled law has an empirical prior component")
-    if spec.model_class == CLASS_CONST_MIN:
-        raise ValueError("the Minnesota benchmark has fixed, not sampled, scales")
-    T, K = x.shape
-    names = _group_names(spec)
-    rho = {n: float(rng.exponential(1.0)) for n in names}
-    lam = {n: float(rng.gamma(shape=spec.zeta, scale=1.0 / spec.zeta)) for n in names}
-    width = spec.block_width(K)
-    ng = default_ng_hyper(K, spec.n_variance_groups, spec.zeta)
-    tau = np.empty(width)
-    for name, idx in ng.groups.items():
-        tau[idx] = rng.gamma(shape=rho[name], scale=2.0 / (rho[name] * lam[name]), size=idx.size)
-    tau = np.maximum(tau, 1e-12)
-    ng = replace(ng, tau=tau, lam=lam, rho=rho)
-    coefs = rng.normal(size=width) * np.sqrt(tau)
-
-    spike = (
-        np.sqrt(spec.kappa * ar_ols_variances(x, spec.p))
-        if spec.subclass == SUB_SSVS_MIX
-        else None
-    )
-    block = _block_from_coefs(coefs, spec, spike)
-
-    p00 = p11 = None
-    p_mix = None
-    S = None
-    if spec.law == LAW_MS:
-        counts = spec.default_ms_counts()
-        p00 = float(rng.beta(counts.c00, counts.c10))
-        p11 = float(rng.beta(counts.c01, counts.c11))
-        s = simulate_ms_chain(p00, p11, T, rng)
-        S = np.repeat(s[:, None], K, axis=1).astype(np.int8)
-    elif spec.law == LAW_MIX:
-        counts = spec.default_bernoulli_counts()
-        p_mix = rng.beta(counts.c0, counts.c1, size=K)
-        S = (rng.random(size=(T, K)) < p_mix).astype(np.int8)
-
-    if spec.is_tvp:
-        diagonals = _phi_diagonals(spec, S, T, K)
-        alpha_tilde = rng.normal(size=T * K)
-        if diagonals is not None:
-            alpha_tilde = solve_lower(build_phi(diagonals), alpha_tilde)
-        alpha_tilde = alpha_tilde.reshape(T, K)
-    else:
-        alpha_tilde = np.zeros((T, K))
-    sv = sample_sv_prior(T, rng, spec.sv_priors)
-    return EquationChainState(
-        block=block,
-        alpha_tilde=alpha_tilde,
-        S=S,
-        p00=p00,
-        p11=p11,
-        p_mix=p_mix,
-        ng=ng,
-        sv=sv,
-        pool=None,
-    )
-
-
-def simulate_observations(
-    x: np.ndarray, spec: ModelSpec, state: EquationChainState, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw y given the current latent state (the measurement equation)."""
-    T, K = x.shape
-    if spec.is_tvp:
-        alpha = reconstruct_centered(state.block, state.S, state.alpha_tilde)
-    else:
-        alpha = np.broadcast_to(state.block.alpha0, (T, K))
-    return (x * alpha).sum(axis=1) + state.sv.sigma() * rng.normal(size=T)

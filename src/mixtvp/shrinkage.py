@@ -119,16 +119,6 @@ def _factor_block(y, xhat, sigma, tau, prior_mean):
     return chol, dtrtrs(chol, lin, lower=1)[0]
 
 
-def constant_block_moments(y, xhat, sigma, tau, prior_mean=None):
-    """Gaussian posterior of the block: mean and lower Cholesky factor of precision.
-
-    Weighted regression of y/sigma on xhat/sigma with independent N(m, tau)
-    priors (m = 0 unless given).
-    """
-    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
-    return dtrtrs(chol, half, lower=1, trans=1)[0], chol
-
-
 def draw_constant_block(y, xhat, sigma, tau, rng, prior_mean=None) -> np.ndarray:
     chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
     z = rng.normal(size=half.shape[0])

@@ -1,4 +1,4 @@
-"""Static-form state regression: design rows and the joint state draw.
+"""Static-form state regression: design rows, state loadings and the joint draw.
 
 The normalized states enter the observation equation through per-period
 rows only, so with W~ = Sigma^{-1} W (one K-row per period) their
@@ -28,8 +28,6 @@ solved per period by Sherman-Morrison, with no factorization:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .banded import (
@@ -41,19 +39,6 @@ from .banded import (
 from .shrinkage import ConstantBlock
 
 SQRT_PSI_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class Design:
-    """Per-period observation rows for the constant block and the states.
-
-    xhat rows multiply the sampled block (means first, then slab roots,
-    then spike roots when present); wtilde rows are the state loadings
-    already divided by the observation volatility.
-    """
-
-    xhat: np.ndarray
-    wtilde: np.ndarray
 
 
 def sqrt_psi_matrix(block: ConstantBlock, S: np.ndarray | None, T: int) -> np.ndarray:
@@ -68,28 +53,26 @@ def sqrt_psi_matrix(block: ConstantBlock, S: np.ndarray | None, T: int) -> np.nd
     return S * block.sqrt_psi1 + (1.0 - S) * block.sqrt_psi0
 
 
-def build_design_rows(
-    x: np.ndarray,
-    alpha_tilde: np.ndarray,
-    S: np.ndarray | None,
-    block: ConstantBlock,
-    sigma: np.ndarray,
-) -> Design:
-    """Observation rows given current states and regime indicators.
+def build_design_rows(x: np.ndarray, alpha_tilde: np.ndarray, S: np.ndarray | None) -> np.ndarray:
+    """Observation rows of the constant block given the states and regimes.
 
-    With indicators present the block row is (x', (S x * a~)', ((I-S) x * a~)');
-    without them it collapses to (x', (x * a~)').
+    A row multiplies the sampled block: means first, then slab roots, then
+    spike roots.  With indicators present it is (x', (S x * a~)',
+    ((I-S) x * a~)'); without them it collapses to (x', (x * a~)').
     """
-    T, K = x.shape
-    if alpha_tilde.shape != (T, K):
+    if alpha_tilde.shape != x.shape:
         raise ValueError("alpha_tilde shape mismatch")
     scaled = x * alpha_tilde
     if S is None:
-        xhat = np.hstack([x, scaled])
-    else:
-        xhat = np.hstack([x, S * scaled, (1.0 - S) * scaled])
-    wtilde = x * sqrt_psi_matrix(block, S, T) / sigma[:, None]
-    return Design(xhat=xhat, wtilde=wtilde)
+        return np.hstack([x, scaled])
+    return np.hstack([x, S * scaled, (1.0 - S) * scaled])
+
+
+def state_loadings(
+    x: np.ndarray, S: np.ndarray | None, block: ConstantBlock, sigma: np.ndarray
+) -> np.ndarray:
+    """W~: the per-period state loadings x * sqrt(Psi_t), divided by the volatility."""
+    return x * sqrt_psi_matrix(block, S, x.shape[0]) / sigma[:, None]
 
 
 def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> np.ndarray:

@@ -93,20 +93,6 @@ def initial_sv_state(residuals: np.ndarray) -> SvState:
     return SvState(h=np.full(residuals.shape[0], level), h0=level, mu=level, phi=0.95, psi=0.1)
 
 
-def sample_sv_prior(T: int, rng: np.random.Generator, priors: SvPriors = DEFAULT_SV_PRIORS) -> SvState:
-    """Draw a full SV state from its prior (used by simulation checks)."""
-    mu = priors.mu_mean + np.sqrt(priors.mu_var) * rng.normal()
-    phi = 2.0 * rng.beta(priors.phi_beta_a, priors.phi_beta_b) - 1.0
-    psi = rng.gamma(shape=priors.psi_shape, scale=1.0 / priors.psi_rate)
-    h0 = mu + np.sqrt(psi / (1.0 - phi**2)) * rng.normal()
-    h = np.empty(T)
-    prev = h0
-    for t in range(T):
-        prev = mu + phi * (prev - mu) + np.sqrt(psi) * rng.normal()
-        h[t] = prev
-    return SvState(h=h, h0=h0, mu=mu, phi=phi, psi=psi)
-
-
 def sv_sweep(
     residuals: np.ndarray,
     state: SvState,

@@ -278,6 +278,8 @@ class VarEstimate:
         m = self.Y.shape[1]
         if len(self.equations) != m or len(self.names) != m:
             raise ValueError("need one chain and one name per variable")
+        if self.p != self.spec.p:
+            raise ValueError(f"lag order p = {self.p} disagrees with the spec's p = {self.spec.p}")
         counts = {eq.n_records for eq in self.equations}
         if len(counts) != 1:
             raise ValueError("equations disagree on the number of records")
@@ -293,26 +295,23 @@ class VarEstimate:
 
 def estimate_var(
     Y: np.ndarray,
-    p: int,
     spec: ModelSpec,
     seed,
     names: tuple[str, ...] | None = None,
 ) -> VarEstimate:
-    """Estimate every equation of the triangularized system.
+    """Estimate every equation of the triangularized VAR(``spec.p``).
 
     Seeds are spawned per equation from ``seed``, so each equation's
     chain depends on ``seed`` and its position only.
     """
     Y = np.asarray(Y, dtype=float)
-    datasets = split_equations(Y, p)
-    if spec.p != p:
-        spec = replace(spec, p=p)
+    datasets = split_equations(Y, spec.p)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(len(datasets))
     if spec.model_class == CLASS_CONST_MIN:
         prior_vars = minnesota_variances(
-            Y, p, spec.minnesota_own, spec.minnesota_cross, spec.minnesota_level
+            Y, spec.p, spec.minnesota_own, spec.minnesota_cross, spec.minnesota_level
         )
         specs = [replace(spec, prior_variances=tuple(v)) for v in prior_vars]
     else:
@@ -328,7 +327,7 @@ def estimate_var(
     equations = [fit(i) for i in range(len(datasets))]
     if names is None:
         names = tuple(f"y{i + 1}" for i in range(Y.shape[1]))
-    return VarEstimate(Y=Y, p=p, spec=spec, equations=equations, names=tuple(names))
+    return VarEstimate(Y=Y, p=spec.p, spec=spec, equations=equations, names=tuple(names))
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,7 @@ def _per_record(w, a):
     return w @ a.transpose(1, 0, 2)
 
 
-def _state_paths(eq, spec, recs, x, freeze, work, rng):
+def _state_paths(eq, spec, recs, x, work, rng):
     """Yield one equation's row of the system, one period per step.
 
     A step gives the contemporaneous coefficients alpha[:i], shape
@@ -389,7 +388,7 @@ def _state_paths(eq, spec, recs, x, freeze, work, rng):
     the error sd, (R, nsim) each, for R records of nsim paths.  ``x`` is the
     (mp+1, R, nsim) regressor array that the caller shifts in place between
     steps; ``work`` (2, K_max, R, nsim) is scratch shared by the block's
-    equations.  ``freeze`` holds the period-T coefficients and volatility.
+    equations.  The constant classes hold their coefficients fixed.
 
     The state is carried standardized, alpha = alpha0 + f(s) u, where f is
     the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u starts
@@ -408,14 +407,11 @@ def _state_paths(eq, spec, recs, x, freeze, work, rng):
     K, i = a_last.shape[1], a_last.shape[1] - x.shape[0]
     mu, phi = eq.sv_mu[recs][:, None], eq.sv_phi[recs][:, None]
     sd_sv, h_dev = np.sqrt(eq.sv_psi[recs])[:, None], np.repeat(h - mu, x.shape[2], axis=1)
-    if freeze or not spec.is_tvp:
+    if not spec.is_tvp:
         b0, w = a_last.T[:i, :, None], a_last[:, None, i:]
-        sd = np.exp(0.5 * h)
         while True:
-            if not freeze:
-                h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
-                sd = np.exp(0.5 * (mu + h_dev))
-            yield b0, _per_record(w, x)[:, 0], sd
+            h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
+            yield b0, _per_record(w, x)[:, 0], np.exp(0.5 * (mu + h_dev))
     (R, nsim), law, cls = h_dev.shape, spec.law, spec.model_class
     a0 = eq.alpha0[recs]
     b0_center, w0 = a0.T[:i, :, None], a0[:, None, i:]
@@ -488,11 +484,7 @@ def _state_paths(eq, spec, recs, x, freeze, work, rng):
 
 
 def simulate_predictive(
-    est: VarEstimate,
-    horizon: int,
-    nsim: int,
-    rng: np.random.Generator,
-    freeze_states: bool = False,
+    est: VarEstimate, horizon: int, nsim: int, rng: np.random.Generator
 ) -> ForecastDistribution:
     """Simulate the predictive distribution of Y_{T+1..T+horizon}.
 
@@ -500,14 +492,13 @@ def simulate_predictive(
     ``horizon`` periods under the fitted law of motion (indicator
     transitions, regime innovation variances, log-variance recursion) and
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
-    record r's k-th path.  ``freeze_states`` pins coefficients and
-    volatilities at their period-T values instead, for sensitivity runs.
-    Whole records run in blocks of about ``_BLOCK_ROWS`` paths, a period at
-    a time; each equation's states feed its row of the system at once, so
-    no state path is stored.  The states move as standardized deviations
-    u, alpha = alpha0 + f(s) u with f the regime's root floored at
-    ``_ROOT_FLOOR`` (see ``_state_paths``): a zero-variance record stays
-    plug-in, and a switch out of a zero root carries the floored ratio.
+    record r's k-th path.  Whole records run in blocks of about
+    ``_BLOCK_ROWS`` paths, a period at a time; each equation's states feed
+    its row of the system at once, so no state path is stored.  The states
+    move as standardized deviations u, alpha = alpha0 + f(s) u with f the
+    regime's root floored at ``_ROOT_FLOOR`` (see ``_state_paths``): a
+    zero-variance record stays plug-in, and a switch out of a zero root
+    carries the floored ratio.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -525,7 +516,7 @@ def simulate_predictive(
     per_block = max(1, _BLOCK_ROWS // nsim)
     for lo in range(0, n_rec, per_block):
         recs = slice(lo, min(lo + per_block, n_rec))
-        _simulate_block(est, recs, rng, freeze_states, draws[recs], h1_mean[recs], h1_var[recs])
+        _simulate_block(est, recs, rng, draws[recs], h1_mean[recs], h1_var[recs])
     return ForecastDistribution(
         draws=draws.reshape(n_rec * nsim, horizon, m),
         h1_mean=h1_mean.reshape(n_rec * nsim, m),
@@ -534,13 +525,13 @@ def simulate_predictive(
     )
 
 
-def _simulate_block(est, recs, rng, freeze, draws, h1_mean, h1_var):
+def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     """Fill one block's draws (R, nsim, horizon, m) and one-step components."""
     (R, nsim, horizon, m), p = draws.shape, est.p
     # lag regressors, newest lag first, then the intercept
     x = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None] * np.ones((R, nsim))
     work = np.empty((2, p * m + m, R, nsim))
-    paths = [_state_paths(eq, est.spec, recs, x, freeze, work, rng) for eq in est.equations]
+    paths = [_state_paths(eq, est.spec, recs, x, work, rng) for eq in est.equations]
     for t in range(horizon):
         rows = []
         for i, path in enumerate(paths):

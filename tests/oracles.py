@@ -144,7 +144,7 @@ def ffbs_two_state(loglik, p00, p11, rng):
     return s, log_steps
 
 
-def predictive_per_record(est, horizon, nsim, rng, freeze_states=False):
+def predictive_per_record(est, horizon, nsim, rng):
     """Predictive simulation one record at a time, states stored per path.
 
     The reference for ``var.simulate_predictive``: for each record every
@@ -163,7 +163,7 @@ def predictive_per_record(est, horizon, nsim, rng, freeze_states=False):
     for r in range(n_rec):
         alphas, sds = [], []
         for eq in est.equations:
-            a, s = _forward_states(eq, est.spec, r, horizon, nsim, rng, freeze_states)
+            a, s = _forward_states(eq, est.spec, r, horizon, nsim, rng)
             alphas.append(a)
             sds.append(s)
         hist = np.tile(last_lags[None], (nsim, 1, 1))
@@ -190,7 +190,7 @@ def predictive_per_record(est, horizon, nsim, rng, freeze_states=False):
     return draws, h1_mean, h1_var
 
 
-def _forward_states(eq, spec, r, horizon, nsim, rng, freeze):
+def _forward_states(eq, spec, r, horizon, nsim, rng):
     """One equation's centered coefficients (nsim, horizon, K) and error
     standard deviations (nsim, horizon) simulated forward from record r.
 
@@ -224,10 +224,6 @@ def _forward_states(eq, spec, r, horizon, nsim, rng, freeze):
     alpha_out = np.empty((nsim, horizon, K))
     sd_out = np.empty((nsim, horizon))
     for step in range(horizon):
-        if freeze:
-            alpha_out[:, step] = alpha_prev
-            sd_out[:, step] = np.exp(0.5 * h_prev)
-            continue
         h_prev = mu + phi_sv * (h_prev - mu) + sd_sv * rng.normal(size=nsim)
         sd_out[:, step] = np.exp(0.5 * h_prev)
         if not spec.is_tvp:

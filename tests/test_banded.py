@@ -9,8 +9,8 @@ from mixtvp.banded import (
     build_phi,
     factor_banded,
     solve_factored,
-    solve_lower,
 )
+from prior_draws import solve_lower
 
 
 def random_phi(rng, T, K):

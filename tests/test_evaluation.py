@@ -230,7 +230,7 @@ def test_harness_smoke_and_tables():
         "min": ModelSpec(model_class=CLASS_CONST_MIN, iterations=12, burnin=6),
     }
     records = run_forecast_harness(
-        Y, 1, specs, first_holdout=42, horizons=(1, 2), nsim=4, seed=9
+        Y, specs, first_holdout=42, horizons=(1, 2), nsim=4, seed=9
     )
     # origins 41..44; h=2 infeasible only at the last one
     assert len(records["ng"]) == (4 + 3) * 3
@@ -254,8 +254,8 @@ def test_harness_smoke_and_tables():
 def test_harness_reproducibility():
     Y = generate_var_break(T=40, seed=2).Y[:, :2]
     specs = {"ng": ModelSpec(model_class=CLASS_CONST_NG, iterations=8, burnin=4)}
-    a = run_forecast_harness(Y, 1, specs, 37, (1,), nsim=3, seed=5)
-    b = run_forecast_harness(Y, 1, specs, 37, (1,), nsim=3, seed=5)
+    a = run_forecast_harness(Y, specs, 37, (1,), nsim=3, seed=5)
+    b = run_forecast_harness(Y, specs, 37, (1,), nsim=3, seed=5)
     for ra, rb in zip(a["ng"], b["ng"]):
         np.testing.assert_array_equal(ra.draws, rb.draws)
         np.testing.assert_array_equal(ra.comp_mean, rb.comp_mean)
@@ -268,7 +268,7 @@ def test_scores_csv_round_trip_and_tables():
         "min": ModelSpec(model_class=CLASS_CONST_MIN, iterations=12, burnin=6),
     }
     records = run_forecast_harness(
-        Y, 1, specs, first_holdout=34, horizons=(1, 2), nsim=6, seed=13
+        Y, specs, first_holdout=34, horizons=(1, 2), nsim=6, seed=13
     )
     rows = score_rows(records["ng"])
     name, parsed = parse_scores_csv(scores_csv(rows, "ng"))

@@ -5,8 +5,6 @@ import pytest
 
 from mixtvp.io import (
     TimeSeriesPanel,
-    destandardize,
-    inverse_transform,
     load_panel_csv,
     parse_config,
     principal_components,
@@ -45,23 +43,6 @@ def test_tcode_domain_errors():
         transform_series(np.array([1.0, 0.0, 2.0]), 7)
     with pytest.raises(ValueError, match="code"):
         transform_series(np.array([1.0, 2.0]), 4)
-
-
-def test_inverse_transform_round_trip():
-    rng = np.random.default_rng(3)
-    x = np.exp(rng.normal(size=12) * 0.1).cumsum() + 5.0
-    for code in (1, 5):
-        fwd = transform_series(x, code)
-        back = inverse_transform(x[0] if code == 5 else None, fwd[1:] if code == 1 else fwd, code)
-        if code == 1:
-            np.testing.assert_allclose(back, x[1:], rtol=1e-12)
-        else:
-            np.testing.assert_allclose(back, x[1:], rtol=1e-12)
-
-
-def test_inverse_transform_rejects_code7():
-    with pytest.raises(ValueError, match="code"):
-        inverse_transform(1.0, np.array([0.1]), 7)
 
 
 def test_panel_transformed_alignment():
@@ -104,7 +85,7 @@ def test_standardize_idempotent_and_invertible():
     np.testing.assert_allclose(again, std, atol=1e-12)
     np.testing.assert_allclose(m2, 0.0, atol=1e-14)
     np.testing.assert_allclose(s2, 1.0, atol=1e-12)
-    np.testing.assert_allclose(destandardize(std, mean, sd), values, rtol=1e-12)
+    np.testing.assert_allclose(std * sd + mean, values, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ from mixtvp.pool import (
     _xi_log_target,
     coefficient_ranges,
     group_mean_moments,
+    _l_posterior_arrays,
     initial_pool_state,
-    l_posterior_params,
     pool_sweep,
     sample_group_indicators,
     sample_group_means,
@@ -58,10 +58,10 @@ def test_l_posterior_params_exact():
     priors = PoolPriors(n_clusters=3, e0=0.6, e1=0.6)
     mu = np.array([[1.0, 0.5], [2.0, -0.5], [0.0, 1.5]])
     ranges = np.array([2.0, 0.5])
-    params = l_posterior_params(mu, ranges, priors)
-    assert params[0].a == 0.6 - 1.5 and params[0].b == 1.2
-    assert params[0].c == pytest.approx(5.0 / 2.0, rel=1e-14)
-    assert params[1].c == pytest.approx((0.25 + 0.25 + 2.25) / 0.5, rel=1e-14)
+    a, b, c = _l_posterior_arrays(mu, ranges, priors)
+    assert a == 0.6 - 1.5 and b == 1.2
+    assert c[0] == pytest.approx(5.0 / 2.0, rel=1e-14)
+    assert c[1] == pytest.approx((0.25 + 0.25 + 2.25) / 0.5, rel=1e-14)
 
 
 def test_sample_l_mean_matches_quadrature():
@@ -69,12 +69,13 @@ def test_sample_l_mean_matches_quadrature():
     priors = PoolPriors(n_clusters=4, e0=0.6, e1=0.6)
     mu = rng.normal(size=(4, 1))
     ranges = np.array([1.3])
-    p = l_posterior_params(mu, ranges, priors)[0]
-    want = gig_moment_quadrature(p.a, p.b, p.c, 1)
+    a, b, (c,) = _l_posterior_arrays(mu, ranges, priors)
+    c = float(c)
+    want = gig_moment_quadrature(a, b, c, 1)
     n = 200000
     from mixtvp.distributions import sample_gig_array
 
-    bulk = sample_gig_array(np.full(n, p.a), p.b, p.c, rng)
+    bulk = sample_gig_array(np.full(n, a), b, c, rng)
     se = bulk.std(ddof=1) / np.sqrt(n)
     assert abs(bulk.mean() - want) < 5.0 * se
     draws = np.array([sample_l(mu, ranges, priors, rng)[0] for _ in range(200)])

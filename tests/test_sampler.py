@@ -28,12 +28,11 @@ from mixtvp.sampler import (
     init_equation_state,
     make_scales,
     run_chain,
-    sample_prior_state,
-    simulate_observations,
 )
 from mixtvp.sv import SvPriors
 from mixtvp.var import split_equations
 from oracles import carter_kohn_tvp, split_scan_lstsq
+from prior_draws import sample_prior_state, simulate_observations
 
 
 def test_const_ng_conjugate_recovery():

@@ -9,7 +9,7 @@ from mixtvp.shrinkage import (
     ConstantBlock,
     MhScale,
     NgHyper,
-    constant_block_moments,
+    _factor_block,
     default_ng_hyper,
     draw_constant_block,
     draw_lambda,
@@ -17,6 +17,15 @@ from mixtvp.shrinkage import (
     lambda_posterior_params,
     update_rho,
 )
+
+
+def constant_block_moments(y, xhat, sigma, tau, prior_mean=None):
+    """Posterior mean and lower Cholesky factor L of the block precision.
+
+    Both come from the factorization the draws use: L^-T (L^-1 lin) is the mean.
+    """
+    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
+    return np.linalg.solve(chol.T, half), chol
 
 
 def test_constant_block_moments_match_dense_formula():

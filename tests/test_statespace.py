@@ -11,6 +11,7 @@ from mixtvp.statespace import (
     normalized_from_centered,
     reconstruct_centered,
     sqrt_psi_matrix,
+    state_loadings,
     state_precision_band,
 )
 from oracles import carter_kohn_tvp, dense_state_posterior
@@ -184,16 +185,15 @@ def test_design_rows_layouts():
     )
     sigma = np.ones(T)
     S = np.ones((T, K))
-    d = build_design_rows(x, atil, S, block, sigma)
-    assert d.xhat.shape == (T, 3 * K)
-    np.testing.assert_allclose(d.xhat[:, K:2 * K], x * atil)
-    np.testing.assert_allclose(d.xhat[:, 2 * K:], 0.0)
-    np.testing.assert_allclose(d.wtilde, x * 0.5)
+    xhat = build_design_rows(x, atil, S)
+    assert xhat.shape == (T, 3 * K)
+    np.testing.assert_allclose(xhat[:, K:2 * K], x * atil)
+    np.testing.assert_allclose(xhat[:, 2 * K:], 0.0)
+    np.testing.assert_allclose(state_loadings(x, S, block, sigma), x * 0.5)
 
     single = ConstantBlock(alpha0=np.zeros(K), sqrt_psi1=np.array([0.3, 0.3]))
-    d2 = build_design_rows(x, atil, None, single, sigma)
-    assert d2.xhat.shape == (T, 2 * K)
-    np.testing.assert_allclose(d2.wtilde, x * 0.3)
+    assert build_design_rows(x, atil, None).shape == (T, 2 * K)
+    np.testing.assert_allclose(state_loadings(x, None, single, sigma), x * 0.3)
 
 
 def test_reconstruct_sign_flip_invariance():

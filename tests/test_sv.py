@@ -12,10 +12,10 @@ from mixtvp.sv import (
     _draw_h_joint,
     _interweave_noncentered,
     initial_sv_state,
-    sample_sv_prior,
     sv_sweep,
 )
 from oracles import carter_kohn_scalar, interweave_dense
+from prior_draws import sample_sv_prior
 
 
 def test_mixture_constants_match_log_chisq_moments():

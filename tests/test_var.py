@@ -205,7 +205,7 @@ def test_chain_failure_names_equation_iteration_and_step(monkeypatch):
     with pytest.raises(
         NotPositiveDefiniteError, match=r"^equation 2: iteration 3: state draw: .* period 6$"
     ):
-        estimate_var(_small_var_data(), 1, spec, seed=4)
+        estimate_var(_small_var_data(), spec, seed=4)
 
 
 def test_constant_block_failure_names_equation_iteration_and_step(monkeypatch):
@@ -225,7 +225,7 @@ def test_constant_block_failure_names_equation_iteration_and_step(monkeypatch):
         NotPositiveDefiniteError,
         match=r"^equation 2: iteration 3: constant block: precision not positive definite$",
     ):
-        estimate_var(_small_var_data(), 1, spec, seed=4)
+        estimate_var(_small_var_data(), spec, seed=4)
 
 
 @pytest.mark.parametrize(
@@ -259,13 +259,13 @@ def test_volatility_failure_names_equation_iteration_and_step(monkeypatch, targe
     monkeypatch.setattr(mixtvp.sv, target, step_failing_on_eighth_call)
     spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=5, burnin=2)
     with pytest.raises(error, match=rf"^equation 2: iteration 3: {message}$"):
-        estimate_var(_small_var_data(), 1, spec, seed=4)
+        estimate_var(_small_var_data(), spec, seed=4)
 
 
 def test_estimate_var_minnesota_prior_is_per_equation():
     Y = _small_var_data(seed=3)
     spec = ModelSpec(model_class=CLASS_CONST_MIN, iterations=20, burnin=5)
-    est = estimate_var(Y, 1, spec, seed=1)
+    est = estimate_var(Y, spec, seed=1)
     assert est.names == ("y1", "y2")
     assert est.n_records == 15
     assert est.equations[1].alpha0.shape == (15, 4)
@@ -325,9 +325,6 @@ def test_predictive_zero_state_variance_is_plugin():
     fd = simulate_predictive(est, horizon=2, nsim=200, rng=rng)
     want = 0.8 * Y[-1, 0] + 0.1
     np.testing.assert_allclose(fd.h1_mean, want, atol=1e-12)
-
-    frozen = simulate_predictive(est, horizon=1, nsim=50, rng=rng, freeze_states=True)
-    np.testing.assert_allclose(frozen.h1_var, 0.09, atol=1e-15)
 
 
 def _forced_regime_record(rng, K, T, law):
@@ -443,7 +440,7 @@ def test_predictive_smoke_across_grid():
             model_class=model_class, subclass=subclass, iterations=8, burnin=4,
             n_clusters=4,
         )
-        est = estimate_var(Y, 1, spec, seed=5)
+        est = estimate_var(Y, spec, seed=5)
         fd = simulate_predictive(est, horizon=3, nsim=4, rng=rng)
         assert fd.draws.shape == (16, 3, 2)
         assert np.all(np.isfinite(fd.draws))
@@ -468,26 +465,20 @@ def test_predictive_matches_per_record_oracle_in_law(model_class, subclass, p):
     # record and per (horizon, variable) by two-sample KS tests, Bonferroni
     # over every test of every cell for a 1% family-wise level
     spec = ModelSpec(
-        model_class=model_class, subclass=subclass, iterations=8, burnin=4, n_clusters=4
+        model_class=model_class, subclass=subclass, p=p, iterations=8, burnin=4, n_clusters=4
     )
-    est = estimate_var(_small_var_data(seed=9, T=40, m=2), p, spec, seed=5)
+    est = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5)
     nsim, horizon = 2000, 3
-    n_tests = len(PREDICTIVE_CELLS) * 2 * est.n_records * horizon * est.m
+    n_tests = len(PREDICTIVE_CELLS) * est.n_records * horizon * est.m
+    fd = simulate_predictive(est, horizon, nsim, np.random.default_rng(31))
+    draws, _, _ = predictive_per_record(est, horizon, nsim, np.random.default_rng(32))
     worst = []
-    for freeze in (False, True):
-        fd = simulate_predictive(est, horizon, nsim, np.random.default_rng(31), freeze)
-        draws, h1_mean, h1_var = predictive_per_record(
-            est, horizon, nsim, np.random.default_rng(32), freeze
-        )
-        if freeze:
-            np.testing.assert_allclose(fd.h1_mean, h1_mean, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(fd.h1_var, h1_var, rtol=0, atol=1e-12)
-        for r in range(est.n_records):
-            rows = slice(r * nsim, (r + 1) * nsim)
-            for h in range(horizon):
-                for j in range(est.m):
-                    pval = ks_2samp(fd.draws[rows, h, j], draws[rows, h, j]).pvalue
-                    worst.append((pval, freeze, r, h + 1, j + 1))
+    for r in range(est.n_records):
+        rows = slice(r * nsim, (r + 1) * nsim)
+        for h in range(horizon):
+            for j in range(est.m):
+                pval = ks_2samp(fd.draws[rows, h, j], draws[rows, h, j]).pvalue
+                worst.append((pval, r, h + 1, j + 1))
     assert min(worst)[0] > 0.01 / n_tests, min(worst)
 
 
@@ -507,10 +498,10 @@ def test_predictive_memory_stays_bounded_in_records():
     # posterior benchmark's shape; doubling the records may only add the
     # output itself, plus 1 MB
     spec = ModelSpec(
-        model_class=CLASS_MIX, subclass=SUB_FLEX_MS, iterations=40, burnin=10,
+        model_class=CLASS_MIX, subclass=SUB_FLEX_MS, p=2, iterations=40, burnin=10,
         store_paths=False,
     )
-    est = estimate_var(generate_var_break(T=80, seed=1).Y, 2, spec, seed=3)
+    est = estimate_var(generate_var_break(T=80, seed=1).Y, spec, seed=3)
     assert est.n_records == 30
 
     def peak_and_output(e):
@@ -526,6 +517,17 @@ def test_predictive_memory_stays_bounded_in_records():
     peak60, out60 = peak_and_output(_doubled_records(est))
     assert peak30 <= 10.1e6
     assert peak60 - peak30 <= out60 - out30 + 1e6
+
+
+def test_estimate_refuses_a_lag_order_other_than_the_spec():
+    # the spec is the one source of p: a record set built for another
+    # lag order is refused, naming both values
+    Y = _small_var_data(seed=2, T=20, m=1)
+    draws = _const_record(np.array([[0.6, 0.4]]), np.log(np.array([0.25])), T=20, K=2)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, p=1, iterations=2, burnin=1)
+    with pytest.raises(ValueError, match=r"^lag order p = 2 disagrees with the spec's p = 1$"):
+        VarEstimate(Y=Y, p=2, spec=spec, equations=[draws], names=("y1",))
+    assert estimate_var(Y, dataclasses.replace(spec, p=2), seed=0).p == 2
 
 
 def test_predictive_refuses_empty_simulation():
