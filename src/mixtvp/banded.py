@@ -2,10 +2,11 @@
 
 The non-centered state equation couples consecutive periods through a unit
 lower block-bidiagonal matrix Phi whose subdiagonal blocks are diagonal.
-Products with Phi and Phi' run in O(T*K) time.  The posterior precisions
-of the state and volatility paths are symmetric banded: each is factored
-once as U'U by banded Cholesky, and every solve or draw goes through two
-banded triangular solves with that factor, so no dense matrix of path size
+Products with Phi and Phi' run in O(T*K) time.  The posterior precision
+of the state path is symmetric banded: it is factored once as U'U by
+banded Cholesky, and every solve goes through two banded triangular solves
+with that factor.  The volatility path's precision is tridiagonal and is
+factored as L D L' (``factor_tridiagonal``).  No dense matrix of path size
 is formed.  A state law without autoregression
 (Phi = I) uses none of this: its precision is block diagonal, and
 ``statespace.draw_states_fast`` draws it period by period in closed form.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpttrf, dtbtrs
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -103,7 +104,11 @@ def build_phi(phi_diagonals: np.ndarray) -> BlockBidiagonalLowerUnit:
     return BlockBidiagonalLowerUnit(T=T, K=K, subdiag=-phi[1:].copy())
 
 
-def factor_banded(ab: np.ndarray, step: str, block: int = 1, first: int = 1) -> np.ndarray:
+def _pivot_error(step: str, kind: str, period: int) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(f"{step}: {kind} pivot in the precision at period {period}")
+
+
+def factor_banded(ab: np.ndarray, step: str, block: int = 1) -> np.ndarray:
     """Upper Cholesky factor U, with U'U = Q, of a banded SPD matrix Q.
 
     ``ab`` holds the upper band of Q in LAPACK storage: row -1 is the main
@@ -111,31 +116,41 @@ def factor_banded(ab: np.ndarray, step: str, block: int = 1, first: int = 1) -> 
     infinity in Q reaches the factor's diagonal, so it is caught with the
     non-positive pivots.  Both raise NotPositiveDefiniteError naming
     ``step`` and the period of the first bad pivot, counting ``block`` rows
-    per period from period ``first``.
+    per period from period 1.
     """
     U, info = dpbtrf(ab, lower=0)
-    if info == 0:
-        bad = ~np.isfinite(U[-1])
-        if not bad.any():
-            return U
-        row, kind = int(np.argmax(bad)), "non-finite"
-    else:
-        row, kind = info - 1, "non-positive"
-    raise NotPositiveDefiniteError(
-        f"{step}: {kind} pivot in the precision at period {row // block + first}"
-    )
+    if info != 0:
+        raise _pivot_error(step, "non-positive", (info - 1) // block + 1)
+    bad = ~np.isfinite(U[-1])
+    if bad.any():
+        raise _pivot_error(step, "non-finite", int(np.argmax(bad)) // block + 1)
+    return U
 
 
-def solve_factored(U: np.ndarray, rhs: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-    """U^{-1}(U^{-T} rhs + noise) from the factor of ``factor_banded``.
+def factor_tridiagonal(diag: np.ndarray, off: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
+    """L D L' factor of a symmetric tridiagonal SPD matrix Q, by LAPACK ``dpttrf``.
 
-    That is Q^{-1} rhs, plus a N(0, Q^{-1}) draw when ``noise`` is standard
-    normal.  ``rhs`` is a vector, or a matrix with one right-hand side per
-    column.
+    ``diag`` is Q's diagonal and ``off`` its off-diagonal.  Returns D's
+    diagonal and L's subdiagonal (L is unit lower bidiagonal), the pair
+    ``dpttrs`` solves with.  A non-positive pivot, or a NaN or infinity in
+    Q, raises NotPositiveDefiniteError as ``factor_banded`` does, with one
+    row per period counted from period 0.
+    """
+    d, e, info = dpttrf(diag, off)
+    if info != 0:
+        raise _pivot_error(step, "non-positive", info - 1)
+    bad = ~np.isfinite(d)
+    if bad.any():
+        raise _pivot_error(step, "non-finite", int(np.argmax(bad)))
+    return d, e
+
+
+def solve_factored(U: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Q^{-1} rhs, as U^{-1} U^{-T} rhs, from the factor of ``factor_banded``.
+
+    ``rhs`` is a vector, or a matrix with one right-hand side per column.
     """
     x, _ = dtbtrs(U, rhs, uplo="U", trans="T")
-    if noise is not None:
-        x += noise
     x, _ = dtbtrs(U, x, uplo="U", trans="N")
     return x
 

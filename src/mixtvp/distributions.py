@@ -10,10 +10,12 @@ floats: a parameter set whose b*c is zero, exactly or by underflow, takes
 the exact Gamma or inverse-Gamma reduction (one ``rng.gamma`` call), and
 any other goes through Devroye's (2014) rejection scheme on the log scale,
 which stays valid for arbitrarily small or large b*c and takes one
-``rng.random(3)`` per round.  ``sample_gig`` draws once from one
-parameter set; ``sample_gig_array`` draws once per element of parameter
-arrays, element after element, so n elements consume the generator as n
-successive ``sample_gig`` calls do.
+``rng.random(3)`` per round.  Its envelope is computed inline and one
+acceptance loop serves it whether alpha is held as a float or, when that
+underflows, by its log.  ``sample_gig`` draws once from one parameter
+set; ``sample_gig_array`` checks its parameters once per call and then
+draws once per element, element after element, so n elements consume the
+generator as n successive ``sample_gig`` calls do.
 """
 
 from __future__ import annotations
@@ -25,24 +27,27 @@ import numpy as np
 
 _COSH1 = math.cosh(1.0)
 
-# Each check flags parameters outside the valid regions; it takes floats
-# or same-shape arrays alike.
-_GIG_CHECKS = (
-    (lambda a, b, c: ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)), "must be finite"),
-    (lambda a, b, c: (b < 0.0) | (c < 0.0), "requires b >= 0 and c >= 0"),
-    (lambda a, b, c: (c == 0.0) & (a <= 0.0), "with c = 0 requires a > 0 (Gamma reduction)"),
-    (lambda a, b, c: (b == 0.0) & (a >= 0.0), "with b = 0 requires a < 0 (inverse-Gamma reduction)"),
-)
+
+def _gig_reason(a: float, b: float, c: float) -> str | None:
+    """Why (a, b, c) lies outside the valid regions, or None inside them."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return "must be finite"
+    if b < 0.0 or c < 0.0:
+        return "requires b >= 0 and c >= 0"
+    if c == 0.0 and a <= 0.0:
+        return "with c = 0 requires a > 0 (Gamma reduction)"
+    if b == 0.0 and a >= 0.0:
+        return "with b = 0 requires a < 0 (inverse-Gamma reduction)"
+    return None
 
 
-def _first_invalid_gig(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[int, str] | None:
+def _first_invalid_gig(a: list, b: list, c: list) -> tuple[int, str] | None:
     """Index and reason of the first element outside the valid regions."""
-    masks = [(check(a, b, c), reason) for check, reason in _GIG_CHECKS]
-    bad = np.logical_or.reduce([mask for mask, _ in masks])
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return i, next(reason for mask, reason in masks if mask[i])
+    for i, abc in enumerate(zip(a, b, c)):
+        reason = _gig_reason(*abc)
+        if reason is not None:
+            return i, reason
+    return None
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,9 @@ class GigParams:
     c: float
 
     def __post_init__(self):
-        a, b, c = float(self.a), float(self.b), float(self.c)
-        for check, reason in _GIG_CHECKS:
-            if check(a, b, c):
-                raise ValueError(f"GIG parameters {reason}")
+        reason = _gig_reason(float(self.a), float(self.b), float(self.c))
+        if reason is not None:
+            raise ValueError(f"GIG parameters {reason}")
 
 
 def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
@@ -74,21 +78,36 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     """One GIG draw per element of (a, b, c), broadcast to a common 1-d shape.
 
     Every element must lie in a region ``GigParams`` accepts; the first one
-    that does not is named by its index in the ``ValueError``.  The
-    elements are then drawn in order, each as ``sample_gig`` draws it.
+    that does not is named by its index in the ``ValueError``.  The checks
+    run once per call, before any draw: parameters with a finite a and b, c
+    inside (0, inf) everywhere are valid at once, and only others are
+    checked element by element.  The elements are then drawn in order,
+    each as ``sample_gig`` draws it.
     """
-    a, b, c = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c)))
-    if a.ndim != 1:
+    cols = [np.asarray(v, dtype=float) for v in (a, b, c)]
+    if any(x.ndim > 1 for x in cols):
         raise ValueError("GIG parameters must be scalars or 1-d arrays")
-    found = _first_invalid_gig(a, b, c)
-    if found is not None:
-        i, reason = found
-        raise ValueError(f"GIG parameters at index {i} (a={a[i]}, b={b[i]}, c={c[i]}) {reason}")
-    no_reduction = (a == 0.0) & (b * c == 0.0)
-    if no_reduction.any():
-        i = int(np.argmax(no_reduction))
-        raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
-    return np.array([_draw_gig(*abc, rng) for abc in zip(a.tolist(), b.tolist(), c.tolist())])
+    lengths = {x.size for x in cols if x.size != 1}
+    if len(lengths) > 1:
+        raise ValueError(f"GIG parameter lengths {sorted(lengths)} do not broadcast")
+    n = lengths.pop() if lengths else 1
+    # a length-one parameter is repeated to the common length
+    al, bl, cl = (x.ravel().tolist() * (n if x.size == 1 else 1) for x in cols)
+    # a NaN fails every comparison, so it leaves the interior too
+    interior = all(
+        -math.inf < ai < math.inf and 0.0 < bi < math.inf and 0.0 < ci < math.inf
+        for ai, bi, ci in zip(al, bl, cl)
+    )
+    if not interior:
+        found = _first_invalid_gig(al, bl, cl)
+        if found is not None:
+            i, reason = found
+            raise ValueError(f"GIG parameters at index {i} (a={al[i]}, b={bl[i]}, c={cl[i]}) {reason}")
+    if 0.0 in al:
+        for i, (ai, bi, ci) in enumerate(zip(al, bl, cl)):
+            if ai == 0.0 and bi * ci == 0.0:
+                raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
+    return np.array([_draw_gig(ai, bi, ci, rng) for ai, bi, ci in zip(al, bl, cl)])
 
 
 def _draw_gig(a: float, b: float, c: float, rng: np.random.Generator) -> float:
@@ -100,127 +119,124 @@ def _draw_gig(a: float, b: float, c: float, rng: np.random.Generator) -> float:
         if a == 0.0:
             raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
         if a > 0.0:
-            return float(rng.gamma(shape=a, scale=2.0 / b))
+            return float(rng.gamma(a, 2.0 / b))
         # for small -a the Gamma draw underflows to exactly 0
-        g = rng.gamma(shape=-a, scale=2.0 / c)
+        g = rng.gamma(-a, 2.0 / c)
         return 1.0 / g if g > 0.0 else math.inf
     draw = _gig_two_param(abs(a), omega, rng)
     return (1.0 / draw if a < 0.0 else draw) * math.sqrt(c / b)
 
 
-def _log(x: float) -> float:
-    """log that maps 0 to -inf instead of raising."""
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _envelope(lam: float, alpha: float, left_log_term: float, psi, dpsi) -> tuple:
-    """Devroye's envelope constants for the log-density ``psi`` of log(X / mode).
-
-    ``left_log_term`` is log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), the
-    left switch point's fallback when the log-density is nearly flat.
-    """
-    # Right and left switch points of the three-piece envelope, from
-    # -psi(1) and -psi(-1)
-    x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
-    if 0.5 <= x0 <= 2.0:
-        t = 1.0
-    elif x0 > 2.0:
-        t = math.sqrt(2.0 / (alpha + lam))
-    else:
-        t = math.log(4.0 / (alpha + 2.0 * lam))
-    x1 = alpha * (_COSH1 - 1.0) + lam / math.e
-    if 0.5 <= x1 <= 2.0:
-        s = 1.0
-    elif x1 > 2.0:
-        s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
-    else:
-        # the fallback picks 1/lam (inf at lam = 0) or the log term (inf at
-        # alpha = 0); never both, as omega > 0
-        s = min(1.0 / lam if lam > 0.0 else math.inf, left_log_term)
-
-    eta = -psi(t)
-    zeta = -dpsi(t)
-    theta = -psi(-s)
-    xi = dpsi(-s)
-    p = 1.0 / xi
-    r = 1.0 / zeta
-    t_star = t - r * eta
-    s_star = s - p * theta
-    q = t_star + s_star
-    # cumulative weights of the center and right pieces
-    total = p + q + r
-    return t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, q / total, (q + r) / total
-
-
 def _gig_two_param(lam: float, omega: float, rng: np.random.Generator) -> float:
     """One draw from p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}, lam >= 0, omega > 0.
 
-    Rejection sampler of Devroye (2014) built on the log-concave density of
-    log(X / mode): a flat center piece with two exponential tails.  The
+    Rejection sampler of Devroye (2014) built on the log-concave density
+    of log(X / mode),
+
+        psi(x) = -A(x) - lam (e^x - 1 - x),   A(x) = alpha (cosh x - 1),
+
+    with psi(0) = 0: a flat center piece with two exponential tails.  The
     acceptance rate is bounded away from zero uniformly in (lam, omega).
-    Each round takes one ``rng.random(3)`` as (u, v, w): u picks the piece,
-    v places the candidate in it and w decides acceptance.
+    The envelope constants are computed once, inline; when one of them is
+    not finite (alpha near or below the smallest normal float) they are
+    computed again with alpha carried by its log, and the one acceptance
+    loop below evaluates A the same way.  Each round takes one
+    ``rng.random(3)`` as (u, v, w): u picks the piece, v places the
+    candidate in it and w decides acceptance.
     """
     # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
     # rounds it to 0 when omega << lam: the left switch point would then be
     # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
     # constant would be NaN and no candidate would ever be accepted
     alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
-
-    def psi(x):
-        # log density of log(X / mode), up to a constant: psi(0) = 0
-        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
-
-    def dpsi(x):
-        return -alpha * math.sinh(x) - lam * math.expm1(x)
-
     # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
     # overflow for small alpha
     left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
-    try:
-        consts = _envelope(lam, alpha, left, psi, dpsi)
-        in_logs = not all(map(math.isfinite, consts))
-    except (OverflowError, ZeroDivisionError):
-        in_logs = True
-    if in_logs:
+    log_alpha = None  # set once alpha is carried by its log
+    while True:
+        try:
+            # right and left switch points of the three-piece envelope,
+            # from -psi(1) and -psi(-1)
+            x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
+            if 0.5 <= x0 <= 2.0:
+                t = 1.0
+            elif x0 > 2.0:
+                t = math.sqrt(2.0 / (alpha + lam))
+            else:
+                t = math.log(4.0 / (alpha + 2.0 * lam))
+            x1 = alpha * (_COSH1 - 1.0) + lam / math.e
+            if 0.5 <= x1 <= 2.0:
+                s = 1.0
+            elif x1 > 2.0:
+                s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+            else:
+                # the fallback picks 1/lam (inf at lam = 0) or the log term
+                # ``left`` (inf at alpha = 0); never both, as omega > 0
+                s = min(1.0 / lam if lam > 0.0 else math.inf, left)
+            em_t, em_s = math.expm1(t), math.expm1(-s)
+            # A and its derivative at t and -s
+            if log_alpha is None:
+                a_t, da_t = alpha * (math.cosh(t) - 1.0), alpha * math.sinh(t)
+                a_s, da_s = alpha * (math.cosh(-s) - 1.0), alpha * math.sinh(-s)
+            else:
+                e_t, e_s = math.exp(log_alpha + t), math.exp(log_alpha - t)
+                a_t, da_t = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
+                e_t, e_s = math.exp(log_alpha - s), math.exp(log_alpha + s)
+                a_s, da_s = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
+            # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
+            eta = a_t + lam * (em_t - t)
+            zeta = da_t + lam * em_t
+            theta = a_s + lam * (em_s + s)
+            xi = -da_s - lam * em_s
+            p = 1.0 / xi
+            r = 1.0 / zeta
+            t_star = t - r * eta
+            s_star = s - p * theta
+            q = t_star + s_star
+            # cumulative weights of the center and right pieces
+            total = p + q + r
+            cut_mid = q / total
+            cut_right = (q + r) / total
+            if log_alpha is not None or all(
+                map(math.isfinite, (t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right))
+            ):
+                break
+        except (OverflowError, ZeroDivisionError):
+            if log_alpha is not None:
+                raise
         # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
         # overflows, the left switch point falls back to 1/lam and
         # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
-        # envelope and in every acceptance test, so that alpha*cosh(x)
-        # overflows only where psi does.
+        # envelope and in every acceptance test, so that A(x) overflows
+        # only where psi does.
         log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
-        alpha_ = math.exp(log_alpha)
+        alpha = math.exp(log_alpha)
+        left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - log_alpha
 
-        def psi(x):
-            return (
-                -0.5 * (math.exp(log_alpha + x) + math.exp(log_alpha - x)) + alpha_ - lam * (math.expm1(x) - x)
-            )
-
-        def dpsi(x):
-            return -0.5 * (math.exp(log_alpha + x) - math.exp(log_alpha - x)) - lam * math.expm1(x)
-
-        left = math.log(alpha_ + 1.0 + math.sqrt(1.0 + 2.0 * alpha_)) - log_alpha
-        consts = _envelope(lam, alpha_, left, psi, dpsi)
-    t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right = consts
-
+    # each log maps 0 to -inf instead of raising
     while True:
         u, v, w = rng.random(3).tolist()
         if u < cut_mid:
             cand = -s_star + q * v
             log_envelope = 0.0
         elif u < cut_right:
-            cand = t_star - r * _log(v)
+            cand = t_star - r * (math.log(v) if v > 0.0 else -math.inf)
             log_envelope = -eta - zeta * (cand - t)
         else:
-            cand = -s_star + p * _log(v)
+            cand = -s_star + p * (math.log(v) if v > 0.0 else -math.inf)
             log_envelope = -theta + xi * (cand + s)
         try:
-            if _log(w) + log_envelope <= psi(cand):
+            if log_alpha is None:
+                a_c = alpha * (math.cosh(cand) - 1.0)
+            else:
+                a_c = 0.5 * (math.exp(log_alpha + cand) + math.exp(log_alpha - cand)) - alpha
+            psi = -a_c - lam * (math.expm1(cand) - cand)
+            if (math.log(w) if w > 0.0 else -math.inf) + log_envelope <= psi:
                 break
         except OverflowError:
             pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
     mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
-    if in_logs:
+    if log_alpha is not None:
         # the log-scale draw can sit below the smallest normal exp(cand)
         return math.exp(cand + math.log(mode))
     return math.exp(cand) * mode
@@ -246,13 +262,31 @@ def sample_dirichlet(concentrations: np.ndarray, rng: np.random.Generator) -> np
 
 
 def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise categorical draws from unnormalized log weights (n, K)."""
+    """Row-wise categorical draws from unnormalized log weights (n, K).
+
+    A row needs a finite largest entry: a row that is all -inf, or holds a
+    NaN or +inf, raises ``ValueError`` naming it.  Entries at -inf get
+    weight zero and are never drawn: a row takes the first category whose
+    CDF exceeds its uniform, so a uniform of exactly 0 still lands on a
+    category of positive weight.  One uniform is drawn per row.
+    """
+    # the CDF is built in place in one (K, n) copy, so every step runs
+    # along rows of length n; the running sum adds category after category
     lw = np.asarray(log_weights, dtype=float)
-    lw = lw - lw.max(axis=1, keepdims=True)
-    w = np.exp(lw)
-    cdf = np.cumsum(w, axis=1)
-    u = rng.random(lw.shape[0]) * cdf[:, -1]
-    return (cdf < u[:, None]).sum(axis=1).clip(0, lw.shape[1] - 1)
+    if lw.ndim != 2:
+        raise ValueError("categorical log weights must be a 2-d (n, K) array")
+    cdf = np.array(lw.T, order="C")
+    top = cdf.max(axis=0)
+    bad = ~np.isfinite(top)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"categorical log weights of row {i} have no finite maximum: {cdf[:, i].tolist()}")
+    cdf -= top
+    np.exp(cdf, out=cdf)
+    for k in range(1, cdf.shape[0]):
+        np.add(cdf[k - 1], cdf[k], out=cdf[k])
+    u = rng.random(cdf.shape[1]) * cdf[-1]
+    return (cdf <= u).sum(axis=0)
 
 
 def log_uniform(rng: np.random.Generator) -> float:

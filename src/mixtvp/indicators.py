@@ -211,9 +211,10 @@ def sample_indicators_ms(
 
     f = np.exp(first - first.max())
     f0, f1 = (f / f.sum()).tolist()
-    # two states: the recursions run on Python floats, one small tuple per period
+    # two states: the recursions run on Python floats, the filter kept as
+    # one list per state
     rows = kernels.reshape(T - 1, 4).tolist()
-    filt = [(f0, f1)]
+    filt0, filt1 = [f0], [f1]
     for t, (k00, k01, k10, k11) in enumerate(rows):
         g0 = f0 * k00 + f1 * k10
         g1 = f0 * k01 + f1 * k11
@@ -224,16 +225,23 @@ def sample_indicators_ms(
             g0 = math.exp(a00 - top) + math.exp(a10 - top)
             g1 = math.exp(a01 - top) + math.exp(a11 - top)
             total = g0 + g1
-        f0, f1 = g0 / total, g1 / total
-        filt.append((f0, f1))
+        f0 = g0 / total
+        f1 = g1 / total
+        filt0.append(f0)
+        filt1.append(f1)
     # one uniform per period, consumed from s_T back to s_1
     u = rng.random(T).tolist()
     nxt = int(u[0] < f1)
     path = [nxt]
-    for t, (f0, f1), (k00, k01, k10, k11), ut in zip(
-        range(T - 2, -1, -1), reversed(filt[:-1]), reversed(rows), u[1:]
+    for t, (k00, k01, k10, k11), f0, f1, ut in zip(
+        range(T - 2, -1, -1), reversed(rows), reversed(filt0[:-1]), reversed(filt1[:-1]), u[1:]
     ):
-        w0, w1 = (f0 * k01, f1 * k11) if nxt else (f0 * k00, f1 * k10)
+        if nxt:
+            w0 = f0 * k01
+            w1 = f1 * k11
+        else:
+            w0 = f0 * k00
+            w1 = f1 * k10
         total = w0 + w1
         if not total >= _TINY:
             (a00, a01), (a10, a11) = log_terms(t, f0, f1)

@@ -149,7 +149,10 @@ def sample_group_indicators(alpha_tilde, omega, mu, rng) -> np.ndarray:
     """
     log_omega = np.log(np.maximum(omega, WEIGHT_FLOOR))
     logw = alpha_tilde @ mu.T + (log_omega - 0.5 * np.einsum("nk,nk->n", mu, mu))
-    return sample_categorical_rows(logw, rng)
+    try:
+        return sample_categorical_rows(logw, rng)
+    except ValueError as exc:
+        raise ValueError(f"pool labels: {exc}") from exc
 
 
 def group_mean_moments(alpha_tilde, theta, n_clusters, lam0):

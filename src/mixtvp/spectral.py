@@ -11,7 +11,8 @@ an eigen-decomposition, and only the draws left over go to one batched
 ``np.linalg.eigvals`` call. Bands over a whole posterior sample run as
 one array pipeline over the stacked (record, period) draws: structural
 to reduced form, companion matrix, that stability decision, one batched
-solve for the leading columns of (I - F)^-1, and per-period quantiles.
+m x m inverse of I - A_1 - ... - A_p (the leading block of (I - F)^-1),
+and per-period quantiles.
 Periods are processed in blocks of at most ``_BLOCK_DRAWS`` draws so
 that the (draws, mp, mp) intermediates stay bounded however many
 records the sample holds.
@@ -160,18 +161,19 @@ def companion(A: np.ndarray, sigma_red: np.ndarray, p: int) -> CompanionForm:
 
 
 def _low_freq_stack(F: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pi(0) and the stability flag of stacked draws.
+    """Pi(0) and the stability flag of stacked companion draws.
 
-    ``F`` is (..., d, d), ``sigma`` the (..., m, m) covariance in the
-    leading block of Upsilon. Stability is ``_stable_draws``; unstable
-    draws are skipped by the solve and get NaN entries.
+    ``F`` is (..., mp, mp) in companion form, ``sigma`` the (..., m, m)
+    covariance in the leading block of Upsilon.  Only the leading m x m
+    block of (I-F)^-1 meets Upsilon, and for a companion matrix that block
+    is (I - A_1 - ... - A_p)^-1, one m x m inverse per draw.  Stability is
+    ``_stable_draws``; unstable draws are skipped by the inverse and get
+    NaN entries.
     """
     stable = _stable_draws(F)
     d, m = F.shape[-1], sigma.shape[-1]
-    lhs = np.eye(d) - np.where(stable[..., None, None], F, 0.0)
-    # only the leading m x m block of (I-F)^-1 meets Upsilon
-    cols = np.linalg.solve(lhs, np.broadcast_to(np.eye(d)[:, :m], F.shape[:-1] + (m,)))
-    lead = cols[..., :m, :]
+    lag_sum = F[..., :m, :].reshape(F.shape[:-2] + (m, d // m, m)).sum(axis=-2)
+    lead = np.linalg.inv(np.eye(m) - np.where(stable[..., None, None], lag_sum, 0.0))
     pi = lead @ sigma @ np.swapaxes(lead, -1, -2)
     pi = 0.5 * (pi + np.swapaxes(pi, -1, -2))
     return np.where(stable[..., None, None], pi, np.nan), stable
@@ -180,9 +182,13 @@ def _low_freq_stack(F: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.nd
 def low_freq_matrix(cf: CompanionForm) -> np.ndarray:
     """Zero-frequency spectral density J (I-F)^-1 Ups (I-F')^-1 J'.
 
-    Requires a stable companion matrix; symmetric PSD by construction.
+    Requires a stable companion matrix, whose rows below the first m are
+    [I, 0]; symmetric PSD by construction.
     """
     m = cf.m
+    d = cf.F.shape[0]
+    if cf.F.shape != (d, d) or d % m or not np.array_equal(cf.F[m:], np.eye(d - m, d)):
+        raise ValueError("F is not a companion matrix: its rows below the first m must be [I, 0]")
     pi, stable = _low_freq_stack(cf.F, cf.upsilon[:m, :m])
     if not stable:
         raise ValueError("companion matrix too close to the unit circle")

@@ -7,8 +7,10 @@ conditional posterior precision
     Q = W~'W~ + Phi'Phi
 
 is banded with bandwidth K: W~'W~ is block diagonal and Phi'Phi block
-tridiagonal with diagonal off-diagonal blocks.  The path is drawn with one
-banded Cholesky Q = U'U and two banded triangular solves, in O(T*K^3):
+tridiagonal with diagonal off-diagonal blocks.  Its band is filled by one
+product of the flattened W~ with its own shifts.  The path is drawn with
+one banded Cholesky Q = U'U and two banded triangular solves, in
+O(T*K^3):
 
     draw = U^{-1} U^{-T} b,   b = W~'(y~ - v) + Phi'(Phi a_0 + u),
     u ~ N(0, I_nu),  v ~ N(0, I_T).
@@ -27,6 +29,8 @@ solved per period by Sherman-Morrison, with no factorization:
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,20 +79,45 @@ def state_loadings(
     return x * sqrt_psi_matrix(block, S, x.shape[0]) / sigma[:, None]
 
 
+@lru_cache(maxsize=None)
+def _cross_period_entries(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band rows and within-period columns of the entries that pair two periods.
+
+    Row K - k of the band holds superdiagonal k; at within-period column
+    j < k it pairs a coefficient with one of the period before, where
+    W~'W~ is zero.
+    """
+    rows, cols = np.nonzero(np.arange(K) < K - np.arange(1, K + 1)[:, None])
+    rows += 1
+    # the cache hands the same arrays to every caller
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> np.ndarray:
     """Upper band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
 
     Row K - k holds superdiagonal k.  The blocks w_t w_t' fill offsets
     below K within each period; Phi'Phi adds 1 + d_t^2 to the diagonal and
-    puts its subdiagonal d_t at offset K.
+    puts its subdiagonal d_t at offset K.  Rows 1..K come from one product
+    of the flattened W~ with its shifts by 0..K-1 places, after which the
+    entries that pair two periods are set to zero.
     """
     T, K = Phi.T, Phi.K
-    ab = np.zeros((K + 1, T * K))
+    n = T * K
+    # the flattened W~ behind K zeros; row r of ``shifted`` is it shifted by
+    # K - 1 - r places, a view with no copy
+    padded = np.zeros(n + K)
+    padded[K:] = wtilde.reshape(n)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded[1:], n)
+    ab = np.empty((K + 1, n))
+    np.multiply(shifted, padded[K:], out=ab[1:])
     band = ab.reshape(K + 1, T, K)
-    for k in range(K):
-        band[K - k, :, k:] = wtilde[:, : K - k] * wtilde[:, k:]
+    rows, cols = _cross_period_entries(K)
+    band[rows, :, cols] = 0.0
     band[K] += 1.0
     band[K, :-1] += Phi.subdiag**2
+    ab[0, :K] = 0.0
     band[0, 1:] = Phi.subdiag
     return ab
 
@@ -155,7 +184,9 @@ def normalized_from_centered(block: ConstantBlock, S: np.ndarray | None, alpha_c
     """Invert the centering map; roots below the floor pin the state to zero."""
     T = alpha_centered.shape[0]
     roots = sqrt_psi_matrix(block, S, T)
-    out = np.zeros_like(alpha_centered)
-    live = np.abs(roots) >= SQRT_PSI_FLOOR
-    out[live] = (alpha_centered - block.alpha0)[live] / roots[live]
-    return out
+    return np.divide(
+        alpha_centered - block.alpha0,
+        roots,
+        out=np.zeros_like(alpha_centered),
+        where=np.abs(roots) >= SQRT_PSI_FLOOR,
+    )

@@ -7,12 +7,18 @@ re-draws level and scale in the non-centered parameterization (ancillary
 sufficiency interweaving, Kastner & Fruhwirth-Schnatter 2014), which keeps
 mixing fast when the innovation variance is small.
 
-The path steps work on length-T arrays; the parameter steps reduce the
-path to a few dot products and then run on Python floats: the level and
-persistence draws, the innovation-variance GIG draw (``sample_gig``) and
-the interweaving step's 2x2 Gaussian, whose Cholesky factor is written
-out in closed form.  A failure in a step names it
-("volatility draw", "volatility psi draw", "volatility interweave").
+The path steps work on length-T arrays.  The path's precision Q is
+factored as L D L' (LAPACK ``dpttrf``) and the path drawn as
+
+    h = mu + Q^{-1} (b + L D^{1/2} z),   z ~ N(0, I_{T+1}),
+
+whose noise term has covariance L D L' = Q, so h ~ N(mu + Q^{-1} b, Q^{-1}).
+The parameter steps reduce the path to a few dot products and then run on
+Python floats: the level and persistence draws, the innovation-variance
+GIG draw (``sample_gig``) and the interweaving step's 2x2 Gaussian, whose
+Cholesky factor is written out in closed form.  A failure in a step names
+it ("volatility mixture indicators", "volatility draw", "volatility psi
+draw", "volatility interweave").
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrs
 
-from .banded import NotPositiveDefiniteError, factor_banded, solve_factored
-from .distributions import GigParams, sample_categorical_rows, sample_gig
+from .banded import NotPositiveDefiniteError, factor_tridiagonal
+from .distributions import GigParams, log_uniform, sample_categorical_rows, sample_gig
 
 # 10-component Gaussian mixture approximation to log chi^2(1)
 MIX_PROB = np.array([
@@ -126,24 +133,30 @@ def sv_sweep(
 
 def _draw_mixture_indicators(ystar, h, rng):
     resid = (ystar - h)[:, None] - MIX_MEAN
-    return sample_categorical_rows(_MIX_LOG_NORM - resid**2 * _MIX_HALF_PREC, rng)
+    try:
+        return sample_categorical_rows(_MIX_LOG_NORM - resid**2 * _MIX_HALF_PREC, rng)
+    except ValueError as exc:
+        raise ValueError(f"volatility mixture indicators: {exc}") from exc
 
 
 def _draw_h_joint(obs, d, state, rng):
     """Joint draw of (h0, h_1..h_T) from the tridiagonal-precision Gaussian.
 
     obs = ystar - mixture mean, d = per-period observation precisions.
+    The draw is mu + Q^{-1}(b + L D^{1/2} z) with Q = L D L' and
+    z = ``rng.normal(size=T + 1)``.
     """
     T = obs.size
     phi, psi, mu = state.phi, state.psi, state.mu
-    ab = np.zeros((2, T + 1))
-    ab[0, 1:] = -phi / psi
-    ab[1] = 1.0 / psi
-    ab[1, 1:] += d
-    ab[1, 1:T] += phi**2 / psi
-    b = np.concatenate(([0.0], d * (obs - mu)))
-    U = factor_banded(ab, "volatility draw", first=0)
-    return mu + solve_factored(U, b, rng.normal(size=T + 1))
+    diag = np.full(T + 1, 1.0 / psi)
+    diag[1:] += d
+    diag[1:T] += phi**2 / psi
+    D, L = factor_tridiagonal(diag, np.full(T, -phi / psi), "volatility draw")
+    rhs = rng.normal(size=T + 1) * np.sqrt(D)
+    rhs[1:] += L * rhs[:-1]
+    rhs[1:] += d * (obs - mu)
+    x, _ = dpttrs(D, L, rhs, overwrite_b=1)
+    return mu + x
 
 
 def _draw_mu_centered(h_full, phi, psi, priors, rng):
@@ -178,7 +191,7 @@ def _draw_phi_centered(h_full, mu, phi, psi, priors, rng):
             + (priors.phi_beta_b - 1.0) * math.log1p(-p)
         )
 
-    if np.log(rng.random()) <= log_extra(prop) - log_extra(phi):
+    if log_uniform(rng) <= log_extra(prop) - log_extra(phi):
         return prop
     return phi
 

@@ -352,3 +352,20 @@ def group_indicators_by_differences(alpha_tilde, omega, mu, rng):
     cdf = np.cumsum(w, axis=1)
     u = rng.random(logw.shape[0]) * cdf[:, -1]
     return (cdf < u[:, None]).sum(axis=1).clip(0, logw.shape[1] - 1)
+
+
+def state_precision_band_loop(wtilde, Phi):
+    """Upper band of W~'W~ + Phi'Phi in LAPACK storage, one superdiagonal at a time.
+
+    The reference for ``statespace.state_precision_band``: row K - k gets
+    w_t[j-k] w_t[j] at within-period column j >= k, and zeros elsewhere.
+    """
+    T, K = Phi.T, Phi.K
+    ab = np.zeros((K + 1, T * K))
+    band = ab.reshape(K + 1, T, K)
+    for k in range(K):
+        band[K - k, :, k:] = wtilde[:, : K - k] * wtilde[:, k:]
+    band[K] += 1.0
+    band[K, :-1] += Phi.subdiag**2
+    band[0, 1:] = Phi.subdiag
+    return ab

@@ -264,6 +264,47 @@ def test_categorical_rows_matches_scalar_frequencies():
     np.testing.assert_allclose(draws[:, 1].mean(), 0.1, atol=0.02)
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    [[-np.inf, -np.inf, -np.inf], [0.0, np.nan, 1.0], [0.0, np.inf, 0.0]],
+    ids=["all-minus-inf", "nan", "plus-inf"],
+)
+def test_categorical_rows_refuse_a_row_without_a_finite_maximum(bad_row):
+    logw = np.array([[0.0, 1.0, 2.0], bad_row, [1.0, 1.0, 1.0]])
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="row 1 "):
+        sample_categorical_rows(logw, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_categorical_rows_never_draw_minus_inf_entries():
+    rng = np.random.default_rng(22)
+    inf = np.inf
+    logw = np.array([[-inf, 0.0, -inf, 3.0], [2.0, -inf, -700.0, -inf], [-inf, -inf, 5.0, -inf]])
+    draws = np.array([sample_categorical_rows(logw, rng) for _ in range(5000)])
+    assert set(draws[:, 0]) == {1, 3}
+    assert set(draws[:, 1]) <= {0, 2}
+    assert set(draws[:, 2]) == {2}
+
+
+class _EdgeUniforms:
+    """Stands in for a generator whose uniforms are all 0.0 or all 1 - 2**-53."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("u, expected", [(0.0, [1, 0, 2]), (1.0 - 2.0**-53, [3, 0, 2])], ids=["zero", "top"])
+def test_categorical_rows_keep_edge_uniforms_off_minus_inf_entries(u, expected):
+    inf = np.inf
+    logw = np.array([[-inf, 0.0, -inf, 3.0, -inf], [2.0, -inf, -700.0, -inf, -inf], [-inf, -inf, 5.0, -inf, -inf]])
+    np.testing.assert_array_equal(sample_categorical_rows(logw, _EdgeUniforms(u)), expected)
+
+
 def test_gamma_rate_convention():
     rng = np.random.default_rng(5)
     draws = sample_gamma_rate(0.5, 0.5, rng, size=200_000)

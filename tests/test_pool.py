@@ -196,3 +196,11 @@ def test_validation_errors():
         PoolState(**{**good, "theta": np.array([0, 1, 2, 3])})
     with pytest.raises(ValueError):
         PoolState(**{**good, "l": np.ones(3)})
+
+
+def test_pool_labels_name_their_step_for_a_non_finite_state():
+    rng = np.random.default_rng(3)
+    alpha = rng.normal(size=(6, 2))
+    alpha[4, 1] = np.nan
+    with pytest.raises(ValueError, match="pool labels: .*row 4 "):
+        sample_group_indicators(alpha, np.full(3, 1.0 / 3.0), rng.normal(size=(3, 2)), rng)

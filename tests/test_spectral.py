@@ -94,6 +94,33 @@ def test_matches_autocovariance_sum_oracle():
         assert np.all(np.linalg.eigvalsh(got) > -1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_low_freq_lag_sum_inverse_matches_full_companion_solve(p):
+    rng = np.random.default_rng(40 + p)
+    m = 3
+    n = 0
+    while n < 10:
+        A = np.column_stack([0.5 / p * rng.normal(size=(m, m * p)), rng.normal(size=m)])
+        L = rng.normal(size=(m, m))
+        cf = companion(A, L @ L.T + 0.1 * np.eye(m), p)
+        if not cf.is_stable():
+            continue
+        n += 1
+        # the whole (mp x mp) system, of which only the leading block is used
+        lead = np.linalg.solve(np.eye(m * p) - cf.F, np.eye(m * p)[:, :m])[:m]
+        want = lead @ cf.upsilon[:m, :m] @ lead.T
+        np.testing.assert_allclose(low_freq_matrix(cf), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+def test_low_freq_matrix_refuses_a_non_companion_matrix():
+    A = np.array([[0.5, 0.1, 0.1, 0.0, 0.0], [0.2, 0.3, 0.0, 0.1, 0.0]])
+    cf = companion(A, 2.0 * np.eye(2), p=2)
+    F = cf.F.copy()
+    F[3, 1] = 0.4  # the identity block below the first m rows broken
+    with pytest.raises(ValueError, match="not a companion matrix"):
+        low_freq_matrix(CompanionForm(F=F, upsilon=cf.upsilon, J=cf.J))
+
+
 def test_diagonal_var_has_no_cross_ratio():
     A = np.array([[0.5, 0.0, 0.0], [0.0, -0.3, 0.0]])
     cf = companion(A, np.diag([1.0, 2.0]), p=1)

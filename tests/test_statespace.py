@@ -1,11 +1,14 @@
 """Fast state draw against dense and Kalman-filter oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mixtvp.banded import NotPositiveDefiniteError, build_phi
 from mixtvp.shrinkage import ConstantBlock
 from mixtvp.statespace import (
+    SQRT_PSI_FLOOR,
     build_design_rows,
     draw_states_fast,
     normalized_from_centered,
@@ -14,7 +17,7 @@ from mixtvp.statespace import (
     state_loadings,
     state_precision_band,
 )
-from oracles import carter_kohn_tvp, dense_state_posterior
+from oracles import carter_kohn_tvp, dense_state_posterior, state_precision_band_loop
 
 
 def random_instance(rng, T, K):
@@ -113,6 +116,18 @@ def test_state_precision_band_matches_dense():
         for k in range(K + 1):
             np.testing.assert_allclose(ab[K - k, k:], np.diag(Q, k), atol=1e-12)
         assert np.all(Q[np.triu_indices(T * K, K + 1)] == 0.0)
+
+
+@pytest.mark.parametrize("K", [1, 3, 9, 15])
+def test_state_precision_band_equals_loop_reference_bit_for_bit(K):
+    rng = np.random.default_rng(100 + K)
+    for T in (1, 2, 37):
+        Phi = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
+        wtilde = rng.normal(size=(T, K)) * rng.integers(0, 2, size=(T, K))
+        got = state_precision_band(wtilde, Phi)
+        want = state_precision_band_loop(wtilde, Phi)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_state_draw_failure_names_step_and_period():
@@ -230,6 +245,23 @@ def test_normalized_from_centered_round_trip_and_floor():
     live = np.abs(roots) >= 1e-10
     np.testing.assert_allclose(back[live], atil[live], atol=1e-9)
     assert np.all(back[~live] == 0.0)
+
+
+def test_normalized_from_centered_pins_floored_roots_without_warning():
+    T, K = 5, 3
+    block = ConstantBlock(
+        alpha0=np.array([0.5, -1.0, 2.0]),
+        sqrt_psi1=np.array([0.0, 0.3, -SQRT_PSI_FLOOR / 2]),
+        sqrt_psi0=np.array([SQRT_PSI_FLOOR / 10, 0.0, 0.2]),
+    )
+    S = np.array([[1.0, 0.0, 1.0]] * T)
+    centered = np.arange(T * K, dtype=float).reshape(T, K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalized_from_centered(block, S, centered)
+    # every root here is below the floor, also the exact zeros
+    np.testing.assert_array_equal(out, np.zeros((T, K)))
+    assert not np.signbit(out).any()
 
 
 def test_fast_draw_matches_textbook_random_walk_sampler():

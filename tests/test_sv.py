@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mixtvp.banded import NotPositiveDefiniteError
 from mixtvp.sv import (
     DEFAULT_SV_PRIORS,
     MIX_MEAN,
@@ -10,6 +11,7 @@ from mixtvp.sv import (
     MIX_VAR,
     SvState,
     _draw_h_joint,
+    _draw_mixture_indicators,
     _interweave_noncentered,
     initial_sv_state,
     sv_sweep,
@@ -47,6 +49,68 @@ def test_joint_path_draw_matches_kalman_oracle():
     se = fast.std(axis=0, ddof=1) / np.sqrt(n) + slow.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) < 5 * se)
     assert np.all(np.abs(fast.std(axis=0) - slow.std(axis=0)) < 5 * se)
+
+
+class _GivenNormals:
+    """Stands in for a generator whose one normal draw is given."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+def _dense_volatility_posterior(obs, d, state):
+    """Precision Q of (h0, h_1..h_T) and its mean mu + Q^{-1} b, built from the model terms."""
+    T = obs.size
+    phi, psi = state.phi, state.psi
+    Q = np.zeros((T + 1, T + 1))
+    Q[0, 0] = (1.0 - phi**2) / psi  # stationary start
+    for t in range(1, T + 1):
+        row = np.zeros(T + 1)
+        row[t], row[t - 1] = 1.0, -phi
+        Q += np.outer(row, row) / psi
+    Q[1:, 1:] += np.diag(d)
+    b = np.concatenate(([0.0], d * (obs - state.mu)))
+    return Q, state.mu + np.linalg.solve(Q, b)
+
+
+def test_volatility_path_noise_map_reproduces_dense_moments():
+    rng = np.random.default_rng(31)
+    for T in (1, 2, 12, 40):
+        phi, psi = rng.uniform(-0.95, 0.95), rng.uniform(0.05, 1.0)
+        state = SvState(h=np.zeros(T), h0=0.0, mu=rng.normal(), phi=phi, psi=psi)
+        obs = rng.normal(-1.0, 2.0, size=T)
+        d = 1.0 / MIX_VAR[rng.integers(0, MIX_VAR.size, size=T)]
+        Q, mean = _dense_volatility_posterior(obs, d, state)
+        center = _draw_h_joint(obs, d, state, _GivenNormals(np.zeros(T + 1)))
+        np.testing.assert_allclose(center, mean, rtol=0.0, atol=1e-12)
+        # the unit-vector noise columns map to M with M M' = Q^{-1}
+        cols = np.array([_draw_h_joint(obs, d, state, _GivenNormals(e)) - center for e in np.eye(T + 1)])
+        np.testing.assert_allclose(cols.T @ cols, np.linalg.inv(Q), rtol=0.0, atol=1e-10)
+
+
+def test_volatility_draw_failure_names_step_and_period():
+    T = 8
+    state = SvState(h=np.zeros(T), h0=0.0, mu=0.0, phi=0.9, psi=0.2)
+    obs = np.zeros(T)
+    d = np.ones(T)
+    d[4] = np.nan  # h_5
+    with pytest.raises(NotPositiveDefiniteError, match="volatility draw: non-finite pivot .* period 5"):
+        _draw_h_joint(obs, d, state, np.random.default_rng(0))
+    d[4] = 1.0
+    d[2] = -1e6  # h_3
+    with pytest.raises(NotPositiveDefiniteError, match="volatility draw: non-positive pivot .* period 3"):
+        _draw_h_joint(obs, d, state, np.random.default_rng(0))
+
+
+def test_mixture_indicators_name_their_step():
+    ystar = np.zeros(5)
+    ystar[3] = np.nan
+    with pytest.raises(ValueError, match="volatility mixture indicators: .*row 3 "):
+        _draw_mixture_indicators(ystar, np.zeros(5), np.random.default_rng(0))
 
 
 def test_homoskedastic_limit_recovers_level():
