@@ -10,14 +10,53 @@ factored as L D L' (``factor_tridiagonal``).  No dense matrix of path size
 is formed.  A state law without autoregression
 (Phi = I) uses none of this: its precision is block diagonal, and
 ``statespace.draw_states_fast`` draws it period by period in closed form.
+
+The six LAPACK routines the package calls (``dpbtrf``, ``dtbtrs``,
+``dpttrf`` and ``dpttrs`` here, ``dpotrf`` and ``dtrtrs`` in
+``shrinkage``) come from scipy's compiled wrapper module
+``scipy.linalg._flapack``, which this module loads once, straight from
+scipy's ``linalg`` directory.  Importing it as ``scipy.linalg.lapack``
+would first run ``scipy/linalg/__init__.py``, which pulls in
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` and takes longer than
+the rest of ``import mixtvp``; every fresh process (each CLI command) would
+pay for it.  The extension registers itself in ``sys.modules`` under its
+own name, so a later ``import scipy.linalg`` reuses it and both see the
+same routine objects.  ``tests/test_cli.py::test_package_import_stays_light``
+checks that no command imports ``scipy.linalg``, and ``tests/test_banded.py``
+that the routines are scipy's own.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpttrf, dtbtrs
+
+
+def _load_flapack(scipy_dirs: Iterable[str]) -> ModuleType:
+    """scipy's ``scipy.linalg._flapack`` from the ``linalg`` folder under ``scipy_dirs``."""
+    linalg_dirs = [os.path.join(d, "linalg") for d in scipy_dirs]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg_dirs)
+    if spec is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {linalg_dirs}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# find_spec of a top-level name locates scipy without importing it
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ImportError("mixtvp needs scipy for its LAPACK routines")
+_flapack = _load_flapack(_scipy.submodule_search_locations)
+dpbtrf, dtbtrs, dpttrf, dpttrs, dpotrf, dtrtrs = (
+    _flapack.dpbtrf, _flapack.dtbtrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dpotrf, _flapack.dtrtrs
+)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):

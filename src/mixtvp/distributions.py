@@ -9,7 +9,8 @@ the b = 0 special case.  One algorithm draws every variate, on Python
 floats: a parameter set whose b*c is zero, exactly or by underflow, takes
 the exact Gamma or inverse-Gamma reduction (one ``rng.gamma`` call), and
 any other goes through Devroye's (2014) rejection scheme on the log scale,
-which stays valid for arbitrarily small or large b*c and takes one
+which stays valid for arbitrarily small b*c and for any b*c up to the
+largest float (a b*c that overflows is refused), and takes one
 ``rng.random(3)`` per round.  Its envelope is computed inline and one
 acceptance loop serves it whether alpha is held as a float or, when that
 underflows, by its log.  ``sample_gig`` draws once from one parameter
@@ -34,6 +35,9 @@ def _gig_reason(a: float, b: float, c: float) -> str | None:
         return "must be finite"
     if b < 0.0 or c < 0.0:
         return "requires b >= 0 and c >= 0"
+    if b * c == math.inf:
+        # omega = sqrt(b*c) would be inf and no candidate ever accepted
+        return "requires b*c below the largest float"
     if c == 0.0 and a <= 0.0:
         return "with c = 0 requires a > 0 (Gamma reduction)"
     if b == 0.0 and a >= 0.0:
@@ -55,7 +59,8 @@ class GigParams:
     """Parameters (a, b, c) of the generalized inverse Gaussian above.
 
     Valid regions: a > 0 with b > 0 (any c >= 0); a < 0 with c > 0
-    (any b >= 0); a == 0 requires b > 0 and c > 0.
+    (any b >= 0); a == 0 requires b > 0 and c > 0.  In all of them b*c
+    must not overflow.
     """
 
     a: float
@@ -79,10 +84,10 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
 
     Every element must lie in a region ``GigParams`` accepts; the first one
     that does not is named by its index in the ``ValueError``.  The checks
-    run once per call, before any draw: parameters with a finite a and b, c
-    inside (0, inf) everywhere are valid at once, and only others are
-    checked element by element.  The elements are then drawn in order,
-    each as ``sample_gig`` draws it.
+    run once per call, before any draw: parameters with a finite a, b and
+    c positive and b*c finite everywhere are valid at once, and only
+    others are checked element by element.  The elements are then drawn
+    in order, each as ``sample_gig`` draws it.
     """
     cols = [np.asarray(v, dtype=float) for v in (a, b, c)]
     if any(x.ndim > 1 for x in cols):
@@ -93,9 +98,10 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     n = lengths.pop() if lengths else 1
     # a length-one parameter is repeated to the common length
     al, bl, cl = (x.ravel().tolist() * (n if x.size == 1 else 1) for x in cols)
-    # a NaN fails every comparison, so it leaves the interior too
+    # a NaN fails every comparison, so it leaves the interior too; a
+    # finite b*c of positive b and c makes both finite
     interior = all(
-        -math.inf < ai < math.inf and 0.0 < bi < math.inf and 0.0 < ci < math.inf
+        -math.inf < ai < math.inf and 0.0 < bi and 0.0 < ci and bi * ci < math.inf
         for ai, bi, ci in zip(al, bl, cl)
     )
     if not interior:

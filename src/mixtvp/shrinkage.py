@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .banded import NotPositiveDefiniteError
+from .banded import NotPositiveDefiniteError, dpotrf, dtrtrs
 from .distributions import log_uniform, sample_gamma_rate, sample_gig_array
 
 TAU_FLOOR = 1e-12

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
-from .banded import NotPositiveDefiniteError, factor_tridiagonal
+from .banded import NotPositiveDefiniteError, dpttrs, factor_tridiagonal
 from .distributions import GigParams, log_uniform, sample_categorical_rows, sample_gig
 
 # 10-component Gaussian mixture approximation to log chi^2(1)

@@ -1,11 +1,19 @@
 """Structured solves checked against dense linear algebra oracles."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mixtvp
 from mixtvp.banded import (
     BlockBidiagonalLowerUnit,
     NotPositiveDefiniteError,
+    _load_flapack,
     build_phi,
     factor_banded,
     solve_factored,
@@ -143,3 +151,29 @@ def test_factor_banded_failure_names_step_and_period():
     ab[1, 3] = np.nan  # Q[2, 3] first spoils the pivot of row 3: period 2
     with pytest.raises(NotPositiveDefiniteError, match="state draw: non-finite pivot .* period 2"):
         factor_banded(ab, "state draw", block=2)
+
+
+@pytest.mark.parametrize(
+    "first, second", [("mixtvp.banded", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "mixtvp.banded")]
+)
+def test_lapack_routines_are_scipys_own_in_either_import_order(first, second):
+    # the directly loaded extension is the one scipy.linalg registers, so
+    # every routine is the very object scipy.linalg.lapack exports
+    code = (
+        "import importlib, sys\n"
+        f"importlib.import_module({first!r})\n"
+        f"importlib.import_module({second!r})\n"
+        "banded, lapack = sys.modules['mixtvp.banded'], sys.modules['scipy.linalg.lapack']\n"
+        "names = ['dpbtrf', 'dtbtrs', 'dpttrf', 'dpttrs', 'dpotrf', 'dtrtrs']\n"
+        "print([n for n in names if getattr(banded, n) is not getattr(lapack, n)])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mixtvp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_flapack_loader_names_the_directory_it_searched(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        _load_flapack([str(tmp_path)])

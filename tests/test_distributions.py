@@ -1,6 +1,7 @@
 """Sampler checks against quadrature oracles and exact reductions."""
 
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -132,6 +133,29 @@ def test_gig_returns_when_b_times_c_is_subnormal():
     want = (np.log(kve(a + h, omega)) - np.log(kve(a - h, omega))) / (2 * h)
     assert abs(float(log_mean) - want) < 5.0 * float(log_sd) / np.sqrt(2000)
     assert abs(float(log_sd) - np.log(2.0 / omega) / np.sqrt(3.0)) < 0.1 * float(log_sd)
+
+
+def test_gig_refuses_b_times_c_that_overflows():
+    # b*c = 1e400 overflows with b and c finite: omega = sqrt(b*c) would be
+    # inf and no candidate ever accepted.  The alarm turns a sampler that
+    # never returns into a failure, not a hung suite.
+    def hung(signum, frame):
+        raise TimeoutError("GIG sampler did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match=r"b\*c below the largest float"):
+            GigParams(1.0, 1e200, 1e200)
+        with pytest.raises(ValueError, match=r"index 1 .* b\*c below the largest float"):
+            sample_gig_array([1.0, 1.0], [1.0, 1e200], [1.0, 1e200], np.random.default_rng(0))
+        # b*c = 1e308 is still drawn; log(X / mode) has sd ~ 1e-77, so the
+        # draw is the mode, 1, to double precision
+        draw = sample_gig(GigParams(1.0, 1e154, 1e154), np.random.default_rng(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(draw - 1.0) < 1e-12
 
 
 def test_gig_scalar_return():
