@@ -10,13 +10,24 @@ floats: a parameter set whose b*c is zero, exactly or by underflow, takes
 the exact Gamma or inverse-Gamma reduction (one ``rng.gamma`` call), and
 any other goes through Devroye's (2014) rejection scheme on the log scale,
 which stays valid for arbitrarily small b*c and for any b*c up to the
-largest float (a b*c that overflows is refused), and takes one
-``rng.random(3)`` per round.  Its envelope is computed inline and one
-acceptance loop serves it whether alpha is held as a float or, when that
-underflows, by its log.  ``sample_gig`` draws once from one parameter
-set; ``sample_gig_array`` checks its parameters once per call and then
-draws once per element, element after element, so n elements consume the
-generator as n successive ``sample_gig`` calls do.
+largest float (a b*c that overflows is refused).  Its envelope is computed
+inline and one acceptance loop serves it whether alpha is held as a float
+or, when that underflows, by its log.  A draw whose mode or scale leaves
+the float range (a |a| whose square overflows, or a c/b that under- or
+overflows) is put together in logs.
+
+Each rejection round uses one uniform triple (u, v, w).  The triples come
+in blocks: when the block in hand is used up, the next one holds
+3 x (elements still to draw before the next reduction) uniforms.  Every
+such element takes at least one more triple, so a block is never drawn
+past what the elements use, and a reduction's ``rng.gamma`` follows the
+uniforms of the elements before it, as element-by-element drawing has
+them.  ``rng.random(3 * m)`` gives the same values as m calls of
+``rng.random(3)``, so the draws and the generator's final state are those
+of one ``rng.random(3)`` per round.  ``sample_gig`` draws once from one
+parameter set; ``sample_gig_array`` checks its parameters once per call
+and then draws its elements in order, so n elements consume the generator
+as n successive ``sample_gig`` calls do.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ class GigParams:
 def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     """One draw from the generalized inverse Gaussian distribution."""
     # GigParams has already checked the parameters
-    return _draw_gig(float(params.a), float(params.b), float(params.c), rng)
+    return _draw_gigs([float(params.a)], [float(params.b)], [float(params.c)], rng)[0]
 
 
 def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
@@ -113,139 +124,172 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
         for i, (ai, bi, ci) in enumerate(zip(al, bl, cl)):
             if ai == 0.0 and bi * ci == 0.0:
                 raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
-    return np.array([_draw_gig(ai, bi, ci, rng) for ai, bi, ci in zip(al, bl, cl)])
+    return np.array(_draw_gigs(al, bl, cl, rng))
 
 
-def _draw_gig(a: float, b: float, c: float, rng: np.random.Generator) -> float:
-    """One draw for parameters inside the valid regions."""
-    omega = math.sqrt(b * c)
-    # b*c is zero exactly (b or c is zero) or by underflow; the dominant
-    # reduction is then exact at this precision
-    if omega == 0.0:
-        if a == 0.0:
-            raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
-        if a > 0.0:
-            return float(rng.gamma(a, 2.0 / b))
-        # for small -a the Gamma draw underflows to exactly 0
-        g = rng.gamma(-a, 2.0 / c)
-        return 1.0 / g if g > 0.0 else math.inf
-    draw = _gig_two_param(abs(a), omega, rng)
-    return (1.0 / draw if a < 0.0 else draw) * math.sqrt(c / b)
+def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
+    """One draw per element of the parameter lists, all inside the valid regions, in order.
 
+    An element whose b*c is zero, exactly (b or c is zero) or by
+    underflow, takes the dominant reduction, which is then exact at this
+    precision.  Every other element is drawn by Devroye's (2014) sampler
+    on the log scale: with lam = |a| and omega = sqrt(b*c) it draws X from
 
-def _gig_two_param(lam: float, omega: float, rng: np.random.Generator) -> float:
-    """One draw from p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}, lam >= 0, omega > 0.
+        p(x) propto x^(lam-1) exp{-omega (x + 1/x) / 2}
 
-    Rejection sampler of Devroye (2014) built on the log-concave density
-    of log(X / mode),
+    through the log-concave density of log(X / mode),
 
         psi(x) = -A(x) - lam (e^x - 1 - x),   A(x) = alpha (cosh x - 1),
 
     with psi(0) = 0: a flat center piece with two exponential tails.  The
     acceptance rate is bounded away from zero uniformly in (lam, omega).
-    The envelope constants are computed once, inline; when one of them is
-    not finite (alpha near or below the smallest normal float) they are
-    computed again with alpha carried by its log, and the one acceptance
-    loop below evaluates A the same way.  Each round takes one
-    ``rng.random(3)`` as (u, v, w): u picks the piece, v places the
-    candidate in it and w decides acceptance.
+    The envelope constants are computed once per element, inline; when
+    one of them is not finite (alpha near or below the smallest normal
+    float) they are computed again with alpha carried by its log, and the
+    one acceptance loop below evaluates A the same way.  Each round takes
+    a uniform triple (u, v, w) from the block in hand (module docstring):
+    u picks the piece, v places the candidate in it and w decides
+    acceptance.  The element's draw is then X^sign(a) sqrt(c/b).
     """
-    # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
-    # rounds it to 0 when omega << lam: the left switch point would then be
-    # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
-    # constant would be NaN and no candidate would ever be accepted
-    alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
-    # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
-    # overflow for small alpha
-    left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
-    log_alpha = None  # set once alpha is carried by its log
-    while True:
-        try:
-            # right and left switch points of the three-piece envelope,
-            # from -psi(1) and -psi(-1)
-            x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
-            if 0.5 <= x0 <= 2.0:
-                t = 1.0
-            elif x0 > 2.0:
-                t = math.sqrt(2.0 / (alpha + lam))
-            else:
-                t = math.log(4.0 / (alpha + 2.0 * lam))
-            x1 = alpha * (_COSH1 - 1.0) + lam / math.e
-            if 0.5 <= x1 <= 2.0:
-                s = 1.0
-            elif x1 > 2.0:
-                s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
-            else:
-                # the fallback picks 1/lam (inf at lam = 0) or the log term
-                # ``left`` (inf at alpha = 0); never both, as omega > 0
-                s = min(1.0 / lam if lam > 0.0 else math.inf, left)
-            em_t, em_s = math.expm1(t), math.expm1(-s)
-            # A and its derivative at t and -s
-            if log_alpha is None:
-                a_t, da_t = alpha * (math.cosh(t) - 1.0), alpha * math.sinh(t)
-                a_s, da_s = alpha * (math.cosh(-s) - 1.0), alpha * math.sinh(-s)
-            else:
-                e_t, e_s = math.exp(log_alpha + t), math.exp(log_alpha - t)
-                a_t, da_t = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
-                e_t, e_s = math.exp(log_alpha - s), math.exp(log_alpha + s)
-                a_s, da_s = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
-            # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
-            eta = a_t + lam * (em_t - t)
-            zeta = da_t + lam * em_t
-            theta = a_s + lam * (em_s + s)
-            xi = -da_s - lam * em_s
-            p = 1.0 / xi
-            r = 1.0 / zeta
-            t_star = t - r * eta
-            s_star = s - p * theta
-            q = t_star + s_star
-            # cumulative weights of the center and right pieces
-            total = p + q + r
-            cut_mid = q / total
-            cut_right = (q + r) / total
-            if log_alpha is not None or all(
-                map(math.isfinite, (t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right))
-            ):
-                break
-        except (OverflowError, ZeroDivisionError):
-            if log_alpha is not None:
-                raise
-        # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
-        # overflows, the left switch point falls back to 1/lam and
-        # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
-        # envelope and in every acceptance test, so that A(x) overflows
-        # only where psi does.
-        log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
-        alpha = math.exp(log_alpha)
-        left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - log_alpha
+    n = len(al)
+    omegas = [math.sqrt(bi * ci) for bi, ci in zip(bl, cl)]
+    # rejection elements from i up to the next reduction: a block of
+    # uniforms drawn at element i is sized for these
+    if 0.0 in omegas:
+        run = [0] * n
+        following = 0
+        for i in range(n - 1, -1, -1):
+            following = following + 1 if omegas[i] > 0.0 else 0
+            run[i] = following
+    else:
+        run = range(n, 0, -1)
+    out = []
+    block, pos = [], 0
+    for i, (a, b, c, omega) in enumerate(zip(al, bl, cl, omegas)):
+        if omega == 0.0:
+            if a == 0.0:
+                raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
+            if a > 0.0:
+                out.append(float(rng.gamma(a, 2.0 / b)))
+                continue
+            # for small -a the Gamma draw underflows to exactly 0
+            g = rng.gamma(-a, 2.0 / c)
+            out.append(1.0 / g if g > 0.0 else math.inf)
+            continue
+        lam = abs(a)
+        # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
+        # rounds it to 0 when omega << lam: the left switch point would then be
+        # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
+        # constant would be NaN and no candidate would ever be accepted
+        alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
+        # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
+        # overflow for small alpha
+        left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
+        log_alpha = None  # set once alpha is carried by its log
+        while True:
+            try:
+                # right and left switch points of the three-piece envelope,
+                # from -psi(1) and -psi(-1)
+                x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
+                if 0.5 <= x0 <= 2.0:
+                    t = 1.0
+                elif x0 > 2.0:
+                    t = math.sqrt(2.0 / (alpha + lam))
+                else:
+                    t = math.log(4.0 / (alpha + 2.0 * lam))
+                x1 = alpha * (_COSH1 - 1.0) + lam / math.e
+                if 0.5 <= x1 <= 2.0:
+                    s = 1.0
+                elif x1 > 2.0:
+                    s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+                else:
+                    # the fallback picks 1/lam (inf at lam = 0) or the log term
+                    # ``left`` (inf at alpha = 0); never both, as omega > 0
+                    s = min(1.0 / lam if lam > 0.0 else math.inf, left)
+                em_t, em_s = math.expm1(t), math.expm1(-s)
+                # A and its derivative at t and -s
+                if log_alpha is None:
+                    a_t, da_t = alpha * (math.cosh(t) - 1.0), alpha * math.sinh(t)
+                    a_s, da_s = alpha * (math.cosh(-s) - 1.0), alpha * math.sinh(-s)
+                else:
+                    e_t, e_s = math.exp(log_alpha + t), math.exp(log_alpha - t)
+                    a_t, da_t = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
+                    e_t, e_s = math.exp(log_alpha - s), math.exp(log_alpha + s)
+                    a_s, da_s = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
+                # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
+                eta = a_t + lam * (em_t - t)
+                zeta = da_t + lam * em_t
+                theta = a_s + lam * (em_s + s)
+                xi = -da_s - lam * em_s
+                p = 1.0 / xi
+                r = 1.0 / zeta
+                t_star = t - r * eta
+                s_star = s - p * theta
+                q = t_star + s_star
+                # cumulative weights of the center and right pieces
+                total = p + q + r
+                cut_mid = q / total
+                cut_right = (q + r) / total
+                if log_alpha is not None or all(
+                    map(math.isfinite, (t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right))
+                ):
+                    break
+            except (OverflowError, ZeroDivisionError):
+                if log_alpha is not None:
+                    raise
+            # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
+            # overflows, the left switch point falls back to 1/lam and
+            # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
+            # envelope and in every acceptance test, so that A(x) overflows
+            # only where psi does.
+            log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
+            alpha = math.exp(log_alpha)
+            left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - log_alpha
 
-    # each log maps 0 to -inf instead of raising
-    while True:
-        u, v, w = rng.random(3).tolist()
-        if u < cut_mid:
-            cand = -s_star + q * v
-            log_envelope = 0.0
-        elif u < cut_right:
-            cand = t_star - r * (math.log(v) if v > 0.0 else -math.inf)
-            log_envelope = -eta - zeta * (cand - t)
-        else:
-            cand = -s_star + p * (math.log(v) if v > 0.0 else -math.inf)
-            log_envelope = -theta + xi * (cand + s)
-        try:
-            if log_alpha is None:
-                a_c = alpha * (math.cosh(cand) - 1.0)
+        # each log maps 0 to -inf instead of raising
+        while True:
+            if pos == len(block):
+                block, pos = rng.random(3 * run[i]).tolist(), 0
+            u, v, w = block[pos], block[pos + 1], block[pos + 2]
+            pos += 3
+            if u < cut_mid:
+                cand = -s_star + q * v
+                log_envelope = 0.0
+            elif u < cut_right:
+                cand = t_star - r * (math.log(v) if v > 0.0 else -math.inf)
+                log_envelope = -eta - zeta * (cand - t)
             else:
-                a_c = 0.5 * (math.exp(log_alpha + cand) + math.exp(log_alpha - cand)) - alpha
-            psi = -a_c - lam * (math.expm1(cand) - cand)
-            if (math.log(w) if w > 0.0 else -math.inf) + log_envelope <= psi:
-                break
-        except OverflowError:
-            pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
-    mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
-    if log_alpha is not None:
-        # the log-scale draw can sit below the smallest normal exp(cand)
-        return math.exp(cand + math.log(mode))
-    return math.exp(cand) * mode
+                cand = -s_star + p * (math.log(v) if v > 0.0 else -math.inf)
+                log_envelope = -theta + xi * (cand + s)
+            try:
+                if log_alpha is None:
+                    a_c = alpha * (math.cosh(cand) - 1.0)
+                else:
+                    a_c = 0.5 * (math.exp(log_alpha + cand) + math.exp(log_alpha - cand)) - alpha
+                psi = -a_c - lam * (math.expm1(cand) - cand)
+                if (math.log(w) if w > 0.0 else -math.inf) + log_envelope <= psi:
+                    break
+            except OverflowError:
+                pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
+        try:
+            mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
+            # the log-scale draw can sit below the smallest normal exp(cand)
+            x = math.exp(cand + math.log(mode)) if log_alpha is not None else math.exp(cand) * mode
+            draw = (1.0 / x if a < 0.0 else x) * math.sqrt(c / b)
+        except (OverflowError, ZeroDivisionError):
+            draw = math.nan
+        if not 0.0 < draw < math.inf:
+            # the mode (lam * lam overflows) or the scale c/b left the float
+            # range: the same draw, put together in logs
+            h = math.hypot(lam, omega)
+            log_x = cand + math.log(h) + math.log1p(lam / h) - math.log(omega)
+            log_draw = (-log_x if a < 0.0 else log_x) + 0.5 * (math.log(c) - math.log(b))
+            try:
+                draw = math.exp(log_draw)
+            except OverflowError:
+                draw = math.inf
+        out.append(draw)
+    return out
 
 
 def sample_dirichlet(concentrations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -277,7 +321,8 @@ def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     category of positive weight.  One uniform is drawn per row.
     """
     # the CDF is built in place in one (K, n) copy, so every step runs
-    # along rows of length n; the running sum adds category after category
+    # along rows of length n; the running sum adds category after category,
+    # row k - 1 to row k, in one in-place cumsum
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim != 2:
         raise ValueError("categorical log weights must be a 2-d (n, K) array")
@@ -289,8 +334,7 @@ def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -
         raise ValueError(f"categorical log weights of row {i} have no finite maximum: {cdf[:, i].tolist()}")
     cdf -= top
     np.exp(cdf, out=cdf)
-    for k in range(1, cdf.shape[0]):
-        np.add(cdf[k - 1], cdf[k], out=cdf[k])
+    np.cumsum(cdf, axis=0, out=cdf)
     u = rng.random(cdf.shape[1]) * cdf[-1]
     return (cdf <= u).sum(axis=0)
 

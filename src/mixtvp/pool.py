@@ -11,7 +11,7 @@ clusters is how the model learns the effective number of regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,4 +201,4 @@ def pool_sweep(
     lam0 = state.l * ranges**2
     mu = sample_group_means(alpha_tilde, theta, N, lam0, rng)
     l = sample_l(mu, ranges, priors, rng)
-    return replace(state, omega=omega, xi=xi, theta=theta, mu=mu, l=l)
+    return PoolState(omega=omega, xi=xi, theta=theta, mu=mu, l=l)

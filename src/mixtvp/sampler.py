@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,16 +184,39 @@ class EquationChainState:
 
 @dataclass
 class SweepScales:
-    """Adaptive proposal scales shared across sweeps of one chain."""
+    """What the sweeps of one chain share.
+
+    The adaptive proposal scales, plus the values that follow from the
+    spec alone (indicator prior counts, pool priors, the Minnesota prior's
+    variances and means), built once per chain instead of once per sweep.
+    """
 
     rho: dict[str, MhScale]
     xi: MhScale | None = None
+    ms_counts: MsCounts | None = None
+    bernoulli_counts: BernoulliCounts | None = None
+    pool_priors: PoolPriors | None = None
+    prior_variances: np.ndarray | None = None
+    prior_means: np.ndarray | None = None
 
 
 def make_scales(spec: ModelSpec) -> SweepScales:
     names = [GROUP_MEANS] + [GROUP_SLAB, GROUP_SPIKE][: spec.n_variance_groups]
-    xi = MhScale(scale=0.3) if spec.model_class == CLASS_POOL else None
-    return SweepScales(rho={n: MhScale(scale=0.4) for n in names}, xi=xi)
+    pool = spec.model_class == CLASS_POOL
+    scales = SweepScales(
+        rho={n: MhScale(scale=0.4) for n in names},
+        xi=MhScale(scale=0.3) if pool else None,
+        ms_counts=spec.default_ms_counts() if spec.law == LAW_MS else None,
+        bernoulli_counts=spec.default_bernoulli_counts() if spec.law == LAW_MIX else None,
+        pool_priors=spec.pool_priors() if pool else None,
+    )
+    if spec.model_class == CLASS_CONST_MIN:
+        if spec.prior_variances is None:
+            raise ValueError("the Minnesota benchmark needs prior variances")
+        scales.prior_variances = np.asarray(spec.prior_variances, dtype=float)
+        means = spec.prior_means if spec.prior_means is not None else np.zeros(len(spec.prior_variances))
+        scales.prior_means = np.asarray(means, dtype=float)
+    return scales
 
 
 def _phi_diagonals(spec: ModelSpec, S: np.ndarray | None, T: int, K: int) -> np.ndarray | None:
@@ -218,7 +241,8 @@ def _block_from_coefs(
     The layout follows ``default_ng_hyper``: means, slab roots, spike roots.
     SSVS-MIX samples no spike roots; its fixed ones come in ``fixed_spike``.
     """
-    parts = np.split(coefs, 1 + spec.n_variance_groups)
+    K = coefs.shape[0] // (1 + spec.n_variance_groups)
+    parts = [coefs[j: j + K] for j in range(0, coefs.shape[0], K)]
     if spec.subclass == SUB_SSVS_MIX:
         parts.append(fixed_spike)
     return ConstantBlock(*parts)
@@ -259,7 +283,7 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
             tau[idx], lam[name], rho[name], scales.rho[name].scale, rng
         )
         scales.rho[name].record(accepted, adapting)
-    new_ng = replace(ng, tau=tau, lam=lam, rho=rho)
+    new_ng = ng.successor(tau, lam, rho)
 
     return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), new_ng
 
@@ -295,7 +319,7 @@ def _update_volatility(y, x, alpha, spec, sv, rng):
     )
 
 
-def _update_indicators(alpha, spec, block, state, rng):
+def _update_indicators(alpha, spec, block, state, rng, scales):
     """Step 4: regime indicators in the centered parameterization."""
     pool_means = (
         state.pool.prior_mean_stack() if spec.model_class == CLASS_POOL else None
@@ -304,7 +328,7 @@ def _update_indicators(alpha, spec, block, state, rng):
     # then faces transition odds that already count it, not bare prior odds
     if spec.law == LAW_MS:
         p00, p11 = update_transition_probs(
-            state.S[:, 0], spec.default_ms_counts(), rng
+            state.S[:, 0], scales.ms_counts, rng
         )
         s = sample_indicators_ms(
             alpha, block, p00, p11, spec.model_class, rng, pool_means
@@ -312,7 +336,7 @@ def _update_indicators(alpha, spec, block, state, rng):
         S = np.repeat(s[:, None], block.K, axis=1).astype(np.int8)
         return S, p00, p11, state.p_mix
     p_mix = update_bernoulli_probs(
-        state.S, spec.default_bernoulli_counts(), rng, spec.bernoulli_pairing
+        state.S, scales.bernoulli_counts, rng, spec.bernoulli_pairing
     )
     S = sample_indicators_mix(
         alpha, block, p_mix, spec.model_class, rng, pool_means, S=state.S
@@ -334,26 +358,20 @@ def gibbs_sweep(
     if scales is None:
         scales = make_scales(spec)
 
-    if spec.model_class == CLASS_CONST_MIN:
-        if spec.prior_variances is None:
-            raise ValueError("the Minnesota benchmark needs prior variances")
-        tau = np.asarray(spec.prior_variances, dtype=float)
-        mean = (
-            np.asarray(spec.prior_means, dtype=float)
-            if spec.prior_means is not None
-            else np.zeros(K)
+    if not spec.is_tvp:
+        if spec.model_class == CLASS_CONST_MIN:
+            coefs = draw_constant_block(
+                y, x, state.sv.sigma(), scales.prior_variances, rng, prior_mean=scales.prior_means
+            )
+            block, ng = _block_from_coefs(coefs, spec), state.ng
+        else:
+            block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
+        alpha = np.broadcast_to(block.alpha0, (T, K))
+        sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
+        return EquationChainState(
+            block=block, alpha_tilde=state.alpha_tilde, S=state.S, p00=state.p00, p11=state.p11,
+            p_mix=state.p_mix, ng=ng, sv=sv, pool=state.pool,
         )
-        coefs = draw_constant_block(y, x, state.sv.sigma(), tau, rng, prior_mean=mean)
-        block = _block_from_coefs(coefs, spec)
-        alpha = np.broadcast_to(block.alpha0, (T, K))
-        sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
-        return replace(state, block=block, sv=sv)
-
-    if spec.model_class == CLASS_CONST_NG:
-        block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
-        alpha = np.broadcast_to(block.alpha0, (T, K))
-        sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
-        return replace(state, block=block, ng=ng, sv=sv)
 
     block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
     # each step gets what this sweep drew as arguments and reads the rest from
@@ -364,12 +382,12 @@ def gibbs_sweep(
 
     S, p00, p11, p_mix = state.S, state.p00, state.p11, state.p_mix
     if spec.law is not None:
-        S, p00, p11, p_mix = _update_indicators(alpha, spec, block, state, rng)
+        S, p00, p11, p_mix = _update_indicators(alpha, spec, block, state, rng, scales)
         alpha_tilde = normalized_from_centered(block, S, alpha)
 
     pool = state.pool
     if spec.model_class == CLASS_POOL:
-        pool = pool_sweep(alpha_tilde, pool, spec.pool_priors(), rng, scales.xi, adapting)
+        pool = pool_sweep(alpha_tilde, pool, scales.pool_priors, rng, scales.xi, adapting)
     return EquationChainState(
         block=block, alpha_tilde=alpha_tilde, S=S, p00=p00, p11=p11,
         p_mix=p_mix, ng=ng, sv=sv, pool=pool,
@@ -609,23 +627,28 @@ class PosteriorDraws:
         return cls(meta=meta, **arrays)
 
     def summary_csv(self) -> str:
-        """Mean and quantiles for the scalar and per-coefficient symbols."""
+        """Mean and quantiles for the scalar and per-coefficient symbols.
+
+        The quantiles of every column come from one ``np.quantile`` over
+        the columns side by side; the means are taken per symbol.
+        """
         rows = ["parameter,mean,q05,q16,q50,q84,q95"]
         targets = (
             "alpha0", "sqrt_psi1", "sqrt_psi0", "sv_mu", "sv_phi", "sv_psi",
             "p00", "p11", "p_mix", "lam", "rho", "pool_xi", "pool_occupied",
         )
+        labels, means, mats = [], [], []
         for name in targets:
             arr = getattr(self, name)
             if arr is None:
                 continue
             mat = arr.reshape(arr.shape[0], -1).astype(float)
-            qs = np.quantile(mat, [0.05, 0.16, 0.5, 0.84, 0.95], axis=0)
-            means = mat.mean(axis=0)
-            for j in range(mat.shape[1]):
-                label = name if mat.shape[1] == 1 else f"{name}[{j}]"
-                cells = [means[j]] + [qs[i, j] for i in range(5)]
-                rows.append(label + "," + ",".join(format(c, ".17g") for c in cells))
+            mats.append(mat)
+            means.extend(mat.mean(axis=0).tolist())
+            labels.extend([name] if mat.shape[1] == 1 else [f"{name}[{j}]" for j in range(mat.shape[1])])
+        qs = np.quantile(np.hstack(mats), [0.05, 0.16, 0.5, 0.84, 0.95], axis=0).T.tolist()
+        for label, mean, q in zip(labels, means, qs):
+            rows.append(label + "," + ",".join(format(c, ".17g") for c in [mean, *q]))
         return "\n".join(rows) + "\n"
 
 

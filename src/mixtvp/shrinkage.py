@@ -8,6 +8,7 @@ group (means, slab roots, spike roots).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -75,6 +76,19 @@ class NgHyper:
             raise ValueError("lam and rho must carry one entry per group")
         if np.any(self.tau <= 0.0):
             raise ValueError("tau must be positive")
+
+    def successor(self, tau: np.ndarray, lam: dict[str, float], rho: dict[str, float]) -> NgHyper:
+        """This hierarchy with new draws of tau, lam and rho, for the next sweep.
+
+        The successor shares this one's ``groups`` object and ``zeta``, so
+        the partition checked when the chain's first hierarchy was built
+        still holds and is not checked again; ``lam`` and ``rho`` must keep
+        one entry per group and ``tau`` stay positive, as the sweep's draws
+        do (``draw_tau`` floors it).
+        """
+        new = copy.copy(self)
+        new.tau, new.lam, new.rho = tau, lam, rho
+        return new
 
     def per_coef(self) -> tuple[np.ndarray, np.ndarray]:
         """rho and lam broadcast to one value per block entry."""

@@ -48,6 +48,7 @@ MIX_VAR = np.array([
 # log-weight terms of the mixture that do not depend on the data
 _MIX_LOG_NORM = np.log(MIX_PROB) - 0.5 * np.log(MIX_VAR)
 _MIX_HALF_PREC = 0.5 / MIX_VAR
+_MIX_PREC = 1.0 / MIX_VAR
 
 LOG_OFFSET = 1e-8
 PSI_FLOOR = 1e-12
@@ -118,7 +119,7 @@ def sv_sweep(
 
     comp = _draw_mixture_indicators(ystar, state.h, rng)
     m = MIX_MEAN[comp]
-    d = 1.0 / MIX_VAR[comp]
+    d = _MIX_PREC[comp]
 
     obs = ystar - m
     h_full = _draw_h_joint(obs, d, state, rng)

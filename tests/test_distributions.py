@@ -189,6 +189,70 @@ def test_scalar_gig_matches_array_on_the_same_stream(a, b, c):
     assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
 
 
+class _CountingGenerator:
+    """Wraps a generator and counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def random(self, size=None):
+        self.random_calls += 1
+        return self.rng.random(size)
+
+    def gamma(self, shape, scale=1.0):
+        return self.rng.gamma(shape, scale)
+
+
+def test_gig_array_draws_its_uniforms_in_a_few_blocks():
+    # one block of 3 x (elements left) uniforms per refill, where one call
+    # per rejection round would make more than 200
+    spy = _CountingGenerator(np.random.default_rng(8))
+    c = np.random.default_rng(9).uniform(0.01, 2.0, 200)
+    draws = sample_gig_array(np.full(200, 0.4), 0.8, c, spy)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+    assert spy.random_calls <= 10
+
+
+def test_gig_array_with_reductions_between_elements_matches_scalar_draws():
+    # a reduction's rng.gamma must follow every uniform the elements before
+    # it used and precede those of the elements after it, as when each
+    # element is drawn on its own
+    regions = [(2.5, 3.0, 2.0), (1.5, 1e-160, 1e-170), (-1.5, 2.0, 4.0), (0.25, 0.05, 8.0),
+               (2.5, 3.0, 0.0), (-3.0, 0.0, 4.0), (0.0, 1.0, 1.0), (-3.0, 1e-170, 1e-160)]
+    order = np.random.default_rng(4).integers(0, len(regions), size=300)
+    a, b, c = np.array([regions[k] for k in order]).T
+    rng_scalar, rng_array = np.random.default_rng(12), np.random.default_rng(12)
+    want = [sample_gig(GigParams(*abc), rng_scalar) for abc in zip(a, b, c)]
+    got = sample_gig_array(a, b, c, rng_array)
+    np.testing.assert_array_equal(got, want)
+    assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "a, b, c, want",
+    [
+        # Gamma(a, rate b/2) limits: mean 2a/b
+        (1e300, 1e150, 1e-300, 2e150),
+        (1e300, 1.0, 1.0, 2e300),
+        (5.0, 1e150, 1e-300, 1e-149),
+        # inverse-Gamma(-a, scale c/2) limit: mean c / (2 (-a - 1))
+        (-1e300, 1e-300, 1e150, 5e-151),
+    ],
+)
+def test_gig_draws_near_their_limit_when_mode_or_scale_leave_the_float_range(a, b, c, want):
+    # lam^2 overflows in the mode, or c/b under- or overflows in the scale;
+    # the direct product gave NaN, inf or 0 for these parameters
+    n = 2000
+    draws = sample_gig_array(np.full(n, a), b, c, np.random.default_rng(21))
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+    ratio = draws / want
+    # |a| = 1e300 leaves a spread of ~1e-150 relative to the mean; a = 5
+    # that of a Gamma(5) draw, sd 1/sqrt(5)
+    tol = 5.0 * ratio.std(ddof=1) / np.sqrt(n) + 1e-12
+    assert abs(ratio.mean() - 1.0) < tol
+
+
 def test_gig_inverse_gamma_reduction_returns_inf_when_the_gamma_draw_underflows():
     # b*c underflows to 0, so each element is 1 / Gamma(1e-3, scale 2/c),
     # and a Gamma draw at shape 1e-3 is exactly 0 about half the time

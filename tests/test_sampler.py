@@ -286,6 +286,26 @@ def test_geweke_prior_reproduction():
         assert abs(rec_lam[:, g].mean() - 1.0) < 6 * mc_se(rec_lam[:, g]) + 0.02
 
 
+@pytest.mark.parametrize("model_class, subclass", [(CLASS_MIX, SUB_FLEX_MS), (CLASS_CONST_NG, None)])
+def test_sweep_hands_the_checked_group_partition_to_its_successor(model_class, subclass):
+    # the successor's hierarchy shares the groups object whose partition
+    # NgHyper checked at the chain's start, so the sweep does not check it again
+    rng = np.random.default_rng(6)
+    T, K = 40, 2
+    x = np.column_stack([rng.normal(size=T), np.ones(T)])
+    y = x @ np.array([0.5, 1.0]) + 0.3 * rng.normal(size=T)
+    spec = ModelSpec(model_class=model_class, subclass=subclass, iterations=2, burnin=1)
+    state = init_equation_state(y, x, spec, rng)
+    scales = make_scales(spec)
+    for _ in range(3):
+        new = gibbs_sweep(y, x, spec, state, rng, scales)
+        assert new.ng is not state.ng
+        assert new.ng.groups is state.ng.groups
+        assert set(new.ng.lam) == set(new.ng.rho) == set(state.ng.groups)
+        assert new.ng.tau.shape == state.ng.tau.shape and np.all(new.ng.tau > 0.0)
+        state = new
+
+
 def test_prior_state_and_observation_shapes():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(25, 2))

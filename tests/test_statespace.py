@@ -102,6 +102,19 @@ def test_draw_matches_dense_formula_any_ar():
     check_injected_noise_draws(rng, lambda T, K: rng.uniform(-0.9, 0.9, size=(T, K)))
 
 
+@pytest.mark.parametrize("K", [20, 35])
+def test_draw_matches_dense_formula_at_large_k(K):
+    # K = 35 is past LAPACK's block size for the banded Cholesky (32), so
+    # the factorization takes its blocked path there
+    rng = np.random.default_rng(K)
+    for T in (2, 5):
+        ytilde, wtilde, a0, Phi = random_instance(rng, T, K)
+        u = rng.normal(size=T * K)
+        v = rng.normal(size=T)
+        draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(u, v))
+        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, Phi, u, v), atol=1e-9)
+
+
 def test_state_precision_band_matches_dense():
     rng = np.random.default_rng(14)
     for _ in range(15):
@@ -114,8 +127,8 @@ def test_state_precision_band_matches_dense():
         Q = W.T @ W + D.T @ D
         ab = state_precision_band(wtilde, Phi)
         for k in range(K + 1):
-            np.testing.assert_allclose(ab[K - k, k:], np.diag(Q, k), atol=1e-12)
-        assert np.all(Q[np.triu_indices(T * K, K + 1)] == 0.0)
+            np.testing.assert_allclose(ab[k, : T * K - k], np.diag(Q, -k), atol=1e-12)
+        assert np.all(Q[np.tril_indices(T * K, -K - 1)] == 0.0)
 
 
 @pytest.mark.parametrize("K", [1, 3, 9, 15])
