@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _COSH1 = math.cosh(1.0)
+_COSH1_M1 = _COSH1 - 1.0
+_E_M2 = math.e - 2.0
 
 
 def _gig_reason(a: float, b: float, c: float) -> str | None:
@@ -181,7 +183,8 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
         # rounds it to 0 when omega << lam: the left switch point would then be
         # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
         # constant would be NaN and no candidate would ever be accepted
-        alpha = omega * omega / (math.sqrt(omega * omega + lam * lam) + lam)
+        root = math.sqrt(omega * omega + lam * lam)
+        alpha = omega * omega / (root + lam)
         # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
         # overflow for small alpha
         left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
@@ -190,14 +193,15 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
             try:
                 # right and left switch points of the three-piece envelope,
                 # from -psi(1) and -psi(-1)
-                x0 = alpha * (_COSH1 - 1.0) + lam * (math.e - 2.0)
+                a_1 = alpha * _COSH1_M1  # A(1) = A(-1)
+                x0 = a_1 + lam * _E_M2
                 if 0.5 <= x0 <= 2.0:
                     t = 1.0
                 elif x0 > 2.0:
                     t = math.sqrt(2.0 / (alpha + lam))
                 else:
                     t = math.log(4.0 / (alpha + 2.0 * lam))
-                x1 = alpha * (_COSH1 - 1.0) + lam / math.e
+                x1 = a_1 + lam / math.e
                 if 0.5 <= x1 <= 2.0:
                     s = 1.0
                 elif x1 > 2.0:
@@ -242,7 +246,7 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
             # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
             # envelope and in every acceptance test, so that A(x) overflows
             # only where psi does.
-            log_alpha = 2.0 * math.log(omega) - math.log(math.sqrt(omega * omega + lam * lam) + lam)
+            log_alpha = 2.0 * math.log(omega) - math.log(root + lam)
             alpha = math.exp(log_alpha)
             left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - log_alpha
 
@@ -272,7 +276,7 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
             except OverflowError:
                 pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
         try:
-            mode = (lam + math.sqrt(lam * lam + omega * omega)) / omega
+            mode = (lam + root) / omega
             # the log-scale draw can sit below the smallest normal exp(cand)
             x = math.exp(cand + math.log(mode)) if log_alpha is not None else math.exp(cand) * mode
             draw = (1.0 / x if a < 0.0 else x) * math.sqrt(c / b)
