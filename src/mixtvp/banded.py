@@ -3,21 +3,15 @@
 The non-centered state equation couples consecutive periods through a unit
 lower block-bidiagonal matrix Phi whose subdiagonal blocks are diagonal.
 Products with Phi and Phi' run in O(T*K) time.  The posterior precision
-of the state path is symmetric banded: it is factored once as L L' by
-banded Cholesky, and every solve goes through that factor.  The band is
-held in LAPACK's lower layout, column j of Q from its diagonal down, and
-built as the rows of a C array whose transpose LAPACK reads in place.
-Each Cholesky step then updates one contiguous column of the band, where
-the upper layout walks it with a stride of the band's height; with BLAS
-allowed two threads, the upper layout made the state draw about three to
-four times slower than this one at K = 20 to 60, and level at K <= 15
-(``tools/state_draw_timing.py``).  The volatility path's precision is
-tridiagonal and is factored as L D L' (``factor_tridiagonal``).  No dense
-matrix of path size is formed.  A state law without autoregression
+of the state path is symmetric banded: it is factored once as U'U by
+banded Cholesky, and every solve goes through two banded triangular solves
+with that factor.  The volatility path's precision is tridiagonal and is
+factored as L D L' (``factor_tridiagonal``).  No dense matrix of path size
+is formed.  A state law without autoregression
 (Phi = I) uses none of this: its precision is block diagonal, and
 ``statespace.draw_states_fast`` draws it period by period in closed form.
 
-The six LAPACK routines the package calls (``dpbtrf``, ``dpbtrs``,
+The six LAPACK routines the package calls (``dpbtrf``, ``dtbtrs``,
 ``dpttrf`` and ``dpttrs`` here, ``dpotrf`` and ``dtrtrs`` in
 ``shrinkage``) come from scipy's compiled wrapper module
 ``scipy.linalg._flapack``, which this module loads once, straight from
@@ -60,8 +54,8 @@ _scipy = importlib.util.find_spec("scipy")
 if _scipy is None:
     raise ImportError("mixtvp needs scipy for its LAPACK routines")
 _flapack = _load_flapack(_scipy.submodule_search_locations)
-dpbtrf, dpbtrs, dpttrf, dpttrs, dpotrf, dtrtrs = (
-    _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dpotrf, _flapack.dtrtrs
+dpbtrf, dtbtrs, dpttrf, dpttrs, dpotrf, dtrtrs = (
+    _flapack.dpbtrf, _flapack.dtbtrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dpotrf, _flapack.dtrtrs
 )
 
 
@@ -154,23 +148,22 @@ def _pivot_error(step: str, kind: str, period: int) -> NotPositiveDefiniteError:
 
 
 def factor_banded(ab: np.ndarray, step: str, block: int = 1) -> np.ndarray:
-    """Lower Cholesky factor L, with L L' = Q, of a banded SPD matrix Q.
+    """Upper Cholesky factor U, with U'U = Q, of a banded SPD matrix Q.
 
-    ``ab`` holds the lower band of Q in LAPACK storage: row 0 is the main
-    diagonal, row k the k-th subdiagonal (left-aligned, ``ab[k, j]`` =
-    Q[j+k, j]); the factor comes back in the same layout.  A Fortran-ordered
-    ``ab`` is read without a copy.  A NaN or infinity in Q reaches the
-    factor's diagonal, so it is caught with the non-positive pivots.  Both
-    raise NotPositiveDefiniteError naming ``step`` and the period of the
-    first bad pivot, counting ``block`` rows per period from period 1.
+    ``ab`` holds the upper band of Q in LAPACK storage: row -1 is the main
+    diagonal, row -1-k the k-th superdiagonal (right-aligned).  A NaN or
+    infinity in Q reaches the factor's diagonal, so it is caught with the
+    non-positive pivots.  Both raise NotPositiveDefiniteError naming
+    ``step`` and the period of the first bad pivot, counting ``block`` rows
+    per period from period 1.
     """
-    L, info = dpbtrf(ab, lower=1)
+    U, info = dpbtrf(ab, lower=0)
     if info != 0:
         raise _pivot_error(step, "non-positive", (info - 1) // block + 1)
-    bad = ~np.isfinite(L[0])
+    bad = ~np.isfinite(U[-1])
     if bad.any():
         raise _pivot_error(step, "non-finite", int(np.argmax(bad)) // block + 1)
-    return L
+    return U
 
 
 def factor_tridiagonal(diag: np.ndarray, off: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +184,13 @@ def factor_tridiagonal(diag: np.ndarray, off: np.ndarray, step: str) -> tuple[np
     return d, e
 
 
-def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Q^{-1} rhs, as L^{-T} L^{-1} rhs, from the factor of ``factor_banded``.
+def solve_factored(U: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Q^{-1} rhs, as U^{-1} U^{-T} rhs, from the factor of ``factor_banded``.
 
-    ``rhs`` is a matrix with one right-hand side per column; a
-    Fortran-ordered one is read without a copy.
+    ``rhs`` is a vector, or a matrix with one right-hand side per column.
     """
-    x, _ = dpbtrs(L, rhs, lower=1)
+    x, _ = dtbtrs(U, rhs, uplo="U", trans="T")
+    x, _ = dtbtrs(U, x, uplo="U", trans="N")
     return x
 
 

@@ -7,14 +7,12 @@ conditional posterior precision
     Q = W~'W~ + Phi'Phi
 
 is banded with bandwidth K: W~'W~ is block diagonal and Phi'Phi block
-tridiagonal with diagonal off-diagonal blocks.  Its lower band is filled
-by one product of the flattened W~ with its own shifts.  The path is
-drawn with one banded Cholesky Q = L L' and one banded solve with it, in
-O(T*K^3).  The band is written in LAPACK's lower layout, one row of a C
-array per column of Q, so LAPACK takes it without a copy and each
-Cholesky step updates contiguous memory (``banded`` module docstring):
+tridiagonal with diagonal off-diagonal blocks.  Its band is filled by one
+product of the flattened W~ with its own shifts.  The path is drawn with
+one banded Cholesky Q = U'U and two banded triangular solves, in
+O(T*K^3):
 
-    draw = L^{-T} L^{-1} b,   b = W~'(y~ - v) + Phi'(Phi a_0 + u),
+    draw = U^{-1} U^{-T} b,   b = W~'(y~ - v) + Phi'(Phi a_0 + u),
     u ~ N(0, I_nu),  v ~ N(0, I_T).
 
 b has mean W~'y~ + Phi'Phi a_0 and covariance W~'W~ + Phi'Phi = Q, so the
@@ -83,46 +81,45 @@ def state_loadings(
 
 @lru_cache(maxsize=None)
 def _cross_period_entries(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Within-period rows and band columns of the entries that pair two periods.
+    """Band rows and within-period columns of the entries that pair two periods.
 
-    Row t*K + i of the (T*K, K+1) band holds Q[t*K + i + k, t*K + i] in
-    column k; for i + k >= K that pairs a coefficient with one of the
-    period after, where W~'W~ is zero.
+    Row K - k of the band holds superdiagonal k; at within-period column
+    j < k it pairs a coefficient with one of the period before, where
+    W~'W~ is zero.
     """
-    rows, cols = np.nonzero(np.arange(K)[:, None] + np.arange(K + 1) >= K)
+    rows, cols = np.nonzero(np.arange(K) < K - np.arange(1, K + 1)[:, None])
+    rows += 1
     # the cache hands the same arrays to every caller
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 
 def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> np.ndarray:
-    """Lower band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
+    """Upper band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
 
-    Row k holds subdiagonal k, left-aligned: entry j is Q[j+k, j].  The
-    band is built as the rows of a (T*K, K+1) C array, one row per column
-    of Q, and returned as its transpose, which is Fortran-ordered, so
-    LAPACK factors it with no copy.  The blocks w_t w_t' fill offsets
+    Row K - k holds superdiagonal k.  The blocks w_t w_t' fill offsets
     below K within each period; Phi'Phi adds 1 + d_t^2 to the diagonal and
-    puts its subdiagonal d_t at offset K.  The W~ entries come from one
-    product of the flattened W~ with its shifts by 0..K places, after
-    which the entries that pair two periods are set to zero.
+    puts its subdiagonal d_t at offset K.  Rows 1..K come from one product
+    of the flattened W~ with its shifts by 0..K-1 places, after which the
+    entries that pair two periods are set to zero.
     """
     T, K = Phi.T, Phi.K
     n = T * K
-    # the flattened W~ ahead of K zeros; row j of ``shifted`` holds its
-    # entries j..j+K, a view with no copy
+    # the flattened W~ behind K zeros; row r of ``shifted`` is it shifted by
+    # K - 1 - r places, a view with no copy
     padded = np.zeros(n + K)
-    padded[:n] = wtilde.reshape(n)
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, K + 1)
-    rows_ab = np.empty((n, K + 1))
-    np.multiply(shifted, padded[:n, None], out=rows_ab)
-    band = rows_ab.reshape(T, K, K + 1)
+    padded[K:] = wtilde.reshape(n)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded[1:], n)
+    ab = np.empty((K + 1, n))
+    np.multiply(shifted, padded[K:], out=ab[1:])
+    band = ab.reshape(K + 1, T, K)
     rows, cols = _cross_period_entries(K)
-    band[:, rows, cols] = 0.0
-    band[:, :, 0] += 1.0
-    band[:-1, :, 0] += Phi.subdiag**2
-    band[:-1, :, K] = Phi.subdiag
-    return rows_ab.T
+    band[rows, :, cols] = 0.0
+    band[K] += 1.0
+    band[K, :-1] += Phi.subdiag**2
+    ab[0, :K] = 0.0
+    band[0, 1:] = Phi.subdiag
+    return ab
 
 
 def draw_states_fast(
@@ -171,9 +168,9 @@ def draw_states_fast(
         proj = np.einsum("ntk,tk->nt", b, wtilde) / denom
         draws = (b - proj[:, :, None] * wtilde).reshape(n, nu)
     else:
-        L = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
+        U = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
         b = b.reshape(n, nu) + Phi.rmatvec(Phi.matvec(a0) + u)
-        draws = solve_factored(L, b.T).T
+        draws = solve_factored(U, b.T).T
     return draws[0] if size is None else draws
 
 

@@ -355,17 +355,17 @@ def group_indicators_by_differences(alpha_tilde, omega, mu, rng):
 
 
 def state_precision_band_loop(wtilde, Phi):
-    """Lower band of W~'W~ + Phi'Phi in LAPACK storage, one subdiagonal at a time.
+    """Upper band of W~'W~ + Phi'Phi in LAPACK storage, one superdiagonal at a time.
 
-    The reference for ``statespace.state_precision_band``: row k gets
-    w_t[j] w_t[j+k] at within-period column j < K - k, and zeros elsewhere.
+    The reference for ``statespace.state_precision_band``: row K - k gets
+    w_t[j-k] w_t[j] at within-period column j >= k, and zeros elsewhere.
     """
     T, K = Phi.T, Phi.K
     ab = np.zeros((K + 1, T * K))
     band = ab.reshape(K + 1, T, K)
     for k in range(K):
-        band[k, :, : K - k] = wtilde[:, : K - k] * wtilde[:, k:]
-    band[0] += 1.0
-    band[0, :-1] += Phi.subdiag**2
-    band[K, :-1] = Phi.subdiag
+        band[K - k, :, k:] = wtilde[:, : K - k] * wtilde[:, k:]
+    band[K] += 1.0
+    band[K, :-1] += Phi.subdiag**2
+    band[0, 1:] = Phi.subdiag
     return ab

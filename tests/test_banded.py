@@ -104,7 +104,7 @@ def test_dimension_mismatch_errors():
 
 
 def random_band(rng, n, kd):
-    """Lower LAPACK band of a random diagonally dominant SPD matrix, and Q."""
+    """Upper LAPACK band of a random diagonally dominant SPD matrix, and Q."""
     Q = np.zeros((n, n))
     for k in range(1, kd + 1):
         off = rng.normal(size=n - k)
@@ -112,7 +112,7 @@ def random_band(rng, n, kd):
     Q += np.diag(np.abs(Q).sum(axis=1) + 1.0)
     ab = np.zeros((kd + 1, n))
     for k in range(kd + 1):
-        ab[k, : n - k] = np.diag(Q, -k)
+        ab[kd - k, k:] = np.diag(Q, k)
     return ab, Q
 
 
@@ -121,8 +121,8 @@ def test_prior_precision_inverse_random_walk_min_index():
     T = 5
     D = build_phi(np.ones((T, 1))).to_dense()
     ab = np.zeros((2, T))
-    ab[0] = np.diag(D.T @ D)
-    ab[1, :-1] = np.diag(D.T @ D, -1)
+    ab[1] = np.diag(D.T @ D)
+    ab[0, 1:] = np.diag(D.T @ D, 1)
     omega0 = solve_factored(factor_banded(ab, "prior"), np.eye(T))
     expected = np.minimum.outer(np.arange(1, T + 1), np.arange(1, T + 1)).astype(float)
     np.testing.assert_allclose(omega0, expected, atol=1e-12)
@@ -134,21 +134,21 @@ def test_solve_factored_matches_dense():
         kd = int(rng.integers(0, 4))
         n = int(rng.integers(kd + 2, 12))
         ab, Q = random_band(rng, n, kd)
-        L = factor_banded(ab, "test")
-        dense_L = np.linalg.cholesky(Q)
-        np.testing.assert_allclose(sum(np.diag(L[k, : n - k], -k) for k in range(kd + 1)), dense_L, atol=1e-12)
+        U = factor_banded(ab, "test")
+        dense_U = np.linalg.cholesky(Q).T
+        np.testing.assert_allclose(sum(np.diag(U[kd - k, k:], k) for k in range(kd + 1)), dense_U, atol=1e-12)
         rhs = rng.normal(size=(n, 3))
-        np.testing.assert_allclose(solve_factored(L, rhs), np.linalg.solve(Q, rhs), atol=1e-10)
+        np.testing.assert_allclose(solve_factored(U, rhs), np.linalg.solve(Q, rhs), atol=1e-10)
 
 
 def test_factor_banded_failure_names_step_and_period():
     ab = np.zeros((3, 8))
-    ab[0] = 1.0
-    ab[0, 5] = -1.0  # row 5 is period 3 at two rows per period
+    ab[2] = 1.0
+    ab[2, 5] = -1.0  # row 5 is period 3 at two rows per period
     with pytest.raises(NotPositiveDefiniteError, match="state draw: non-positive pivot .* period 3"):
         factor_banded(ab, "state draw", block=2)
-    ab[0, 5] = 1.0
-    ab[1, 2] = np.nan  # Q[3, 2] first spoils the pivot of row 3: period 2
+    ab[2, 5] = 1.0
+    ab[1, 3] = np.nan  # Q[2, 3] first spoils the pivot of row 3: period 2
     with pytest.raises(NotPositiveDefiniteError, match="state draw: non-finite pivot .* period 2"):
         factor_banded(ab, "state draw", block=2)
 
@@ -164,7 +164,7 @@ def test_lapack_routines_are_scipys_own_in_either_import_order(first, second):
         f"importlib.import_module({first!r})\n"
         f"importlib.import_module({second!r})\n"
         "banded, lapack = sys.modules['mixtvp.banded'], sys.modules['scipy.linalg.lapack']\n"
-        "names = ['dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs', 'dpotrf', 'dtrtrs']\n"
+        "names = ['dpbtrf', 'dtbtrs', 'dpttrf', 'dpttrs', 'dpotrf', 'dtrtrs']\n"
         "print([n for n in names if getattr(banded, n) is not getattr(lapack, n)])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mixtvp.__file__).parents[1])}

@@ -127,8 +127,8 @@ def test_state_precision_band_matches_dense():
         Q = W.T @ W + D.T @ D
         ab = state_precision_band(wtilde, Phi)
         for k in range(K + 1):
-            np.testing.assert_allclose(ab[k, : T * K - k], np.diag(Q, -k), atol=1e-12)
-        assert np.all(Q[np.tril_indices(T * K, -K - 1)] == 0.0)
+            np.testing.assert_allclose(ab[K - k, k:], np.diag(Q, k), atol=1e-12)
+        assert np.all(Q[np.triu_indices(T * K, K + 1)] == 0.0)
 
 
 @pytest.mark.parametrize("K", [1, 3, 9, 15])

@@ -1,18 +1,17 @@
 """Milliseconds per banded state draw, at several state sizes K.
 
     python3 tools/state_draw_timing.py --src src
-    python3 tools/state_draw_timing.py --src /path/to/other/checkout/src --threads 2
+    python3 tools/state_draw_timing.py --src /path/to/other/checkout/src
 
 Times ``mixtvp.statespace.draw_states_fast`` from the package under
 ``--src`` on one random instance per K: T = 198 periods, random loadings
 and a 0/1 autoregressive law, so the draw goes through the banded
-factorization.  BLAS is pinned to ``--threads`` threads (default one, as
-the benchmark runs) before numpy is imported; the package itself pins
-nothing, so a command run as is gets one BLAS thread per core.  Each K is
-timed in ``--rounds`` rounds of calls lasting about ``--seconds`` in all,
-and the fastest round's mean per call is printed, which keeps a slow
-phase of a shared host out of the figure.  No benchmark workload has K of
-20 or more; this is how a change to the state draw is measured there.
+factorization.  BLAS is pinned to one thread, as the benchmark runs, before
+numpy is imported.  Each K is timed in ``--rounds`` rounds of calls lasting
+about ``--seconds`` in all, and the fastest round's mean per call is
+printed, which keeps a slow phase of a shared host out of the figure.  No
+benchmark workload has K of 20 or more; this is how a change to the state
+draw is measured there.
 """
 
 from __future__ import annotations
@@ -56,17 +55,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory that holds the mixtvp package")
     parser.add_argument("--seconds", type=float, default=2.0, help="time spent per K")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1, help="BLAS threads")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     # before numpy is first imported, which reads them once
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(args.threads)
+        os.environ[var] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
     import mixtvp
 
-    print(f"package {os.path.dirname(mixtvp.__file__)}, T = {T}, BLAS threads {args.threads}")
+    print(f"package {os.path.dirname(mixtvp.__file__)}, T = {T}, one BLAS thread")
     for K in SIZES:
         print(f"K = {K:2d}: {time_draw(K, args.seconds, args.rounds):8.3f} ms per draw")
     return 0
