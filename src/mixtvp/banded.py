@@ -173,14 +173,14 @@ def factor_tridiagonal(diag: np.ndarray, off: np.ndarray, step: str) -> tuple[np
     diagonal and L's subdiagonal (L is unit lower bidiagonal), the pair
     ``dpttrs`` solves with.  A non-positive pivot, or a NaN or infinity in
     Q, raises NotPositiveDefiniteError as ``factor_banded`` does, with one
-    row per period counted from period 0.
+    row per period counted from period 0.  The factor is computed in the
+    memory of ``diag`` and ``off``, which it overwrites.
     """
-    d, e, info = dpttrf(diag, off)
+    d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise _pivot_error(step, "non-positive", info - 1)
-    bad = ~np.isfinite(d)
-    if bad.any():
-        raise _pivot_error(step, "non-finite", int(np.argmax(bad)))
+    if not np.isfinite(d).all():
+        raise _pivot_error(step, "non-finite", int(np.argmax(~np.isfinite(d))))
     return d, e
 
 

@@ -324,13 +324,19 @@ def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     CDF exceeds its uniform, so a uniform of exactly 0 still lands on a
     category of positive weight.  One uniform is drawn per row.
     """
-    # the CDF is built in place in one (K, n) copy, so every step runs
-    # along rows of length n; the running sum adds category after category,
-    # row k - 1 to row k, in one in-place cumsum
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim != 2:
         raise ValueError("categorical log weights must be a 2-d (n, K) array")
-    cdf = np.array(lw.T, order="C")
+    return sample_categorical_columns(np.array(lw.T, order="C"), rng)
+
+
+def sample_categorical_columns(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``sample_categorical_rows`` of ``cdf.T``, overwriting the (K, n) C array ``cdf``.
+
+    Every step runs along rows of length n; the running sum adds category
+    after category, row k - 1 to row k, in one in-place cumsum.  The
+    error names column i as row i, as ``sample_categorical_rows`` does.
+    """
     top = cdf.max(axis=0)
     bad = ~np.isfinite(top)
     if bad.any():

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import NotPositiveDefiniteError, dpttrs, factor_tridiagonal
-from .distributions import GigParams, log_uniform, sample_categorical_rows, sample_gig
+from .distributions import GigParams, log_uniform, sample_categorical_columns, sample_gig
 
 # 10-component Gaussian mixture approximation to log chi^2(1)
 MIX_PROB = np.array([
@@ -49,6 +49,9 @@ MIX_VAR = np.array([
 _MIX_LOG_NORM = np.log(MIX_PROB) - 0.5 * np.log(MIX_VAR)
 _MIX_HALF_PREC = 0.5 / MIX_VAR
 _MIX_PREC = 1.0 / MIX_VAR
+_MIX_MEAN_COL = MIX_MEAN[:, None]
+_MIX_HALF_PREC_COL = _MIX_HALF_PREC[:, None]
+_MIX_LOG_NORM_COL = _MIX_LOG_NORM[:, None]
 
 LOG_OFFSET = 1e-8
 PSI_FLOOR = 1e-12
@@ -84,7 +87,7 @@ class SvState:
     def __post_init__(self):
         if self.h.ndim != 1 or self.h.size == 0:
             raise ValueError("h must be a non-empty vector")
-        if not np.all(np.isfinite(self.h)) or not np.isfinite(self.h0):
+        if not np.isfinite(self.h).all() or not math.isfinite(self.h0):
             raise ValueError("h must be finite")
         if not abs(self.phi) < 1.0:
             raise ValueError("|phi| must be below one")
@@ -110,7 +113,7 @@ def sv_sweep(
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim != 1 or resid.size == 0:
         raise ValueError("residuals must be a non-empty vector")
-    if not np.all(np.isfinite(resid)):
+    if not np.isfinite(resid).all():
         raise ValueError("residuals must be finite")
     if resid.size != state.h.size:
         raise ValueError("residual length does not match state")
@@ -132,9 +135,14 @@ def sv_sweep(
 
 
 def _draw_mixture_indicators(ystar, h, rng):
-    resid = (ystar - h)[:, None] - MIX_MEAN
+    # one row per component: the log weights come out in the (K, T) layout
+    # that the categorical draw works in, computed in place
+    lw = (ystar - h) - _MIX_MEAN_COL
+    np.square(lw, out=lw)
+    lw *= _MIX_HALF_PREC_COL
+    np.subtract(_MIX_LOG_NORM_COL, lw, out=lw)
     try:
-        return sample_categorical_rows(_MIX_LOG_NORM - resid**2 * _MIX_HALF_PREC, rng)
+        return sample_categorical_columns(lw, rng)
     except ValueError as exc:
         raise ValueError(f"volatility mixture indicators: {exc}") from exc
 
@@ -152,11 +160,13 @@ def _draw_h_joint(obs, d, state, rng):
     diag[1:] += d
     diag[1:T] += phi**2 / psi
     D, L = factor_tridiagonal(diag, np.full(T, -phi / psi), "volatility draw")
-    rhs = rng.normal(size=T + 1) * np.sqrt(D)
+    rhs = rng.normal(size=T + 1)
+    rhs *= np.sqrt(D)
     rhs[1:] += L * rhs[:-1]
     rhs[1:] += d * (obs - mu)
     x, _ = dpttrs(D, L, rhs, overwrite_b=1)
-    return mu + x
+    x += mu
+    return x
 
 
 def _draw_mu_centered(h_full, phi, psi, priors, rng):
@@ -221,7 +231,8 @@ def _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng):
     """
     if priors.psi_shape != 0.5:
         return mu, psi, h_full
-    htil = (h_full - mu) / math.sqrt(psi)
+    htil = h_full - mu
+    htil /= math.sqrt(psi)
     x2 = htil[1:]
     dx2 = d * x2
     scale_prior_var = priors.psi_shape / priors.psi_rate  # N(0, v) on signed sqrt
@@ -243,4 +254,6 @@ def _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng):
     scale_new = w2 / l22
     mu_new = (w1 - l21 * scale_new) / l11
     psi_new = max(scale_new * scale_new, PSI_FLOOR)
-    return mu_new, psi_new, mu_new + scale_new * htil
+    htil *= scale_new
+    htil += mu_new
+    return mu_new, psi_new, htil
