@@ -630,7 +630,8 @@ class PosteriorDraws:
         """Mean and quantiles for the scalar and per-coefficient symbols.
 
         The quantiles of every column come from one ``np.quantile`` over
-        the columns side by side; the means are taken per symbol.
+        the columns side by side, which partitions that one copy in place;
+        the means are taken per symbol.
         """
         rows = ["parameter,mean,q05,q16,q50,q84,q95"]
         targets = (
@@ -642,11 +643,12 @@ class PosteriorDraws:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            mat = arr.reshape(arr.shape[0], -1).astype(float)
+            mat = arr.reshape(arr.shape[0], -1)
             mats.append(mat)
-            means.extend(mat.mean(axis=0).tolist())
+            means.extend(mat.astype(float).mean(axis=0).tolist())
             labels.extend([name] if mat.shape[1] == 1 else [f"{name}[{j}]" for j in range(mat.shape[1])])
-        qs = np.quantile(np.hstack(mats), [0.05, 0.16, 0.5, 0.84, 0.95], axis=0).T.tolist()
+        stacked = np.hstack(mats).astype(float, copy=False)
+        qs = np.quantile(stacked, [0.05, 0.16, 0.5, 0.84, 0.95], axis=0, overwrite_input=True).T.tolist()
         for label, mean, q in zip(labels, means, qs):
             rows.append(label + "," + ",".join(format(c, ".17g") for c in [mean, *q]))
         return "\n".join(rows) + "\n"
