@@ -49,7 +49,7 @@ from .statespace import (
     draw_states_fast,
     normalized_from_centered,
     reconstruct_centered,
-    state_loadings,
+    sqrt_psi_matrix,
 )
 from .sv import (
     DEFAULT_SV_PRIORS,
@@ -288,11 +288,15 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), new_ng
 
 
-def _draw_states(y, x, spec, block, state, rng):
-    """Step 2: normalized path through the static representation."""
+def _draw_states(y, x, spec, block, roots, state, rng):
+    """Step 2: normalized path through the static representation.
+
+    ``roots`` are the (T, K) ``sqrt_psi_matrix`` of the block and the
+    incoming regimes; the state loadings are x * roots over the volatility.
+    """
     T, K = x.shape
     sigma = state.sv.sigma()
-    wtilde = state_loadings(x, state.S, block, sigma)
+    wtilde = x * roots / sigma[:, None]
     diagonals = _phi_diagonals(spec, state.S, T, K)
     Phi = None if diagonals is None else build_phi(diagonals)
     if spec.model_class == CLASS_POOL:
@@ -376,8 +380,11 @@ def gibbs_sweep(
     block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
     # each step gets what this sweep drew as arguments and reads the rest from
     # the incoming state, so the sweep builds its result once, at the end
-    alpha_tilde = _draw_states(y, x, spec, block, state, rng)
-    alpha = reconstruct_centered(block, state.S, alpha_tilde)
+    # one set of roots from the incoming regimes serves the state draw and
+    # the centered paths (``reconstruct_centered``) built from it
+    roots = sqrt_psi_matrix(block, state.S, T)
+    alpha_tilde = _draw_states(y, x, spec, block, roots, state, rng)
+    alpha = block.alpha0 + roots * alpha_tilde
     sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
 
     S, p00, p11, p_mix = state.S, state.p00, state.p11, state.p_mix

@@ -72,13 +72,6 @@ def build_design_rows(x: np.ndarray, alpha_tilde: np.ndarray, S: np.ndarray | No
     return np.hstack([x, S * scaled, (1.0 - S) * scaled])
 
 
-def state_loadings(
-    x: np.ndarray, S: np.ndarray | None, block: ConstantBlock, sigma: np.ndarray
-) -> np.ndarray:
-    """W~: the per-period state loadings x * sqrt(Psi_t), divided by the volatility."""
-    return x * sqrt_psi_matrix(block, S, x.shape[0]) / sigma[:, None]
-
-
 @lru_cache(maxsize=None)
 def _cross_period_entries(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Band rows and within-period columns of the entries that pair two periods.

@@ -14,7 +14,6 @@ from mixtvp.statespace import (
     normalized_from_centered,
     reconstruct_centered,
     sqrt_psi_matrix,
-    state_loadings,
     state_precision_band,
 )
 from oracles import carter_kohn_tvp, dense_state_posterior, state_precision_band_loop
@@ -211,17 +210,16 @@ def test_design_rows_layouts():
     block = ConstantBlock(
         alpha0=np.zeros(K), sqrt_psi1=np.array([0.5, 0.5]), sqrt_psi0=np.array([0.1, 0.1])
     )
-    sigma = np.ones(T)
     S = np.ones((T, K))
     xhat = build_design_rows(x, atil, S)
     assert xhat.shape == (T, 3 * K)
     np.testing.assert_allclose(xhat[:, K:2 * K], x * atil)
     np.testing.assert_allclose(xhat[:, 2 * K:], 0.0)
-    np.testing.assert_allclose(state_loadings(x, S, block, sigma), x * 0.5)
+    np.testing.assert_allclose(sqrt_psi_matrix(block, S, T), 0.5)
 
     single = ConstantBlock(alpha0=np.zeros(K), sqrt_psi1=np.array([0.3, 0.3]))
     assert build_design_rows(x, atil, None).shape == (T, 2 * K)
-    np.testing.assert_allclose(state_loadings(x, None, single, sigma), x * 0.3)
+    np.testing.assert_allclose(sqrt_psi_matrix(single, None, T), 0.3)
 
 
 def test_reconstruct_sign_flip_invariance():
