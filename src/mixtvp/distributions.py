@@ -11,10 +11,10 @@ the exact Gamma or inverse-Gamma reduction (one ``rng.gamma`` call), and
 any other goes through Devroye's (2014) rejection scheme on the log scale,
 which stays valid for arbitrarily small b*c and for any b*c up to the
 largest float (a b*c that overflows is refused).  Its envelope is computed
-inline and one acceptance loop serves it whether alpha is held as a float
-or, when that underflows, by its log.  A draw whose mode or scale leaves
-the float range (a |a| whose square overflows, or a c/b that under- or
-overflows) is put together in logs.
+once per element, inline, from the square root of its parameter alpha,
+which keeps it finite and free of cancellation over that whole range.  A
+draw whose exp(log-scale draw), mode or scale c/b leaves the normal float
+range is put together in logs.
 
 Each rejection round uses one uniform triple (u, v, w).  The triples come
 in blocks: when the block in hand is used up, the next one holds
@@ -33,6 +33,7 @@ as n successive ``sample_gig`` calls do.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ import numpy as np
 _COSH1 = math.cosh(1.0)
 _COSH1_M1 = _COSH1 - 1.0
 _E_M2 = math.e - 2.0
+_LOG_MIN_NORMAL, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def _gig_reason(a: float, b: float, c: float) -> str | None:
@@ -145,13 +147,15 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
 
     with psi(0) = 0: a flat center piece with two exponential tails.  The
     acceptance rate is bounded away from zero uniformly in (lam, omega).
-    The envelope constants are computed once per element, inline; when
-    one of them is not finite (alpha near or below the smallest normal
-    float) they are computed again with alpha carried by its log, and the
-    one acceptance loop below evaluates A the same way.  Each round takes
-    a uniform triple (u, v, w) from the block in hand (module docstring):
-    u picks the piece, v places the candidate in it and w decides
-    acceptance.  The element's draw is then X^sign(a) sqrt(c/b).
+    alpha = hypot(lam, omega) - lam is held by its root, sqrt_alpha =
+    omega / sqrt(lam + hypot(lam, omega)), and A(x) is evaluated as
+    2 (sqrt_alpha sinh(x/2))^2 with derivative 2 (sqrt_alpha sinh(x/2))
+    (sqrt_alpha cosh(x/2)): this does not cancel to 0 at small |x| (where
+    b*c is large) and forms no 0 * inf where alpha is subnormal.  The
+    envelope constants are computed once per element, in one pass.  Each
+    round takes a uniform triple (u, v, w) from the block in hand (module
+    docstring): u picks the piece, v places the candidate in it and w
+    decides acceptance.  The element's draw is then X^sign(a) sqrt(c/b).
     """
     n = len(al)
     omegas = [math.sqrt(bi * ci) for bi, ci in zip(bl, cl)]
@@ -179,76 +183,47 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
             out.append(1.0 / g if g > 0.0 else math.inf)
             continue
         lam = abs(a)
-        # alpha = sqrt(omega^2 + lam^2) - lam without the cancellation that
-        # rounds it to 0 when omega << lam: the left switch point would then be
-        # s = 1/lam, whose cosh overflows for lam below ~1/710, every envelope
-        # constant would be NaN and no candidate would ever be accepted
-        root = math.sqrt(omega * omega + lam * lam)
-        alpha = omega * omega / (root + lam)
-        # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), with no 1/alpha^2 to
-        # overflow for small alpha
-        left = math.log(1.0 + (1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
-        log_alpha = None  # set once alpha is carried by its log
-        while True:
-            try:
-                # right and left switch points of the three-piece envelope,
-                # from -psi(1) and -psi(-1)
-                a_1 = alpha * _COSH1_M1  # A(1) = A(-1)
-                x0 = a_1 + lam * _E_M2
-                if 0.5 <= x0 <= 2.0:
-                    t = 1.0
-                elif x0 > 2.0:
-                    t = math.sqrt(2.0 / (alpha + lam))
-                else:
-                    t = math.log(4.0 / (alpha + 2.0 * lam))
-                x1 = a_1 + lam / math.e
-                if 0.5 <= x1 <= 2.0:
-                    s = 1.0
-                elif x1 > 2.0:
-                    s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
-                else:
-                    # the fallback picks 1/lam (inf at lam = 0) or the log term
-                    # ``left`` (inf at alpha = 0); never both, as omega > 0
-                    s = min(1.0 / lam if lam > 0.0 else math.inf, left)
-                em_t, em_s = math.expm1(t), math.expm1(-s)
-                # A and its derivative at t and -s
-                if log_alpha is None:
-                    a_t, da_t = alpha * (math.cosh(t) - 1.0), alpha * math.sinh(t)
-                    a_s, da_s = alpha * (math.cosh(-s) - 1.0), alpha * math.sinh(-s)
-                else:
-                    e_t, e_s = math.exp(log_alpha + t), math.exp(log_alpha - t)
-                    a_t, da_t = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
-                    e_t, e_s = math.exp(log_alpha - s), math.exp(log_alpha + s)
-                    a_s, da_s = 0.5 * (e_t + e_s) - alpha, 0.5 * (e_t - e_s)
-                # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
-                eta = a_t + lam * (em_t - t)
-                zeta = da_t + lam * em_t
-                theta = a_s + lam * (em_s + s)
-                xi = -da_s - lam * em_s
-                p = 1.0 / xi
-                r = 1.0 / zeta
-                t_star = t - r * eta
-                s_star = s - p * theta
-                q = t_star + s_star
-                # cumulative weights of the center and right pieces
-                total = p + q + r
-                cut_mid = q / total
-                cut_right = (q + r) / total
-                if log_alpha is not None or all(
-                    map(math.isfinite, (t, s, eta, zeta, theta, xi, p, r, t_star, s_star, q, cut_mid, cut_right))
-                ):
-                    break
-            except (OverflowError, ZeroDivisionError):
-                if log_alpha is not None:
-                    raise
-            # Below alpha ~ 1e-308 (subnormal omega^2 against lam) 1/alpha
-            # overflows, the left switch point falls back to 1/lam and
-            # alpha*cosh(s) to inf*0.  alpha is then taken by its log, in the
-            # envelope and in every acceptance test, so that A(x) overflows
-            # only where psi does.
-            log_alpha = 2.0 * math.log(omega) - math.log(root + lam)
-            alpha = math.exp(log_alpha)
-            left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - log_alpha
+        # sqrt_alpha >= ~1e-316 wherever lam + h is finite
+        h = math.hypot(lam, omega)
+        sqrt_alpha = omega / math.sqrt(lam + h)
+        alpha = sqrt_alpha * sqrt_alpha
+        # right and left switch points of the three-piece envelope, from
+        # -psi(1) and -psi(-1)
+        a_1 = alpha * _COSH1_M1  # A(1) = A(-1)
+        x0 = a_1 + lam * _E_M2
+        if 0.5 <= x0 <= 2.0:
+            t = 1.0
+        elif x0 > 2.0:
+            t = math.sqrt(2.0 / (alpha + lam))
+        else:
+            t = math.log(4.0 / (alpha + 2.0 * lam))
+        x1 = a_1 + lam / math.e
+        if 0.5 <= x1 <= 2.0:
+            s = 1.0
+        elif x1 > 2.0:
+            s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+        else:
+            # 1/lam (inf at lam = 0) or log(1 + 1/alpha + sqrt(1/alpha^2 +
+            # 2/alpha)) with no 1/alpha to overflow; lam < e/2 here, so
+            # sqrt_alpha > 0 even where alpha underflows
+            left = math.log(alpha + 1.0 + math.sqrt(1.0 + 2.0 * alpha)) - 2.0 * math.log(sqrt_alpha)
+            s = min(1.0 / lam if lam > 0.0 else math.inf, left)
+        em_t, em_s = math.expm1(t), math.expm1(-s)
+        # A and its derivative at t and -s, from sqrt_alpha sinh(x/2) and
+        # sqrt_alpha cosh(x/2): s, t < ~750 keep both finite
+        sh_t, ch_t = sqrt_alpha * math.sinh(0.5 * t), sqrt_alpha * math.cosh(0.5 * t)
+        sh_s, ch_s = sqrt_alpha * math.sinh(0.5 * s), sqrt_alpha * math.cosh(0.5 * s)
+        # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
+        eta = 2.0 * sh_t * sh_t + lam * (em_t - t)
+        zeta = 2.0 * sh_t * ch_t + lam * em_t
+        theta = 2.0 * sh_s * sh_s + lam * (em_s + s)
+        xi = 2.0 * sh_s * ch_s - lam * em_s
+        p, r = 1.0 / xi, 1.0 / zeta
+        t_star, s_star = t - r * eta, s - p * theta
+        q = t_star + s_star
+        # cumulative weights of the center and right pieces
+        total = p + q + r
+        cut_mid, cut_right = q / total, (q + r) / total
 
         # each log maps 0 to -inf instead of raising
         while True:
@@ -266,32 +241,25 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
                 cand = -s_star + p * (math.log(v) if v > 0.0 else -math.inf)
                 log_envelope = -theta + xi * (cand + s)
             try:
-                if log_alpha is None:
-                    a_c = alpha * (math.cosh(cand) - 1.0)
-                else:
-                    a_c = 0.5 * (math.exp(log_alpha + cand) + math.exp(log_alpha - cand)) - alpha
-                psi = -a_c - lam * (math.expm1(cand) - cand)
+                sh = sqrt_alpha * math.sinh(0.5 * cand)
+                psi = -2.0 * sh * sh - lam * (math.expm1(cand) - cand)
                 if (math.log(w) if w > 0.0 else -math.inf) + log_envelope <= psi:
                     break
             except OverflowError:
-                pass  # a candidate far in a tail: cosh or exp overflows, a certain rejection
-        try:
-            mode = (lam + root) / omega
-            # the log-scale draw can sit below the smallest normal exp(cand)
-            x = math.exp(cand + math.log(mode)) if log_alpha is not None else math.exp(cand) * mode
-            draw = (1.0 / x if a < 0.0 else x) * math.sqrt(c / b)
-        except (OverflowError, ZeroDivisionError):
+                pass  # a candidate far in a tail: sinh or exp overflows, a certain rejection
+        # exp(cand) and c/b must be normal floats: a subnormal has lost digits
+        ratio = c / b
+        if _LOG_MIN_NORMAL < cand <= _LOG_MAX and ratio >= sys.float_info.min:
+            x = math.exp(cand) * ((lam + h) / omega)
+            draw = (1.0 / x if a < 0.0 else x) * math.sqrt(ratio)
+        else:
             draw = math.nan
         if not 0.0 < draw < math.inf:
-            # the mode (lam * lam overflows) or the scale c/b left the float
-            # range: the same draw, put together in logs
-            h = math.hypot(lam, omega)
+            # exp(cand), the mode (lam + h overflows) or c/b left the normal
+            # float range: the same draw, put together in logs
             log_x = cand + math.log(h) + math.log1p(lam / h) - math.log(omega)
             log_draw = (-log_x if a < 0.0 else log_x) + 0.5 * (math.log(c) - math.log(b))
-            try:
-                draw = math.exp(log_draw)
-            except OverflowError:
-                draw = math.inf
+            draw = math.exp(log_draw) if log_draw <= _LOG_MAX else math.inf
         out.append(draw)
     return out
 

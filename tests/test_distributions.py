@@ -158,6 +158,28 @@ def test_gig_refuses_b_times_c_that_overflows():
     assert abs(draw - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bc", [1e28, 1e32, 1e40, 1e60])
+def test_gig_log_spread_at_large_b_times_c(bc):
+    # log(X / mode) is close to normal with variance 1 / (alpha + lam) =
+    # 1 / hypot(lam, omega); alpha (cosh x - 1) cancels to 0 for |x| below
+    # ~1e-8 and gave 0.90 of that sd at b*c = 1e32 and 1.45 from 1e40
+    a, omega = 1.0, np.sqrt(bc)
+    draws = sample_gig_array(np.full(20_000, a), omega, omega, np.random.default_rng(1))
+    mode = (a + np.hypot(a, omega)) / omega
+    ratio = np.log(draws / mode).std(ddof=1) * np.sqrt(np.hypot(omega, a))
+    assert abs(ratio - 1.0) < 0.05
+
+
+def test_gig_scale_keeps_its_digits_when_c_over_b_is_subnormal():
+    # c/b = 1.1 * 2**-1070 is subnormal, ~1% off in its root.  b*c is the
+    # same float for (a, b, c) and (a, 1, b*c), so both draw the same X and
+    # differ only by their scales sqrt(c/b) and sqrt(b*c), whose ratio is 1/b
+    a, b, c = 2.0, 2.0**530, 1.1 * 2.0**-540
+    got = sample_gig_array(np.full(200, a), b, c, np.random.default_rng(8))
+    unit = sample_gig_array(np.full(200, a), 1.0, b * c, np.random.default_rng(8))
+    np.testing.assert_allclose(got, unit / b, rtol=1e-13)
+
+
 def test_gig_scalar_return():
     value = sample_gig(GigParams(1.0, 1.0, 1.0), np.random.default_rng(0))
     assert isinstance(value, float)
