@@ -46,12 +46,6 @@ class ConstantBlock:
     def K(self) -> int:
         return self.alpha0.shape[0]
 
-    def psi1_bar(self) -> np.ndarray:
-        return self.sqrt_psi1**2
-
-    def psi0_bar(self) -> np.ndarray:
-        return self.sqrt_psi0**2
-
 
 @dataclass
 class NgHyper:

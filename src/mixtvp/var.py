@@ -344,18 +344,6 @@ class ForecastDistribution:
     h1_var: np.ndarray
     names: tuple[str, ...]
 
-    @property
-    def horizon(self) -> int:
-        return self.draws.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.draws.shape[2]
-
-    def mean(self) -> np.ndarray:
-        """Predictive mean per (horizon, variable)."""
-        return self.draws.mean(axis=0)
-
     def to_csv(self) -> str:
         rows = ["draw,horizon,variable,value"]
         n, H, m = self.draws.shape
