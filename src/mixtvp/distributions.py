@@ -13,8 +13,8 @@ which stays valid for arbitrarily small b*c and for any b*c up to the
 largest float (a b*c that overflows is refused).  Its envelope is computed
 once per element, inline, from the square root of its parameter alpha,
 which keeps it finite and free of cancellation over that whole range.  A
-draw whose exp(log-scale draw), mode or scale c/b leaves the normal float
-range is put together in logs.
+draw whose exp(log-scale draw), mode or scale c/b is not a normal float is
+put together in logs.
 
 Each rejection round uses one uniform triple (u, v, w).  The triples come
 in blocks: when the block in hand is used up, the next one holds
