@@ -2,14 +2,16 @@
 
 The non-centered state equation couples consecutive periods through a unit
 lower block-bidiagonal matrix Phi whose subdiagonal blocks are diagonal.
-Products with Phi and Phi' run in O(T*K) time.  The posterior precision
-of the state path is symmetric banded: it is factored once as U'U by
-banded Cholesky, and every solve goes through two banded triangular solves
-with that factor.  The volatility path's precision is tridiagonal and is
-factored as L D L' (``factor_tridiagonal``).  No dense matrix of path size
-is formed.  A state law without autoregression
-(Phi = I) uses none of this: its precision is block diagonal, and
-``statespace.draw_states_fast`` draws it period by period in closed form.
+``build_phi`` gives Phi as the (T-1, K) array of those diagonals, and the
+state draw applies Phi and Phi' to a path as elementwise products with it,
+in O(T*K) time.  The posterior precision of the state path is symmetric
+banded: it is factored once as U'U by banded Cholesky, and every solve
+goes through two banded triangular solves with that factor.  The
+volatility path's precision is tridiagonal and is factored as L D L'
+(``factor_tridiagonal``).  No dense matrix of path size is formed.  A
+state law without autoregression (Phi = I) uses none of this: its
+precision is block diagonal, and ``statespace.draw_states_fast`` draws it
+period by period in closed form.
 
 The six LAPACK routines the package calls (``dpbtrf``, ``dtbtrs``,
 ``dpttrf`` and ``dpttrs`` here, ``dpotrf`` and ``dtrtrs`` in
@@ -32,7 +34,6 @@ import importlib.machinery
 import importlib.util
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from types import ModuleType
 
 import numpy as np
@@ -63,84 +64,32 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when a banded factorization hits a non-positive or non-finite pivot."""
 
 
-@dataclass(frozen=True)
-class BlockBidiagonalLowerUnit:
-    """Unit lower block-bidiagonal matrix of size (T*K) x (T*K).
+def build_phi(phi_diagonals: np.ndarray) -> np.ndarray:
+    """Subdiagonal of the state-coupling matrix Phi from per-period AR diagonals.
 
-    Diagonal blocks are implicitly I_K.  ``subdiag[t]`` stores the diagonal
-    of block (t+1, t), equal to minus the autoregressive coefficients of
-    period t+2 (1-based).  The determinant is one, so the matrix is
-    invertible for any coefficient values.
-
-    Attributes
-    ----------
-    T : int
-        Number of periods (block rows).
-    K : int
-        Block size (coefficients per period).
-    subdiag : ndarray, shape (T-1, K)
-        Diagonals of the subdiagonal blocks, holding -phi_{t+1}.
-    """
-
-    T: int
-    K: int
-    subdiag: np.ndarray
-
-    def __post_init__(self):
-        if self.T < 1 or self.K < 1:
-            raise ValueError("T and K must be positive")
-        if self.subdiag.shape != (self.T - 1, self.K):
-            raise ValueError(
-                f"subdiag shape {self.subdiag.shape} does not match (T-1, K)="
-                f"{(self.T - 1, self.K)}"
-            )
-        if not np.all(np.isfinite(self.subdiag)):
-            raise ValueError("subdiag entries must be finite")
-
-    @property
-    def nu(self) -> int:
-        return self.T * self.K
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Phi x for a (nu,) vector or an (n, nu) batch."""
-        b = _as_blocks(x, self.T, self.K)
-        out = b.copy()
-        out[..., 1:, :] += self.subdiag * b[..., :-1, :]
-        return out.reshape(b.shape[:-2] + (self.nu,))
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Phi' x for a (nu,) vector or an (n, nu) batch."""
-        b = _as_blocks(x, self.T, self.K)
-        out = b.copy()
-        out[..., :-1, :] += self.subdiag * b[..., 1:, :]
-        return out.reshape(b.shape[:-2] + (self.nu,))
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full (T*K, T*K) matrix.  Testing and small T only."""
-        T, K = self.T, self.K
-        out = np.eye(T * K)
-        for t in range(T - 1):
-            rows = np.arange((t + 1) * K, (t + 2) * K)
-            out[rows, rows - K] = self.subdiag[t]
-        return out
-
-
-def build_phi(phi_diagonals: np.ndarray) -> BlockBidiagonalLowerUnit:
-    """Assemble the state-coupling matrix from per-period AR diagonals.
+    Phi is unit lower block-bidiagonal; its block (t+1, t), counted from 0,
+    is diagonal and holds -phi_diagonals[t+1].  The first row is ignored: the period-1 block carries no subdiagonal, which encodes the
+    convention that the initial state innovation is standard Gaussian
+    regardless of the period-1 regime.  Phi has determinant one, so it is
+    invertible for any finite coefficients.
 
     Parameters
     ----------
     phi_diagonals : ndarray, shape (T, K)
-        Diagonals of phi_t for t = 1..T.  The first row is ignored: the
-        period-1 block carries no subdiagonal, which encodes the
-        convention that the initial state innovation is standard
-        Gaussian regardless of the period-1 regime.
+        Diagonals of phi_t for t = 1..T.
+
+    Returns
+    -------
+    ndarray, shape (T-1, K)
+        ``-phi_diagonals[1:]``, the diagonals of Phi's subdiagonal blocks.
     """
     phi = np.asarray(phi_diagonals, dtype=float)
     if phi.ndim != 2:
         raise ValueError("phi_diagonals must be 2-d with shape (T, K)")
-    T, K = phi.shape
-    return BlockBidiagonalLowerUnit(T=T, K=K, subdiag=-phi[1:].copy())
+    sub = -phi[1:]
+    if not np.isfinite(sub).all():
+        raise ValueError("AR diagonals must be finite")
+    return sub
 
 
 def _pivot_error(step: str, kind: str, period: int) -> NotPositiveDefiniteError:
@@ -192,10 +141,3 @@ def solve_factored(U: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, _ = dtbtrs(U, rhs, uplo="U", trans="T")
     x, _ = dtbtrs(U, x, uplo="U", trans="N")
     return x
-
-
-def _as_blocks(v: np.ndarray, T: int, K: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != T * K:
-        raise ValueError(f"vector length {v.shape[-1]} does not match nu={T * K}")
-    return v.reshape(v.shape[:-1] + (T, K))

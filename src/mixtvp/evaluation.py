@@ -351,16 +351,15 @@ def parse_scores_csv(text: str) -> tuple[str, list[dict]]:
     return name, rows
 
 
-def tables_from_scores(
-    model_rows: list[dict], bench_rows: list[dict], pooled: bool = True
-) -> dict:
+def tables_from_scores(model_rows: list[dict], bench_rows: list[dict]) -> dict:
     """Ratio/LPBF/star tables from a model's and a benchmark's score rows.
 
     Each (origin, horizon, variable) key must appear exactly once on
     each side; anything else is refused. Returns a dict with "rmse" and
     "crps" ratio tables keyed (horizon, variable), "stars" equal-accuracy
     results on squared errors, and the cumulative "lpbf" series as
-    (origins, values).
+    (origins, values).  The variable "TOT" pools every variable's errors
+    at a horizon before the ratio is taken.
     """
     def key(row):
         return (row["origin"], row["horizon"], row["variable"])
@@ -392,18 +391,8 @@ def tables_from_scores(
             if arr.shape[0] >= 8:
                 stars[(h, v)] = equal_accuracy_test(arr[:, 0], arr[:, 1], horizon=h)
         stacked = np.vstack(list(per_var.values()))
-        if pooled:
-            rmse[(h, "TOT")] = float(np.sqrt(stacked[:, 0].mean() / stacked[:, 1].mean()))
-            crps_tab[(h, "TOT")] = float(stacked[:, 2].mean() / stacked[:, 3].mean())
-        else:
-            rmse[(h, "TOT")] = float(
-                np.mean([np.sqrt(a[:, 0].mean()) for a in per_var.values()])
-                / np.mean([np.sqrt(a[:, 1].mean()) for a in per_var.values()])
-            )
-            crps_tab[(h, "TOT")] = float(
-                np.mean([a[:, 2].mean() for a in per_var.values()])
-                / np.mean([a[:, 3].mean() for a in per_var.values()])
-            )
+        rmse[(h, "TOT")] = float(np.sqrt(stacked[:, 0].mean() / stacked[:, 1].mean()))
+        crps_tab[(h, "TOT")] = float(stacked[:, 2].mean() / stacked[:, 3].mean())
         if stacked.shape[0] >= 8:
             stars[(h, "TOT")] = equal_accuracy_test(
                 stacked[:, 0], stacked[:, 1], horizon=h

@@ -103,7 +103,6 @@ class ModelSpec:
     ms_counts: tuple[float, float, float, float] | None = None
     bernoulli_counts: tuple[float, float] | None = None
     prior_variances: tuple[float, ...] | None = None
-    prior_means: tuple[float, ...] | None = None
     sv_priors: SvPriors = field(default_factory=lambda: DEFAULT_SV_PRIORS)
 
     def __post_init__(self):
@@ -188,7 +187,7 @@ class SweepScales:
 
     The adaptive proposal scales, plus the values that follow from the
     spec alone (indicator prior counts, pool priors, the Minnesota prior's
-    variances and means), built once per chain instead of once per sweep.
+    variances), built once per chain instead of once per sweep.
     """
 
     rho: dict[str, MhScale]
@@ -197,14 +196,12 @@ class SweepScales:
     bernoulli_counts: BernoulliCounts | None = None
     pool_priors: PoolPriors | None = None
     prior_variances: np.ndarray | None = None
-    prior_means: np.ndarray | None = None
 
 
 def make_scales(spec: ModelSpec) -> SweepScales:
-    names = [GROUP_MEANS] + [GROUP_SLAB, GROUP_SPIKE][: spec.n_variance_groups]
     pool = spec.model_class == CLASS_POOL
     scales = SweepScales(
-        rho={n: MhScale(scale=0.4) for n in names},
+        rho={n: MhScale(scale=0.4) for n in _group_names(spec)},
         xi=MhScale(scale=0.3) if pool else None,
         ms_counts=spec.default_ms_counts() if spec.law == LAW_MS else None,
         bernoulli_counts=spec.default_bernoulli_counts() if spec.law == LAW_MIX else None,
@@ -214,8 +211,6 @@ def make_scales(spec: ModelSpec) -> SweepScales:
         if spec.prior_variances is None:
             raise ValueError("the Minnesota benchmark needs prior variances")
         scales.prior_variances = np.asarray(spec.prior_variances, dtype=float)
-        means = spec.prior_means if spec.prior_means is not None else np.zeros(len(spec.prior_variances))
-        scales.prior_means = np.asarray(means, dtype=float)
     return scales
 
 
@@ -298,13 +293,13 @@ def _draw_states(y, x, spec, block, roots, state, rng):
     sigma = state.sv.sigma()
     wtilde = x * roots / sigma[:, None]
     diagonals = _phi_diagonals(spec, state.S, T, K)
-    Phi = None if diagonals is None else build_phi(diagonals)
+    sub = None if diagonals is None else build_phi(diagonals)
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
     else:
         a0 = np.zeros(T * K)
     ytilde = (y - x @ block.alpha0) / sigma
-    draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng)
+    draw = draw_states_fast(ytilde, wtilde, a0, sub, rng)
     return draw.reshape(T, K)
 
 
@@ -364,9 +359,7 @@ def gibbs_sweep(
 
     if not spec.is_tvp:
         if spec.model_class == CLASS_CONST_MIN:
-            coefs = draw_constant_block(
-                y, x, state.sv.sigma(), scales.prior_variances, rng, prior_mean=scales.prior_means
-            )
+            coefs = draw_constant_block(y, x, state.sv.sigma(), scales.prior_variances, rng)
             block, ng = _block_from_coefs(coefs, spec), state.ng
         else:
             block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)

@@ -111,14 +111,12 @@ def default_ng_hyper(K: int, n_variance_groups: int, zeta: float = 0.01) -> NgHy
     )
 
 
-def _factor_block(y, xhat, sigma, tau, prior_mean):
+def _factor_block(y, xhat, sigma, tau):
     """Lower Cholesky factor L of the block precision, and L^-1 times its linear term."""
     xw = xhat / sigma[:, None]
     prec = xw.T @ xw
     prec.flat[:: prec.shape[0] + 1] += 1.0 / tau
     lin = xw.T @ (y / sigma)
-    if prior_mean is not None:
-        lin = lin + prior_mean / tau
     chol, info = dpotrf(prec, lower=1)
     # a non-finite precision factors without error into a NaN factor
     if info != 0 or not chol.diagonal().min() > 0.0:
@@ -126,8 +124,8 @@ def _factor_block(y, xhat, sigma, tau, prior_mean):
     return chol, dtrtrs(chol, lin, lower=1)[0]
 
 
-def draw_constant_block(y, xhat, sigma, tau, rng, prior_mean=None) -> np.ndarray:
-    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
+def draw_constant_block(y, xhat, sigma, tau, rng) -> np.ndarray:
+    chol, half = _factor_block(y, xhat, sigma, tau)
     z = rng.normal(size=half.shape[0])
     # mean + L^-T z = L^-T (L^-1 lin + z)
     return dtrtrs(chol, half + z, lower=1, trans=1)[0]

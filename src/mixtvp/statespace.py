@@ -34,12 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .banded import (
-    BlockBidiagonalLowerUnit,
-    NotPositiveDefiniteError,
-    factor_banded,
-    solve_factored,
-)
+from .banded import NotPositiveDefiniteError, factor_banded, solve_factored
 from .shrinkage import ConstantBlock
 
 SQRT_PSI_FLOOR = 1e-10
@@ -87,16 +82,18 @@ def _cross_period_entries(K: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> np.ndarray:
+def state_precision_band(wtilde: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Upper band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
 
-    Row K - k holds superdiagonal k.  The blocks w_t w_t' fill offsets
-    below K within each period; Phi'Phi adds 1 + d_t^2 to the diagonal and
-    puts its subdiagonal d_t at offset K.  Rows 1..K come from one product
-    of the flattened W~ with its shifts by 0..K-1 places, after which the
-    entries that pair two periods are set to zero.
+    ``sub`` is Phi's (T-1, K) subdiagonal from ``banded.build_phi``; T and
+    K come from ``wtilde``.  Row K - k holds superdiagonal k.  The blocks
+    w_t w_t' fill offsets below K within each period; Phi'Phi adds
+    1 + sub_t^2 to the diagonal and puts sub_t at offset K.
+    Rows 1..K come from one product of the flattened W~ with its shifts by
+    0..K-1 places, after which the entries that pair two periods are set
+    to zero.
     """
-    T, K = Phi.T, Phi.K
+    T, K = wtilde.shape
     n = T * K
     # the flattened W~ behind K zeros; row r of ``shifted`` is it shifted by
     # K - 1 - r places, a view with no copy
@@ -109,9 +106,9 @@ def state_precision_band(wtilde: np.ndarray, Phi: BlockBidiagonalLowerUnit) -> n
     rows, cols = _cross_period_entries(K)
     band[rows, :, cols] = 0.0
     band[K] += 1.0
-    band[K, :-1] += Phi.subdiag**2
+    band[K, :-1] += sub**2
     ab[0, :K] = 0.0
-    band[0, 1:] = Phi.subdiag
+    band[0, 1:] = sub
     return ab
 
 
@@ -119,26 +116,27 @@ def draw_states_fast(
     ytilde: np.ndarray,
     wtilde: np.ndarray,
     a0: np.ndarray,
-    Phi: BlockBidiagonalLowerUnit | None,
+    sub: np.ndarray | None,
     rng: np.random.Generator | None,
     size: int | None = None,
     noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Joint draw of the normalized states from their posterior precision.
 
-    ``Phi`` couples consecutive periods, and the draw goes through one
-    banded factorization of the precision.  ``Phi=None`` stands for the
-    identity (a law without autoregression): the precision is then block
-    diagonal and each period is drawn in closed form, with no
-    factorization.  ``noise`` injects the (u, v) pair directly
-    (deterministic use in identity checks); otherwise both are standard
-    normal from ``rng``, u first.  Batched draws share the single
-    factorization when ``size`` is given.
+    T and K come from the (T, K) loadings ``wtilde``.  ``sub`` is the
+    (T-1, K) subdiagonal of Phi from ``banded.build_phi``, which couples
+    consecutive periods; the draw then goes through one banded
+    factorization of the precision.  ``sub=None`` stands for Phi = I (a
+    law without autoregression): the precision is then block diagonal and
+    each period is drawn in closed form, with no factorization.  ``noise``
+    injects the (u, v) pair directly (deterministic use in identity
+    checks); otherwise both are standard normal from ``rng``, u first.
+    Batched draws share the single factorization when ``size`` is given.
     """
-    T, K = wtilde.shape if Phi is None else (Phi.T, Phi.K)
+    T, K = wtilde.shape
     nu = T * K
-    if ytilde.shape != (T,) or wtilde.shape != (T, K) or a0.shape != (nu,):
-        raise ValueError("input dimensions do not match Phi")
+    if ytilde.shape != (T,) or a0.shape != (nu,) or (sub is not None and sub.shape != (T - 1, K)):
+        raise ValueError("input dimensions do not match wtilde")
     n = 1 if size is None else int(size)
     if noise is not None:
         u, v = noise
@@ -149,7 +147,7 @@ def draw_states_fast(
         v = rng.normal(size=(n, T))
 
     b = wtilde * (ytilde - v)[:, :, None]
-    if Phi is None:
+    if sub is None:
         b += (a0 + u).reshape(n, T, K)
         # Sherman-Morrison on each block I + w_t w_t' of the precision
         denom = 1.0 + np.einsum("tk,tk->t", wtilde, wtilde)
@@ -161,9 +159,15 @@ def draw_states_fast(
         proj = np.einsum("ntk,tk->nt", b, wtilde) / denom
         draws = (b - proj[:, :, None] * wtilde).reshape(n, nu)
     else:
-        U = factor_banded(state_precision_band(wtilde, Phi), "state draw", block=K)
-        b = b.reshape(n, nu) + Phi.rmatvec(Phi.matvec(a0) + u)
-        draws = solve_factored(U, b.T).T
+        U = factor_banded(state_precision_band(wtilde, sub), "state draw", block=K)
+        # Phi'(Phi a_0 + u): Phi adds sub times the period before, Phi' sub
+        # times the period after
+        prior = a0.reshape(T, K).copy()
+        prior[1:] += sub * prior[:-1]
+        prior = prior + u.reshape(n, T, K)
+        prior[:, :-1] += sub * prior[:, 1:]
+        b += prior
+        draws = solve_factored(U, b.reshape(n, nu).T).T
     return draws[0] if size is None else draws
 
 

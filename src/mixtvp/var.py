@@ -344,18 +344,6 @@ class ForecastDistribution:
     h1_var: np.ndarray
     names: tuple[str, ...]
 
-    def to_csv(self) -> str:
-        rows = ["draw,horizon,variable,value"]
-        n, H, m = self.draws.shape
-        for d in range(n):
-            for h in range(H):
-                for j in range(m):
-                    rows.append(
-                        f"{d},{h + 1},{self.names[j]},"
-                        + format(self.draws[d, h, j], ".17g")
-                    )
-        return "\n".join(rows) + "\n"
-
 
 # record x path rows per block of simulate_predictive; whole records, at least one
 _BLOCK_ROWS = 2048

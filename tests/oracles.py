@@ -8,6 +8,16 @@ code paths with the package internals it is used to check.
 import numpy as np
 
 
+def dense_phi(sub):
+    """The dense (T*K, T*K) Phi: identity plus diag(sub[t]) at block (t+1, t)."""
+    T, K = sub.shape[0] + 1, sub.shape[1]
+    out = np.eye(T * K)
+    for t in range(T - 1):
+        rows = np.arange((t + 1) * K, (t + 2) * K)
+        out[rows, rows - K] = sub[t]
+    return out
+
+
 def dense_state_posterior(ytilde, wtilde, a0, phi_dense):
     """Posterior moments of the stacked normalized states, fully dense.
 
@@ -354,18 +364,18 @@ def group_indicators_by_differences(alpha_tilde, omega, mu, rng):
     return (cdf < u[:, None]).sum(axis=1).clip(0, logw.shape[1] - 1)
 
 
-def state_precision_band_loop(wtilde, Phi):
+def state_precision_band_loop(wtilde, sub):
     """Upper band of W~'W~ + Phi'Phi in LAPACK storage, one superdiagonal at a time.
 
     The reference for ``statespace.state_precision_band``: row K - k gets
     w_t[j-k] w_t[j] at within-period column j >= k, and zeros elsewhere.
     """
-    T, K = Phi.T, Phi.K
+    T, K = wtilde.shape
     ab = np.zeros((K + 1, T * K))
     band = ab.reshape(K + 1, T, K)
     for k in range(K):
         band[K - k, :, k:] = wtilde[:, : K - k] * wtilde[:, k:]
     band[K] += 1.0
-    band[K, :-1] += Phi.subdiag**2
-    band[0, 1:] = Phi.subdiag
+    band[K, :-1] += sub**2
+    band[0, 1:] = sub
     return ab

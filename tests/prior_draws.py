@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mixtvp.banded import BlockBidiagonalLowerUnit, _as_blocks, build_phi
+from mixtvp.banded import build_phi
 from mixtvp.indicators import simulate_ms_chain
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
@@ -29,18 +29,22 @@ from mixtvp.statespace import reconstruct_centered
 from mixtvp.sv import DEFAULT_SV_PRIORS, SvPriors, SvState
 
 
-def solve_lower(Phi: BlockBidiagonalLowerUnit, rhs: np.ndarray) -> np.ndarray:
+def solve_lower(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve Phi x = rhs by forward substitution in O(T*K).
 
-    ``rhs`` may be a (nu,) vector or a (n, nu) batch; the solve is applied
-    row-wise in the batched case.
+    ``sub`` is Phi's (T-1, K) subdiagonal from ``build_phi``.  ``rhs`` may
+    be a (nu,) vector or a (n, nu) batch; the solve is applied row-wise in
+    the batched case.
     """
-    T, K = Phi.T, Phi.K
-    r = _as_blocks(rhs, T, K)
+    T, K = sub.shape[0] + 1, sub.shape[1]
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[-1] != T * K:
+        raise ValueError(f"vector length {rhs.shape[-1]} does not match nu={T * K}")
+    r = rhs.reshape(rhs.shape[:-1] + (T, K))
     x = np.empty_like(r)
     x[..., 0, :] = r[..., 0, :]
     for t in range(1, T):
-        x[..., t, :] = r[..., t, :] - Phi.subdiag[t - 1] * x[..., t - 1, :]
+        x[..., t, :] = r[..., t, :] - sub[t - 1] * x[..., t - 1, :]
     return x.reshape(rhs.shape)
 
 

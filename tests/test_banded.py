@@ -11,13 +11,13 @@ import pytest
 
 import mixtvp
 from mixtvp.banded import (
-    BlockBidiagonalLowerUnit,
     NotPositiveDefiniteError,
     _load_flapack,
     build_phi,
     factor_banded,
     solve_factored,
 )
+from oracles import dense_phi
 from prior_draws import solve_lower
 
 
@@ -26,15 +26,16 @@ def random_phi(rng, T, K):
     return build_phi(phi)
 
 
-def dense_omega0(Phi):
-    D = Phi.to_dense()
+def dense_omega0(sub):
+    D = dense_phi(sub)
     return np.linalg.inv(D.T @ D)
 
 
 def test_build_phi_matches_dense_layout():
     phi = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    Phi = build_phi(phi)
-    D = Phi.to_dense()
+    sub = build_phi(phi)
+    assert isinstance(sub, np.ndarray) and sub.shape == (2, 2)
+    D = dense_phi(sub)
     expected = np.eye(6)
     expected[2, 0] = -0.0
     expected[3, 1] = -1.0
@@ -44,8 +45,8 @@ def test_build_phi_matches_dense_layout():
 
 
 def test_solve_lower_random_walk_cumulates():
-    Phi = build_phi(np.ones((3, 1)))
-    x = solve_lower(Phi, np.ones(3))
+    sub = build_phi(np.ones((3, 1)))
+    x = solve_lower(sub, np.ones(3))
     np.testing.assert_allclose(x, [1.0, 2.0, 3.0])
 
 
@@ -54,29 +55,27 @@ def test_solves_match_dense_oracle():
     for _ in range(20):
         T = int(rng.integers(2, 9))
         K = int(rng.integers(1, 4))
-        Phi = random_phi(rng, T, K)
-        D = Phi.to_dense()
+        sub = random_phi(rng, T, K)
         rhs = rng.normal(size=T * K)
-        np.testing.assert_allclose(solve_lower(Phi, rhs), np.linalg.solve(D, rhs), atol=1e-12)
-        np.testing.assert_allclose(Phi.matvec(rhs), D @ rhs, atol=1e-12)
-        np.testing.assert_allclose(Phi.rmatvec(rhs), D.T @ rhs, atol=1e-12)
+        want = np.linalg.solve(dense_phi(sub), rhs)
+        np.testing.assert_allclose(solve_lower(sub, rhs), want, atol=1e-12)
 
 
 def test_solve_round_trip():
     rng = np.random.default_rng(3)
-    Phi = random_phi(rng, 7, 2)
+    sub = random_phi(rng, 7, 2)
     rhs = rng.normal(size=14)
-    x = solve_lower(Phi, rhs)
-    np.testing.assert_allclose(Phi.to_dense() @ x, rhs, atol=1e-12)
+    x = solve_lower(sub, rhs)
+    np.testing.assert_allclose(dense_phi(sub) @ x, rhs, atol=1e-12)
 
 
 def test_batched_solve_matches_loop():
     rng = np.random.default_rng(11)
-    Phi = random_phi(rng, 5, 2)
+    sub = random_phi(rng, 5, 2)
     rhs = rng.normal(size=(4, 10))
-    batched = solve_lower(Phi, rhs)
+    batched = solve_lower(sub, rhs)
     for i in range(4):
-        np.testing.assert_allclose(batched[i], solve_lower(Phi, rhs[i]))
+        np.testing.assert_allclose(batched[i], solve_lower(sub, rhs[i]))
 
 
 def test_omega0_block_diagonal_across_zero_boundaries():
@@ -84,8 +83,7 @@ def test_omega0_block_diagonal_across_zero_boundaries():
     # prior covariance across the t-1 / t boundary
     phi = np.ones((6, 2))
     phi[3, 0] = 0.0
-    Phi = build_phi(phi)
-    omega0 = dense_omega0(Phi)
+    omega0 = dense_omega0(build_phi(phi))
     idx_before = [0, 2, 4]          # coefficient 0 at periods 1..3
     idx_after = [6, 8, 10]          # coefficient 0 at periods 4..6
     for i in idx_before:
@@ -94,13 +92,14 @@ def test_omega0_block_diagonal_across_zero_boundaries():
 
 
 def test_dimension_mismatch_errors():
-    Phi = build_phi(np.ones((3, 2)))
     with pytest.raises(ValueError):
-        solve_lower(Phi, np.ones(5))
-    with pytest.raises(ValueError):
-        Phi.rmatvec(np.ones(8))
-    with pytest.raises(ValueError):
-        BlockBidiagonalLowerUnit(T=3, K=2, subdiag=np.ones((3, 2)))
+        solve_lower(build_phi(np.ones((3, 2))), np.ones(5))
+    with pytest.raises(ValueError, match="2-d"):
+        build_phi(np.ones(3))
+    phi = np.ones((3, 2))
+    phi[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        build_phi(phi)
 
 
 def random_band(rng, n, kd):
@@ -119,7 +118,7 @@ def random_band(rng, n, kd):
 def test_prior_precision_inverse_random_walk_min_index():
     # the random-walk prior precision Phi'Phi inverts to min(s, t)
     T = 5
-    D = build_phi(np.ones((T, 1))).to_dense()
+    D = dense_phi(build_phi(np.ones((T, 1))))
     ab = np.zeros((2, T))
     ab[1] = np.diag(D.T @ D)
     ab[0, 1:] = np.diag(D.T @ D, 1)

@@ -88,8 +88,8 @@ def test_lps_kde_tracks_gaussian_truth():
     assert val == pytest.approx(stats.norm.logpdf(0.0), abs=0.01)
 
 
-def _tables(model, bench, pooled=True):
-    return tables_from_scores(score_rows(model), score_rows(bench), pooled=pooled)
+def _tables(model, bench):
+    return tables_from_scores(score_rows(model), score_rows(bench))
 
 
 def test_rmse_ratio_identities():
@@ -135,10 +135,8 @@ def test_rmse_tot_pooling_vs_averaging():
             bpoint, mpoint = realized + scale, realized + 0.5 * scale
             bench.append(_rec([bpoint, bpoint], realized, h=1, origin=o, var=v))
             model.append(_rec([mpoint, mpoint], realized, h=1, origin=o, var=v))
-    pooled = _tables(model, bench, pooled=True)["rmse"]
-    averaged = _tables(model, bench, pooled=False)["rmse"]
+    pooled = _tables(model, bench)["rmse"]
     assert pooled[(1, "TOT")] == pytest.approx(0.5)
-    assert averaged[(1, "TOT")] == pytest.approx(0.5)
     # with one variable the pooled TOT is exactly the per-variable ratio
     only_a = [r for r in model if r.variable == "a"]
     only_ab = [r for r in bench if r.variable == "a"]

@@ -19,12 +19,12 @@ from mixtvp.shrinkage import (
 )
 
 
-def constant_block_moments(y, xhat, sigma, tau, prior_mean=None):
+def constant_block_moments(y, xhat, sigma, tau):
     """Posterior mean and lower Cholesky factor L of the block precision.
 
     Both come from the factorization the draws use: L^-T (L^-1 lin) is the mean.
     """
-    chol, half = _factor_block(y, xhat, sigma, tau, prior_mean)
+    chol, half = _factor_block(y, xhat, sigma, tau)
     return np.linalg.solve(chol.T, half), chol
 
 
@@ -70,20 +70,6 @@ def test_constant_block_draw_distribution():
     tol = 5 * np.sqrt(np.diag(cov) / 30_000) + 1e-3
     assert np.all(np.abs(draws.mean(axis=0) - mean) < tol)
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.02 * np.abs(cov).max() + 1e-3)
-
-
-def test_constant_block_prior_mean_shift():
-    rng = np.random.default_rng(2)
-    T, m = 25, 2
-    xhat = rng.normal(size=(T, m))
-    y = rng.normal(size=T)
-    sigma = np.ones(T)
-    tau = np.array([0.5, 1.5])
-    m0 = np.array([3.0, -1.0])
-    mean, chol = constant_block_moments(y, xhat, sigma, tau, prior_mean=m0)
-    prec = xhat.T @ xhat + np.diag(1.0 / tau)
-    expected = np.linalg.solve(prec, xhat.T @ y + m0 / tau)
-    np.testing.assert_allclose(mean, expected, atol=1e-10)
 
 
 def test_lambda_posterior_params_exact():

@@ -16,16 +16,16 @@ from mixtvp.statespace import (
     sqrt_psi_matrix,
     state_precision_band,
 )
-from oracles import carter_kohn_tvp, dense_state_posterior, state_precision_band_loop
+from oracles import carter_kohn_tvp, dense_phi, dense_state_posterior, state_precision_band_loop
 
 
 def random_instance(rng, T, K):
     phi = rng.integers(0, 2, size=(T, K)).astype(float)
-    Phi = build_phi(phi)
+    sub = build_phi(phi)
     wtilde = rng.normal(size=(T, K))
     ytilde = rng.normal(size=T)
     a0 = rng.normal(size=T * K) * rng.integers(0, 2, size=T * K)
-    return ytilde, wtilde, a0, Phi
+    return ytilde, wtilde, a0, sub
 
 
 def test_conditional_mean_identity_matches_naive():
@@ -33,21 +33,21 @@ def test_conditional_mean_identity_matches_naive():
     for _ in range(25):
         T = int(rng.integers(3, 9))
         K = int(rng.integers(1, 4))
-        ytilde, wtilde, a0, Phi = random_instance(rng, T, K)
-        mean_fast = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(np.zeros(T * K), np.zeros(T)))
-        mean_naive, _ = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
+        ytilde, wtilde, a0, sub = random_instance(rng, T, K)
+        mean_fast = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(np.zeros(T * K), np.zeros(T)))
+        mean_naive, _ = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
         np.testing.assert_allclose(mean_fast, mean_naive, atol=1e-8)
 
 
 def test_draw_covariance_random_walk_small():
     rng = np.random.default_rng(2)
     T, K = 5, 1
-    Phi = build_phi(np.ones((T, K)))
+    sub = build_phi(np.ones((T, K)))
     wtilde = rng.normal(size=(T, K))
     ytilde = rng.normal(size=T)
     a0 = np.zeros(T * K)
-    draws = draw_states_fast(ytilde, wtilde, a0, Phi, rng=np.random.default_rng(3), size=40_000)
-    _, cov = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
+    draws = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(3), size=40_000)
+    _, cov = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
     sample_cov = np.cov(draws.T)
     rel = np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov)
     assert rel < 0.03
@@ -55,9 +55,9 @@ def test_draw_covariance_random_walk_small():
 
 def test_batched_equals_scalar_distribution():
     rng = np.random.default_rng(4)
-    ytilde, wtilde, a0, Phi = random_instance(rng, 4, 2)
-    batch = draw_states_fast(ytilde, wtilde, a0, Phi, rng=np.random.default_rng(5), size=20_000)
-    mean, cov = dense_state_posterior(ytilde, wtilde, a0, Phi.to_dense())
+    ytilde, wtilde, a0, sub = random_instance(rng, 4, 2)
+    batch = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(5), size=20_000)
+    mean, cov = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
     se = np.sqrt(np.diag(cov) / 20_000)
     assert np.all(np.abs(batch.mean(axis=0) - mean) < 5 * se + 1e-12)
 
@@ -71,10 +71,10 @@ def dense_rows(wtilde):
     return W
 
 
-def dense_draw(ytilde, wtilde, a0, Phi, u, v):
+def dense_draw(ytilde, wtilde, a0, sub, u, v):
     """Q^{-1}(W~'(y~ - v) + Phi'Phi a0 + Phi'u) with Q^{-1} from the dense oracle."""
     W = dense_rows(wtilde)
-    D = Phi.to_dense()
+    D = dense_phi(sub)
     _, cov = dense_state_posterior(ytilde, wtilde, a0, D)
     return cov @ (W.T @ (ytilde - v) + D.T @ D @ a0 + D.T @ u)
 
@@ -84,11 +84,11 @@ def check_injected_noise_draws(rng, ar_diagonals):
         T = int(rng.integers(2, 9))
         K = int(rng.integers(1, 4))
         ytilde, wtilde, a0, _ = random_instance(rng, T, K)
-        Phi = build_phi(ar_diagonals(T, K))
+        sub = build_phi(ar_diagonals(T, K))
         u = rng.normal(size=T * K)
         v = rng.normal(size=T)
-        draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(u, v))
-        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, Phi, u, v), atol=1e-9)
+        draw = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u, v))
+        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, sub, u, v), atol=1e-9)
 
 
 def test_draw_matches_dense_formula_with_injected_noise():
@@ -107,11 +107,11 @@ def test_draw_matches_dense_formula_at_large_k(K):
     # the factorization takes its blocked path there
     rng = np.random.default_rng(K)
     for T in (2, 5):
-        ytilde, wtilde, a0, Phi = random_instance(rng, T, K)
+        ytilde, wtilde, a0, sub = random_instance(rng, T, K)
         u = rng.normal(size=T * K)
         v = rng.normal(size=T)
-        draw = draw_states_fast(ytilde, wtilde, a0, Phi, rng=None, noise=(u, v))
-        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, Phi, u, v), atol=1e-9)
+        draw = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u, v))
+        np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, sub, u, v), atol=1e-9)
 
 
 def test_state_precision_band_matches_dense():
@@ -119,12 +119,12 @@ def test_state_precision_band_matches_dense():
     for _ in range(15):
         T = int(rng.integers(2, 9))
         K = int(rng.integers(1, 4))
-        Phi = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
+        sub = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
         wtilde = rng.normal(size=(T, K))
         W = dense_rows(wtilde)
-        D = Phi.to_dense()
+        D = dense_phi(sub)
         Q = W.T @ W + D.T @ D
-        ab = state_precision_band(wtilde, Phi)
+        ab = state_precision_band(wtilde, sub)
         for k in range(K + 1):
             np.testing.assert_allclose(ab[K - k, k:], np.diag(Q, k), atol=1e-12)
         assert np.all(Q[np.triu_indices(T * K, K + 1)] == 0.0)
@@ -134,20 +134,20 @@ def test_state_precision_band_matches_dense():
 def test_state_precision_band_equals_loop_reference_bit_for_bit(K):
     rng = np.random.default_rng(100 + K)
     for T in (1, 2, 37):
-        Phi = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
+        sub = build_phi(rng.uniform(-1.5, 1.5, size=(T, K)))
         wtilde = rng.normal(size=(T, K)) * rng.integers(0, 2, size=(T, K))
-        got = state_precision_band(wtilde, Phi)
-        want = state_precision_band_loop(wtilde, Phi)
+        got = state_precision_band(wtilde, sub)
+        want = state_precision_band_loop(wtilde, sub)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_state_draw_failure_names_step_and_period():
     rng = np.random.default_rng(15)
-    ytilde, wtilde, a0, Phi = random_instance(rng, 6, 2)
+    ytilde, wtilde, a0, sub = random_instance(rng, 6, 2)
     wtilde[3, 1] = np.inf  # what a zero volatility leaves in period 4
     with pytest.raises(NotPositiveDefiniteError, match="state draw: .* period 4"):
-        draw_states_fast(ytilde, wtilde, a0, Phi, rng)
+        draw_states_fast(ytilde, wtilde, a0, sub, rng)
 
 
 def test_identity_law_draw_matches_dense_formula_with_injected_noise():
@@ -285,13 +285,13 @@ def test_fast_draw_matches_textbook_random_walk_sampler():
     truth = np.cumsum(rng.normal(size=(T, K)) * np.sqrt(psi_bar), axis=0) + alpha0
     y = (x * truth).sum(axis=1) + sigma * rng.normal(size=T)
 
-    Phi = build_phi(np.ones((T, K)))
+    sub = build_phi(np.ones((T, K)))
     wtilde = x * np.sqrt(psi_bar) / sigma[:, None]
     ytilde = (y - x @ alpha0) / sigma
     a0 = np.zeros(T * K)
 
     n = 4000
-    fast = draw_states_fast(ytilde, wtilde, a0, Phi, rng=np.random.default_rng(9), size=n)
+    fast = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(9), size=n)
     fast_centered = alpha0 + np.sqrt(psi_bar) * fast.reshape(n, T, K)
 
     ck_rng = np.random.default_rng(10)
@@ -304,13 +304,18 @@ def test_fast_draw_matches_textbook_random_walk_sampler():
 
 
 def test_dimension_validation():
-    Phi = build_phi(np.ones((4, 1)))
+    sub = build_phi(np.ones((4, 1)))
     with pytest.raises(ValueError):
-        draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), Phi, np.random.default_rng(0))
+        draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), sub, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), Phi, np.random.default_rng(0))
+        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), sub, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(5), Phi, np.random.default_rng(0))
+        draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(5), sub, np.random.default_rng(0))
+    # a subdiagonal that is not (T-1, K): one row too many, then one column short
+    with pytest.raises(ValueError, match="do not match"):
+        draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(4), np.ones((4, 1)), None)
+    with pytest.raises(ValueError, match="do not match"):
+        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(8), sub, None)
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), None, np.random.default_rng(0))
     with pytest.raises(ValueError):

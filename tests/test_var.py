@@ -26,7 +26,6 @@ from mixtvp.sampler import (
     ar_ols_variances,
 )
 from mixtvp.var import (
-    ForecastDistribution,
     StructuralDraw,
     VarEstimate,
     estimate_var,
@@ -212,12 +211,12 @@ def test_constant_block_failure_names_equation_iteration_and_step(monkeypatch):
     real_draw = mixtvp.sampler.draw_constant_block
     calls = []
 
-    def draw_failing_on_eighth_call(y, xhat, sigma, tau, rng, prior_mean=None):
+    def draw_failing_on_eighth_call(y, xhat, sigma, tau, rng):
         calls.append(None)
         if len(calls) == 8:  # equation 2, iteration 3 at five iterations each
             tau = tau.copy()
             tau[1] = -1e-6  # a negative prior variance swamps the data
-        return real_draw(y, xhat, sigma, tau, rng, prior_mean)
+        return real_draw(y, xhat, sigma, tau, rng)
 
     monkeypatch.setattr(mixtvp.sampler, "draw_constant_block", draw_failing_on_eighth_call)
     spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=5, burnin=2)
@@ -552,18 +551,3 @@ def test_predictive_names_the_equation_with_the_wrong_width():
     with pytest.raises(ValueError, match=r"^equation 2 has 3 coefficients; a VAR\(1\) in 2 variables needs 4$"):
         simulate_predictive(est, horizon=2, nsim=5, rng=rng)
     assert rng.bit_generator.state == state
-
-
-def test_forecast_csv_round_trip():
-    fd = ForecastDistribution(
-        draws=np.array([[[1.5, -2.25]], [[0.125, 3.0]]]),
-        h1_mean=np.zeros((2, 2)),
-        h1_var=np.ones((2, 2)),
-        names=("infl", "gdp"),
-    )
-    text = fd.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "draw,horizon,variable,value"
-    assert len(lines) == 5
-    assert lines[1] == "0,1,infl,1.5"
-    assert float(lines[2].rsplit(",", 1)[1]) == -2.25

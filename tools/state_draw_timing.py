@@ -33,19 +33,19 @@ def time_draw(K: int, seconds: float, rounds: int) -> float:
     from mixtvp.statespace import draw_states_fast
 
     rng = np.random.default_rng(K)
-    Phi = build_phi(rng.integers(0, 2, size=(T, K)).astype(float))
+    sub = build_phi(rng.integers(0, 2, size=(T, K)).astype(float))
     wtilde = rng.normal(size=(T, K))
     ytilde = rng.normal(size=T)
     a0 = np.zeros(T * K)
-    draw_states_fast(ytilde, wtilde, a0, Phi, rng)  # first call outside the timing
+    draw_states_fast(ytilde, wtilde, a0, sub, rng)  # first call outside the timing
     start = time.perf_counter()
-    draw_states_fast(ytilde, wtilde, a0, Phi, rng)
+    draw_states_fast(ytilde, wtilde, a0, sub, rng)
     calls = max(1, int(seconds / rounds / (time.perf_counter() - start)))
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
         for _ in range(calls):
-            draw_states_fast(ytilde, wtilde, a0, Phi, rng)
+            draw_states_fast(ytilde, wtilde, a0, sub, rng)
         best = min(best, (time.perf_counter() - start) / calls)
     return best * 1e3
 
