@@ -68,10 +68,11 @@ def build_phi(phi_diagonals: np.ndarray) -> np.ndarray:
     """Subdiagonal of the state-coupling matrix Phi from per-period AR diagonals.
 
     Phi is unit lower block-bidiagonal; its block (t+1, t), counted from 0,
-    is diagonal and holds -phi_diagonals[t+1].  The first row is ignored: the period-1 block carries no subdiagonal, which encodes the
-    convention that the initial state innovation is standard Gaussian
-    regardless of the period-1 regime.  Phi has determinant one, so it is
-    invertible for any finite coefficients.
+    is diagonal and holds -phi_diagonals[t+1].  The first row is ignored:
+    the period-1 block carries no subdiagonal, which encodes the convention
+    that the initial state innovation is standard Gaussian regardless of the
+    period-1 regime.  Phi has determinant one, so it is invertible for any
+    finite coefficients.
 
     Parameters
     ----------

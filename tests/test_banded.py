@@ -102,6 +102,29 @@ def test_dimension_mismatch_errors():
         build_phi(phi)
 
 
+def test_build_phi_is_the_negated_tail():
+    # period 1 carries no coupling, so the subdiagonal is -phi[1:] and T = 1
+    # leaves none; the result is a float array that shares no memory with
+    # the input
+    rng = np.random.default_rng(21)
+    for T in (1, 2, 6):
+        for phi in (rng.integers(-2, 3, size=(T, 3)), rng.normal(size=(T, 3))):
+            kept = phi.copy()
+            sub = build_phi(phi)
+            assert sub.dtype == float and sub.shape == (T - 1, 3)
+            np.testing.assert_array_equal(sub, -kept[1:].astype(float))
+            sub[...] = 7.0
+            np.testing.assert_array_equal(phi, kept)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_build_phi_refuses_infinite_diagonals(bad):
+    phi = np.ones((4, 2))
+    phi[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build_phi(phi)
+
+
 def random_band(rng, n, kd):
     """Upper LAPACK band of a random diagonally dominant SPD matrix, and Q."""
     Q = np.zeros((n, n))

@@ -62,6 +62,23 @@ def test_batched_equals_scalar_distribution():
     assert np.all(np.abs(batch.mean(axis=0) - mean) < 5 * se + 1e-12)
 
 
+def test_batched_draw_with_injected_noise_matches_row_by_row():
+    # Phi'(Phi a0 + u) is formed on the (n, T, K) view of all n noise rows at
+    # once; each row must give the draw that row alone gives
+    rng = np.random.default_rng(6)
+    for T, K in ((1, 2), (2, 1), (5, 3), (9, 2)):
+        ytilde, wtilde, _, sub = random_instance(rng, T, K)
+        a0 = rng.normal(size=T * K)
+        n = 4
+        u = rng.normal(size=(n, T * K))
+        v = rng.normal(size=(n, T))
+        batch = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, size=n, noise=(u, v))
+        assert batch.shape == (n, T * K)
+        for i in range(n):
+            row = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u[i], v[i]))
+            np.testing.assert_allclose(batch[i], row, rtol=0.0, atol=1e-12)
+
+
 def dense_rows(wtilde):
     """The (T, T*K) block-diagonal observation matrix W~."""
     T, K = wtilde.shape
