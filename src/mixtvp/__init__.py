@@ -19,7 +19,7 @@ from .evaluation import (
 )
 from .io import load_panel_csv, principal_components, run_config, standardize
 from .sampler import ModelSpec, PosteriorDraws, run_chain
-from .spectral import companion, low_freq, low_freq_bands
+from .spectral import companion, low_freq
 from .var import (
     ForecastDistribution,
     VarEstimate,
@@ -45,7 +45,6 @@ __all__ = [
     "load_panel_csv",
     "log_predictive_score",
     "low_freq",
-    "low_freq_bands",
     "principal_components",
     "run_chain",
     "run_config",

@@ -24,17 +24,15 @@ past what the elements use, and a reduction's ``rng.gamma`` follows the
 uniforms of the elements before it, as element-by-element drawing has
 them.  ``rng.random(3 * m)`` gives the same values as m calls of
 ``rng.random(3)``, so the draws and the generator's final state are those
-of one ``rng.random(3)`` per round.  ``sample_gig`` draws once from one
-parameter set; ``sample_gig_array`` checks its parameters once per call
-and then draws its elements in order, so n elements consume the generator
-as n successive ``sample_gig`` calls do.
+of one ``rng.random(3)`` per round.  ``sample_gig_array`` checks its
+parameters once per call and then draws its elements in order, so one call
+of n elements consumes the generator as n calls of one element do.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,49 +58,18 @@ def _gig_reason(a: float, b: float, c: float) -> str | None:
     return None
 
 
-def _first_invalid_gig(a: list, b: list, c: list) -> tuple[int, str] | None:
-    """Index and reason of the first element outside the valid regions."""
-    for i, abc in enumerate(zip(a, b, c)):
-        reason = _gig_reason(*abc)
-        if reason is not None:
-            return i, reason
-    return None
-
-
-@dataclass(frozen=True)
-class GigParams:
-    """Parameters (a, b, c) of the generalized inverse Gaussian above.
-
-    Valid regions: a > 0 with b > 0 (any c >= 0); a < 0 with c > 0
-    (any b >= 0); a == 0 requires b > 0 and c > 0.  In all of them b*c
-    must not overflow.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        reason = _gig_reason(float(self.a), float(self.b), float(self.c))
-        if reason is not None:
-            raise ValueError(f"GIG parameters {reason}")
-
-
-def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
-    """One draw from the generalized inverse Gaussian distribution."""
-    # GigParams has already checked the parameters
-    return _draw_gigs([float(params.a)], [float(params.b)], [float(params.c)], rng)[0]
-
-
 def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     """One GIG draw per element of (a, b, c), broadcast to a common 1-d shape.
 
-    Every element must lie in a region ``GigParams`` accepts; the first one
-    that does not is named by its index in the ``ValueError``.  The checks
-    run once per call, before any draw: parameters with a finite a, b and
-    c positive and b*c finite everywhere are valid at once, and only
-    others are checked element by element.  The elements are then drawn
-    in order, each as ``sample_gig`` draws it.
+    Valid regions: a > 0 with b > 0 (any c >= 0); a < 0 with c > 0 (any
+    b >= 0); a == 0 requires b*c bounded away from zero.  In all of them
+    b*c must not overflow.  The first element outside them is named by its
+    index in the ``ValueError``, or by none when every parameter has one
+    element.  The checks run once per call, before any draw: parameters
+    with a finite a, b and c positive and b*c finite and nonzero everywhere
+    are valid at once, and only others are checked element by element.
+    The elements are then drawn in order, each as a one-element call draws
+    it.
     """
     cols = [np.asarray(v, dtype=float) for v in (a, b, c)]
     if any(x.ndim > 1 for x in cols):
@@ -110,24 +77,24 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     lengths = {x.size for x in cols if x.size != 1}
     if len(lengths) > 1:
         raise ValueError(f"GIG parameter lengths {sorted(lengths)} do not broadcast")
-    n = lengths.pop() if lengths else 1
+    n = max(lengths, default=1)
     # a length-one parameter is repeated to the common length
     al, bl, cl = (x.ravel().tolist() * (n if x.size == 1 else 1) for x in cols)
     # a NaN fails every comparison, so it leaves the interior too; a
     # finite b*c of positive b and c makes both finite
     interior = all(
-        -math.inf < ai < math.inf and 0.0 < bi and 0.0 < ci and bi * ci < math.inf
+        -math.inf < ai < math.inf and 0.0 < bi and 0.0 < ci and 0.0 < bi * ci < math.inf
         for ai, bi, ci in zip(al, bl, cl)
     )
     if not interior:
-        found = _first_invalid_gig(al, bl, cl)
-        if found is not None:
-            i, reason = found
-            raise ValueError(f"GIG parameters at index {i} (a={al[i]}, b={bl[i]}, c={cl[i]}) {reason}")
-    if 0.0 in al:
         for i, (ai, bi, ci) in enumerate(zip(al, bl, cl)):
+            at = f" at index {i}" if lengths else ""
+            reason = _gig_reason(ai, bi, ci)
+            if reason is not None:
+                values = f" (a={ai}, b={bi}, c={ci})" if lengths else ""
+                raise ValueError(f"GIG parameters{at}{values} {reason}")
             if ai == 0.0 and bi * ci == 0.0:
-                raise ValueError(f"GIG parameters at index {i}: a = 0 requires b*c bounded away from zero")
+                raise ValueError(f"GIG parameters{at}: a = 0 requires b*c bounded away from zero")
     return np.array(_draw_gigs(al, bl, cl, rng))
 
 
@@ -173,8 +140,6 @@ def _draw_gigs(al: list, bl: list, cl: list, rng: np.random.Generator) -> list:
     block, pos = [], 0
     for i, (a, b, c, omega) in enumerate(zip(al, bl, cl, omegas)):
         if omega == 0.0:
-            if a == 0.0:
-                raise ValueError("GIG parameters: a = 0 requires b*c bounded away from zero")
             if a > 0.0:
                 out.append(float(rng.gamma(a, 2.0 / b)))
                 continue
@@ -283,27 +248,18 @@ def sample_dirichlet(concentrations: np.ndarray, rng: np.random.Generator) -> np
     return w / w.sum()
 
 
-def sample_categorical_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise categorical draws from unnormalized log weights (n, K).
-
-    A row needs a finite largest entry: a row that is all -inf, or holds a
-    NaN or +inf, raises ``ValueError`` naming it.  Entries at -inf get
-    weight zero and are never drawn: a row takes the first category whose
-    CDF exceeds its uniform, so a uniform of exactly 0 still lands on a
-    category of positive weight.  One uniform is drawn per row.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.ndim != 2:
-        raise ValueError("categorical log weights must be a 2-d (n, K) array")
-    return sample_categorical_columns(np.array(lw.T, order="C"), rng)
-
-
 def sample_categorical_columns(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``sample_categorical_rows`` of ``cdf.T``, overwriting the (K, n) C array ``cdf``.
+    """One categorical draw per column of unnormalized log weights (K, n).
 
-    Every step runs along rows of length n; the running sum adds category
-    after category, row k - 1 to row k, in one in-place cumsum.  The
-    error names column i as row i, as ``sample_categorical_rows`` does.
+    ``cdf`` is a C-ordered array and is overwritten.  A column needs a
+    finite largest entry: a column that is all -inf, or holds a NaN or
+    +inf, raises ``ValueError`` naming it as a row of the (n, K) weights
+    it transposes.  Entries at -inf get weight zero and are never drawn: a
+    column takes the first category whose CDF exceeds its uniform, so a
+    uniform of exactly 0 still lands on a category of positive weight.
+    One uniform is drawn per column.  Every step runs along rows of length
+    n; the running sum adds category after category, row k - 1 to row k,
+    in one in-place cumsum.
     """
     top = cdf.max(axis=0)
     bad = ~np.isfinite(top)

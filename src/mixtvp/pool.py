@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    log_uniform,
-    sample_categorical_rows,
-    sample_dirichlet,
-    sample_gig_array,
-)
+from .distributions import log_uniform, sample_categorical_columns, sample_dirichlet, sample_gig_array
 from .shrinkage import MhScale
 
 RANGE_FLOOR = 1e-8
@@ -117,11 +112,6 @@ def _sum_log_weights(omega: np.ndarray) -> float:
     return float(np.log(np.maximum(omega, WEIGHT_FLOOR)).sum())
 
 
-def _xi_log_target(xi: float, omega: np.ndarray, priors: PoolPriors) -> float:
-    """Log posterior kernel of the symmetric Dirichlet concentration."""
-    return _xi_log_kernel(xi, omega.shape[0], _sum_log_weights(omega), priors.d0)
-
-
 def update_xi(xi, omega, priors: PoolPriors, rng, scale: float = 0.3) -> tuple[float, bool]:
     """Random-walk step on log xi; returns the new value and acceptance."""
     try:
@@ -150,7 +140,7 @@ def sample_group_indicators(alpha_tilde, omega, mu, rng) -> np.ndarray:
     log_omega = np.log(np.maximum(omega, WEIGHT_FLOOR))
     logw = alpha_tilde @ mu.T + (log_omega - 0.5 * np.einsum("nk,nk->n", mu, mu))
     try:
-        return sample_categorical_rows(logw, rng)
+        return sample_categorical_columns(np.array(logw.T, order="C"), rng)
     except ValueError as exc:
         raise ValueError(f"pool labels: {exc}") from exc
 

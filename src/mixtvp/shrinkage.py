@@ -165,10 +165,6 @@ def _scale_stats(tau_group: np.ndarray) -> tuple[int, float, float]:
     return tau_group.shape[0], float(np.log(tau_group).sum()), float(tau_group.sum())
 
 
-def _rho_log_target(rho: float, tau_group: np.ndarray, lam: float) -> float:
-    return _rho_log_kernel(rho, lam, *_scale_stats(tau_group))
-
-
 def update_rho(tau_group, lam, rho, scale, rng) -> tuple[float, bool]:
     """Log-scale random-walk step on the group hyper-shape."""
     try:

@@ -32,7 +32,6 @@ __all__ = [
     "companion",
     "low_freq_matrix",
     "low_freq",
-    "low_freq_bands",
     "low_freq_path_bands",
     "bands_csv",
 ]
@@ -65,9 +64,6 @@ class CompanionForm:
     @property
     def m(self) -> int:
         return self.J.shape[0]
-
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.F))))
 
     def is_stable(self, margin: float = STABILITY_MARGIN) -> bool:
         return bool(_stable_draws(self.F, margin))
@@ -205,29 +201,6 @@ def _ratios(A, sigma, p, i, j) -> tuple[np.ndarray, np.ndarray]:
     """Pi_ij(0) / Pi_jj(0) of stacked draws (NaN where unstable), and stability."""
     pi, stable = _low_freq_stack(_companion_matrix(A, p), sigma)
     return pi[..., i, j] / pi[..., j, j], stable
-
-
-def low_freq_bands(
-    draws: list[tuple[np.ndarray, np.ndarray]],
-    p: int,
-    i: int,
-    j: int,
-    quantiles: tuple[float, ...] = (0.16, 0.5, 0.84),
-) -> tuple[np.ndarray, int]:
-    """Quantiles of the ratio over posterior draws, skipping unstable ones.
-
-    ``draws`` holds (A, Sigma_red) pairs for one period. Returns the
-    requested quantiles and how many draws were excluded; raises if
-    every draw is unstable.
-    """
-    if not draws:
-        raise ValueError("no draws")
-    ratio, stable = _ratios(
-        np.stack([A for A, _ in draws]), np.stack([s for _, s in draws]), p, i, j
-    )
-    if not stable.any():
-        raise ValueError("every draw was unstable")
-    return np.quantile(ratio[stable], quantiles), int(np.count_nonzero(~stable))
 
 
 def low_freq_path_bands(

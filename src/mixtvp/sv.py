@@ -15,10 +15,10 @@ factored as L D L' (LAPACK ``dpttrf``) and the path drawn as
 whose noise term has covariance L D L' = Q, so h ~ N(mu + Q^{-1} b, Q^{-1}).
 The parameter steps reduce the path to a few dot products and then run on
 Python floats: the level and persistence draws, the innovation-variance
-GIG draw (``sample_gig``) and the interweaving step's 2x2 Gaussian, whose
-Cholesky factor is written out in closed form.  A failure in a step names
-it ("volatility mixture indicators", "volatility draw", "volatility psi
-draw", "volatility interweave").
+GIG draw (a one-element ``sample_gig_array`` call) and the interweaving
+step's 2x2 Gaussian, whose Cholesky factor is written out in closed
+form.  A failure in a step names it ("volatility mixture indicators",
+"volatility draw", "volatility psi draw", "volatility interweave").
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import NotPositiveDefiniteError, dpttrs, factor_tridiagonal
-from .distributions import GigParams, log_uniform, sample_categorical_columns, sample_gig
+from .distributions import log_uniform, sample_categorical_columns, sample_gig_array
 
 # 10-component Gaussian mixture approximation to log chi^2(1)
 MIX_PROB = np.array([
@@ -214,10 +214,10 @@ def _draw_psi_centered(h_full, mu, phi, priors, rng):
     T = h_full.size - 1
     a = priors.psi_shape - (T + 1) / 2.0
     try:
-        params = GigParams(a, 2.0 * priors.psi_rate, max(sse, PSI_FLOOR))
+        psi = sample_gig_array(a, 2.0 * priors.psi_rate, max(sse, PSI_FLOOR), rng).item()
     except ValueError as exc:
         raise ValueError(f"volatility psi draw: {exc}") from exc
-    return max(sample_gig(params, rng), PSI_FLOOR)
+    return max(psi, PSI_FLOOR)
 
 
 def _interweave_noncentered(obs, d, h_full, mu, phi, psi, priors, rng):

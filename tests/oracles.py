@@ -379,3 +379,38 @@ def state_precision_band_loop(wtilde, sub):
     band[K, :-1] += sub**2
     band[0, 1:] = sub
     return ab
+
+
+def spectral_radius(F):
+    """Largest eigenvalue modulus of a square matrix, from ``np.linalg.eigvals``."""
+    return float(np.max(np.abs(np.linalg.eigvals(F))))
+
+
+def low_freq_bands(draws, p, i, j, margin, quantiles=(0.16, 0.5, 0.84)):
+    """Quantiles of Pi_ij(0) / Pi_jj(0) over one period's (A, Sigma_red) draws.
+
+    The per-period band oracle for ``spectral.low_freq_path_bands``: each
+    draw gets its dense companion matrix F, is excluded when its spectral
+    radius is not below 1 - margin, and otherwise gives Pi(0) = J (I-F)^-1
+    Upsilon (I-F')^-1 J' from one full mp x mp solve.  Returns the
+    quantiles over the stable draws and how many draws were excluded;
+    raises ``ValueError`` when there are no draws or none is stable.
+    """
+    if not draws:
+        raise ValueError("no draws")
+    ratios, excluded = [], 0
+    for A, sigma in draws:
+        m = A.shape[0]
+        d = m * p
+        F = np.zeros((d, d))
+        F[:m] = A[:, :d]
+        F[m:, :-m] = np.eye(d - m)
+        if spectral_radius(F) >= 1.0 - margin:
+            excluded += 1
+            continue
+        lead = np.linalg.solve(np.eye(d) - F, np.eye(d)[:, :m])[:m]
+        pi = lead @ sigma @ lead.T
+        ratios.append(pi[i, j] / pi[j, j])
+    if not ratios:
+        raise ValueError("every draw was unstable")
+    return np.quantile(ratios, quantiles), excluded

@@ -14,11 +14,9 @@ from scipy.special import kv, kve
 
 import mixtvp
 from mixtvp.distributions import (
-    GigParams,
-    sample_categorical_rows,
+    sample_categorical_columns,
     sample_dirichlet,
     sample_gamma_rate,
-    sample_gig,
     sample_gig_array,
 )
 
@@ -75,16 +73,21 @@ def test_gig_inverse_gamma_reduction_mean():
 
 
 def test_gig_invalid_parameters():
-    with pytest.raises(ValueError):
-        GigParams(-1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        GigParams(1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        GigParams(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        GigParams(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        GigParams(np.inf, 1.0, 1.0)
+    # a call whose parameters all have one element names no index, and a
+    # refused call draws nothing
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for a, b, c, message in [
+        (-1.0, 2.0, 0.0, "GIG parameters with c = 0 requires a > 0"),
+        (1.0, 0.0, 2.0, "GIG parameters with b = 0 requires a < 0"),
+        (0.0, 0.0, 1.0, "GIG parameters with b = 0 requires a < 0"),
+        (1.0, -1.0, 1.0, "GIG parameters requires b >= 0 and c >= 0"),
+        (np.inf, 1.0, 1.0, "GIG parameters must be finite"),
+        (0.0, 1e-170, 1e-170, r"GIG parameters: a = 0 requires b\*c bounded away from zero"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sample_gig_array(a, b, c, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_gig_extreme_arguments_stay_finite():
@@ -111,11 +114,11 @@ def test_gig_returns_when_b_times_c_is_subnormal():
     # turns a sampler that never returns into a failure, not a hung suite.
     code = (
         "import numpy as np\n"
-        "from mixtvp.distributions import GigParams, sample_gig, sample_gig_array\n"
+        "from mixtvp.distributions import sample_gig_array\n"
         "rng = np.random.default_rng(3)\n"
         "draws = sample_gig_array(np.full(2000, 1e-8), [1e-160], [1e-160], rng)\n"
         "mixed = sample_gig_array([1e-8, 2.0, -2e-9], [1e-160, 1.0, 1e-170], [1e-160, 3.0, 1e-150], rng)\n"
-        "one = sample_gig(GigParams(1e-8, 1e-160, 1e-160), rng)\n"
+        "(one,) = sample_gig_array(1e-8, 1e-160, 1e-160, rng)\n"
         "logs = np.log(draws)\n"
         "print(bool(np.all(np.isfinite(draws)) and np.all(draws > 0)),"
         " bool(np.all(np.isfinite(mixed)) and np.all(mixed > 0)),"
@@ -145,13 +148,13 @@ def test_gig_refuses_b_times_c_that_overflows():
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(10)
     try:
-        with pytest.raises(ValueError, match=r"b\*c below the largest float"):
-            GigParams(1.0, 1e200, 1e200)
+        with pytest.raises(ValueError, match=r"^GIG parameters requires b\*c below the largest float"):
+            sample_gig_array(1.0, 1e200, 1e200, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"index 1 .* b\*c below the largest float"):
             sample_gig_array([1.0, 1.0], [1.0, 1e200], [1.0, 1e200], np.random.default_rng(0))
         # b*c = 1e308 is still drawn; log(X / mode) has sd ~ 1e-77, so the
         # draw is the mode, 1, to double precision
-        draw = sample_gig(GigParams(1.0, 1e154, 1e154), np.random.default_rng(0))
+        (draw,) = sample_gig_array(1.0, 1e154, 1e154, np.random.default_rng(0))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -180,11 +183,6 @@ def test_gig_scale_keeps_its_digits_when_c_over_b_is_subnormal():
     np.testing.assert_allclose(got, unit / b, rtol=1e-13)
 
 
-def test_gig_scalar_return():
-    value = sample_gig(GigParams(1.0, 1.0, 1.0), np.random.default_rng(0))
-    assert isinstance(value, float)
-
-
 @pytest.mark.parametrize(
     "a,b,c",
     [
@@ -200,13 +198,12 @@ def test_gig_scalar_return():
     ],
 )
 def test_scalar_gig_matches_array_on_the_same_stream(a, b, c):
-    # the array sampler draws its elements one after another, each as
-    # sample_gig draws it
+    # the sampler draws its elements one after another, each as a
+    # one-element call draws it
     n = 200
     rng_scalar, rng_array = np.random.default_rng(5), np.random.default_rng(5)
-    got = [sample_gig(GigParams(a, b, c), rng_scalar) for _ in range(n)]
+    got = np.concatenate([sample_gig_array(a, b, c, rng_scalar) for _ in range(n)])
     want = sample_gig_array(np.full(n, a), b, c, rng_array)
-    assert all(isinstance(v, float) for v in got)
     np.testing.assert_array_equal(got, want)
     assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
 
@@ -245,7 +242,7 @@ def test_gig_array_with_reductions_between_elements_matches_scalar_draws():
     order = np.random.default_rng(4).integers(0, len(regions), size=300)
     a, b, c = np.array([regions[k] for k in order]).T
     rng_scalar, rng_array = np.random.default_rng(12), np.random.default_rng(12)
-    want = [sample_gig(GigParams(*abc), rng_scalar) for abc in zip(a, b, c)]
+    want = np.concatenate([sample_gig_array(*abc, rng_scalar) for abc in zip(a, b, c)])
     got = sample_gig_array(a, b, c, rng_array)
     np.testing.assert_array_equal(got, want)
     assert rng_scalar.bit_generator.state == rng_array.bit_generator.state
@@ -366,10 +363,15 @@ def test_dirichlet_invalid():
         sample_dirichlet(np.array([]), rng)
 
 
+def _categorical_rows(log_weights, rng):
+    """Row-wise draws from (n, K) log weights, through the (K, n) C copy they transpose to."""
+    return sample_categorical_columns(np.array(log_weights.T, order="C"), rng)
+
+
 def test_categorical_rows_matches_scalar_frequencies():
     rng = np.random.default_rng(21)
     logw = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
-    draws = np.array([sample_categorical_rows(logw, rng) for _ in range(20_000)])
+    draws = np.array([_categorical_rows(logw, rng) for _ in range(20_000)])
     np.testing.assert_allclose(draws[:, 0].mean(), 0.5, atol=0.02)
     np.testing.assert_allclose(draws[:, 1].mean(), 0.1, atol=0.02)
 
@@ -384,7 +386,7 @@ def test_categorical_rows_refuse_a_row_without_a_finite_maximum(bad_row):
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="row 1 "):
-        sample_categorical_rows(logw, rng)
+        _categorical_rows(logw, rng)
     assert rng.bit_generator.state == state
 
 
@@ -392,7 +394,7 @@ def test_categorical_rows_never_draw_minus_inf_entries():
     rng = np.random.default_rng(22)
     inf = np.inf
     logw = np.array([[-inf, 0.0, -inf, 3.0], [2.0, -inf, -700.0, -inf], [-inf, -inf, 5.0, -inf]])
-    draws = np.array([sample_categorical_rows(logw, rng) for _ in range(5000)])
+    draws = np.array([_categorical_rows(logw, rng) for _ in range(5000)])
     assert set(draws[:, 0]) == {1, 3}
     assert set(draws[:, 1]) <= {0, 2}
     assert set(draws[:, 2]) == {2}
@@ -412,7 +414,7 @@ class _EdgeUniforms:
 def test_categorical_rows_keep_edge_uniforms_off_minus_inf_entries(u, expected):
     inf = np.inf
     logw = np.array([[-inf, 0.0, -inf, 3.0, -inf], [2.0, -inf, -700.0, -inf, -inf], [-inf, -inf, 5.0, -inf, -inf]])
-    np.testing.assert_array_equal(sample_categorical_rows(logw, _EdgeUniforms(u)), expected)
+    np.testing.assert_array_equal(_categorical_rows(logw, _EdgeUniforms(u)), expected)
 
 
 def test_gamma_rate_convention():

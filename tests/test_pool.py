@@ -7,7 +7,8 @@ from scipy import integrate
 from mixtvp.pool import (
     PoolPriors,
     PoolState,
-    _xi_log_target,
+    _sum_log_weights,
+    _xi_log_kernel,
     coefficient_ranges,
     group_mean_moments,
     _l_posterior_arrays,
@@ -87,6 +88,11 @@ def test_coefficient_ranges_floor():
     alpha[:, 1] = np.linspace(-1.0, 3.0, 5)
     r = coefficient_ranges(alpha)
     assert r[0] == 1e-8 and r[1] == pytest.approx(4.0)
+
+
+def _xi_log_target(xi, omega, priors):
+    """Log posterior kernel of the symmetric Dirichlet concentration."""
+    return _xi_log_kernel(xi, omega.shape[0], _sum_log_weights(omega), priors.d0)
 
 
 def test_update_xi_matches_quadrature():

@@ -26,9 +26,10 @@ def test_all_entries_resolve(module_name):
 SRC = Path(mixtvp.__file__).resolve().parent
 
 
-def _unreferenced_public_names() -> list[str]:
-    """Module-level public functions and classes that no ``src/`` code uses.
+def _unreferenced_names(private: bool) -> list[str]:
+    """Module-level functions and classes that no ``src/`` code uses.
 
+    ``private`` picks the ``_``-prefixed names instead of the public ones.
     A use is a name, an attribute or an imported name anywhere in the
     package outside the definition itself.  Names in ``mixtvp.__all__``
     are public surface and need no use.
@@ -38,7 +39,7 @@ def _unreferenced_public_names() -> list[str]:
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_") == private:
                 defined[f"{path.stem}.{top.name}"] = top
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
@@ -59,4 +60,9 @@ def _unreferenced_public_names() -> list[str]:
 
 
 def test_every_public_name_is_used_by_the_package_or_exported():
-    assert _unreferenced_public_names() == []
+    assert _unreferenced_names(private=False) == []
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # code that only the tests call belongs in the tests
+    assert _unreferenced_names(private=True) == []

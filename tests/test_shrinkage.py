@@ -10,6 +10,8 @@ from mixtvp.shrinkage import (
     MhScale,
     NgHyper,
     _factor_block,
+    _rho_log_kernel,
+    _scale_stats,
     default_ng_hyper,
     draw_constant_block,
     draw_lambda,
@@ -94,11 +96,13 @@ def test_draw_tau_gamma_limit_and_floor():
     assert np.all(draws >= 1e-12)
 
 
+def _rho_log_target(rho, tau_group, lam):
+    return _rho_log_kernel(rho, lam, *_scale_stats(tau_group))
+
+
 def test_update_rho_targets_correct_density():
     tau_group = np.array([0.5, 1.5, 0.8])
     lam = 1.2
-    from mixtvp.shrinkage import _rho_log_target
-
     grid_norm, _ = integrate.quad(lambda r: np.exp(_rho_log_target(r, tau_group, lam)), 1e-8, 60, limit=300)
     target_mean, _ = integrate.quad(
         lambda r: r * np.exp(_rho_log_target(r, tau_group, lam)) / grid_norm, 1e-8, 60, limit=300

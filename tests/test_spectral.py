@@ -14,11 +14,11 @@ from mixtvp.spectral import (
     bands_csv,
     companion,
     low_freq,
-    low_freq_bands,
     low_freq_matrix,
     low_freq_path_bands,
 )
 from mixtvp.var import reduced_from_paths, structural_from_paths, structural_to_reduced
+from oracles import low_freq_bands, spectral_radius
 
 
 def _truncated_longrun(F, upsilon, J, L=4000):
@@ -57,7 +57,7 @@ def test_companion_shapes_and_examples():
     np.testing.assert_array_equal(cf2.F, [[a1, a2], [1.0, 0.0]])
 
     cf3 = companion(np.zeros((1, 3)), np.array([[1.0]]), p=2)
-    assert cf3.is_stable() and cf3.spectral_radius() == 0.0
+    assert cf3.is_stable() and spectral_radius(cf3.F) == 0.0
     with pytest.raises(ValueError):
         companion(np.zeros((2, 4)), np.eye(2), p=2)
 
@@ -82,7 +82,7 @@ def test_matches_autocovariance_sum_oracle():
         while True:
             A = np.column_stack([0.4 * rng.normal(size=(m, m * p)), rng.normal(size=m)])
             cf_try = companion(A, np.eye(m), p)
-            if cf_try.spectral_radius() < 0.95:
+            if spectral_radius(cf_try.F) < 0.95:
                 break
         L = rng.normal(size=(m, m))
         sigma = L @ L.T + 0.5 * np.eye(m)
@@ -136,10 +136,17 @@ def test_unstable_draws_flagged_and_excluded():
     assert not cf.is_stable()
     with pytest.raises(ValueError):
         low_freq_matrix(cf)
-    qs, excl = low_freq_bands([stable, unit, stable], p=1, i=0, j=1)
+    qs, excl = low_freq_bands([stable, unit, stable], p=1, i=0, j=1, margin=STABILITY_MARGIN)
     assert excl == 1 and qs.shape == (3,)
     with pytest.raises(ValueError):
-        low_freq_bands([unit], p=1, i=0, j=1)
+        low_freq_bands([unit], p=1, i=0, j=1, margin=STABILITY_MARGIN)
+    # the same three draws as one period of three records, in structural
+    # form (no contemporaneous terms, unit variances)
+    A = np.stack([stable[0], unit[0], stable[0]])
+    alphas = [A[:, None, 0], np.concatenate([np.zeros((3, 1, 1)), A[:, None, 1]], axis=-1)]
+    bands, excluded = low_freq_path_bands(alphas, [np.ones((3, 1))] * 2, 1, 0, 1)
+    assert excluded == excl
+    np.testing.assert_array_equal(bands[0], qs)
 
 
 def test_bands_csv_layout():
@@ -148,15 +155,6 @@ def test_bands_csv_layout():
     assert lines[0] == "# excluded_unstable: 3"
     assert lines[1] == "t,median,q16,q84"
     assert lines[2].startswith("0,1,0.5,1.5")
-
-
-def test_companion_form_radius_matches_eigvals():
-    rng = np.random.default_rng(1)
-    F = 0.3 * rng.normal(size=(4, 4))
-    cf = CompanionForm(F=F, upsilon=np.eye(4), J=np.eye(4))
-    assert cf.spectral_radius() == pytest.approx(
-        np.max(np.abs(np.linalg.eigvals(F)))
-    )
 
 
 def _tvp_paths(n, T, m=3, p=2, scale=0.3, seed=0):
@@ -168,20 +166,14 @@ def _tvp_paths(n, T, m=3, p=2, scale=0.3, seed=0):
 
 
 def _reference_bands(alphas, sigma2s, p, i, j):
-    """Per-draw loop: structural -> reduced -> companion -> eigvals -> Pi(0)."""
+    """Per-draw loop: structural -> reduced per record, then the band oracle per period."""
     n, T = sigma2s[0].shape
+    draws = [structural_from_paths([a[r] for a in alphas], [s[r] for s in sigma2s]) for r in range(n)]
     rows, excluded = [], 0
     for t in range(T):
-        vals = []
-        for r in range(n):
-            draw = structural_from_paths([a[r] for a in alphas], [s[r] for s in sigma2s])
-            cf = companion(*structural_to_reduced(draw, t), p)
-            if np.max(np.abs(np.linalg.eigvals(cf.F))) >= 1.0 - STABILITY_MARGIN:
-                excluded += 1
-                continue
-            pi = low_freq_matrix(cf)
-            vals.append(pi[i, j] / pi[j, j])
-        rows.append(np.quantile(vals, [0.16, 0.5, 0.84]))
+        qs, excl = low_freq_bands([structural_to_reduced(d, t) for d in draws], p, i, j, STABILITY_MARGIN)
+        rows.append(qs)
+        excluded += excl
     return np.array(rows), excluded
 
 
