@@ -157,6 +157,18 @@ def test_bands_csv_layout():
     assert lines[2].startswith("0,1,0.5,1.5")
 
 
+def test_companion_form_radius_matches_eigvals():
+    # CompanionForm.is_stable on one 2-D F, rescaled so that its spectral
+    # radius sits on either side of 1 - margin, agrees with the eigvals radius
+    rng = np.random.default_rng(1)
+    F0 = rng.normal(size=(4, 4))
+    F0 /= spectral_radius(F0)
+    for margin in (0.0, STABILITY_MARGIN, 0.05):
+        for radius in (0.5, 0.9, 0.98, 0.999, 1.001, 1.2):
+            cf = CompanionForm(F=radius * F0, upsilon=np.eye(4), J=np.eye(4))
+            assert cf.is_stable(margin) == (spectral_radius(cf.F) < 1.0 - margin)
+
+
 def _tvp_paths(n, T, m=3, p=2, scale=0.3, seed=0):
     """Random (n, T, K_i) coefficient paths and (n, T) variances; some draws explode."""
     rng = np.random.default_rng(seed)
