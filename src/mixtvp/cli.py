@@ -11,7 +11,7 @@ array operations over period blocks. A power screen certifies most
 stable draws, and one batched eigen-decomposition per block decides the
 rest. A store with a non-finite coefficient or a non-finite or
 non-positive error variance is refused, naming the equation, record and
-period.
+period. A period with no stable draw is written as a row of NaN.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def _cmd_spectral(args) -> None:
     rows = [(t, med, lo, hi) for t, (lo, med, hi) in enumerate(bands)]
     name = f"lowfreq_{cfg.pair[0]}_{cfg.pair[1]}.csv"
     (out / name).write_text(bands_csv(rows, excluded))
-    print(f"wrote {out / name}")
+    empty = int(np.isnan(bands).all(axis=1).sum())
+    print(f"wrote {out / name}: {empty} of {T} periods have no stable draw")
 
 
 def _cmd_compare(args) -> None:

@@ -279,8 +279,8 @@ def log_uniform(rng: np.random.Generator) -> float:
     return math.log(u) if u > 0.0 else -math.inf
 
 
-def sample_gamma_rate(shape: float, rate: float, rng: np.random.Generator, size=None):
+def sample_gamma_rate(shape: float, rate: float, rng: np.random.Generator) -> float:
     """Gamma draw in shape/rate form, matching the G(a, b) convention here."""
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError("Gamma shape and rate must be positive")
-    return rng.gamma(shape=shape, scale=1.0 / rate, size=size)
+    return rng.gamma(shape=shape, scale=1.0 / rate)

@@ -261,7 +261,8 @@ def sample_indicators_mix(
     model_class: str,
     rng: np.random.Generator,
     pool_means: np.ndarray | None = None,
-    S: np.ndarray | None = None,
+    *,
+    S: np.ndarray,
 ) -> np.ndarray:
     """Per-coefficient indicator draws, one site at a time along t.
 
@@ -276,11 +277,7 @@ def sample_indicators_mix(
     loglik = regime_log_densities(alpha, block, model_class, pool_means)
     T, K = alpha.shape
     cols = np.arange(K)
-    out = (
-        np.ones((T, K), dtype=np.int8)
-        if S is None
-        else np.array(S, dtype=np.int8, copy=True)
-    )
+    out = np.array(S, dtype=np.int8, copy=True)
     base_logit = np.log(p) - np.log1p(-p)
     for t in range(T):
         prev = out[t - 1] if t > 0 else np.zeros(K, dtype=np.int8)

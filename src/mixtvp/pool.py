@@ -112,7 +112,7 @@ def _sum_log_weights(omega: np.ndarray) -> float:
     return float(np.log(np.maximum(omega, WEIGHT_FLOOR)).sum())
 
 
-def update_xi(xi, omega, priors: PoolPriors, rng, scale: float = 0.3) -> tuple[float, bool]:
+def update_xi(xi, omega, priors: PoolPriors, rng, scale: float) -> tuple[float, bool]:
     """Random-walk step on log xi; returns the new value and acceptance."""
     try:
         prop = xi * math.exp(scale * rng.normal())
@@ -176,16 +176,14 @@ def pool_sweep(
     state: PoolState,
     priors: PoolPriors,
     rng: np.random.Generator,
-    xi_scale: MhScale | None = None,
+    xi_scale: MhScale,
     adapting: bool = False,
 ) -> PoolState:
     """One full refresh of the pooling block, in fixed order."""
     N = state.n_clusters
     omega = sample_weights(state.theta, N, state.xi, rng)
-    scale = xi_scale.scale if xi_scale is not None else 0.3
-    xi, accepted = update_xi(state.xi, omega, priors, rng, scale)
-    if xi_scale is not None:
-        xi_scale.record(accepted, adapting)
+    xi, accepted = update_xi(state.xi, omega, priors, rng, xi_scale.scale)
+    xi_scale.record(accepted, adapting)
     theta = sample_group_indicators(alpha_tilde, omega, state.mu, rng)
     ranges = coefficient_ranges(alpha_tilde)
     lam0 = state.l * ranges**2

@@ -32,9 +32,6 @@ from .indicators import (
 )
 from .pool import PoolPriors, PoolState, initial_pool_state, pool_sweep
 from .shrinkage import (
-    GROUP_MEANS,
-    GROUP_SLAB,
-    GROUP_SPIKE,
     ConstantBlock,
     MhScale,
     NgHyper,
@@ -190,7 +187,7 @@ class SweepScales:
     variances), built once per chain instead of once per sweep.
     """
 
-    rho: dict[str, MhScale]
+    rho: list[MhScale]
     xi: MhScale | None = None
     ms_counts: MsCounts | None = None
     bernoulli_counts: BernoulliCounts | None = None
@@ -201,7 +198,7 @@ class SweepScales:
 def make_scales(spec: ModelSpec) -> SweepScales:
     pool = spec.model_class == CLASS_POOL
     scales = SweepScales(
-        rho={n: MhScale(scale=0.4) for n in _group_names(spec)},
+        rho=[MhScale(scale=0.4) for _ in _group_names(spec)],
         xi=MhScale(scale=0.3) if pool else None,
         ms_counts=spec.default_ms_counts() if spec.law == LAW_MS else None,
         bernoulli_counts=spec.default_bernoulli_counts() if spec.law == LAW_MIX else None,
@@ -270,17 +267,15 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     ng = state.ng
     coefs = draw_constant_block(y_eff, xhat, sigma, ng.tau, rng)
     tau = draw_tau(coefs, ng, rng)
-    lam = dict(ng.lam)
-    rho = dict(ng.rho)
-    for name, idx in ng.groups.items():
-        lam[name] = draw_lambda(tau[idx], rho[name], ng.zeta, rng)
-        rho[name], accepted = update_rho(
-            tau[idx], lam[name], rho[name], scales.rho[name].scale, rng
-        )
-        scales.rho[name].record(accepted, adapting)
-    new_ng = ng.successor(tau, lam, rho)
+    lam, rho = [], []
+    for g, scale in enumerate(scales.rho):
+        tau_g = tau[g * K: (g + 1) * K]
+        lam.append(draw_lambda(tau_g, ng.rho[g], ng.zeta, rng))
+        rho_g, accepted = update_rho(tau_g, lam[g], ng.rho[g], scale.scale, rng)
+        rho.append(rho_g)
+        scale.record(accepted, adapting)
 
-    return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), new_ng
+    return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), NgHyper(tau, lam, rho, ng.zeta)
 
 
 def _draw_states(y, x, spec, block, roots, state, rng):
@@ -349,13 +344,11 @@ def gibbs_sweep(
     spec: ModelSpec,
     state: EquationChainState,
     rng: np.random.Generator,
-    scales: SweepScales | None = None,
+    scales: SweepScales,
     adapting: bool = False,
 ) -> EquationChainState:
     """One full pass over all conditionals; the state is replaced atomically."""
     T, K = x.shape
-    if scales is None:
-        scales = make_scales(spec)
 
     if not spec.is_tvp:
         if spec.model_class == CLASS_CONST_MIN:
@@ -525,13 +518,10 @@ def init_equation_state(
         # root inits.  With tau at 1 the first block draw hands an
         # unidentified spike root a unit-scale value, which swaps the
         # regime labels before any identification exists.
-        for name, scale in (
-            (GROUP_SLAB, ROOT_INIT**2),
-            (GROUP_SPIKE, (ROOT_INIT / 2) ** 2),
-        ):
-            if name in ng.groups:
-                ng.tau[ng.groups[name]] = scale
-                ng.lam[name] = 2.0 / scale
+        inits = (ROOT_INIT**2, (ROOT_INIT / 2) ** 2)[: spec.n_variance_groups]
+        for g, scale in enumerate(inits, start=1):
+            ng.tau[g * K: (g + 1) * K] = scale
+            ng.lam[g] = 2.0 / scale
     pool = (
         initial_pool_state(T, K, spec.pool_priors(), rng)
         if spec.model_class == CLASS_POOL
@@ -660,9 +650,10 @@ def with_context(exc: ArithmeticError | ValueError, where: str) -> Exception:
 
 
 def _group_names(spec: ModelSpec) -> list[str]:
+    """The hierarchy's groups in block order: means, then slab and spike roots."""
     if spec.model_class == CLASS_CONST_MIN:
         return []
-    return [GROUP_MEANS] + [GROUP_SLAB, GROUP_SPIKE][: spec.n_variance_groups]
+    return ["a", "psi1", "psi0"][: 1 + spec.n_variance_groups]
 
 
 def run_chain(
@@ -751,10 +742,9 @@ def _record(state: EquationChainState, spec: ModelSpec) -> dict:
         out["alpha_last"] = alpha[-1]
     else:
         out["alpha_last"] = block.alpha0
-    names = _group_names(spec)
-    if names:
-        out["lam"] = [state.ng.lam[g] for g in names]
-        out["rho"] = [state.ng.rho[g] for g in names]
+    if state.ng is not None:
+        out["lam"] = state.ng.lam
+        out["rho"] = state.ng.rho
     if state.S is not None:
         if spec.store_paths:
             out["S"] = state.S

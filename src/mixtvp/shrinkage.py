@@ -8,7 +8,6 @@ group (means, slab roots, spike roots).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -18,10 +17,6 @@ from .banded import NotPositiveDefiniteError, dpotrf, dtrtrs
 from .distributions import log_uniform, sample_gamma_rate, sample_gig_array
 
 TAU_FLOOR = 1e-12
-
-GROUP_MEANS = "a"
-GROUP_SLAB = "psi1"
-GROUP_SPIKE = "psi0"
 
 
 @dataclass(frozen=True)
@@ -51,64 +46,28 @@ class ConstantBlock:
 class NgHyper:
     """Local scales plus per-group global scale and hyper-shape.
 
-    ``groups`` maps a group name to the index array of block entries it
-    owns; together the groups partition the sampled block exactly.
+    The groups are the block's means, slab roots and spike roots, in that
+    order and with K entries each: group g owns ``tau[g*K:(g+1)*K]`` and
+    ``lam[g]``, ``rho[g]``.
     """
 
     tau: np.ndarray
-    groups: dict[str, np.ndarray]
-    lam: dict[str, float]
-    rho: dict[str, float]
+    lam: list[float]
+    rho: list[float]
     zeta: float = 0.01
-
-    def __post_init__(self):
-        m = self.tau.shape[0]
-        seen = np.concatenate([np.asarray(v) for v in self.groups.values()])
-        if sorted(seen.tolist()) != list(range(m)):
-            raise ValueError("groups must partition the block indices exactly")
-        if set(self.lam) != set(self.groups) or set(self.rho) != set(self.groups):
-            raise ValueError("lam and rho must carry one entry per group")
-        if np.any(self.tau <= 0.0):
-            raise ValueError("tau must be positive")
-
-    def successor(self, tau: np.ndarray, lam: dict[str, float], rho: dict[str, float]) -> NgHyper:
-        """This hierarchy with new draws of tau, lam and rho, for the next sweep.
-
-        The successor shares this one's ``groups`` object and ``zeta``, so
-        the partition checked when the chain's first hierarchy was built
-        still holds and is not checked again; ``lam`` and ``rho`` must keep
-        one entry per group and ``tau`` stay positive, as the sweep's draws
-        do (``draw_tau`` floors it).
-        """
-        new = copy.copy(self)
-        new.tau, new.lam, new.rho = tau, lam, rho
-        return new
 
     def per_coef(self) -> tuple[np.ndarray, np.ndarray]:
         """rho and lam broadcast to one value per block entry."""
-        m = self.tau.shape[0]
-        rho = np.empty(m)
-        lam = np.empty(m)
-        for name, idx in self.groups.items():
-            rho[idx] = self.rho[name]
-            lam[idx] = self.lam[name]
-        return rho, lam
+        K = self.tau.shape[0] // len(self.rho)
+        return np.repeat(self.rho, K), np.repeat(self.lam, K)
 
 
 def default_ng_hyper(K: int, n_variance_groups: int, zeta: float = 0.01) -> NgHyper:
     """Hierarchy for a block of K means plus 0, 1 or 2 variance-root groups."""
     if n_variance_groups not in (0, 1, 2):
         raise ValueError("n_variance_groups must be 0, 1 or 2")
-    names = [GROUP_MEANS] + [GROUP_SLAB, GROUP_SPIKE][:n_variance_groups]
-    groups = {name: np.arange(i * K, (i + 1) * K) for i, name in enumerate(names)}
-    m = K * len(names)
-    return NgHyper(
-        tau=np.ones(m),
-        groups=groups,
-        lam={n: 1.0 for n in names},
-        rho={n: 0.5 for n in names},
-        zeta=zeta,
-    )
+    G = 1 + n_variance_groups
+    return NgHyper(tau=np.ones(G * K), lam=[1.0] * G, rho=[0.5] * G, zeta=zeta)
 
 
 def _factor_block(y, xhat, sigma, tau):

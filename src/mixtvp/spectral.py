@@ -216,10 +216,10 @@ def low_freq_path_bands(
     ``alphas[k]`` is equation k's (n, T, K_k) coefficient paths in the
     layout of ``var.structural_from_paths`` and ``sigma2s[k]`` its
     (n, T) error variances. Returns a (T, len(quantiles)) array and the
-    number of unstable (record, period) draws excluded. Raises
+    number of unstable (record, period) draws excluded. A period with no
+    stable draw gets a row of NaN, and its draws are in that count. Raises
     ``ValueError`` naming the equation, record and period of the first
-    non-finite coefficient or non-finite or non-positive variance, or the
-    first period whose draws are all unstable.
+    non-finite coefficient or non-finite or non-positive variance.
     """
     for k, (a, s) in enumerate(zip(alphas, sigma2s)):
         for bad, what in (
@@ -239,9 +239,6 @@ def low_freq_path_bands(
             [a[:, block] for a in alphas], [s[:, block] for s in sigma2s]
         )
         ratio, stable = _ratios(A, sigma, p, i, j)
-        empty = ~stable.any(axis=0)
-        if empty.any():
-            raise ValueError(f"every draw unstable at t={t0 + int(np.argmax(empty))}")
         excluded += int(np.count_nonzero(~stable))
         bands[block] = _nanquantile_columns(ratio, quantiles).T
     return bands, excluded
@@ -253,11 +250,14 @@ def _nanquantile_columns(x: np.ndarray, quantiles) -> np.ndarray:
     numpy applies its NaN-skipping quantile column by column; here each
     column keeps its own count of finite entries after one sort (NaN sort
     last). The index and interpolation arithmetic follow numpy's linear
-    method, so the results agree bit for bit. Every column needs at
-    least one non-NaN entry.
+    method, so the results agree bit for bit. A column with no non-NaN
+    entry gives NaN at every quantile: it is read at index 0, not at the
+    wrapped-around index -1, and then set to NaN.
     """
     srt = np.sort(x, axis=0)
     k = np.count_nonzero(~np.isnan(x), axis=0)
+    empty = k == 0
+    k[empty] = 1
     q = np.asarray(quantiles, dtype=float)[:, None]
     virtual = (k - 1) * q
     lo = np.minimum(np.floor(virtual), k - 1)
@@ -265,7 +265,9 @@ def _nanquantile_columns(x: np.ndarray, quantiles) -> np.ndarray:
     a = np.take_along_axis(srt, lo.astype(np.intp), axis=0)
     b = np.take_along_axis(srt, np.minimum(lo + 1, k - 1).astype(np.intp), axis=0)
     diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    out = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    out[:, empty] = np.nan
+    return out
 
 
 def bands_csv(rows: list[tuple[int, float, float, float]], excluded: int) -> str:

@@ -117,9 +117,7 @@ def draw_states_fast(
     wtilde: np.ndarray,
     a0: np.ndarray,
     sub: np.ndarray | None,
-    rng: np.random.Generator | None,
-    size: int | None = None,
-    noise: tuple[np.ndarray, np.ndarray] | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Joint draw of the normalized states from their posterior precision.
 
@@ -128,27 +126,19 @@ def draw_states_fast(
     consecutive periods; the draw then goes through one banded
     factorization of the precision.  ``sub=None`` stands for Phi = I (a
     law without autoregression): the precision is then block diagonal and
-    each period is drawn in closed form, with no factorization.  ``noise``
-    injects the (u, v) pair directly (deterministic use in identity
-    checks); otherwise both are standard normal from ``rng``, u first.
-    Batched draws share the single factorization when ``size`` is given.
+    each period is drawn in closed form, with no factorization.  u and
+    then v are standard normal from ``rng``.
     """
     T, K = wtilde.shape
     nu = T * K
     if ytilde.shape != (T,) or a0.shape != (nu,) or (sub is not None and sub.shape != (T - 1, K)):
         raise ValueError("input dimensions do not match wtilde")
-    n = 1 if size is None else int(size)
-    if noise is not None:
-        u, v = noise
-        u = np.broadcast_to(np.asarray(u, float), (n, nu))
-        v = np.broadcast_to(np.asarray(v, float), (n, T))
-    else:
-        u = rng.normal(size=(n, nu))
-        v = rng.normal(size=(n, T))
+    u = rng.normal(size=nu).reshape(T, K)
+    v = rng.normal(size=T)
 
-    b = wtilde * (ytilde - v)[:, :, None]
+    b = wtilde * (ytilde - v)[:, None]
     if sub is None:
-        b += (a0 + u).reshape(n, T, K)
+        b += a0.reshape(T, K) + u
         # Sherman-Morrison on each block I + w_t w_t' of the precision
         denom = 1.0 + np.einsum("tk,tk->t", wtilde, wtilde)
         bad = ~np.isfinite(denom)
@@ -156,19 +146,17 @@ def draw_states_fast(
             raise NotPositiveDefiniteError(
                 f"state draw: non-finite pivot in the precision at period {int(np.argmax(bad)) + 1}"
             )
-        proj = np.einsum("ntk,tk->nt", b, wtilde) / denom
-        draws = (b - proj[:, :, None] * wtilde).reshape(n, nu)
-    else:
-        U = factor_banded(state_precision_band(wtilde, sub), "state draw", block=K)
-        # Phi'(Phi a_0 + u): Phi adds sub times the period before, Phi' sub
-        # times the period after
-        prior = a0.reshape(T, K).copy()
-        prior[1:] += sub * prior[:-1]
-        prior = prior + u.reshape(n, T, K)
-        prior[:, :-1] += sub * prior[:, 1:]
-        b += prior
-        draws = solve_factored(U, b.reshape(n, nu).T).T
-    return draws[0] if size is None else draws
+        proj = np.einsum("tk,tk->t", b, wtilde) / denom
+        return (b - proj[:, None] * wtilde).reshape(nu)
+    U = factor_banded(state_precision_band(wtilde, sub), "state draw", block=K)
+    # Phi'(Phi a_0 + u): Phi adds sub times the period before, Phi' sub
+    # times the period after
+    prior = a0.reshape(T, K).copy()
+    prior[1:] += sub * prior[:-1]
+    prior += u
+    prior[:-1] += sub * prior[1:]
+    b += prior
+    return solve_factored(U, b.reshape(nu))
 
 
 def reconstruct_centered(block: ConstantBlock, S: np.ndarray | None, alpha_tilde: np.ndarray) -> np.ndarray:

@@ -6,8 +6,6 @@ Block layout, AR diagonals and fixed spike roots come from the sampler's
 own helpers, so a prior draw has the shapes the sweep expects.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from mixtvp.banded import build_phi
@@ -21,10 +19,9 @@ from mixtvp.sampler import (
     ModelSpec,
     _block_from_coefs,
     _fixed_spike,
-    _group_names,
     _phi_diagonals,
 )
-from mixtvp.shrinkage import default_ng_hyper
+from mixtvp.shrinkage import NgHyper
 from mixtvp.statespace import reconstruct_centered
 from mixtvp.sv import DEFAULT_SV_PRIORS, SvPriors, SvState
 
@@ -75,16 +72,16 @@ def sample_prior_state(
     if spec.model_class == CLASS_CONST_MIN:
         raise ValueError("the Minnesota benchmark has fixed, not sampled, scales")
     T, K = x.shape
-    names = _group_names(spec)
-    rho = {n: float(rng.exponential(1.0)) for n in names}
-    lam = {n: float(rng.gamma(shape=spec.zeta, scale=1.0 / spec.zeta)) for n in names}
+    G = 1 + spec.n_variance_groups
+    rho = [float(rng.exponential(1.0)) for _ in range(G)]
+    lam = [float(rng.gamma(shape=spec.zeta, scale=1.0 / spec.zeta)) for _ in range(G)]
     width = spec.block_width(K)
-    ng = default_ng_hyper(K, spec.n_variance_groups, spec.zeta)
     tau = np.empty(width)
-    for name, idx in ng.groups.items():
-        tau[idx] = rng.gamma(shape=rho[name], scale=2.0 / (rho[name] * lam[name]), size=idx.size)
+    # group g owns block entries g*K .. (g+1)*K - 1, as in the sampler's hierarchy
+    for g in range(G):
+        tau[g * K: (g + 1) * K] = rng.gamma(shape=rho[g], scale=2.0 / (rho[g] * lam[g]), size=K)
     tau = np.maximum(tau, 1e-12)
-    ng = replace(ng, tau=tau, lam=lam, rho=rho)
+    ng = NgHyper(tau=tau, lam=lam, rho=rho, zeta=spec.zeta)
     coefs = rng.normal(size=width) * np.sqrt(tau)
     block = _block_from_coefs(coefs, spec, _fixed_spike(x, spec))
 

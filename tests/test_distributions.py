@@ -418,8 +418,9 @@ def test_categorical_rows_keep_edge_uniforms_off_minus_inf_entries(u, expected):
 
 
 def test_gamma_rate_convention():
-    rng = np.random.default_rng(5)
-    draws = sample_gamma_rate(0.5, 0.5, rng, size=200_000)
-    assert draws.mean() == pytest.approx(1.0, rel=0.02)
+    # G(a, b) has rate b: the draw is numpy's Gamma with scale 1/b, from the same stream
+    for seed, (shape, rate) in enumerate([(0.5, 0.5), (2.5, 1.5), (0.01, 100.0)]):
+        want = np.random.default_rng(seed).gamma(shape=shape, scale=1.0 / rate)
+        assert sample_gamma_rate(shape, rate, np.random.default_rng(seed)) == want
     with pytest.raises(ValueError):
-        sample_gamma_rate(0.0, 1.0, rng)
+        sample_gamma_rate(0.0, 1.0, np.random.default_rng(5))

@@ -302,8 +302,9 @@ def test_mix_sampler_single_period_is_pointwise():
 
     n = 30000
     acc = np.zeros(K)
+    start = np.ones((1, K), dtype=np.int8)
     for _ in range(n):
-        acc += sample_indicators_mix(alpha, block, p, "TVP-MIX", rng)[0]
+        acc += sample_indicators_mix(alpha, block, p, "TVP-MIX", rng, S=start)[0]
     freq = acc / n
     se = np.sqrt(np.maximum(want * (1.0 - want), 1e-6) / n)
     assert np.all(np.abs(freq - want) < 5.0 * se + 1e-4)

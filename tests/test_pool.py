@@ -20,6 +20,7 @@ from mixtvp.pool import (
     update_xi,
     weight_posterior_params,
 )
+from mixtvp.shrinkage import MhScale
 from oracles import group_indicators_by_differences
 from test_distributions import gig_moment_quadrature
 
@@ -175,7 +176,7 @@ def test_pool_sweep_and_state():
     state = initial_pool_state(T, K, priors, rng)
     alpha = rng.normal(size=(T, K))
     for _ in range(5):
-        state = pool_sweep(alpha, state, priors, rng)
+        state = pool_sweep(alpha, state, priors, rng, MhScale(scale=0.3))
     assert state.occupancy().sum() == T
     assert state.prior_mean_stack().shape == (T, K)
     np.testing.assert_array_equal(state.prior_mean_stack(), state.mu[state.theta])

@@ -263,7 +263,7 @@ def test_geweke_prior_reproduction():
         y = simulate_observations(x, spec, state, rng)
         if j >= burn:
             rec_p[j - burn] = (state.p00, state.p11)
-            rec_lam[j - burn] = [state.ng.lam[g] for g in ("a", "psi1", "psi0")]
+            rec_lam[j - burn] = state.ng.lam
 
     def mc_se(v):
         # Monte Carlo standard error of the mean by Geyer's (1992) initial
@@ -287,9 +287,9 @@ def test_geweke_prior_reproduction():
 
 
 @pytest.mark.parametrize("model_class, subclass", [(CLASS_MIX, SUB_FLEX_MS), (CLASS_CONST_NG, None)])
-def test_sweep_hands_the_checked_group_partition_to_its_successor(model_class, subclass):
-    # the successor's hierarchy shares the groups object whose partition
-    # NgHyper checked at the chain's start, so the sweep does not check it again
+def test_sweep_keeps_the_fixed_group_layout(model_class, subclass):
+    # every sweep builds a new hierarchy with one lam and rho per group and
+    # one positive local scale per block entry, G groups of K entries
     rng = np.random.default_rng(6)
     T, K = 40, 2
     x = np.column_stack([rng.normal(size=T), np.ones(T)])
@@ -297,12 +297,12 @@ def test_sweep_hands_the_checked_group_partition_to_its_successor(model_class, s
     spec = ModelSpec(model_class=model_class, subclass=subclass, iterations=2, burnin=1)
     state = init_equation_state(y, x, spec, rng)
     scales = make_scales(spec)
+    G = 1 + spec.n_variance_groups
     for _ in range(3):
         new = gibbs_sweep(y, x, spec, state, rng, scales)
         assert new.ng is not state.ng
-        assert new.ng.groups is state.ng.groups
-        assert set(new.ng.lam) == set(new.ng.rho) == set(state.ng.groups)
-        assert new.ng.tau.shape == state.ng.tau.shape and np.all(new.ng.tau > 0.0)
+        assert len(new.ng.lam) == len(new.ng.rho) == len(scales.rho) == G
+        assert new.ng.tau.shape == (G * K,) and np.all(new.ng.tau > 0.0)
         state = new
 
 

@@ -87,8 +87,8 @@ def test_lambda_posterior_params_exact():
 
 def test_draw_tau_gamma_limit_and_floor():
     hyper = default_ng_hyper(K=1, n_variance_groups=0)
-    hyper.rho["a"] = 1.0
-    hyper.lam["a"] = 2.0
+    hyper.rho[0] = 1.0
+    hyper.lam[0] = 2.0
     rng = np.random.default_rng(4)
     # zero coefficient: GIG(1/2, 2, 0) = Gamma(1/2, 1), mean 1/2
     draws = np.array([draw_tau(np.zeros(1), hyper, rng)[0] for _ in range(100_000)])
@@ -128,20 +128,20 @@ def test_mh_scale_adapts_toward_target():
     assert sc.scale == frozen
 
 
-def test_group_partition_validation():
-    with pytest.raises(ValueError):
-        NgHyper(
-            tau=np.ones(4),
-            groups={"a": np.array([0, 1]), "psi1": np.array([1, 2])},
-            lam={"a": 1.0, "psi1": 1.0},
-            rho={"a": 0.5, "psi1": 0.5},
-        )
-    hyper = default_ng_hyper(K=3, n_variance_groups=2)
-    assert {name: idx.size for name, idx in hyper.groups.items()} == {
-        "a": 3, "psi1": 3, "psi0": 3,
-    }
+def test_group_slices_and_per_coef_shapes():
+    # group g owns block entries g*K .. (g+1)*K - 1: means, slab roots, spike roots
+    for n_variance_groups in (0, 1, 2):
+        G = 1 + n_variance_groups
+        hyper = default_ng_hyper(K=3, n_variance_groups=n_variance_groups)
+        assert hyper.tau.shape == (3 * G,)
+        assert len(hyper.lam) == len(hyper.rho) == G
+    hyper = NgHyper(tau=np.ones(9), lam=[1.0, 2.0, 3.0], rho=[0.5, 0.6, 0.7])
     rho, lam = hyper.per_coef()
-    assert rho.shape == (9,)
+    assert rho.shape == lam.shape == (9,)
+    np.testing.assert_array_equal(lam, np.repeat([1.0, 2.0, 3.0], 3))
+    np.testing.assert_array_equal(rho[3:6], [0.6, 0.6, 0.6])
+    with pytest.raises(ValueError):
+        default_ng_hyper(K=3, n_variance_groups=3)
 
 
 def test_constant_block_shape_validation():

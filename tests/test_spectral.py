@@ -204,8 +204,13 @@ def test_path_bands_match_per_draw_reference(monkeypatch, block_draws):
 def test_path_bands_name_the_all_unstable_period():
     alphas, sigma2s = _tvp_paths(n=4, T=6, scale=0.1)
     alphas[0][:, 3, 0] = 1.5  # own first lag of variable 1 explodes at t=3 in every record
-    with pytest.raises(ValueError, match="every draw unstable at t=3"):
-        low_freq_path_bands(alphas, sigma2s, 2, 0, 1)
+    bands, excluded = low_freq_path_bands(alphas, sigma2s, 2, 0, 1)
+    # that period's row is NaN and its 4 draws are counted; the others are bands
+    assert np.isnan(bands[3]).all()
+    assert np.isfinite(np.delete(bands, 3, axis=0)).all()
+    assert excluded == 4
+    clean, _ = low_freq_path_bands(*_tvp_paths(n=4, T=6, scale=0.1), 2, 0, 1)
+    np.testing.assert_array_equal(np.delete(bands, 3, axis=0), np.delete(clean, 3, axis=0))
 
 
 def test_one_eigen_decomposition_call_whatever_the_sample_size(monkeypatch):
@@ -328,3 +333,13 @@ def test_nanquantile_columns_matches_numpy():
         x[0] = rng.normal(size=6)  # at least one value per column
         q = (0.16, 0.5, 0.84, 0.0, 1.0, rng.random())
         np.testing.assert_array_equal(_nanquantile_columns(x, q), np.nanquantile(x, q, axis=0))
+
+
+def test_nanquantile_columns_gives_nan_for_a_column_with_no_value():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, 3))
+    x[:, 1] = np.nan
+    q = (0.16, 0.5, 0.84)
+    got = _nanquantile_columns(x, q)
+    assert np.isnan(got[:, 1]).all()
+    np.testing.assert_array_equal(got[:, [0, 2]], np.quantile(x[:, [0, 2]], q, axis=0))

@@ -28,55 +28,60 @@ def random_instance(rng, T, K):
     return ytilde, wtilde, a0, sub
 
 
+class QueuedNormals:
+    """Generator stand-in: each ``normal(size=...)`` call hands out the next queued array."""
+
+    def __init__(self, *arrays):
+        self.queue = [np.asarray(a, dtype=float) for a in arrays]
+
+    def normal(self, size):
+        return self.queue.pop(0).reshape(size)
+
+
+def injected_draw(ytilde, wtilde, a0, sub, u, v):
+    """The state draw with u and v given instead of drawn."""
+    return draw_states_fast(ytilde, wtilde, a0, sub, QueuedNormals(u, v))
+
+
+def exact_draw_moments(ytilde, wtilde, a0, sub):
+    """Mean and covariance of the draw, taken exactly from injected noise.
+
+    The draw is affine in the standard normal noise (u, v), so its mean is
+    the draw at zero noise and its covariance the sum of the outer products
+    of its responses to each unit vector of (u, v).
+    """
+    T, K = wtilde.shape
+    nu = T * K
+    mean = injected_draw(ytilde, wtilde, a0, sub, np.zeros(nu), np.zeros(T))
+    cov = np.zeros((nu, nu))
+    for e in np.eye(nu + T):
+        d = injected_draw(ytilde, wtilde, a0, sub, e[:nu], e[nu:]) - mean
+        cov += np.outer(d, d)
+    return mean, cov
+
+
 def test_conditional_mean_identity_matches_naive():
     rng = np.random.default_rng(0)
     for _ in range(25):
         T = int(rng.integers(3, 9))
         K = int(rng.integers(1, 4))
         ytilde, wtilde, a0, sub = random_instance(rng, T, K)
-        mean_fast = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(np.zeros(T * K), np.zeros(T)))
+        mean_fast = injected_draw(ytilde, wtilde, a0, sub, np.zeros(T * K), np.zeros(T))
         mean_naive, _ = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
         np.testing.assert_allclose(mean_fast, mean_naive, atol=1e-8)
 
 
-def test_draw_covariance_random_walk_small():
+@pytest.mark.parametrize("ar", ["random_walk", "mixed"])
+def test_draw_covariance_equals_dense_inverse(ar):
     rng = np.random.default_rng(2)
-    T, K = 5, 1
-    sub = build_phi(np.ones((T, K)))
-    wtilde = rng.normal(size=(T, K))
-    ytilde = rng.normal(size=T)
-    a0 = np.zeros(T * K)
-    draws = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(3), size=40_000)
-    _, cov = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
-    sample_cov = np.cov(draws.T)
-    rel = np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov)
-    assert rel < 0.03
-
-
-def test_batched_equals_scalar_distribution():
-    rng = np.random.default_rng(4)
-    ytilde, wtilde, a0, sub = random_instance(rng, 4, 2)
-    batch = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(5), size=20_000)
-    mean, cov = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
-    se = np.sqrt(np.diag(cov) / 20_000)
-    assert np.all(np.abs(batch.mean(axis=0) - mean) < 5 * se + 1e-12)
-
-
-def test_batched_draw_with_injected_noise_matches_row_by_row():
-    # Phi'(Phi a0 + u) is formed on the (n, T, K) view of all n noise rows at
-    # once; each row must give the draw that row alone gives
-    rng = np.random.default_rng(6)
-    for T, K in ((1, 2), (2, 1), (5, 3), (9, 2)):
-        ytilde, wtilde, _, sub = random_instance(rng, T, K)
-        a0 = rng.normal(size=T * K)
-        n = 4
-        u = rng.normal(size=(n, T * K))
-        v = rng.normal(size=(n, T))
-        batch = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, size=n, noise=(u, v))
-        assert batch.shape == (n, T * K)
-        for i in range(n):
-            row = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u[i], v[i]))
-            np.testing.assert_allclose(batch[i], row, rtol=0.0, atol=1e-12)
+    for T, K in ((1, 2), (5, 1), (6, 3)):
+        ytilde, wtilde, a0, sub = random_instance(rng, T, K)
+        if ar == "random_walk":
+            sub = build_phi(np.ones((T, K)))
+        mean, cov = exact_draw_moments(ytilde, wtilde, a0, sub)
+        want_mean, want_cov = dense_state_posterior(ytilde, wtilde, a0, dense_phi(sub))
+        np.testing.assert_allclose(mean, want_mean, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(cov, want_cov, rtol=0.0, atol=1e-10)
 
 
 def dense_rows(wtilde):
@@ -104,7 +109,7 @@ def check_injected_noise_draws(rng, ar_diagonals):
         sub = build_phi(ar_diagonals(T, K))
         u = rng.normal(size=T * K)
         v = rng.normal(size=T)
-        draw = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u, v))
+        draw = injected_draw(ytilde, wtilde, a0, sub, u, v)
         np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, sub, u, v), atol=1e-9)
 
 
@@ -127,7 +132,7 @@ def test_draw_matches_dense_formula_at_large_k(K):
         ytilde, wtilde, a0, sub = random_instance(rng, T, K)
         u = rng.normal(size=T * K)
         v = rng.normal(size=T)
-        draw = draw_states_fast(ytilde, wtilde, a0, sub, rng=None, noise=(u, v))
+        draw = injected_draw(ytilde, wtilde, a0, sub, u, v)
         np.testing.assert_allclose(draw, dense_draw(ytilde, wtilde, a0, sub, u, v), atol=1e-9)
 
 
@@ -175,7 +180,7 @@ def test_identity_law_draw_matches_dense_formula_with_injected_noise():
         a0 = rng.normal(size=T * K)
         u = rng.normal(size=T * K)
         v = rng.normal(size=T)
-        draw = draw_states_fast(ytilde, wtilde, a0, None, rng=None, noise=(u, v))
+        draw = injected_draw(ytilde, wtilde, a0, None, u, v)
         want = dense_draw(ytilde, wtilde, a0, build_phi(np.zeros((T, K))), u, v)
         np.testing.assert_allclose(draw, want, atol=1e-9)
 
@@ -186,30 +191,24 @@ def test_identity_law_draw_matches_banded_draw_on_the_same_seed():
         T, K = int(rng.integers(1, 30)), int(rng.integers(1, 6))
         ytilde, wtilde, _, _ = random_instance(rng, T, K)
         a0 = rng.normal(size=T * K)
-        for size in (None, 3):
-            seed = int(rng.integers(2**32))
-            closed_rng, banded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            closed = draw_states_fast(ytilde, wtilde, a0, None, closed_rng, size=size)
-            banded = draw_states_fast(
-                ytilde, wtilde, a0, build_phi(np.zeros((T, K))), banded_rng, size=size
-            )
-            np.testing.assert_allclose(closed, banded, rtol=0.0, atol=1e-12)
-            assert closed_rng.random() == banded_rng.random()
+        seed = int(rng.integers(2**32))
+        closed_rng, banded_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        closed = draw_states_fast(ytilde, wtilde, a0, None, closed_rng)
+        banded = draw_states_fast(ytilde, wtilde, a0, build_phi(np.zeros((T, K))), banded_rng)
+        np.testing.assert_allclose(closed, banded, rtol=0.0, atol=1e-12)
+        assert closed_rng.random() == banded_rng.random()
 
 
 def test_identity_law_draw_covariance():
     rng = np.random.default_rng(18)
-    T, K = 4, 3
-    wtilde = rng.normal(size=(T, K))
-    ytilde = rng.normal(size=T)
-    a0 = rng.normal(size=T * K)
-    n = 40_000
-    draws = draw_states_fast(ytilde, wtilde, a0, None, rng=np.random.default_rng(19), size=n)
-    mean, cov = dense_state_posterior(ytilde, wtilde, a0, np.eye(T * K))
-    se = np.sqrt(np.diag(cov) / n)
-    assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
-    rel = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
-    assert rel < 0.03
+    for T, K in ((4, 3), (1, 1), (7, 2)):
+        wtilde = rng.normal(size=(T, K))
+        ytilde = rng.normal(size=T)
+        a0 = rng.normal(size=T * K)
+        mean, cov = exact_draw_moments(ytilde, wtilde, a0, None)
+        want_mean, want_cov = dense_state_posterior(ytilde, wtilde, a0, np.eye(T * K))
+        np.testing.assert_allclose(mean, want_mean, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(cov, want_cov, rtol=0.0, atol=1e-10)
 
 
 def test_identity_law_draw_failure_names_step_and_period():
@@ -308,7 +307,8 @@ def test_fast_draw_matches_textbook_random_walk_sampler():
     a0 = np.zeros(T * K)
 
     n = 4000
-    fast = draw_states_fast(ytilde, wtilde, a0, sub, rng=np.random.default_rng(9), size=n)
+    fast_rng = np.random.default_rng(9)
+    fast = np.array([draw_states_fast(ytilde, wtilde, a0, sub, fast_rng) for _ in range(n)])
     fast_centered = alpha0 + np.sqrt(psi_bar) * fast.reshape(n, T, K)
 
     ck_rng = np.random.default_rng(10)
