@@ -6,10 +6,23 @@ contemporaneous values, p lags of every variable, and an intercept.
 Chains therefore run per equation with independent seeds spawned from a
 single master seed, so every equation's draws are reproducible on
 their own.
+
+The predictive simulation moves all m equations together.  Whole records
+run in blocks of at most 1024 paths (at least one record); in a block the
+lag-and-intercept states of every equation form one (m, mp+1, R, nsim)
+array and the m(m-1)/2 contemporaneous states a second one, stacked in
+one buffer, and each period takes one normal fill.  Block b draws from
+``rng.spawn(n_blocks)[b]`` and writes only its own rows.  The blocks run
+on min(CPUs available to the process, blocks, 2048 // block paths)
+threads, the calling thread among them, so at most 2048 paths are in
+flight whatever the CPU count, and the same seed gives byte-identical
+draws at any thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -345,118 +358,22 @@ class ForecastDistribution:
     names: tuple[str, ...]
 
 
-# record x path rows per block of simulate_predictive; whole records, at least one
-_BLOCK_ROWS = 2048
+
+
+# paths per block of simulate_predictive: whole records, at least one
+_BLOCK_PATHS = 1024
+# paths that the threads of one simulate_predictive call hold at once
+_IN_FLIGHT_PATHS = 2048
 # smallest root magnitude a regime switch divides by
 _ROOT_FLOOR = 1e-150
 
 
-def _per_record(w, a):
-    """Per-record weights w (R, n, k) applied to a (k, R, nsim); (R, n, nsim)."""
-    return w @ a.transpose(1, 0, 2)
-
-
-def _state_paths(eq, spec, recs, x, work, rng):
-    """Yield one equation's row of the system, one period per step.
-
-    A step gives the contemporaneous coefficients alpha[:i], shape
-    (i, R, nsim) or (i, R, 1), the lag and intercept term alpha[i:] . x and
-    the error sd, (R, nsim) each, for R records of nsim paths.  ``x`` is the
-    (mp+1, R, nsim) regressor array that the caller shifts in place between
-    steps; ``work`` (2, K_max, R, nsim) is scratch shared by the block's
-    equations.  The constant classes hold their coefficients fixed.
-
-    The state is carried standardized, alpha = alpha0 + f(s) u, where f is
-    the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u starts
-    at (alpha_T - alpha0) / f(s_T).  The random walk moves u <- u + z, the
-    mixture class with a law u <- s u + z (regime 0 forgets), and the pooled
-    class and the single-variance mixture cell regenerate u = mu + z, mu a
-    cluster mean or zero.  No coefficient array is formed: per-record weight
-    vectors (alpha0[i:], f0[i:], f1[i:]) meet x and x * u in small matrix
-    products.  A root under the floor has lambda = root / f < 1, which
-    scales z and, on a switch into its regime, u: a record whose regime has
-    a zero root keeps alpha_T (plug-in), and one that switches out of it
-    carries (alpha_T - alpha0) / floor, as the old ratio of roots did.
-    """
-    h = eq.h[recs, -1][:, None]
-    a_last = eq.alpha_last[recs]
-    K, i = a_last.shape[1], a_last.shape[1] - x.shape[0]
-    mu, phi = eq.sv_mu[recs][:, None], eq.sv_phi[recs][:, None]
-    sd_sv, h_dev = np.sqrt(eq.sv_psi[recs])[:, None], np.repeat(h - mu, x.shape[2], axis=1)
-    if not spec.is_tvp:
-        b0, w = a_last.T[:i, :, None], a_last[:, None, i:]
-        while True:
-            h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
-            yield b0, _per_record(w, x)[:, 0], np.exp(0.5 * (mu + h_dev))
-    (R, nsim), law, cls = h_dev.shape, spec.law, spec.model_class
-    a0 = eq.alpha0[recs]
-    b0_center, w0 = a0.T[:i, :, None], a0[:, None, i:]
-    z, xu = work[0, :K], work[1, : K - i]
-    carry = cls == CLASS_RW or (cls == CLASS_MIX and law is not None)
-    r1 = eq.sqrt_psi1[recs]
-    r0 = r1 if law is None else eq.sqrt_psi0[recs]
-    f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
-    lam1, lam0 = (r1 / f1).T[:, :, None], (r0 / f0).T[:, :, None]
-    floored = np.any(lam1 != 1.0) or np.any(lam0 != 1.0)
-    w = f1[:, None, i:] if law is None else np.stack([f0[:, i:], f1[:, i:]], axis=1)
-    s = s_rec = None
-    if law == LAW_MS:
-        # one regime per path, broadcast over the coefficients
-        s_rec = eq.S_last[recs, :1] == 1
-        s = np.repeat(s_rec, nsim, axis=1)
-        p01, p11 = (1.0 - eq.p00[recs])[:, None], eq.p11[recs][:, None]
-    elif law == LAW_MIX:
-        s_rec = eq.S_last[recs] == 1
-        s = np.repeat(s_rec.T[:, :, None], nsim, axis=2)
-        p_mix = eq.p_mix[recs].T[:, :, None]
-    u = z
-    if carry:
-        start = f1 if s_rec is None else np.where(s_rec, f1, f0)
-        u = np.repeat(((a_last - a0) / start).T[:, :, None], nsim, axis=2)
-    # the contemporaneous coefficients' roots
-    c1, c0 = f1.T[:i, :, None], f0.T[:i, :, None]
-    if cls == CLASS_POOL:
-        log_omega = np.log(np.maximum(eq.pool_omega[recs], 1e-300))
-        cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=1, keepdims=True)), axis=1)
-        N = cdf.shape[1]
-        pool_mu = np.moveaxis(eq.pool_mu[recs], 2, 0).reshape(K, R * N)
-    while True:
-        h_dev = phi * h_dev + sd_sv * rng.standard_normal(h_dev.shape)
-        sd = np.exp(0.5 * (mu + h_dev))
-        prev = s
-        if law == LAW_MS:
-            s = rng.random(prev.shape) < np.where(prev, p11, p01)
-        elif law == LAW_MIX:
-            s = rng.random(prev.shape) < p_mix
-        rng.standard_normal(out=z)
-        if cls == CLASS_POOL:
-            pick = rng.random((R, nsim)) * cdf[:, -1:]
-            theta = np.minimum((cdf[:, :, None] < pick[:, None, :]).sum(axis=1), N - 1)
-            z += np.take(pool_mu, N * np.arange(R)[:, None] + theta, axis=1)
-        if floored:
-            lam = lam1 if s is None else np.where(s, lam1, lam0)
-            z *= lam
-            if carry and s is not None:
-                u *= np.where(prev == s, 1.0, lam)
-        if carry:
-            if cls == CLASS_MIX:
-                u *= s
-            u += z
-        root = c1 if s is None else np.where(s if law == LAW_MS else s[:i], c1, c0)
-        b0 = b0_center + root * u[:i]
-        rhs = _per_record(w0, x)[:, 0]
-        np.multiply(x, u[i:], out=xu)
-        if law is None:
-            rhs += _per_record(w, xu)[:, 0]
-        elif law == LAW_MS:
-            t = _per_record(w, xu)
-            rhs += np.where(s, t[:, 1], t[:, 0])
-        else:
-            # split x * u by regime so that each meets its own root
-            xsu = xu * s[i:]
-            xu -= xsu
-            rhs += _per_record(w[:, :1], xu)[:, 0] + _per_record(w[:, 1:], xsu)[:, 0]
-        yield b0, rhs, sd
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
 
 
 def simulate_predictive(
@@ -468,13 +385,20 @@ def simulate_predictive(
     ``horizon`` periods under the fitted law of motion (indicator
     transitions, regime innovation variances, log-variance recursion) and
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
-    record r's k-th path.  Whole records run in blocks of about
-    ``_BLOCK_ROWS`` paths, a period at a time; each equation's states feed
-    its row of the system at once, so no state path is stored.  The states
-    move as standardized deviations u, alpha = alpha0 + f(s) u with f the
-    regime's root floored at ``_ROOT_FLOOR`` (see ``_state_paths``): a
-    zero-variance record stays plug-in, and a switch out of a zero root
-    carries the floored ratio.
+    record r's k-th path.
+
+    Whole records run in blocks of at most ``_BLOCK_PATHS`` paths (at least
+    one record), and ``_simulate_block`` moves a block's m equations
+    together, a period at a time, with no state path stored.  Block b draws
+    from ``rng.spawn(n_blocks)[b]`` and writes only its own rows, so the
+    draws depend on the generator's seed sequence and the block layout and
+    are byte-identical for any thread count.  The blocks run on
+    min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
+    threads, the calling thread among them, each taking the next block
+    left: memory grows with the paths in flight, never with the CPU count,
+    and a single block runs on the calling thread alone.  A call spawns
+    from ``rng`` once and leaves its bit generator's state alone, so two
+    calls on one generator draw differently; a refused call spawns nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -489,10 +413,31 @@ def simulate_predictive(
             )
     draws = np.empty((n_rec, nsim, horizon, m))
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
-    per_block = max(1, _BLOCK_ROWS // nsim)
-    for lo in range(0, n_rec, per_block):
-        recs = slice(lo, min(lo + per_block, n_rec))
-        _simulate_block(est, recs, rng, draws[recs], h1_mean[recs], h1_var[recs])
+    per_block = max(1, _BLOCK_PATHS // nsim)
+    starts = range(0, n_rec, per_block)
+    streams = rng.spawn(len(starts))
+    n_threads = min(_available_cpus(), len(starts), max(1, _IN_FLIGHT_PATHS // (per_block * nsim)))
+    blocks, errors = iter(range(len(starts))), []
+
+    def work():
+        # taking the next block from the shared iterator is atomic under the GIL
+        try:
+            for b in blocks:
+                if errors:
+                    return
+                recs = slice(starts[b], starts[b] + per_block)
+                _simulate_block(est, recs, streams[b], draws[recs], h1_mean[recs], h1_var[recs])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return ForecastDistribution(
         draws=draws.reshape(n_rec * nsim, horizon, m),
         h1_mean=h1_mean.reshape(n_rec * nsim, m),
@@ -501,29 +446,209 @@ def simulate_predictive(
     )
 
 
+def _state_rows(arrays):
+    """Per-equation arrays (..., K_i) stacked coefficient-first as (n_rows, ...).
+
+    The rows are every equation's lag and intercept coefficients, equation
+    after equation, then every equation's contemporaneous ones: equation
+    i's (0-based) start at row m(mp+1) + i(i-1)/2.
+    """
+    moved = [np.moveaxis(a, -1, 0) for a in arrays]
+    return np.concatenate([a[i:] for i, a in enumerate(moved)] + [a[:i] for i, a in enumerate(moved)])
+
+
 def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
-    """Fill one block's draws (R, nsim, horizon, m) and one-step components."""
-    (R, nsim, horizon, m), p = draws.shape, est.p
+    """Fill one block's draws (R, nsim, horizon, m) and one-step components.
+
+    The m equations move together.  Their states are stacked in one
+    (n_rows, R, nsim) array in the row order of ``_state_rows``: the
+    m(mp+1) lag-and-intercept states, viewed as (m, mp+1, R, nsim), then
+    the m(m-1)/2 contemporaneous ones.  Each period takes one normal fill
+    (log-variance innovations, shocks, state innovations) and, under a law
+    or the pooled class, one uniform fill (regimes, cluster picks).
+
+    The states are carried standardized, alpha = alpha0 + f(s) u, where f
+    is the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u
+    starts at (alpha_T - alpha0) / f(s_T).  The random walk moves
+    u <- u + z, the mixture class with a law u <- s u + z (regime 0
+    forgets), and the pooled class and the single-variance mixture cell
+    regenerate u = mu + z, mu a cluster mean or zero; the constant classes
+    hold alpha_T.  Under the Markov-switching law each equation has one
+    regime per path, under the mixture law each coefficient has its own.
+    A root under the floor has lambda = root / f < 1, which scales z and,
+    on a switch into its regime, u: a record whose regime has a zero root
+    keeps alpha_T (plug-in), and one that switches out of it carries
+    (alpha_T - alpha0) / floor.  No lag coefficient array is formed:
+    per-record weight rows (alpha0, f0, f1) meet x and x * u in small
+    matrix products, and the triangular system is solved row by row.
+    """
+    (R, nsim, horizon, m), p, spec = draws.shape, est.p, est.spec
+    paths = draws.reshape(R * nsim, horizon, m)
+    eqs, law, cls, tvp = est.equations, spec.law, spec.model_class, spec.is_tvp
+    K = p * m + 1
+    n_lag = m * K
+
+    def stack(get):
+        # one value per (equation, record), as (m, R, 1)
+        return np.stack([get(eq)[recs] for eq in eqs])[:, :, None]
+
+    def rows(name):
+        return _state_rows([getattr(eq, name)[recs] for eq in eqs])
+
+    def lag_weights(r):
+        # the lag-and-intercept rows of r (n_rows, R) as (m, R, 1, mp+1)
+        return r[:n_lag].reshape(m, K, R).transpose(0, 2, 1)[:, :, None, :]
+
+    mu, phi = stack(lambda eq: eq.sv_mu), stack(lambda eq: eq.sv_phi)
+    sd_sv = np.sqrt(stack(lambda eq: eq.sv_psi))
+    h_dev = np.repeat(stack(lambda eq: eq.h[:, -1]) - mu, nsim, axis=2)
     # lag regressors, newest lag first, then the intercept
-    x = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None] * np.ones((R, nsim))
-    work = np.empty((2, p * m + m, R, nsim))
-    paths = [_state_paths(eq, est.spec, recs, x, work, rng) for eq in est.equations]
+    x = np.empty((K, R, nsim))
+    x[:] = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None]
+    center = rows("alpha0" if tvp else "alpha_last")
+    w_center, b0_center = lag_weights(center), center[n_lag:, :, None]
+    n_rows = center.shape[0] if tvp else 0
+    z = np.empty((2 * m + n_rows, R, nsim))
+    z_h, z_y, z_s = z[:m], z[m : 2 * m], z[2 * m :]
+    s = s_rows = unif = None
+    if tvp:
+        carry = cls == CLASS_RW or (cls == CLASS_MIX and law is not None)
+        row_eq = np.concatenate([np.repeat(np.arange(m), K), np.repeat(np.arange(m), np.arange(m))])
+        r1 = rows("sqrt_psi1")
+        r0 = r1 if law is None else rows("sqrt_psi0")
+        f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
+        lam1, lam0 = (r1 / f1)[..., None], (r0 / f0)[..., None]
+        floored = np.any(lam1 != 1.0) or np.any(lam0 != 1.0)
+        w_roots = lag_weights(f1) if law is None else np.concatenate([lag_weights(f0), lag_weights(f1)], axis=2)
+        # the contemporaneous coefficients' roots
+        c1, c0 = f1[n_lag:, :, None], f0[n_lag:, :, None]
+        n_unif = 0
+        if law == LAW_MS:
+            # one regime per equation and path
+            s = stack(lambda eq: eq.S_last[:, 0]) == 1
+            s_rows = s[row_eq]
+            p01, p11 = 1.0 - stack(lambda eq: eq.p00), stack(lambda eq: eq.p11)
+            n_unif = m
+        elif law == LAW_MIX:
+            s = s_rows = rows("S_last")[..., None] == 1
+            p_mix = rows("p_mix")[..., None]
+            n_unif = n_rows
+        if carry:
+            start = f1 if s is None else np.where(s_rows[..., 0], f1, f0)
+            u = np.repeat(((rows("alpha_last") - center) / start)[..., None], nsim, axis=2)
+        if cls == CLASS_POOL:
+            log_omega = np.log(np.maximum(np.stack([eq.pool_omega[recs] for eq in eqs]), 1e-300))
+            cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=2, keepdims=True)), axis=2)
+            N = cdf.shape[2]
+            pool_mu = rows("pool_mu")
+            # (row, record * N + cluster)
+            pool_lag, pool_con = pool_mu[:n_lag].reshape(m, K, R * N), pool_mu[n_lag:].reshape(-1, R * N)
+            z_lag, z_con = z_s[:n_lag].reshape(m, K, R, nsim), z_s[n_lag:]
+            n_unif += m
+        if n_unif:
+            unif = np.empty((n_unif, R, nsim))
+        # the lag-and-intercept terms under each root: (f0, f1), or f1 alone
+        terms = np.empty((m, R, w_roots.shape[2], nsim))
+    rhs = np.empty((m, R, nsim))
     for t in range(horizon):
-        rows = []
-        for i, path in enumerate(paths):
-            b0, rhs, sd = next(path)
-            # the draw, and at t = 0 the Gaussian components: the mean and
-            # row i of L = (I - B0)^{-1} diag(sd)
-            v = np.zeros((2 + m if t == 0 else 1, R, nsim))
-            v[0] = rhs + sd * rng.standard_normal((R, nsim))
-            if t == 0:
-                v[1], v[2 + i] = rhs, sd
-            # row i of (I - B0) y = rhs + shock: the rows j < i are known
-            for j in range(i):
-                v += b0[j] * rows[j]
-            rows.append(v)
-            draws[:, :, t, i] = v[0]
-            if t == 0:
-                h1_mean[:, :, i], h1_var[:, :, i] = v[1], (v[2:] ** 2).sum(axis=0)
-        x[m:-1] = x[: -1 - m].copy()
-        x[:m] = [v[0] for v in rows]
+        rng.standard_normal(out=z)
+        h_dev *= phi
+        z_h *= sd_sv
+        h_dev += z_h
+        # the error sd, written over the spent innovations
+        sd = z_h
+        np.add(h_dev, mu, out=sd)
+        sd *= 0.5
+        np.exp(sd, out=sd)
+        np.matmul(w_center, x.transpose(1, 0, 2), out=rhs[:, :, None])
+        b0 = b0_center
+        if tvp:
+            if floored:
+                prev_rows = s_rows
+            if unif is not None:
+                rng.random(out=unif)
+            if law == LAW_MS:
+                s = unif[:m] < np.where(s, p11, p01)
+                s_rows = s[row_eq]
+            elif law == LAW_MIX:
+                s = s_rows = unif[:n_rows] < p_mix
+            if cls == CLASS_POOL:
+                # an equation's innovations all move by the mean of the
+                # cluster its path picks
+                picks = unif[-m:] * cdf[:, :, -1:]
+                for i in range(m):
+                    theta = np.minimum((cdf[i, :, :, None] < picks[i, :, None, :]).sum(axis=1), N - 1)
+                    at = theta + N * np.arange(R)[:, None]
+                    z_lag[i] += np.take(pool_lag[i], at, axis=1)
+                    con = slice(i * (i - 1) // 2, i * (i + 1) // 2)
+                    z_con[con] += np.take(pool_con[con], at, axis=1)
+            if floored:
+                lam = lam1 if s is None else np.where(s_rows, lam1, lam0)
+                z_s *= lam
+                if carry and s is not None:
+                    u *= np.where(prev_rows == s_rows, 1.0, lam)
+            if carry:
+                if cls == CLASS_MIX:
+                    u *= s_rows
+                u += z_s
+            else:
+                u = z_s
+            root = c1 if s is None else np.where(s_rows[n_lag:], c1, c0)
+            b0 = root * u[n_lag:]
+            b0 += b0_center
+            # x * u, written over the spent lag innovations
+            xu = z_s[:n_lag].reshape(m, K, R, nsim)
+            np.multiply(u[:n_lag].reshape(m, K, R, nsim), x, out=xu)
+            if law == LAW_MIX:
+                # split x * u by regime so that each meets its own root
+                xsu = xu * s_rows[:n_lag].reshape(m, K, R, nsim)
+                xu -= xsu
+                np.matmul(w_roots[:, :, :1], xu.transpose(0, 2, 1, 3), out=terms[:, :, :1])
+                np.matmul(w_roots[:, :, 1:], xsu.transpose(0, 2, 1, 3), out=terms[:, :, 1:])
+                rhs += terms[:, :, 0]
+                rhs += terms[:, :, 1]
+            else:
+                np.matmul(w_roots, xu.transpose(0, 2, 1, 3), out=terms)
+                rhs += terms[:, :, 0] if law is None else np.where(s, terms[:, :, 1], terms[:, :, 0])
+        if t == 0:
+            _one_step_components(b0, rhs, sd, h1_mean, h1_var)
+        # the draw: (I - B0) y = rhs + sd * shock
+        z_y *= sd
+        z_y += rhs
+        _add_contemporaneous(b0, z_y)
+        paths[:, t] = z_y.reshape(m, R * nsim).T
+        # the lags move down a period, the oldest first
+        for l in range(p - 1, 0, -1):
+            x[l * m : (l + 1) * m] = x[(l - 1) * m : l * m]
+        x[:m] = z_y
+
+
+def _one_step_components(b0, rhs, sd, h1_mean, h1_var):
+    """Write the one-step Gaussian components of every path into (R, nsim, m) outputs.
+
+    The mean solves (I - B0) mean = rhs, and the variance is the row sum
+    of squares of L = (I - B0)^{-1} diag(sd), built one column at a time
+    so that no (m, m, R, nsim) array is held; ``rhs`` and ``sd`` are
+    (m, R, nsim) and ``b0`` as in ``_add_contemporaneous``.
+    """
+    mean, var = np.moveaxis(h1_mean, -1, 0), np.moveaxis(h1_var, -1, 0)
+    mean[:] = rhs
+    _add_contemporaneous(b0, mean)
+    var[:] = 0.0
+    col = np.empty_like(rhs)
+    for k in range(rhs.shape[0]):
+        col[:] = 0.0
+        col[k] = sd[k]
+        _add_contemporaneous(b0, col)
+        var += np.square(col, out=col)
+
+
+def _add_contemporaneous(b0, v):
+    """Solve (I - B0) y = v in place, row after row; v is (m, ...).
+
+    ``b0`` holds the contemporaneous coefficients in the row order of
+    ``_state_rows``: B0[i, j] is row i(i-1)/2 + j.
+    """
+    for i in range(1, v.shape[0]):
+        for j in range(i):
+            v[i] += b0[i * (i - 1) // 2 + j] * v[j]

@@ -1,6 +1,8 @@
 """Tests for equation splitting, reduced-form mapping and forecasting."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.stats import ks_2samp
 
 import mixtvp.sampler
 import mixtvp.sv
+import mixtvp.var
 from mixtvp.banded import NotPositiveDefiniteError
 from mixtvp.dgp import generate_var_break
 from mixtvp.sampler import (
@@ -516,6 +519,97 @@ def test_predictive_memory_stays_bounded_in_records():
     peak60, out60 = peak_and_output(_doubled_records(est))
     assert peak30 <= 10.1e6
     assert peak60 - peak30 <= out60 - out30 + 1e6
+
+
+def test_predictive_memory_is_bounded_by_the_paths_in_flight_not_the_cpus(monkeypatch):
+    # eight CPUs still run at most two 1000-path blocks at once
+    monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 8)
+    test_predictive_memory_stays_bounded_in_records()
+
+
+def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
+    """The predictive with ``cpus`` CPUs available, and the threads that ran its blocks."""
+    threads = set()
+    run_block = mixtvp.var._simulate_block
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        run_block(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mixtvp.var, "_available_cpus", lambda: cpus)
+        patched.setattr(mixtvp.var, "_simulate_block", recording)
+        fd = simulate_predictive(est, horizon, nsim, np.random.default_rng(4))
+    return fd, threads
+
+
+@pytest.mark.parametrize(
+    "model_class, subclass, nsim, max_threads",
+    [
+        # the posterior benchmark's shape: 30 records of 1000 paths, two blocks in flight
+        (CLASS_MIX, SUB_FLEX_MS, 1000, 2),
+        # 600-path blocks, three in flight
+        (CLASS_MIX, SUB_FLEX_MIX, 600, 3),
+        (CLASS_POOL, SUB_SINGLE, 600, 3),
+    ],
+)
+def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_class, subclass, nsim, max_threads):
+    if subclass == SUB_FLEX_MS:
+        spec = ModelSpec(
+            model_class=model_class, subclass=subclass, p=2, iterations=40, burnin=10,
+            store_paths=False,
+        )
+        est, horizon = estimate_var(generate_var_break(T=80, seed=1).Y, spec, seed=3), 8
+        assert est.n_records == 30
+    else:
+        spec = ModelSpec(model_class=model_class, subclass=subclass, iterations=8, burnin=4, n_clusters=4)
+        est, horizon = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5), 3
+    # threads switch often, so that two taking the same block or skipping
+    # one would show in the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {cpus: _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim) for cpus in (1, 2, 8)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1][1] == {threading.get_ident()}
+    for cpus, (fd, threads) in runs.items():
+        assert 1 <= len(threads) <= min(cpus, max_threads)
+        for field in ("draws", "h1_mean", "h1_var"):
+            assert getattr(fd, field).tobytes() == getattr(runs[1][0], field).tobytes(), (cpus, field)
+
+
+def test_predictive_calls_on_one_generator_draw_differently():
+    # each call spawns its block streams afresh from the generator's seed
+    # sequence; a fresh generator of the same seed repeats the first call
+    spec = ModelSpec(model_class=CLASS_RW, subclass=SUB_FLEX_MS, iterations=8, burnin=4)
+    est = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5)
+    rng = np.random.default_rng(3)
+    first = simulate_predictive(est, 2, 300, rng)
+    second = simulate_predictive(est, 2, 300, rng)
+    again = simulate_predictive(est, 2, 300, np.random.default_rng(3))
+    assert not np.any(first.draws == second.draws)
+    np.testing.assert_array_equal(again.draws, first.draws)
+
+
+@pytest.mark.parametrize("refusal", ["width", "nsim"])
+def test_refused_predictive_leaves_the_generator_untouched(refusal):
+    Y = _small_var_data(seed=2, T=20, m=2)
+    spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=2, burnin=1)
+    first = _const_record(np.array([[0.5, 0.1, 0.0]]), np.log(np.array([0.2])), K=3)
+    second = _const_record(np.array([[0.2, 0.5, 0.1, 0.0]]), np.log(np.array([0.3])), K=4)
+    nsim = 5
+    if refusal == "width":
+        second = first
+    else:
+        nsim = 0
+    est = VarEstimate(Y=Y, p=1, spec=spec, equations=[first, second], names=("y1", "y2"))
+    rng = np.random.default_rng(0)
+    state, spawned = rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
+    with pytest.raises(ValueError):
+        simulate_predictive(est, horizon=2, nsim=nsim, rng=rng)
+    assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == spawned
 
 
 def test_estimate_refuses_a_lag_order_other_than_the_spec():
