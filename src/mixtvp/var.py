@@ -385,20 +385,15 @@ def simulate_predictive(
     ``horizon`` periods under the fitted law of motion (indicator
     transitions, regime innovation variances, log-variance recursion) and
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
-    record r's k-th path.
-
-    Whole records run in blocks of at most ``_BLOCK_PATHS`` paths (at least
-    one record), and ``_simulate_block`` moves a block's m equations
-    together, a period at a time, with no state path stored.  Block b draws
-    from ``rng.spawn(n_blocks)[b]`` and writes only its own rows, so the
-    draws depend on the generator's seed sequence and the block layout and
-    are byte-identical for any thread count.  The blocks run on
-    min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
-    threads, the calling thread among them, each taking the next block
-    left: memory grows with the paths in flight, never with the CPU count,
-    and a single block runs on the calling thread alone.  A call spawns
-    from ``rng`` once and leaves its bit generator's state alone, so two
-    calls on one generator draw differently; a refused call spawns nothing.
+    record r's k-th path.  Whole records run in blocks of at most
+    ``_BLOCK_PATHS`` paths (at least one record), all m equations of a
+    block together (``_simulate_block``).  Block b draws from
+    ``rng.spawn(n_blocks)[b]`` and writes only its own rows; the blocks run
+    on min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
+    threads, the calling thread among them, so memory does not grow with
+    the CPU count and the same seed gives byte-identical draws at any
+    thread count.  Each call spawns afresh, so two calls on one generator
+    draw differently; a refused call spawns nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -460,12 +455,15 @@ def _state_rows(arrays):
 def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     """Fill one block's draws (R, nsim, horizon, m) and one-step components.
 
-    The m equations move together.  Their states are stacked in one
+    The m equations move together, their states stacked in one
     (n_rows, R, nsim) array in the row order of ``_state_rows``: the
     m(mp+1) lag-and-intercept states, viewed as (m, mp+1, R, nsim), then
     the m(m-1)/2 contemporaneous ones.  Each period takes one normal fill
     (log-variance innovations, shocks, state innovations) and, under a law
-    or the pooled class, one uniform fill (regimes, cluster picks).
+    or the pooled class, one uniform fill (regimes, cluster picks), all
+    from the block's own spawned generator ``rng``.  The block reads the
+    estimate and writes only its own output rows, so blocks give the same
+    bytes on any thread and in any order.
 
     The states are carried standardized, alpha = alpha0 + f(s) u, where f
     is the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u
@@ -473,14 +471,14 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     u <- u + z, the mixture class with a law u <- s u + z (regime 0
     forgets), and the pooled class and the single-variance mixture cell
     regenerate u = mu + z, mu a cluster mean or zero; the constant classes
-    hold alpha_T.  Under the Markov-switching law each equation has one
-    regime per path, under the mixture law each coefficient has its own.
-    A root under the floor has lambda = root / f < 1, which scales z and,
-    on a switch into its regime, u: a record whose regime has a zero root
-    keeps alpha_T (plug-in), and one that switches out of it carries
-    (alpha_T - alpha0) / floor.  No lag coefficient array is formed:
-    per-record weight rows (alpha0, f0, f1) meet x and x * u in small
-    matrix products, and the triangular system is solved row by row.
+    hold alpha_T.  The Markov-switching law gives each equation one regime
+    per path, the mixture law each coefficient its own.  A root under the
+    floor has lambda = root / f < 1, which scales z and, on a switch into
+    its regime, u: a record whose regime has a zero root keeps alpha_T
+    (plug-in), and one that switches out of it carries
+    (alpha_T - alpha0) / floor.  Per-record weight rows (alpha0, f0, f1)
+    meet x and x * u in small matrix products, so no lag coefficient array
+    is formed.
     """
     (R, nsim, horizon, m), p, spec = draws.shape, est.p, est.spec
     paths = draws.reshape(R * nsim, horizon, m)

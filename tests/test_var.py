@@ -579,6 +579,15 @@ def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_clas
             assert getattr(fd, field).tobytes() == getattr(runs[1][0], field).tobytes(), (cpus, field)
 
 
+def test_one_block_runs_on_the_calling_thread(monkeypatch):
+    # the forecast harness's shape: 4 records of 200 paths make one block
+    spec = ModelSpec(model_class=CLASS_POOL, subclass=SUB_SINGLE, iterations=8, burnin=4, n_clusters=4)
+    est = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5)
+    assert est.n_records == 4
+    _, threads = _predictive_on_cpus(monkeypatch, est, 8, 2, 200)
+    assert threads == {threading.get_ident()}
+
+
 def test_predictive_calls_on_one_generator_draw_differently():
     # each call spawns its block streams afresh from the generator's seed
     # sequence; a fresh generator of the same seed repeats the first call
@@ -592,17 +601,13 @@ def test_predictive_calls_on_one_generator_draw_differently():
     np.testing.assert_array_equal(again.draws, first.draws)
 
 
-@pytest.mark.parametrize("refusal", ["width", "nsim"])
-def test_refused_predictive_leaves_the_generator_untouched(refusal):
+@pytest.mark.parametrize("width, nsim", [(3, 5), (4, 0)])
+def test_refused_predictive_leaves_the_generator_untouched(width, nsim):
+    # equation 2 of a VAR(1) in two variables needs 4 coefficients
     Y = _small_var_data(seed=2, T=20, m=2)
     spec = ModelSpec(model_class=CLASS_CONST_NG, iterations=2, burnin=1)
     first = _const_record(np.array([[0.5, 0.1, 0.0]]), np.log(np.array([0.2])), K=3)
-    second = _const_record(np.array([[0.2, 0.5, 0.1, 0.0]]), np.log(np.array([0.3])), K=4)
-    nsim = 5
-    if refusal == "width":
-        second = first
-    else:
-        nsim = 0
+    second = _const_record(np.array([[0.2, 0.5, 0.1, 0.0][:width]]), np.log(np.array([0.3])), K=width)
     est = VarEstimate(Y=Y, p=1, spec=spec, equations=[first, second], names=("y1", "y2"))
     rng = np.random.default_rng(0)
     state, spawned = rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
