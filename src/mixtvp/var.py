@@ -511,7 +511,6 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     s = s_rows = unif = None
     if tvp:
         carry = cls == CLASS_RW or (cls == CLASS_MIX and law is not None)
-        row_eq = np.concatenate([np.repeat(np.arange(m), K), np.repeat(np.arange(m), np.arange(m))])
         r1 = rows("sqrt_psi1")
         r0 = r1 if law is None else rows("sqrt_psi0")
         f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
@@ -522,7 +521,8 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
         c1, c0 = f1[n_lag:, :, None], f0[n_lag:, :, None]
         n_unif = 0
         if law == LAW_MS:
-            # one regime per equation and path
+            # one regime per equation and path; row_eq maps each state row to its equation
+            row_eq = np.concatenate([np.repeat(np.arange(m), K), np.repeat(np.arange(m), np.arange(m))])
             s = stack(lambda eq: eq.S_last[:, 0]) == 1
             s_rows = s[row_eq]
             p01, p11 = 1.0 - stack(lambda eq: eq.p00), stack(lambda eq: eq.p11)
