@@ -67,24 +67,19 @@ def sample_gig_array(a, b, c, rng: np.random.Generator) -> np.ndarray:
     index in the ``ValueError``, or by none when every parameter has one
     element.  The checks run once per call, before any draw: parameters
     with a finite a, b and c positive and b*c finite and nonzero everywhere
-    are valid at once, and only others are checked element by element;
-    three Python floats reach these checks without a round trip through
-    arrays.  The elements are then drawn in order, each as a one-element
-    call draws it.
+    are valid at once, and only others are checked element by element.
+    The elements are then drawn in order, each as a one-element call draws
+    it.
     """
-    if isinstance(a, float) and isinstance(b, float) and isinstance(c, float):
-        # three floats need no array round trip
-        al, bl, cl, lengths = [a], [b], [c], ()
-    else:
-        cols = [np.asarray(v, dtype=float) for v in (a, b, c)]
-        if any(x.ndim > 1 for x in cols):
-            raise ValueError("GIG parameters must be scalars or 1-d arrays")
-        lengths = {x.size for x in cols if x.size != 1}
-        if len(lengths) > 1:
-            raise ValueError(f"GIG parameter lengths {sorted(lengths)} do not broadcast")
-        n = max(lengths, default=1)
-        # a length-one parameter is repeated to the common length
-        al, bl, cl = (x.ravel().tolist() * (n if x.size == 1 else 1) for x in cols)
+    cols = [np.asarray(v, dtype=float) for v in (a, b, c)]
+    if any(x.ndim > 1 for x in cols):
+        raise ValueError("GIG parameters must be scalars or 1-d arrays")
+    lengths = {x.size for x in cols if x.size != 1}
+    if len(lengths) > 1:
+        raise ValueError(f"GIG parameter lengths {sorted(lengths)} do not broadcast")
+    n = max(lengths, default=1)
+    # a length-one parameter is repeated to the common length
+    al, bl, cl = (x.ravel().tolist() * (n if x.size == 1 else 1) for x in cols)
     # a NaN fails every comparison, so it leaves the interior too; a
     # finite b*c of positive b and c makes both finite
     interior = all(

@@ -12,11 +12,12 @@ run in blocks of at most 1024 paths (at least one record); in a block the
 lag-and-intercept states of every equation form one (m, mp+1, R, nsim)
 array and the m(m-1)/2 contemporaneous states a second one, stacked in
 one buffer, and each period takes one normal fill.  Block b draws from
-``rng.spawn(n_blocks)[b]`` and writes only its own rows.  The blocks run
-on min(CPUs available to the process, blocks, 2048 // block paths)
-threads, the calling thread among them, so at most 2048 paths are in
-flight whatever the CPU count, and the same seed gives byte-identical
-draws at any thread count.
+the b-th child of a ``SeedSequence`` seeded from the caller's generator
+stream, and writes only its own rows.  The blocks are dealt in turn to
+min(CPUs available to the process, blocks, 2048 // block paths) threads,
+the calling thread among them, so at most 2048 paths are in flight
+whatever the CPU count, and the same seed gives byte-identical draws at
+any thread count.
 """
 
 from __future__ import annotations
@@ -387,13 +388,14 @@ def simulate_predictive(
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
     record r's k-th path.  Whole records run in blocks of at most
     ``_BLOCK_PATHS`` paths (at least one record), all m equations of a
-    block together (``_simulate_block``).  Block b draws from
-    ``rng.spawn(n_blocks)[b]`` and writes only its own rows; the blocks run
-    on min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
-    threads, the calling thread among them, so memory does not grow with
-    the CPU count and the same seed gives byte-identical draws at any
-    thread count.  Each call spawns afresh, so two calls on one generator
-    draw differently; a refused call spawns nothing.
+    block together (``_simulate_block``).  Four 64-bit integers drawn from
+    ``rng`` seed a ``SeedSequence`` whose b-th spawned child drives block
+    b, which writes only its own rows; thread k of min(available CPUs,
+    blocks, ``_IN_FLIGHT_PATHS`` // block paths) runs blocks k, k +
+    n_threads, ..., the calling thread being thread 0, so memory does not
+    grow with the CPU count and the same seed gives byte-identical draws at
+    any thread count.  Each call advances ``rng``, so two calls on one
+    generator draw differently; a refused call draws nothing from it.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -410,25 +412,25 @@ def simulate_predictive(
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
     per_block = max(1, _BLOCK_PATHS // nsim)
     starts = range(0, n_rec, per_block)
-    streams = rng.spawn(len(starts))
+    # the block seeds come from the generator's stream, not from its seed
+    # sequence, whose children estimate_var gives to the chains
+    root = np.random.SeedSequence(rng.integers(2**63, size=4))
+    streams = [np.random.default_rng(s) for s in root.spawn(len(starts))]
     n_threads = min(_available_cpus(), len(starts), max(1, _IN_FLIGHT_PATHS // (per_block * nsim)))
-    blocks, errors = iter(range(len(starts))), []
+    errors = []
 
-    def work():
-        # taking the next block from the shared iterator is atomic under the GIL
+    def work(k):
         try:
-            for b in blocks:
-                if errors:
-                    return
+            for b in range(k, len(starts), n_threads):
                 recs = slice(starts[b], starts[b] + per_block)
                 _simulate_block(est, recs, streams[b], draws[recs], h1_mean[recs], h1_var[recs])
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
-    helpers = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, n_threads)]
     for thread in helpers:
         thread.start()
-    work()
+    work(0)
     for thread in helpers:
         thread.join()
     if errors:
@@ -461,7 +463,7 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     the m(m-1)/2 contemporaneous ones.  Each period takes one normal fill
     (log-variance innovations, shocks, state innovations) and, under a law
     or the pooled class, one uniform fill (regimes, cluster picks), all
-    from the block's own spawned generator ``rng``.  The block reads the
+    from the block's own generator ``rng``.  The block reads the
     estimate and writes only its own output rows, so blocks give the same
     bytes on any thread and in any order.
 

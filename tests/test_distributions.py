@@ -90,24 +90,6 @@ def test_gig_invalid_parameters():
     assert rng.bit_generator.state == state
 
 
-def test_gig_float_arguments_take_the_array_checks_and_draws():
-    # three Python floats skip the conversion to arrays, but not the
-    # checks, the messages or the draws
-    for a, b, c in [(1.5, 2.0, 3.0), (2.5, 3.0, 0.0), (-3.0, 0.0, 4.0), (1e-8, 1e-160, 1e-160)]:
-        rng_float, rng_array = np.random.default_rng(7), np.random.default_rng(7)
-        got = sample_gig_array(a, b, c, rng_float)
-        want = sample_gig_array(np.array(a), np.array([b]), np.array(c), rng_array)
-        assert got.shape == (1,)
-        np.testing.assert_array_equal(got, want)
-        assert rng_float.bit_generator.state == rng_array.bit_generator.state
-    for a, b, c in [(-1.0, 2.0, 0.0), (np.nan, 1.0, 1.0), (0.0, 1e-170, 1e-170)]:
-        with pytest.raises(ValueError) as from_floats:
-            sample_gig_array(a, b, c, np.random.default_rng(0))
-        with pytest.raises(ValueError) as from_arrays:
-            sample_gig_array(np.array([a]), np.array(b), np.array(c), np.random.default_rng(0))
-        assert str(from_floats.value) == str(from_arrays.value)
-
-
 def test_gig_extreme_arguments_stay_finite():
     rng = np.random.default_rng(10)
     for a, b, c in [(0.0, 1e-6, 1e-6), (-0.5, 1e-8, 50.0), (10.0, 200.0, 1e-12), (0.5, 1e-30, 1e-30)]:

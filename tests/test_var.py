@@ -589,8 +589,8 @@ def test_one_block_runs_on_the_calling_thread(monkeypatch):
 
 
 def test_predictive_calls_on_one_generator_draw_differently():
-    # each call spawns its block streams afresh from the generator's seed
-    # sequence; a fresh generator of the same seed repeats the first call
+    # each call seeds its block streams from the generator's stream; a
+    # fresh generator of the same seed repeats the first call
     spec = ModelSpec(model_class=CLASS_RW, subclass=SUB_FLEX_MS, iterations=8, burnin=4)
     est = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5)
     rng = np.random.default_rng(3)
@@ -599,6 +599,20 @@ def test_predictive_calls_on_one_generator_draw_differently():
     again = simulate_predictive(est, 2, 300, np.random.default_rng(3))
     assert not np.any(first.draws == second.draws)
     np.testing.assert_array_equal(again.draws, first.draws)
+
+
+def test_predictive_blocks_do_not_reuse_the_chain_streams_of_the_same_seed(monkeypatch):
+    # estimate_var runs chain i on the i-th child of SeedSequence(seed); a
+    # generator made from that seed must not hand those streams to blocks
+    spec = ModelSpec(model_class=CLASS_RW, subclass=SUB_FLEX_MS, iterations=8, burnin=4)
+    est = estimate_var(_small_var_data(seed=9, T=40, m=2), spec, seed=5)
+    firsts = []
+    monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(mixtvp.var, "_simulate_block", lambda e, recs, rng, *out: firsts.append(rng.random(4)))
+    simulate_predictive(est, 2, 300, np.random.default_rng(5))
+    assert len(firsts) == 2
+    chains = [np.random.default_rng(c).random(4) for c in np.random.SeedSequence(5).spawn(8)]
+    assert not any(np.array_equal(block, chain) for block in firsts for chain in chains)
 
 
 @pytest.mark.parametrize("width, nsim", [(3, 5), (4, 0)])
