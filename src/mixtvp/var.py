@@ -412,8 +412,9 @@ def simulate_predictive(
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
     per_block = max(1, _BLOCK_PATHS // nsim)
     starts = range(0, n_rec, per_block)
-    # the block seeds come from the generator's stream, not from its seed
-    # sequence, whose children estimate_var gives to the chains
+    # the block seeds come from the generator's stream: the children of its
+    # seed sequence are the chains' streams when it was made from the seed
+    # estimate_var was given
     root = np.random.SeedSequence(rng.integers(2**63, size=4))
     streams = [np.random.default_rng(s) for s in root.spawn(len(starts))]
     n_threads = min(_available_cpus(), len(starts), max(1, _IN_FLIGHT_PATHS // (per_block * nsim)))
