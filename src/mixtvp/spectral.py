@@ -80,19 +80,25 @@ def _power_screen(F: np.ndarray, margin: float) -> np.ndarray:
     one that eigvals, backward stable within that bound, calls stable too.
     Squaring P, whose error bound is E, leaves an error of at most
     gamma ||P||^2 + 2 ||P|| E + E^2, gamma = d eps.
+
+    The norms are ``_inf_norms``: numpy reduces an axis of length d by
+    calling its inner loop once per row, which costs more than the
+    arithmetic when d is small, so the sums over a row are written out as
+    d adds of whole columns and the maximum over the rows as d - 1
+    elementwise maxima, in numpy's order, so the certified set is the same.
     """
     n, d = F.shape[:2]
     certified = np.zeros(n, dtype=bool)
     todo = np.arange(n)
     gamma = d * np.finfo(float).eps
-    norm = np.abs(F).sum(axis=-1).max(axis=-1)
+    norm = _inf_norms(F)
     err, P = _EIG_BACKWARD * norm, F
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(_SCREEN_SQUARINGS + 1):
             if j:
                 err = gamma * norm**2 + 2.0 * norm * err + err**2
                 P = P @ P
-                norm = np.abs(P).sum(axis=-1).max(axis=-1)
+                norm = _inf_norms(P)
             bound = norm + err
             ok = bound < (1.0 - margin) ** (2**j) * (1.0 - _SCREEN_SLACK)
             certified[todo[ok]] = True
@@ -102,6 +108,62 @@ def _power_screen(F: np.ndarray, margin: float) -> np.ndarray:
                 break
             todo, P, norm, err = todo[keep], P[keep], norm[keep], err[keep]
     return certified
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a C-contiguous stack, bit for bit, as column adds.
+
+    numpy adds a contiguous row to its identity 0.0 pairwise: below 8
+    terms in order, up to 128 in eight interleaved partial sums that meet
+    in a tree and then the rest in order.  Starting from ``a + 0.0`` turns
+    -0.0 into 0.0 as that identity does.  A longer row is split in two by
+    numpy, and is left to it.
+    """
+    n = a.shape[-1]
+    if n > 128:
+        return a.sum(axis=-1)
+    if n < 8:
+        out = a[..., 0] + 0.0
+        for k in range(1, n):
+            out += a[..., k]
+        return out
+    r = a[..., :8] + 0.0
+    for i in range(8, n - n % 8, 8):
+        r += a[..., i : i + 8]
+    out = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
+    out += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
+    for k in range(n - n % 8, n):
+        out += a[..., k]
+    return out
+
+
+def _inf_norms(P: np.ndarray) -> np.ndarray:
+    """``np.abs(P).sum(axis=-1).max(axis=-1)`` of an (n, d, d) stack, bit for bit.
+
+    The row sums are ``_row_sums``; the maximum over the rows is exact, so
+    its order only decides which NaN comes out, and any NaN does.
+    """
+    rows = _row_sums(np.abs(P))
+    norm = rows[..., 0].copy()
+    for i in range(1, rows.shape[-1]):
+        np.maximum(norm, rows[..., i], out=norm)
+    return norm
+
+
+def _lag_sum(F: np.ndarray, m: int) -> np.ndarray:
+    """A_1 + ... + A_p of companion draws, as ``reshape(..., m, p, m).sum(axis=-2)``.
+
+    For m > 1 numpy adds the p lag blocks in order to its identity 0.0,
+    which is written out here as whole-block adds; for m = 1 the lags are
+    one contiguous row, summed as ``_row_sums`` does.
+    """
+    top = F[..., :m, :]
+    if m == 1:
+        return _row_sums(top)[..., None]
+    out = top[..., :m] + 0.0
+    for l in range(m, top.shape[-1], m):
+        out += top[..., l : l + m]
+    return out
 
 
 def _stable_draws(F: np.ndarray, margin: float = STABILITY_MARGIN) -> np.ndarray:
@@ -167,8 +229,8 @@ def _low_freq_stack(F: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.nd
     NaN entries.
     """
     stable = _stable_draws(F)
-    d, m = F.shape[-1], sigma.shape[-1]
-    lag_sum = F[..., :m, :].reshape(F.shape[:-2] + (m, d // m, m)).sum(axis=-2)
+    m = sigma.shape[-1]
+    lag_sum = _lag_sum(F, m)
     lead = np.linalg.inv(np.eye(m) - np.where(stable[..., None, None], lag_sum, 0.0))
     pi = lead @ sigma @ np.swapaxes(lead, -1, -2)
     pi = 0.5 * (pi + np.swapaxes(pi, -1, -2))

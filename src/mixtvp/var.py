@@ -7,17 +7,19 @@ Chains therefore run per equation with independent seeds spawned from a
 single master seed, so every equation's draws are reproducible on
 their own.
 
-The predictive simulation moves all m equations together.  Whole records
-run in blocks of at most 1024 paths (at least one record); in a block the
-lag-and-intercept states of every equation form one (m, mp+1, R, nsim)
-array and the m(m-1)/2 contemporaneous states a second one, stacked in
-one buffer, and each period takes one normal fill.  Block b draws from
-the b-th child of a ``SeedSequence`` seeded from the caller's generator
-stream, and writes only its own rows.  The blocks are dealt in turn to
-min(CPUs available to the process, blocks, 2048 // block paths) threads,
-the calling thread among them, so at most 2048 paths are in flight
-whatever the CPU count, and the same seed gives byte-identical draws at
-any thread count.
+The predictive simulation moves all m equations together.  Paths run in
+blocks of at most 1024: whole records when a record has at most 1024
+paths, otherwise each record's paths split into equal-sized runs of at
+most 1024.  In a block the lag-and-intercept states of every equation
+form one (m, mp+1, R, n) array, n the block's paths per record, and the
+m(m-1)/2 contemporaneous states a second one, stacked in one buffer, and
+each period takes one normal fill.  Block b draws from an SFC64
+generator on the b-th child of a ``SeedSequence`` seeded from the
+caller's generator stream, and writes only its own rows.  The blocks are
+dealt in turn to min(CPUs available to the process, blocks, 2048 //
+block paths) threads, the calling thread among them, so at most 2048
+paths are in flight whatever the CPU count, and the same seed gives
+byte-identical draws at any thread count.
 """
 
 from __future__ import annotations
@@ -361,7 +363,7 @@ class ForecastDistribution:
 
 
 
-# paths per block of simulate_predictive: whole records, at least one
+# most paths per block of simulate_predictive
 _BLOCK_PATHS = 1024
 # paths that the threads of one simulate_predictive call hold at once
 _IN_FLIGHT_PATHS = 2048
@@ -386,16 +388,19 @@ def simulate_predictive(
     ``horizon`` periods under the fitted law of motion (indicator
     transitions, regime innovation variances, log-variance recursion) and
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
-    record r's k-th path.  Whole records run in blocks of at most
-    ``_BLOCK_PATHS`` paths (at least one record), all m equations of a
-    block together (``_simulate_block``).  Four 64-bit integers drawn from
-    ``rng`` seed a ``SeedSequence`` whose b-th spawned child drives block
-    b, which writes only its own rows; thread k of min(available CPUs,
-    blocks, ``_IN_FLIGHT_PATHS`` // block paths) runs blocks k, k +
-    n_threads, ..., the calling thread being thread 0, so memory does not
-    grow with the CPU count and the same seed gives byte-identical draws at
-    any thread count.  Each call advances ``rng``, so two calls on one
-    generator draw differently; a refused call draws nothing from it.
+    record r's k-th path.  Paths run in blocks of at most ``_BLOCK_PATHS``,
+    all m equations of a block together (``_simulate_block``): whole
+    records when nsim <= ``_BLOCK_PATHS``, otherwise record after record,
+    each record's paths cut into ceil(nsim / ``_BLOCK_PATHS``) runs of
+    equal size (within one path).  Four 64-bit integers drawn from ``rng``
+    seed a ``SeedSequence``; block b draws from
+    ``Generator(SFC64(child b))`` and writes only its own rows.  Thread k
+    of min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
+    runs blocks k, k + n_threads, ..., the calling thread being thread 0,
+    so memory does not grow with the CPU count and the same seed gives
+    byte-identical draws at any thread count.  Each call advances ``rng``,
+    so two calls on one generator draw differently; a refused call draws
+    nothing from it.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -410,21 +415,30 @@ def simulate_predictive(
             )
     draws = np.empty((n_rec, nsim, horizon, m))
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
+    # a block is per_block whole records, or one of the runs a record's
+    # paths are cut into
+    runs = -(-nsim // _BLOCK_PATHS)
     per_block = max(1, _BLOCK_PATHS // nsim)
-    starts = range(0, n_rec, per_block)
+    cuts = [k * nsim // runs for k in range(runs + 1)]
+    blocks = [
+        (slice(r, r + per_block), slice(a, b))
+        for r in range(0, n_rec, per_block)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    block_paths = per_block * -(-nsim // runs)
     # the block seeds come from the generator's stream: the children of its
     # seed sequence are the chains' streams when it was made from the seed
     # estimate_var was given
     root = np.random.SeedSequence(rng.integers(2**63, size=4))
-    streams = [np.random.default_rng(s) for s in root.spawn(len(starts))]
-    n_threads = min(_available_cpus(), len(starts), max(1, _IN_FLIGHT_PATHS // (per_block * nsim)))
+    streams = [np.random.Generator(np.random.SFC64(s)) for s in root.spawn(len(blocks))]
+    n_threads = min(_available_cpus(), len(blocks), max(1, _IN_FLIGHT_PATHS // block_paths))
     errors = []
 
     def work(k):
         try:
-            for b in range(k, len(starts), n_threads):
-                recs = slice(starts[b], starts[b] + per_block)
-                _simulate_block(est, recs, streams[b], draws[recs], h1_mean[recs], h1_var[recs])
+            for b in range(k, len(blocks), n_threads):
+                rows = blocks[b]
+                _simulate_block(est, rows[0], streams[b], draws[rows], h1_mean[rows], h1_var[rows])
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
@@ -457,6 +471,10 @@ def _state_rows(arrays):
 
 def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     """Fill one block's draws (R, nsim, horizon, m) and one-step components.
+
+    ``recs`` selects the block's R records and the outputs are its rows:
+    all of a record's paths, or one run of them, so ``nsim`` here is the
+    block's paths per record.
 
     The m equations move together, their states stacked in one
     (n_rows, R, nsim) array in the row order of ``_state_rows``: the

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import parse_seeds, report, run_order, side_stats, summarize  # noqa: E402
+from bench_pairs import RATES, parse_seeds, report, run_order, side_stats, summarize  # noqa: E402
 
 
 def test_seeds_parse_ranges_and_lists():
@@ -62,3 +62,24 @@ def test_report_gathers_each_metric_digest_and_failure_per_side():
     assert got["metrics"]["setup_s"]["wins"] == 0
     assert got["digests"] == {"parent": ["a", "b"], "change": ["c", "d"]}
     assert got["failed"] == {"parent": [0, 0], "change": [0, 0]}
+
+
+def test_report_copies_the_throughputs_per_side_without_comparing_them():
+    def run(wall, sweeps, paths):
+        rates = {"sweeps_per_s": sweeps, "spectral_draws_per_s": None, "predictive_paths_per_s": paths}
+        return {"metrics": {"wall_s": wall}, "digest": "x", "failed": 0, "rates": rates}
+
+    runs = {"posterior": {
+        "parent": [run(1.0, None, 10.0), run(1.1, None, 30.0), run(0.9, None, 20.0)],
+        "change": [run(0.8, None, 40.0), run(0.9, None, 50.0), run(0.7, None, 60.0)],
+    }}
+    got = report(runs, [1, 2, 3])["posterior"]
+    rates = got["rates"]
+    assert rates["compared"] is False
+    assert set(rates) == {"compared", *RATES}
+    assert rates["predictive_paths_per_s"]["parent"] == {"values": [10.0, 30.0, 20.0], "median": 20.0}
+    assert rates["predictive_paths_per_s"]["change"] == {"values": [40.0, 50.0, 60.0], "median": 50.0}
+    # a throughput the workload does not report has no median
+    assert rates["sweeps_per_s"]["change"] == {"values": [None] * 3, "median": None}
+    # only the end-to-end metrics are compared
+    assert set(got["metrics"]) == {"wall_s"}

@@ -8,6 +8,8 @@ from mixtvp.spectral import (
     STABILITY_MARGIN,
     CompanionForm,
     _companion_matrix,
+    _inf_norms,
+    _lag_sum,
     _nanquantile_columns,
     _power_screen,
     _stable_draws,
@@ -343,3 +345,38 @@ def test_nanquantile_columns_gives_nan_for_a_column_with_no_value():
     got = _nanquantile_columns(x, q)
     assert np.isnan(got[:, 1]).all()
     np.testing.assert_array_equal(got[:, [0, 2]], np.quantile(x[:, [0, 2]], q, axis=0))
+
+
+def _wide_stack(rng, shape):
+    """Entries over 300 decades, with some exact zeros of either sign."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, size=shape)
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("d", list(range(2, 13)) + [17])
+def test_screen_norms_equal_numpy_reductions_bit_for_bit(d):
+    # powers of a wide stack overflow to inf, and meet zeros as NaN
+    rng = np.random.default_rng(d)
+    F = _wide_stack(rng, (400, d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.concatenate([F, F @ F, F @ F @ F @ F])
+    assert np.isinf(P).any() and np.isnan(P).any()
+    for stack in (P, P[:1]):
+        assert _inf_norms(stack).tobytes() == np.abs(stack).sum(axis=-1).max(axis=-1).tobytes()
+    assert _inf_norms(P[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_lag_sum_equals_the_reshape_sum_bit_for_bit(p):
+    rng = np.random.default_rng(10 + p)
+    for m in range(1, 13 // p + 1):
+        d = m * p
+        if d < 2:
+            continue
+        for lead in ((), (7,), (3, 5)):
+            F = _wide_stack(rng, lead + (d, d))
+            want = F[..., :m, :].reshape(lead + (m, p, m)).sum(axis=-2)
+            got = _lag_sum(F, m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, p, lead)

@@ -527,6 +527,32 @@ def test_predictive_memory_is_bounded_by_the_paths_in_flight_not_the_cpus(monkey
     test_predictive_memory_stays_bounded_in_records()
 
 
+def test_predictive_memory_at_2000_paths_per_record_is_bounded_by_the_paths_in_flight(monkeypatch):
+    # 2000 paths per record run as 1000-path blocks, two in flight on eight
+    # CPUs as at 1000 paths: beyond the larger output, the peak may grow by
+    # at most 1 MB, and stays within the 2.9 MB over the output that the
+    # 30-record test allows
+    monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 8)
+    spec = ModelSpec(
+        model_class=CLASS_MIX, subclass=SUB_FLEX_MS, p=2, iterations=40, burnin=10,
+        store_paths=False,
+    )
+    est = estimate_var(generate_var_break(T=80, seed=1).Y, spec, seed=3)
+
+    def peak_over_output(nsim):
+        tracemalloc.start()
+        try:
+            fd = simulate_predictive(est, 8, nsim, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (fd.draws.nbytes + fd.h1_mean.nbytes + fd.h1_var.nbytes)
+
+    extra = peak_over_output(2000)
+    assert extra <= 2.9e6
+    assert extra <= peak_over_output(1000) + 1e6
+
+
 def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
     """The predictive with ``cpus`` CPUs available, and the threads that ran its blocks."""
     threads = set()
@@ -551,6 +577,8 @@ def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
         # 600-path blocks, three in flight
         (CLASS_MIX, SUB_FLEX_MIX, 600, 3),
         (CLASS_POOL, SUB_SINGLE, 600, 3),
+        # each record's 2000 paths run as two 1000-path blocks, two in flight
+        (CLASS_MIX, SUB_FLEX_MIX, 2000, 2),
     ],
 )
 def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_class, subclass, nsim, max_threads):
@@ -573,6 +601,9 @@ def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_clas
     finally:
         sys.setswitchinterval(interval)
     assert runs[1][1] == {threading.get_ident()}
+    if nsim > 1024:
+        # one record's paths are enough to keep two threads busy
+        assert len(runs[2][1]) == len(runs[8][1]) == 2
     for cpus, (fd, threads) in runs.items():
         assert 1 <= len(threads) <= min(cpus, max_threads)
         for field in ("draws", "h1_mean", "h1_var"):

@@ -16,6 +16,12 @@ the medians against the parent's quartile spread, and the digests and
 failed operations of every run, plus the library versions the runs
 reported.  Every metric ``perfbench/run.py`` reports (``setup_s``,
 ``wall_s``, ``peak_rss_mb``) is better lower, and is compared so.
+
+Each run record's throughputs (``sweeps_per_s``, ``spectral_draws_per_s``,
+``predictive_paths_per_s``) are copied under ``rates`` as per-side values
+and medians.  They are informational and not compared: they time only a
+part of the job, so they show which part of a workload moved, not whether
+the workload did.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# throughputs of a run record, higher is better, reported but not compared
+RATES = ("sweeps_per_s", "spectral_draws_per_s", "predictive_paths_per_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -115,10 +123,17 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "digest": record["digest"],
+        "rates": {name: record.get(name) for name in RATES},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "environment": record["environment"],
     }
+
+
+def rate_stats(values: list) -> dict:
+    """Per-run values of a throughput and their median; a workload without it gives None."""
+    present = [v for v in values if v is not None]
+    return {"values": values, "median": statistics.median(present) if present else None}
 
 
 def report(runs: dict, seeds: list[int]) -> dict:
@@ -135,6 +150,16 @@ def report(runs: dict, seeds: list[int]) -> dict:
                     [r["metrics"][name] for r in sides["change"]],
                 )
                 for name in names
+            },
+            "rates": {
+                "compared": False,
+                **{
+                    name: {
+                        side: rate_stats([r.get("rates", {}).get(name) for r in sides[side]])
+                        for side in SIDES
+                    }
+                    for name in RATES
+                },
             },
             "digests": {side: [r["digest"] for r in sides[side]] for side in SIDES},
             "failed": {side: [r["failed"] for r in sides[side]] for side in SIDES},
