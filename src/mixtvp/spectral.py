@@ -46,6 +46,8 @@ _SCREEN_SLACK = 1e-3
 _EIG_BACKWARD = 1e-12
 # draws per period block of low_freq_path_bands; at least one period per block
 _BLOCK_DRAWS = 4096
+# stacks shorter than this take numpy's reductions in _inf_norms
+_SHORT_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,9 @@ def _power_screen(F: np.ndarray, margin: float) -> np.ndarray:
 
     The norms are ``_inf_norms``: numpy reduces an axis of length d by
     calling its inner loop once per row, which costs more than the
-    arithmetic when d is small, so the sums over a row are written out as
-    d adds of whole columns and the maximum over the rows as d - 1
-    elementwise maxima, in numpy's order, so the certified set is the same.
+    arithmetic when d is small and the stack is tall, so there the sums
+    over a row are written out as d adds of whole columns and the maximum
+    over the rows as d - 1 elementwise maxima.
     """
     n, d = F.shape[:2]
     certified = np.zeros(n, dtype=bool)
@@ -110,40 +112,24 @@ def _power_screen(F: np.ndarray, margin: float) -> np.ndarray:
     return certified
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)`` of a C-contiguous stack, bit for bit, as column adds.
-
-    numpy adds a contiguous row to its identity 0.0 pairwise: below 8
-    terms in order, up to 128 in eight interleaved partial sums that meet
-    in a tree and then the rest in order.  Starting from ``a + 0.0`` turns
-    -0.0 into 0.0 as that identity does.  A longer row is split in two by
-    numpy, and is left to it.
-    """
-    n = a.shape[-1]
-    if n > 128:
-        return a.sum(axis=-1)
-    if n < 8:
-        out = a[..., 0] + 0.0
-        for k in range(1, n):
-            out += a[..., k]
-        return out
-    r = a[..., :8] + 0.0
-    for i in range(8, n - n % 8, 8):
-        r += a[..., i : i + 8]
-    out = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
-    out += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
-    for k in range(n - n % 8, n):
-        out += a[..., k]
-    return out
-
-
 def _inf_norms(P: np.ndarray) -> np.ndarray:
-    """``np.abs(P).sum(axis=-1).max(axis=-1)`` of an (n, d, d) stack, bit for bit.
+    """``np.abs(P).sum(axis=-1).max(axis=-1)`` of an (n, d, d) stack.
 
-    The row sums are ``_row_sums``; the maximum over the rows is exact, so
-    its order only decides which NaN comes out, and any NaN does.
+    A stack of fewer than ``_SHORT_STACK`` draws takes numpy's form.  On a
+    taller one numpy's per-row inner loop costs more than the arithmetic,
+    so the row sums are in-order adds of whole columns of ``np.abs(P)``
+    and the maximum over the rows is d - 1 elementwise maxima, which keep
+    any NaN.  Below 8 columns this is numpy's order, bit for bit; from 8 on
+    numpy sums pairwise and the last bits may differ, which can only move a
+    draw between certified and decided by eigvals: the screen's slack is
+    far above that rounding, so the decision is the same.
     """
-    rows = _row_sums(np.abs(P))
+    if len(P) < _SHORT_STACK:
+        return np.abs(P).sum(axis=-1).max(axis=-1)
+    a = np.abs(P)
+    rows = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        rows += a[..., k]
     norm = rows[..., 0].copy()
     for i in range(1, rows.shape[-1]):
         np.maximum(norm, rows[..., i], out=norm)
@@ -154,12 +140,12 @@ def _lag_sum(F: np.ndarray, m: int) -> np.ndarray:
     """A_1 + ... + A_p of companion draws, as ``reshape(..., m, p, m).sum(axis=-2)``.
 
     For m > 1 numpy adds the p lag blocks in order to its identity 0.0,
-    which is written out here as whole-block adds; for m = 1 the lags are
-    one contiguous row, summed as ``_row_sums`` does.
+    which is written out here as whole-block adds, bit for bit; for m = 1
+    the lags are one contiguous row, which numpy sums itself.
     """
     top = F[..., :m, :]
     if m == 1:
-        return _row_sums(top)[..., None]
+        return top.sum(axis=-1, keepdims=True)
     out = top[..., :m] + 0.0
     for l in range(m, top.shape[-1], m):
         out += top[..., l : l + m]

@@ -53,7 +53,8 @@ def test_summary_refuses_unpaired_runs():
 
 def test_report_gathers_each_metric_digest_and_failure_per_side():
     def run(wall, digest):
-        return {"metrics": {"wall_s": wall, "setup_s": 0.3}, "digest": digest, "failed": 0}
+        rates = dict.fromkeys(RATES)
+        return {"metrics": {"wall_s": wall, "setup_s": 0.3}, "digest": digest, "failed": 0, "rates": rates}
 
     runs = {"forecast": {"parent": [run(1.0, "a"), run(1.2, "b")], "change": [run(0.9, "c"), run(1.0, "d")]}}
     got = report(runs, [11, 12])["forecast"]

@@ -5,6 +5,7 @@ import pytest
 
 import mixtvp.spectral
 from mixtvp.spectral import (
+    _SHORT_STACK,
     STABILITY_MARGIN,
     CompanionForm,
     _companion_matrix,
@@ -356,15 +357,24 @@ def _wide_stack(rng, shape):
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)) + [17])
-def test_screen_norms_equal_numpy_reductions_bit_for_bit(d):
+def test_screen_norms_match_numpy_reductions(d):
     # powers of a wide stack overflow to inf, and meet zeros as NaN
     rng = np.random.default_rng(d)
     F = _wide_stack(rng, (400, d, d))
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.concatenate([F, F @ F, F @ F @ F @ F])
     assert np.isinf(P).any() and np.isnan(P).any()
-    for stack in (P, P[:1]):
-        assert _inf_norms(stack).tobytes() == np.abs(stack).sum(axis=-1).max(axis=-1).tobytes()
+    want = np.abs(P).sum(axis=-1).max(axis=-1)
+    got = _inf_norms(P)
+    if d < 8:
+        # in-order column adds are numpy's own order below 8 columns
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps)
+    # a short stack takes numpy's reduction itself
+    short = P[: _SHORT_STACK - 1]
+    assert _inf_norms(short).tobytes() == np.abs(short).sum(axis=-1).max(axis=-1).tobytes()
     assert _inf_norms(P[:0]).shape == (0,)
 
 

@@ -155,7 +155,7 @@ def report(runs: dict, seeds: list[int]) -> dict:
                 "compared": False,
                 **{
                     name: {
-                        side: rate_stats([r.get("rates", {}).get(name) for r in sides[side]])
+                        side: rate_stats([r["rates"][name] for r in sides[side]])
                         for side in SIDES
                     }
                     for name in RATES
