@@ -661,7 +661,6 @@ def run_chain(
     x: np.ndarray,
     spec: ModelSpec,
     seed,
-    init: EquationChainState | None = None,
 ) -> PosteriorDraws:
     """Run one equation's chain start to finish and collect the records.
 
@@ -680,7 +679,7 @@ def run_chain(
         warnings.warn("sample shorter than twice the covariate count", stacklevel=2)
 
     rng = np.random.default_rng(seed)
-    state = init if init is not None else init_equation_state(y, x, spec, rng)
+    state = init_equation_state(y, x, spec, rng)
     scales = make_scales(spec)
 
     n = len(range(spec.burnin, spec.iterations, spec.thin))

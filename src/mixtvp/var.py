@@ -8,17 +8,19 @@ single master seed, so every equation's draws are reproducible on
 their own.
 
 The predictive simulation moves all m equations together.  Paths run in
-blocks of at most 1024: whole records when a record has at most 1024
-paths, otherwise each record's paths split into equal-sized runs of at
-most 1024.  In a block the lag-and-intercept states of every equation
-form one (m, mp+1, R, n) array, n the block's paths per record, and the
-m(m-1)/2 contemporaneous states a second one, stacked in one buffer, and
-each period takes one normal fill.  Block b draws from an SFC64
-generator on the b-th child of a ``SeedSequence`` seeded from the
-caller's generator stream, and writes only its own rows.  The blocks are
-dealt in turn to min(CPUs available to the process, blocks, 2048 //
-block paths) threads, the calling thread among them, so at most 2048
-paths are in flight whatever the CPU count, and the same seed gives
+blocks sized by bytes: the blocks of one call may hold 3 MB at once
+(``_IN_FLIGHT_BYTES``), and a block takes as many whole records as fit
+half of it at the bytes a path of the model holds, or, when one record
+does not fit, an equal-sized run of a record's paths.  In a block the
+lag-and-intercept states of every equation form one (m, mp+1, R, n)
+array, n the block's paths per record, and the m(m-1)/2 contemporaneous
+states a second one, stacked in one buffer; each period takes one normal
+fill, and the buffers are reused from period to period.  Block b draws
+from an SFC64 generator on the b-th child of a ``SeedSequence`` seeded
+from the caller's generator stream, and writes only its own rows.  The
+blocks are dealt in turn to min(CPUs available to the process, blocks,
+budget // block bytes) threads, the calling thread among them, so the
+bytes in flight do not grow with the CPU count, and the same seed gives
 byte-identical draws at any thread count.
 """
 
@@ -363,10 +365,8 @@ class ForecastDistribution:
 
 
 
-# most paths per block of simulate_predictive
-_BLOCK_PATHS = 1024
-# paths that the threads of one simulate_predictive call hold at once
-_IN_FLIGHT_PATHS = 2048
+# bytes that the blocks of one simulate_predictive call hold at once
+_IN_FLIGHT_BYTES = 3_000_000
 # smallest root magnitude a regime switch divides by
 _ROOT_FLOOR = 1e-150
 
@@ -388,19 +388,19 @@ def simulate_predictive(
     ``horizon`` periods under the fitted law of motion (indicator
     transitions, regime innovation variances, log-variance recursion) and
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
-    record r's k-th path.  Paths run in blocks of at most ``_BLOCK_PATHS``,
-    all m equations of a block together (``_simulate_block``): whole
-    records when nsim <= ``_BLOCK_PATHS``, otherwise record after record,
-    each record's paths cut into ceil(nsim / ``_BLOCK_PATHS``) runs of
-    equal size (within one path).  Four 64-bit integers drawn from ``rng``
-    seed a ``SeedSequence``; block b draws from
-    ``Generator(SFC64(child b))`` and writes only its own rows.  Thread k
-    of min(available CPUs, blocks, ``_IN_FLIGHT_PATHS`` // block paths)
-    runs blocks k, k + n_threads, ..., the calling thread being thread 0,
-    so memory does not grow with the CPU count and the same seed gives
-    byte-identical draws at any thread count.  Each call advances ``rng``,
-    so two calls on one generator draw differently; a refused call draws
-    nothing from it.
+    record r's k-th path.  Paths run in blocks, all m equations of a block
+    together (``_simulate_block``).  A block may hold half of
+    ``_IN_FLIGHT_BYTES``, at ``_path_bytes`` per path: as many whole
+    records as fit, or, when one record does not fit, an equal-sized run
+    (within one path) of a record's paths, record after record.  Four
+    64-bit integers drawn from ``rng`` seed a ``SeedSequence``; block b
+    draws from ``Generator(SFC64(child b))`` and writes only its own rows.
+    Thread k of min(available CPUs, blocks, ``_IN_FLIGHT_BYTES`` // block
+    bytes) runs blocks k, k + n_threads, ..., the calling thread being
+    thread 0, so memory does not grow with the CPU count and the same seed
+    gives byte-identical draws at any thread count.  Each call advances
+    ``rng``, so two calls on one generator draw differently; a refused
+    call draws nothing from it.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -417,28 +417,31 @@ def simulate_predictive(
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
     # a block is per_block whole records, or one of the runs a record's
     # paths are cut into
-    runs = -(-nsim // _BLOCK_PATHS)
-    per_block = max(1, _BLOCK_PATHS // nsim)
+    path_bytes = _path_bytes(m, p, est.spec)
+    fit = max(1, _IN_FLIGHT_BYTES // 2 // path_bytes)
+    runs = -(-nsim // fit)
+    per_block = max(1, fit // nsim)
     cuts = [k * nsim // runs for k in range(runs + 1)]
     blocks = [
-        (slice(r, r + per_block), slice(a, b))
+        (slice(r, min(r + per_block, n_rec)), slice(a, b))
         for r in range(0, n_rec, per_block)
         for a, b in zip(cuts, cuts[1:])
     ]
-    block_paths = per_block * -(-nsim // runs)
+    block_bytes = per_block * -(-nsim // runs) * path_bytes
     # the block seeds come from the generator's stream: the children of its
     # seed sequence are the chains' streams when it was made from the seed
     # estimate_var was given
     root = np.random.SeedSequence(rng.integers(2**63, size=4))
     streams = [np.random.Generator(np.random.SFC64(s)) for s in root.spawn(len(blocks))]
-    n_threads = min(_available_cpus(), len(blocks), max(1, _IN_FLIGHT_PATHS // block_paths))
+    n_threads = min(_available_cpus(), len(blocks), max(1, _IN_FLIGHT_BYTES // block_bytes))
+    constants = _RecordConstants(est)
     errors = []
 
     def work(k):
         try:
             for b in range(k, len(blocks), n_threads):
                 rows = blocks[b]
-                _simulate_block(est, rows[0], streams[b], draws[rows], h1_mean[rows], h1_var[rows])
+                _simulate_block(constants, rows[0], streams[b], draws[rows], h1_mean[rows], h1_var[rows])
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
@@ -458,6 +461,40 @@ def simulate_predictive(
     )
 
 
+def _carries(spec) -> bool:
+    """Whether the states carry a deviation from period to period."""
+    return spec.model_class == CLASS_RW or (spec.model_class == CLASS_MIX and spec.law is not None)
+
+
+def _path_bytes(m: int, p: int, spec: ModelSpec) -> int:
+    """Bytes that one path holds in a block of ``_simulate_block``.
+
+    The count follows the block's buffers and the step's largest
+    temporaries, 8 bytes per float row and 1 per boolean row.
+    """
+    K = p * m + 1
+    n_con = m * (m - 1) // 2
+    n_rows = m * K + n_con if spec.is_tvp else 0
+    # normals, lags, log-variance deviations, means, and the step's
+    # temporaries (2m rows)
+    floats = (2 * m + n_rows) + K + 2 * m + 2 * m
+    if not spec.is_tvp:
+        # the one-step scratch (time-varying states lend their spent normals)
+        return 8 * (floats + 2 * m)
+    n_regime = {LAW_MS: m, LAW_MIX: n_rows}.get(spec.law, 0)
+    # carried deviations, the regimes' uniforms, and the terms per root
+    # (under the Markov-switching law, rhs and the spent uniforms)
+    floats += n_rows * _carries(spec) + n_regime + m * {LAW_MS: 0, LAW_MIX: 2}.get(spec.law, 1)
+    # the regimes and the masks that a floored root takes
+    bools = 4 * (n_regime + (n_con if spec.law == LAW_MS else 0))
+    if spec.model_class == CLASS_POOL:
+        # the picks' uniforms and scaled picks, the cluster and its index,
+        # one equation's cluster means, and the clusters compared
+        floats += 2 * m + 3 + K
+        bools += spec.n_clusters
+    return 8 * floats + bools
+
+
 def _state_rows(arrays):
     """Per-equation arrays (..., K_i) stacked coefficient-first as (n_rows, ...).
 
@@ -469,12 +506,82 @@ def _state_rows(arrays):
     return np.concatenate([a[i:] for i, a in enumerate(moved)] + [a[:i] for i, a in enumerate(moved)])
 
 
-def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
+class _RecordConstants:
+    """What the blocks of one ``simulate_predictive`` call read, for every record.
+
+    Each array has the records on axis 1, so that a block slices its own
+    records out: (m, n_rec, 1) per equation, (n_rows, n_rec, 1) per state
+    row in the order of ``_state_rows``, and lag weights as
+    (m, n_rec, roots, mp+1).  ``floored`` marks the records with a root
+    under ``_ROOT_FLOOR``.
+    """
+
+    def __init__(self, est: VarEstimate):
+        spec, eqs, m, p = est.spec, est.equations, est.m, est.p
+        self.m, self.p, self.K = m, p, p * m + 1
+        self.n_lag = m * self.K
+        self.law, self.cls, self.tvp, self.carry = spec.law, spec.model_class, spec.is_tvp, _carries(spec)
+
+        def stack(get):
+            # one value per (equation, record), as (m, n_rec, 1)
+            return np.stack([get(eq) for eq in eqs])[:, :, None]
+
+        def rows(name):
+            return _state_rows([getattr(eq, name) for eq in eqs])
+
+        self.mu, self.phi = stack(lambda eq: eq.sv_mu), stack(lambda eq: eq.sv_phi)
+        self.sd_sv = np.sqrt(stack(lambda eq: eq.sv_psi))
+        self.h_dev = stack(lambda eq: eq.h[:, -1]) - self.mu
+        # lag regressors, newest lag first, then the intercept
+        self.x = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None]
+        center = rows("alpha0" if self.tvp else "alpha_last")
+        self.w_center, self.b0_center = self.lag_weights(center), center[self.n_lag :, :, None]
+        self.n_rows = center.shape[0] if self.tvp else 0
+        if not self.tvp:
+            return
+        law = self.law
+        r1 = rows("sqrt_psi1")
+        r0 = r1 if law is None else rows("sqrt_psi0")
+        f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
+        self.lam1, self.lam0 = (r1 / f1)[..., None], (r0 / f0)[..., None]
+        self.floored = np.any((self.lam1 != 1.0) | (self.lam0 != 1.0), axis=(0, 2))
+        if law is None:
+            self.w_roots = self.lag_weights(f1)
+        else:
+            self.w_roots = np.concatenate([self.lag_weights(f0), self.lag_weights(f1)], axis=2)
+        # the contemporaneous coefficients' roots
+        self.c1, self.c0 = f1[self.n_lag :, :, None], f0[self.n_lag :, :, None]
+        if law == LAW_MS:
+            self.s = stack(lambda eq: eq.S_last[:, 0]) == 1
+            self.p01, self.p11 = 1.0 - stack(lambda eq: eq.p00), stack(lambda eq: eq.p11)
+            s_rows = self.s[np.concatenate([np.repeat(np.arange(m), self.K), np.repeat(np.arange(m), np.arange(m))])]
+        elif law == LAW_MIX:
+            self.s = s_rows = rows("S_last")[..., None] == 1
+            self.p_mix = rows("p_mix")[..., None]
+        if self.carry:
+            start = f1 if law is None else np.where(s_rows[..., 0], f1, f0)
+            self.u = ((rows("alpha_last") - center) / start)[..., None]
+        if self.cls == CLASS_POOL:
+            log_omega = np.log(np.maximum(np.stack([eq.pool_omega for eq in eqs]), 1e-300))
+            self.cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=2, keepdims=True)), axis=2)
+            pool_mu = rows("pool_mu")
+            # (row, record * N + cluster)
+            N = self.cdf.shape[2]
+            self.pool_lag = pool_mu[: self.n_lag].reshape(m, self.K, -1)
+            self.pool_con = pool_mu[self.n_lag :].reshape(-1, pool_mu.shape[1] * N)
+
+    def lag_weights(self, r):
+        """The lag-and-intercept rows of r (n_rows, n_rec) as (m, n_rec, 1, mp+1)."""
+        return r[: self.n_lag].reshape(self.m, self.K, -1).transpose(0, 2, 1)[:, :, None, :]
+
+
+def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
     """Fill one block's draws (R, nsim, horizon, m) and one-step components.
 
-    ``recs`` selects the block's R records and the outputs are its rows:
-    all of a record's paths, or one run of them, so ``nsim`` here is the
-    block's paths per record.
+    ``recs`` selects the block's R records from ``c``, the call's
+    ``_RecordConstants``, and the outputs are its rows: all of a record's
+    paths, or one run of them, so ``nsim`` here is the block's paths per
+    record.
 
     The m equations move together, their states stacked in one
     (n_rows, R, nsim) array in the row order of ``_state_rows``: the
@@ -483,8 +590,11 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     (log-variance innovations, shocks, state innovations) and, under a law
     or the pooled class, one uniform fill (regimes, cluster picks), all
     from the block's own generator ``rng``.  The block reads the
-    estimate and writes only its own output rows, so blocks give the same
-    bytes on any thread and in any order.
+    constants and writes only its own output rows, so blocks give the same
+    bytes on any thread and in any order.  Its buffers are made once and
+    reused every period: B0, x * u and the one-step scratch are written
+    over spent normals and the Markov-switching law's regime-1 terms over
+    spent uniforms, so the block holds what ``_path_bytes`` counts.
 
     The states are carried standardized, alpha = alpha0 + f(s) u, where f
     is the regime's root floored in magnitude at ``_ROOT_FLOOR`` and u
@@ -501,74 +611,64 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
     meet x and x * u in small matrix products, so no lag coefficient array
     is formed.
     """
-    (R, nsim, horizon, m), p, spec = draws.shape, est.p, est.spec
+    (R, nsim, horizon, m), p, K, n_lag, law = draws.shape, c.p, c.K, c.n_lag, c.law
     paths = draws.reshape(R * nsim, horizon, m)
-    eqs, law, cls, tvp = est.equations, spec.law, spec.model_class, spec.is_tvp
-    K = p * m + 1
-    n_lag = m * K
-
-    def stack(get):
-        # one value per (equation, record), as (m, R, 1)
-        return np.stack([get(eq)[recs] for eq in eqs])[:, :, None]
-
-    def rows(name):
-        return _state_rows([getattr(eq, name)[recs] for eq in eqs])
-
-    def lag_weights(r):
-        # the lag-and-intercept rows of r (n_rows, R) as (m, R, 1, mp+1)
-        return r[:n_lag].reshape(m, K, R).transpose(0, 2, 1)[:, :, None, :]
-
-    mu, phi = stack(lambda eq: eq.sv_mu), stack(lambda eq: eq.sv_phi)
-    sd_sv = np.sqrt(stack(lambda eq: eq.sv_psi))
-    h_dev = np.repeat(stack(lambda eq: eq.h[:, -1]) - mu, nsim, axis=2)
-    # lag regressors, newest lag first, then the intercept
+    mu, phi, sd_sv = c.mu[:, recs], c.phi[:, recs], c.sd_sv[:, recs]
+    h_dev = np.repeat(c.h_dev[:, recs], nsim, axis=2)
     x = np.empty((K, R, nsim))
-    x[:] = np.append(est.Y[-p:][::-1].ravel(), 1.0)[:, None, None]
-    center = rows("alpha0" if tvp else "alpha_last")
-    w_center, b0_center = lag_weights(center), center[n_lag:, :, None]
-    n_rows = center.shape[0] if tvp else 0
+    x[:] = c.x
+    w_center, b0_center = c.w_center[:, recs], c.b0_center[:, recs]
+    n_rows = c.n_rows
     z = np.empty((2 * m + n_rows, R, nsim))
     z_h, z_y, z_s = z[:m], z[m : 2 * m], z[2 * m :]
-    s = s_rows = unif = None
-    if tvp:
-        carry = cls == CLASS_RW or (cls == CLASS_MIX and law is not None)
-        r1 = rows("sqrt_psi1")
-        r0 = r1 if law is None else rows("sqrt_psi0")
-        f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
-        lam1, lam0 = (r1 / f1)[..., None], (r0 / f0)[..., None]
-        floored = np.any(lam1 != 1.0) or np.any(lam0 != 1.0)
-        w_roots = lag_weights(f1) if law is None else np.concatenate([lag_weights(f0), lag_weights(f1)], axis=2)
-        # the contemporaneous coefficients' roots
-        c1, c0 = f1[n_lag:, :, None], f0[n_lag:, :, None]
+    rhs = np.empty((m, R, nsim))
+    s = unif = None
+    if c.tvp:
+        lam1, lam0, c1, c0 = c.lam1[:, recs], c.lam0[:, recs], c.c1[:, recs], c.c0[:, recs]
+        floored, w_roots = c.floored[recs].any(), c.w_roots[:, recs]
         n_unif = 0
+        if law is not None:
+            s = np.repeat(c.s[:, recs], nsim, axis=2)
+            n_unif = s.shape[0]
         if law == LAW_MS:
-            # one regime per equation and path; row_eq maps each state row to its equation
-            row_eq = np.concatenate([np.repeat(np.arange(m), K), np.repeat(np.arange(m), np.arange(m))])
-            s = stack(lambda eq: eq.S_last[:, 0]) == 1
-            s_rows = s[row_eq]
-            p01, p11 = 1.0 - stack(lambda eq: eq.p00), stack(lambda eq: eq.p11)
-            n_unif = m
+            p01, p11 = c.p01[:, recs], c.p11[:, recs]
+            # the equation of each contemporaneous row
+            row_con = np.repeat(np.arange(m), np.arange(m))
+
+            def by_regime(a):
+                # a's rows as the regimes group them: the lag rows by equation, the contemporaneous rows
+                return a[:n_lag].reshape((m, K) + a.shape[1:]), a[n_lag:]
+
+            def regimes(v):
+                # the regimes v (m, R, nsim) as masks of by_regime's groups
+                return v[:, None], v[row_con]
+
         elif law == LAW_MIX:
-            s = s_rows = rows("S_last")[..., None] == 1
-            p_mix = rows("p_mix")[..., None]
-            n_unif = n_rows
-        if carry:
-            start = f1 if s is None else np.where(s_rows[..., 0], f1, f0)
-            u = np.repeat(((rows("alpha_last") - center) / start)[..., None], nsim, axis=2)
-        if cls == CLASS_POOL:
-            log_omega = np.log(np.maximum(np.stack([eq.pool_omega[recs] for eq in eqs]), 1e-300))
-            cdf = np.cumsum(np.exp(log_omega - log_omega.max(axis=2, keepdims=True)), axis=2)
+            p_mix = c.p_mix[:, recs]
+
+            def by_regime(a):
+                return (a,)
+
+            def regimes(v):
+                return (v,)
+
+        if c.carry:
+            u = np.repeat(c.u[:, recs], nsim, axis=2)
+        if c.cls == CLASS_POOL:
+            cdf = c.cdf[:, recs]
             N = cdf.shape[2]
-            pool_mu = rows("pool_mu")
-            # (row, record * N + cluster)
-            pool_lag, pool_con = pool_mu[:n_lag].reshape(m, K, R * N), pool_mu[n_lag:].reshape(-1, R * N)
+            # each record's clusters in the flat (record * N + cluster) columns
+            offsets = N * np.arange(recs.start, recs.stop)[:, None]
             z_lag, z_con = z_s[:n_lag].reshape(m, K, R, nsim), z_s[n_lag:]
             n_unif += m
         if n_unif:
             unif = np.empty((n_unif, R, nsim))
-        # the lag-and-intercept terms under each root: (f0, f1), or f1 alone
-        terms = np.empty((m, R, w_roots.shape[2], nsim))
-    rhs = np.empty((m, R, nsim))
+        if law != LAW_MS:
+            # the lag-and-intercept terms under (f0, f1), or f1 alone
+            terms = np.empty((m, R, 2 if law == LAW_MIX else 1, nsim))
+        else:
+            # f0's terms go into rhs and f1's into the spent uniforms
+            spent = unif[:m]
     for t in range(horizon):
         rng.standard_normal(out=z)
         h_dev *= phi
@@ -579,95 +679,139 @@ def _simulate_block(est, recs, rng, draws, h1_mean, h1_var):
         np.add(h_dev, mu, out=sd)
         sd *= 0.5
         np.exp(sd, out=sd)
-        np.matmul(w_center, x.transpose(1, 0, 2), out=rhs[:, :, None])
-        b0 = b0_center
-        if tvp:
-            if floored:
-                prev_rows = s_rows
+        if c.tvp:
             if unif is not None:
                 rng.random(out=unif)
+            if floored and s is not None:
+                before = s.copy()
             if law == LAW_MS:
-                s = unif[:m] < np.where(s, p11, p01)
-                s_rows = s[row_eq]
+                # the probability of regime 1 next, in rhs until the mean is
+                # formed: a selection in place, as np.where would buffer
+                # its broadcast operands
+                np.copyto(rhs, p01)
+                np.copyto(rhs, p11, where=s)
+                np.less(unif[:m], rhs, out=s)
             elif law == LAW_MIX:
-                s = s_rows = unif[:n_rows] < p_mix
-            if cls == CLASS_POOL:
+                np.less(unif[:n_rows], p_mix, out=s)
+            if s is not None:
+                masks = regimes(s)
+                s_con = masks[1] if law == LAW_MS else s[n_lag:]
+            if c.cls == CLASS_POOL:
                 # an equation's innovations all move by the mean of the
                 # cluster its path picks
                 picks = unif[-m:] * cdf[:, :, -1:]
                 for i in range(m):
                     theta = np.minimum((cdf[i, :, :, None] < picks[i, :, None, :]).sum(axis=1), N - 1)
-                    at = theta + N * np.arange(R)[:, None]
-                    z_lag[i] += np.take(pool_lag[i], at, axis=1)
+                    at = theta + offsets
+                    z_lag[i] += np.take(c.pool_lag[i], at, axis=1)
                     con = slice(i * (i - 1) // 2, i * (i + 1) // 2)
-                    z_con[con] += np.take(pool_con[con], at, axis=1)
+                    z_con[con] += np.take(c.pool_con[con], at, axis=1)
             if floored:
-                lam = lam1 if s is None else np.where(s_rows, lam1, lam0)
-                z_s *= lam
-                if carry and s is not None:
-                    u *= np.where(prev_rows == s_rows, 1.0, lam)
-            if carry:
-                if cls == CLASS_MIX:
-                    u *= s_rows
+                if s is None:
+                    z_s *= lam1
+                else:
+                    for a, l1, l0, now in zip(by_regime(z_s), by_regime(lam1), by_regime(lam0), masks):
+                        np.multiply(a, l1, out=a, where=now)
+                        np.multiply(a, l0, out=a, where=~now)
+                    if c.carry:
+                        # a switch into a regime rescales the carried deviation
+                        groups = zip(by_regime(u), by_regime(lam1), by_regime(lam0), masks, regimes(before))
+                        for a, l1, l0, now, was in groups:
+                            np.multiply(a, l1, out=a, where=now & ~was)
+                            np.multiply(a, l0, out=a, where=was & ~now)
+            if c.carry:
+                if c.cls == CLASS_MIX:
+                    for a, now in zip(by_regime(u), masks):
+                        a *= now
                 u += z_s
             else:
                 u = z_s
-            root = c1 if s is None else np.where(s_rows[n_lag:], c1, c0)
-            b0 = root * u[n_lag:]
+            # B0, written over the spent contemporaneous innovations (or,
+            # regenerated, over u itself)
+            b0 = z_s[n_lag:]
+            if s is None:
+                np.multiply(c1, u[n_lag:], out=b0)
+            elif c.carry:
+                np.copyto(b0, c0)
+                np.copyto(b0, c1, where=s_con)
+                b0 *= u[n_lag:]
+            else:
+                b0 *= np.where(s_con, c1, c0)
             b0 += b0_center
             # x * u, written over the spent lag innovations
             xu = z_s[:n_lag].reshape(m, K, R, nsim)
-            np.multiply(u[:n_lag].reshape(m, K, R, nsim), x, out=xu)
+            u_lag = u[:n_lag].reshape(m, K, R, nsim)
+            np.multiply(u_lag, x, out=xu)
             if law == LAW_MIX:
-                # split x * u by regime so that each meets its own root
-                xsu = xu * s_rows[:n_lag].reshape(m, K, R, nsim)
+                # x * u split by regime, so that each meets its own root;
+                # the regime-1 part goes into the spent uniforms
+                xsu = unif[:n_lag].reshape(m, K, R, nsim)
+                np.multiply(xu, s[:n_lag].reshape(m, K, R, nsim), out=xsu)
                 xu -= xsu
                 np.matmul(w_roots[:, :, :1], xu.transpose(0, 2, 1, 3), out=terms[:, :, :1])
                 np.matmul(w_roots[:, :, 1:], xsu.transpose(0, 2, 1, 3), out=terms[:, :, 1:])
-                rhs += terms[:, :, 0]
-                rhs += terms[:, :, 1]
+            elif law == LAW_MS:
+                np.matmul(w_roots[:, :, :1], xu.transpose(0, 2, 1, 3), out=rhs[:, :, None])
+                np.matmul(w_roots[:, :, 1:], xu.transpose(0, 2, 1, 3), out=spent[:, :, None])
+                # each path's regime picks its terms
+                terms = np.where(s, spent, rhs)[:, :, None]
             else:
                 np.matmul(w_roots, xu.transpose(0, 2, 1, 3), out=terms)
-                rhs += terms[:, :, 0] if law is None else np.where(s, terms[:, :, 1], terms[:, :, 0])
+        else:
+            b0 = b0_center
+        np.matmul(w_center, x.transpose(1, 0, 2), out=rhs[:, :, None])
+        if c.tvp:
+            for k in range(terms.shape[2]):
+                rhs += terms[:, :, k]
         if t == 0:
-            _one_step_components(b0, rhs, sd, h1_mean, h1_var)
+            # the spent lag innovations serve as scratch
+            work = z_s[: 2 * m].reshape(2, m, R, nsim) if c.tvp else np.empty((2, m, R, nsim))
+            _one_step_components(b0, rhs, sd, h1_mean, h1_var, work)
         # the draw: (I - B0) y = rhs + sd * shock
         z_y *= sd
         z_y += rhs
         _add_contemporaneous(b0, z_y)
-        paths[:, t] = z_y.reshape(m, R * nsim).T
+        np.copyto(paths[:, t], z_y.reshape(m, R * nsim).T)
         # the lags move down a period, the oldest first
         for l in range(p - 1, 0, -1):
             x[l * m : (l + 1) * m] = x[(l - 1) * m : l * m]
         x[:m] = z_y
 
 
-def _one_step_components(b0, rhs, sd, h1_mean, h1_var):
+def _one_step_components(b0, rhs, sd, h1_mean, h1_var, work):
     """Write the one-step Gaussian components of every path into (R, nsim, m) outputs.
 
     The mean solves (I - B0) mean = rhs, and the variance is the row sum
     of squares of L = (I - B0)^{-1} diag(sd), built one column at a time
-    so that no (m, m, R, nsim) array is held; ``rhs`` and ``sd`` are
-    (m, R, nsim) and ``b0`` as in ``_add_contemporaneous``.
+    so that no (m, m, R, nsim) array is held; column k is zero above row
+    k, so only its rows from k on are solved.  ``rhs`` and ``sd`` are
+    (m, R, nsim) and ``b0`` as in ``_add_contemporaneous``.  Both are
+    formed in ``work``, a (2, m, R, nsim) scratch array, and copied out
+    once, so the strided outputs take no arithmetic.
     """
-    mean, var = np.moveaxis(h1_mean, -1, 0), np.moveaxis(h1_var, -1, 0)
-    mean[:] = rhs
-    _add_contemporaneous(b0, mean)
-    var[:] = 0.0
-    col = np.empty_like(rhs)
+    acc, col = work
+    acc[:] = rhs
+    _add_contemporaneous(b0, acc)
+    np.moveaxis(h1_mean, -1, 0)[:] = acc
+    acc[:] = 0.0
     for k in range(rhs.shape[0]):
-        col[:] = 0.0
         col[k] = sd[k]
-        _add_contemporaneous(b0, col)
-        var += np.square(col, out=col)
+        col[k + 1 :] = 0.0
+        _add_contemporaneous(b0, col, k)
+        acc[k:] += np.square(col[k:], out=col[k:])
+    np.moveaxis(h1_var, -1, 0)[:] = acc
 
 
-def _add_contemporaneous(b0, v):
+def _add_contemporaneous(b0, v, start=0):
     """Solve (I - B0) y = v in place, row after row; v is (m, ...).
 
     ``b0`` holds the contemporaneous coefficients in the row order of
-    ``_state_rows``: B0[i, j] is row i(i-1)/2 + j.
+    ``_state_rows``: B0[i, j] is row i(i-1)/2 + j.  Rows before ``start``
+    are taken as zero and left as they are.  Row i adds its products with
+    the rows before it in column order, formed in one call.
     """
-    for i in range(1, v.shape[0]):
-        for j in range(i):
-            v[i] += b0[i * (i - 1) // 2 + j] * v[j]
+    for i in range(start + 1, v.shape[0]):
+        first = i * (i - 1) // 2
+        products = b0[first + start : first + i] * v[start:i]
+        for term in products:
+            v[i] += term

@@ -522,16 +522,18 @@ def test_predictive_memory_stays_bounded_in_records():
 
 
 def test_predictive_memory_is_bounded_by_the_paths_in_flight_not_the_cpus(monkeypatch):
-    # eight CPUs still run at most two 1000-path blocks at once
+    # eight CPUs still run at most two blocks of two 1000-path records at
+    # once, which is what the byte budget holds
     monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 8)
     test_predictive_memory_stays_bounded_in_records()
 
 
 def test_predictive_memory_at_2000_paths_per_record_is_bounded_by_the_paths_in_flight(monkeypatch):
-    # 2000 paths per record run as 1000-path blocks, two in flight on eight
-    # CPUs as at 1000 paths: beyond the larger output, the peak may grow by
-    # at most 1 MB, and stays within the 2.9 MB over the output that the
-    # 30-record test allows
+    # 2000 paths per record run as one-record blocks, two in flight on
+    # eight CPUs, as many paths as the two-record blocks at 1000 paths:
+    # beyond the larger output, the peak may grow by at most 1 MB, and
+    # stays within the 2.9 MB over the output that the 30-record test
+    # allows
     monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 8)
     spec = ModelSpec(
         model_class=CLASS_MIX, subclass=SUB_FLEX_MS, p=2, iterations=40, burnin=10,
@@ -553,6 +555,43 @@ def test_predictive_memory_at_2000_paths_per_record_is_bounded_by_the_paths_in_f
     assert extra <= peak_over_output(1000) + 1e6
 
 
+def _stable_var2_panel(m, T, seed):
+    """A T x m panel from a stable VAR(2) with nearest-neighbour links."""
+    rng = np.random.default_rng(seed)
+    A1 = 0.4 * np.eye(m) + 0.05 * np.eye(m, k=-1)
+    A2 = 0.2 * np.eye(m)
+    Y = np.zeros((T, m))
+    for t in range(2, T):
+        Y[t] = A1 @ Y[t - 1] + A2 @ Y[t - 2] + 0.3 * rng.normal(size=m)
+    return Y
+
+
+def test_predictive_memory_of_a_large_model_is_bounded_by_the_byte_budget(monkeypatch):
+    # an eight-variable VAR(2) has 164 state rows, several kB per path, so
+    # a 1000-path record does not fit one block: its runs are sized to
+    # the 3 MB the blocks may hold together.  Beyond the output, the peak
+    # may hold that budget plus what the call holds at one path per record
+    monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 8)
+    spec = ModelSpec(
+        model_class=CLASS_MIX, subclass=SUB_FLEX_MS, p=2, iterations=13, burnin=10,
+        store_paths=False,
+    )
+    est = estimate_var(_stable_var2_panel(8, 80, seed=1), spec, seed=3)
+    assert est.n_records == 3
+
+    def peak_over_output(nsim):
+        tracemalloc.start()
+        try:
+            fd = simulate_predictive(est, 8, nsim, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(fd.draws))
+        return peak - (fd.draws.nbytes + fd.h1_mean.nbytes + fd.h1_var.nbytes)
+
+    assert peak_over_output(1000) <= 3e6 + peak_over_output(1)
+
+
 def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
     """The predictive with ``cpus`` CPUs available, and the threads that ran its blocks."""
     threads = set()
@@ -572,13 +611,15 @@ def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
 @pytest.mark.parametrize(
     "model_class, subclass, nsim, max_threads",
     [
-        # the posterior benchmark's shape: 30 records of 1000 paths, two blocks in flight
+        # the posterior benchmark's shape: 30 records of 1000 paths in
+        # two-record blocks, two blocks in flight
         (CLASS_MIX, SUB_FLEX_MS, 1000, 2),
-        # 600-path blocks, three in flight
+        # four records of 600 paths in this small model make one block
         (CLASS_MIX, SUB_FLEX_MIX, 600, 3),
         (CLASS_POOL, SUB_SINGLE, 600, 3),
-        # each record's 2000 paths run as two 1000-path blocks, two in flight
+        # four records of 2000 paths make two two-record blocks, both in flight
         (CLASS_MIX, SUB_FLEX_MIX, 2000, 2),
+        (CLASS_POOL, SUB_SINGLE, 2000, 2),
     ],
 )
 def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_class, subclass, nsim, max_threads):
@@ -602,7 +643,7 @@ def test_predictive_draws_do_not_depend_on_the_cpu_count(monkeypatch, model_clas
         sys.setswitchinterval(interval)
     assert runs[1][1] == {threading.get_ident()}
     if nsim > 1024:
-        # one record's paths are enough to keep two threads busy
+        # two blocks, enough to keep two threads busy
         assert len(runs[2][1]) == len(runs[8][1]) == 2
     for cpus, (fd, threads) in runs.items():
         assert 1 <= len(threads) <= min(cpus, max_threads)
@@ -640,7 +681,9 @@ def test_predictive_blocks_do_not_reuse_the_chain_streams_of_the_same_seed(monke
     firsts = []
     monkeypatch.setattr(mixtvp.var, "_available_cpus", lambda: 1)
     monkeypatch.setattr(mixtvp.var, "_simulate_block", lambda e, recs, rng, *out: firsts.append(rng.random(4)))
-    simulate_predictive(est, 2, 300, np.random.default_rng(5))
+    # two records of 2000 paths fit a block of this small model, so its
+    # four records make two blocks
+    simulate_predictive(est, 2, 2000, np.random.default_rng(5))
     assert len(firsts) == 2
     chains = [np.random.default_rng(c).random(4) for c in np.random.SeedSequence(5).spawn(8)]
     assert not any(np.array_equal(block, chain) for block in firsts for chain in chains)
