@@ -466,31 +466,47 @@ def _carries(spec) -> bool:
     return spec.model_class == CLASS_RW or (spec.model_class == CLASS_MIX and spec.law is not None)
 
 
+def _block_rows(m: int, p: int, spec: ModelSpec) -> dict[str, int]:
+    """The float rows per path of each buffer that a block of ``_simulate_block`` holds."""
+    K = p * m + 1
+    n_rows = m * K + m * (m - 1) // 2 if spec.is_tvp else 0
+    n_regime = {LAW_MS: m, LAW_MIX: n_rows}.get(spec.law, 0) if spec.is_tvp else 0
+    return {
+        # log-variance innovations, shocks and state innovations
+        "z": 2 * m + n_rows,
+        # lags and the intercept
+        "x": K,
+        "h_dev": m,
+        "rhs": m,
+        # the carried deviations
+        "u": n_rows if spec.is_tvp and _carries(spec) else 0,
+        # uniforms for the regimes and the cluster picks
+        "unif": n_regime + (m if spec.model_class == CLASS_POOL else 0),
+        # terms per root; the Markov-switching law forms them in rhs and
+        # the spent uniforms
+        "terms": m * {LAW_MS: 0, LAW_MIX: 2}.get(spec.law, 1) if spec.is_tvp else 0,
+        # one-step scratch; time-varying states lend their spent normals
+        "work": 0 if spec.is_tvp else 2 * m,
+    }
+
+
 def _path_bytes(m: int, p: int, spec: ModelSpec) -> int:
     """Bytes that one path holds in a block of ``_simulate_block``.
 
-    The count follows the block's buffers and the step's largest
-    temporaries, 8 bytes per float row and 1 per boolean row.
+    The block's buffers and the step's largest temporaries, 8 bytes per
+    float row and 1 per boolean row.
     """
-    K = p * m + 1
-    n_con = m * (m - 1) // 2
-    n_rows = m * K + n_con if spec.is_tvp else 0
-    # normals, lags, log-variance deviations, means, and the step's
-    # temporaries (2m rows)
-    floats = (2 * m + n_rows) + K + 2 * m + 2 * m
-    if not spec.is_tvp:
-        # the one-step scratch (time-varying states lend their spent normals)
-        return 8 * (floats + 2 * m)
-    n_regime = {LAW_MS: m, LAW_MIX: n_rows}.get(spec.law, 0)
-    # carried deviations, the regimes' uniforms, and the terms per root
-    # (under the Markov-switching law, rhs and the spent uniforms)
-    floats += n_rows * _carries(spec) + n_regime + m * {LAW_MS: 0, LAW_MIX: 2}.get(spec.law, 1)
-    # the regimes and the masks that a floored root takes
-    bools = 4 * (n_regime + (n_con if spec.law == LAW_MS else 0))
-    if spec.model_class == CLASS_POOL:
-        # the picks' uniforms and scaled picks, the cluster and its index,
-        # one equation's cluster means, and the clusters compared
-        floats += 2 * m + 3 + K
+    rows = _block_rows(m, p, spec)
+    pooled = spec.model_class == CLASS_POOL
+    # the buffers and the step's temporaries (2m rows)
+    floats = sum(rows.values()) + 2 * m
+    # the regimes, one per regime uniform, and the masks that a floored
+    # root takes
+    bools = 4 * (rows["unif"] - m * pooled + (m * (m - 1) // 2 if spec.law == LAW_MS else 0))
+    if pooled:
+        # the scaled picks, the cluster and its index, one equation's
+        # cluster means, and the clusters compared
+        floats += m + 3 + rows["x"]
         bools += spec.n_clusters
     return 8 * floats + bools
 
@@ -521,6 +537,7 @@ class _RecordConstants:
         self.m, self.p, self.K = m, p, p * m + 1
         self.n_lag = m * self.K
         self.law, self.cls, self.tvp, self.carry = spec.law, spec.model_class, spec.is_tvp, _carries(spec)
+        self.buffer_rows = _block_rows(m, p, spec)
 
         def stack(get):
             # one value per (equation, record), as (m, n_rec, 1)
@@ -613,27 +630,29 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
     """
     (R, nsim, horizon, m), p, K, n_lag, law = draws.shape, c.p, c.K, c.n_lag, c.law
     paths = draws.reshape(R * nsim, horizon, m)
+    # the block's float buffers, carved out of one allocation
+    pool = np.empty((sum(c.buffer_rows.values()), R, nsim))
+    z, x, h_dev, rhs, u, unif, terms, work = np.split(pool, np.cumsum(list(c.buffer_rows.values()))[:-1])
+    z_h, z_y, z_s = z[:m], z[m : 2 * m], z[2 * m :]
     mu, phi, sd_sv = c.mu[:, recs], c.phi[:, recs], c.sd_sv[:, recs]
-    h_dev = np.repeat(c.h_dev[:, recs], nsim, axis=2)
-    x = np.empty((K, R, nsim))
+    h_dev[:] = c.h_dev[:, recs]
     x[:] = c.x
     w_center, b0_center = c.w_center[:, recs], c.b0_center[:, recs]
     n_rows = c.n_rows
-    z = np.empty((2 * m + n_rows, R, nsim))
-    z_h, z_y, z_s = z[:m], z[m : 2 * m], z[2 * m :]
-    rhs = np.empty((m, R, nsim))
-    s = unif = None
+    # the one-step scratch: the spent lag innovations when the states vary
+    work = (z_s[: 2 * m] if c.tvp else work).reshape(2, m, R, nsim)
+    s = None
     if c.tvp:
         lam1, lam0, c1, c0 = c.lam1[:, recs], c.lam0[:, recs], c.c1[:, recs], c.c0[:, recs]
         floored, w_roots = c.floored[recs].any(), c.w_roots[:, recs]
-        n_unif = 0
         if law is not None:
             s = np.repeat(c.s[:, recs], nsim, axis=2)
-            n_unif = s.shape[0]
         if law == LAW_MS:
             p01, p11 = c.p01[:, recs], c.p11[:, recs]
             # the equation of each contemporaneous row
             row_con = np.repeat(np.arange(m), np.arange(m))
+            # f0's terms go into rhs and f1's into the spent uniforms
+            spent = unif[:m]
 
             def by_regime(a):
                 # a's rows as the regimes group them: the lag rows by equation, the contemporaneous rows
@@ -643,32 +662,26 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
                 # the regimes v (m, R, nsim) as masks of by_regime's groups
                 return v[:, None], v[row_con]
 
-        elif law == LAW_MIX:
-            p_mix = c.p_mix[:, recs]
+        else:
+            # the lag-and-intercept terms under (f0, f1), or f1 alone
+            terms = terms.reshape(m, R, -1, nsim)
+            if law == LAW_MIX:
+                p_mix = c.p_mix[:, recs]
 
-            def by_regime(a):
-                return (a,)
+                def by_regime(a):
+                    return (a,)
 
-            def regimes(v):
-                return (v,)
+                def regimes(v):
+                    return (v,)
 
         if c.carry:
-            u = np.repeat(c.u[:, recs], nsim, axis=2)
+            u[:] = c.u[:, recs]
         if c.cls == CLASS_POOL:
             cdf = c.cdf[:, recs]
             N = cdf.shape[2]
             # each record's clusters in the flat (record * N + cluster) columns
             offsets = N * np.arange(recs.start, recs.stop)[:, None]
             z_lag, z_con = z_s[:n_lag].reshape(m, K, R, nsim), z_s[n_lag:]
-            n_unif += m
-        if n_unif:
-            unif = np.empty((n_unif, R, nsim))
-        if law != LAW_MS:
-            # the lag-and-intercept terms under (f0, f1), or f1 alone
-            terms = np.empty((m, R, 2 if law == LAW_MIX else 1, nsim))
-        else:
-            # f0's terms go into rhs and f1's into the spent uniforms
-            spent = unif[:m]
     for t in range(horizon):
         rng.standard_normal(out=z)
         h_dev *= phi
@@ -680,8 +693,8 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
         sd *= 0.5
         np.exp(sd, out=sd)
         if c.tvp:
-            if unif is not None:
-                rng.random(out=unif)
+            # regimes and cluster picks; a class with neither draws nothing
+            rng.random(out=unif)
             if floored and s is not None:
                 before = s.copy()
             if law == LAW_MS:
@@ -764,8 +777,6 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
             for k in range(terms.shape[2]):
                 rhs += terms[:, :, k]
         if t == 0:
-            # the spent lag innovations serve as scratch
-            work = z_s[: 2 * m].reshape(2, m, R, nsim) if c.tvp else np.empty((2, m, R, nsim))
             _one_step_components(b0, rhs, sd, h1_mean, h1_var, work)
         # the draw: (I - B0) y = rhs + sd * shock
         z_y *= sd
