@@ -9,9 +9,10 @@ their own.
 
 The predictive simulation moves all m equations together.  Paths run in
 blocks sized by bytes: the blocks of one call may hold 3 MB at once
-(``_IN_FLIGHT_BYTES``), and a block takes as many whole records as fit
-half of it at the bytes a path of the model holds, or, when one record
-does not fit, an equal-sized run of a record's paths.  In a block the
+(``_IN_FLIGHT_BYTES``), and a block takes whole records, as many as fit
+half of it at the bytes a path of the model holds, spread evenly over
+whole rounds of the blocks in flight, or, when one record does not fit,
+an equal-sized run of a record's paths.  In a block the
 lag-and-intercept states of every equation form one (m, mp+1, R, n)
 array, n the block's paths per record, and the m(m-1)/2 contemporaneous
 states a second one, stacked in one buffer; each period takes one normal
@@ -390,12 +391,15 @@ def simulate_predictive(
     iterate the triangular system with Gaussian shocks; row r * nsim + k is
     record r's k-th path.  Paths run in blocks, all m equations of a block
     together (``_simulate_block``).  A block may hold half of
-    ``_IN_FLIGHT_BYTES``, at ``_path_bytes`` per path: as many whole
-    records as fit, or, when one record does not fit, an equal-sized run
-    (within one path) of a record's paths, record after record.  Four
-    64-bit integers drawn from ``rng`` seed a ``SeedSequence``; block b
-    draws from ``Generator(SFC64(child b))`` and writes only its own rows.
-    Thread k of min(available CPUs, blocks, ``_IN_FLIGHT_BYTES`` // block
+    ``_IN_FLIGHT_BYTES``, at ``_path_bytes`` per path: a group of whole
+    records, or, when one record does not fit, an equal-sized run (within
+    one path) of a record's paths, record after record.  When the records
+    need more than one group, their count is a multiple of the blocks the
+    budget keeps in flight and the records spread evenly over them, so
+    the threads get equal shares.  Four 64-bit integers drawn from ``rng``
+    seed a ``SeedSequence``; block b draws from
+    ``Generator(SFC64(child b))`` and writes only its own rows.  Thread k
+    of min(available CPUs, blocks, ``_IN_FLIGHT_BYTES`` // largest block
     bytes) runs blocks k, k + n_threads, ..., the calling thread being
     thread 0, so memory does not grow with the CPU count and the same seed
     gives byte-identical draws at any thread count.  Each call advances
@@ -415,25 +419,33 @@ def simulate_predictive(
             )
     draws = np.empty((n_rec, nsim, horizon, m))
     h1_mean, h1_var = np.empty((n_rec, nsim, m)), np.empty((n_rec, nsim, m))
-    # a block is per_block whole records, or one of the runs a record's
-    # paths are cut into
+    # a block is a group of at most per_block whole records, or one of the
+    # runs a record's paths are cut into
     path_bytes = _path_bytes(m, p, est.spec)
     fit = max(1, _IN_FLIGHT_BYTES // 2 // path_bytes)
     runs = -(-nsim // fit)
     per_block = max(1, fit // nsim)
+    block_bytes = per_block * -(-nsim // runs) * path_bytes
+    slots = max(1, _IN_FLIGHT_BYTES // block_bytes)
+    n_groups = -(-n_rec // per_block)
+    if n_groups > 1:
+        # whole rounds of the blocks in flight, so that the threads get
+        # equal shares; the records spread evenly, larger groups first
+        n_groups = min(n_rec, -(-n_groups // slots) * slots)
+    size, extra = divmod(n_rec, n_groups)
+    firsts = [k * size + min(k, extra) for k in range(n_groups + 1)]
     cuts = [k * nsim // runs for k in range(runs + 1)]
     blocks = [
-        (slice(r, min(r + per_block, n_rec)), slice(a, b))
-        for r in range(0, n_rec, per_block)
+        (slice(r, r_end), slice(a, b))
+        for r, r_end in zip(firsts, firsts[1:])
         for a, b in zip(cuts, cuts[1:])
     ]
-    block_bytes = per_block * -(-nsim // runs) * path_bytes
     # the block seeds come from the generator's stream: the children of its
     # seed sequence are the chains' streams when it was made from the seed
     # estimate_var was given
     root = np.random.SeedSequence(rng.integers(2**63, size=4))
     streams = [np.random.Generator(np.random.SFC64(s)) for s in root.spawn(len(blocks))]
-    n_threads = min(_available_cpus(), len(blocks), max(1, _IN_FLIGHT_BYTES // block_bytes))
+    n_threads = min(_available_cpus(), len(blocks), slots)
     constants = _RecordConstants(est)
     errors = []
 

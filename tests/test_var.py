@@ -611,8 +611,8 @@ def _predictive_on_cpus(monkeypatch, est, cpus, horizon, nsim):
 @pytest.mark.parametrize(
     "model_class, subclass, nsim, max_threads",
     [
-        # the posterior benchmark's shape: 30 records of 1000 paths in
-        # two-record blocks, two blocks in flight
+        # the posterior benchmark's shape: 30 records of 1000 paths in 16
+        # blocks of at most two records, two blocks in flight
         (CLASS_MIX, SUB_FLEX_MS, 1000, 2),
         # four records of 600 paths in this small model make one block
         (CLASS_MIX, SUB_FLEX_MIX, 600, 3),
