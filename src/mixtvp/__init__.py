@@ -19,13 +19,11 @@ from .evaluation import (
 )
 from .io import load_panel_csv, principal_components, run_config, standardize
 from .sampler import ModelSpec, PosteriorDraws, run_chain
-from .spectral import companion, low_freq
 from .var import (
     ForecastDistribution,
     VarEstimate,
     estimate_var,
     simulate_predictive,
-    structural_to_reduced,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "ModelSpec",
     "PosteriorDraws",
     "VarEstimate",
-    "companion",
     "crps",
     "equal_accuracy_test",
     "estimate_var",
@@ -44,7 +41,6 @@ __all__ = [
     "generate_var_break",
     "load_panel_csv",
     "log_predictive_score",
-    "low_freq",
     "principal_components",
     "run_chain",
     "run_config",
@@ -52,6 +48,5 @@ __all__ = [
     "score_rows",
     "simulate_predictive",
     "standardize",
-    "structural_to_reduced",
     "tables_from_scores",
 ]

@@ -185,14 +185,11 @@ def _cmd_spectral(args) -> None:
         )
     i, j = cfg.pair[0] - 1, cfg.pair[1] - 1
     try:
-        bands, excluded = low_freq_path_bands(
-            paths, [np.exp(eq.h) for eq in eqs], cfg.spec.p, i, j, (0.16, 0.5, 0.84)
-        )
+        bands, excluded = low_freq_path_bands(paths, [np.exp(eq.h) for eq in eqs], cfg.spec.p, i, j)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    rows = [(t, med, lo, hi) for t, (lo, med, hi) in enumerate(bands)]
     name = f"lowfreq_{cfg.pair[0]}_{cfg.pair[1]}.csv"
-    (out / name).write_text(bands_csv(rows, excluded))
+    (out / name).write_text(bands_csv(bands, excluded))
     empty = int(np.isnan(bands).all(axis=1).sum())
     print(f"wrote {out / name}: {empty} of {T} periods have no stable draw")
 

@@ -27,6 +27,7 @@ import numpy as np
 from .var import reduced_from_paths
 
 __all__ = [
+    "BAND_QUANTILES",
     "STABILITY_MARGIN",
     "CompanionForm",
     "companion",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 STABILITY_MARGIN = 1e-8
+# the quantiles of low_freq_path_bands, in its column order: lower, median, upper
+BAND_QUANTILES = (0.16, 0.5, 0.84)
 # squarings of the power screen, so powers up to F^64
 _SCREEN_SQUARINGS = 6
 # relative slack of the screen's certificate, far above the rounding of the
@@ -257,17 +260,17 @@ def low_freq_path_bands(
     p: int,
     i: int,
     j: int,
-    quantiles: tuple[float, ...] = (0.16, 0.5, 0.84),
 ) -> tuple[np.ndarray, int]:
     """Per-period quantiles of the ratio over every record of a sample.
 
     ``alphas[k]`` is equation k's (n, T, K_k) coefficient paths in the
     layout of ``var.structural_from_paths`` and ``sigma2s[k]`` its
-    (n, T) error variances. Returns a (T, len(quantiles)) array and the
-    number of unstable (record, period) draws excluded. A period with no
-    stable draw gets a row of NaN, and its draws are in that count. Raises
-    ``ValueError`` naming the equation, record and period of the first
-    non-finite coefficient or non-finite or non-positive variance.
+    (n, T) error variances. Returns a (T, 3) array of the
+    ``BAND_QUANTILES`` and the number of unstable (record, period) draws
+    excluded. A period with no stable draw gets a row of NaN, and its
+    draws are in that count. Raises ``ValueError`` naming the equation,
+    record and period of the first non-finite coefficient or non-finite
+    or non-positive variance.
     """
     for k, (a, s) in enumerate(zip(alphas, sigma2s)):
         for bad, what in (
@@ -279,7 +282,7 @@ def low_freq_path_bands(
                 raise ValueError(f"equation {k + 1} has {what} at record {r}, t={t}")
     n, T = np.shape(sigma2s[0])
     step = max(1, _BLOCK_DRAWS // n)
-    bands = np.empty((T, len(quantiles)))
+    bands = np.empty((T, len(BAND_QUANTILES)))
     excluded = 0
     for t0 in range(0, T, step):
         block = slice(t0, t0 + step)
@@ -288,7 +291,7 @@ def low_freq_path_bands(
         )
         ratio, stable = _ratios(A, sigma, p, i, j)
         excluded += int(np.count_nonzero(~stable))
-        bands[block] = _nanquantile_columns(ratio, quantiles).T
+        bands[block] = _nanquantile_columns(ratio, BAND_QUANTILES).T
     return bands, excluded
 
 
@@ -318,11 +321,10 @@ def _nanquantile_columns(x: np.ndarray, quantiles) -> np.ndarray:
     return out
 
 
-def bands_csv(rows: list[tuple[int, float, float, float]], excluded: int) -> str:
-    """Per-period band table: t, median, 16th, 84th percentile."""
-    out = [f"# excluded_unstable: {excluded}", "t,median,q16,q84"]
-    for t, med, lo, hi in rows:
-        out.append(
-            f"{t}," + ",".join(format(v, ".17g") for v in (med, lo, hi))
-        )
+def bands_csv(bands: np.ndarray, excluded: int) -> str:
+    """Per-period band table of ``low_freq_path_bands``: t, median, lower, upper quantile."""
+    lo, _, hi = BAND_QUANTILES
+    out = [f"# excluded_unstable: {excluded}", f"t,median,q{round(100 * lo)},q{round(100 * hi)}"]
+    for t, (q_lo, q_med, q_hi) in enumerate(bands):
+        out.append(f"{t}," + ",".join(format(v, ".17g") for v in (q_med, q_lo, q_hi)))
     return "\n".join(out) + "\n"

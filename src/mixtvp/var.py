@@ -7,6 +7,16 @@ Chains therefore run per equation with independent seeds spawned from a
 single master seed, so every equation's draws are reproducible on
 their own.
 
+The contemporaneous block B0 has one layout: its strictly lower entries
+packed row after row on a leading axis, B0[i, j] at i(i-1)/2 + j, the
+order in which the predictive stacks its contemporaneous states
+(``_state_rows``).  Every read of the draws that solves (I - B0) y = v
+does so with one forward substitution, ``_forward_substitute``, solved
+axis first: the reduced form of stored draws (``reduced_from_paths``,
+``structural_to_reduced``) and the predictive's draws and one-step
+components.  Only ``StructuralDraw``, the per-draw reference form, holds
+B0 as a dense (T, m, m) array.
+
 The predictive simulation moves all m equations together.  Paths run in
 blocks sized by bytes: the blocks of one call may hold 3 MB at once
 (``_IN_FLIGHT_BYTES``), and a block takes whole records, as many as fit
@@ -192,7 +202,8 @@ def structural_to_reduced(
     stacked = np.concatenate(
         [draw.b[t, l] for l in range(draw.p)] + [draw.c[t][:, None]], axis=1
     )
-    return _reduce(draw.b0[t], stacked, draw.sigma2[t])
+    # B0's strictly lower entries row after row: B0[i, j] at i(i-1)/2 + j
+    return _reduce(draw.b0[t][np.tril_indices(draw.m, -1)], stacked, draw.sigma2[t])
 
 
 def reduced_from_paths(
@@ -212,41 +223,29 @@ def reduced_from_paths(
     mp = alphas[0].shape[-1] - 1
     if mp % m != 0:
         raise ValueError("equation 1 width must be mp + 1")
-    b0 = np.zeros(lead + (m, m))
     stacked = np.empty(lead + (m, mp + 1))
-    sigma2 = np.empty(lead + (m,))
     for i, path in enumerate(alphas):
         if path.shape != lead + (mp + i + 1,):
             raise ValueError(f"equation {i + 1} path has the wrong width")
-        b0[..., i, :i] = path[..., :i]
         stacked[..., i, :] = path[..., i:]
-        sigma2[..., i] = sigma2s[i]
-    return _reduce(b0, stacked, sigma2)
+    # equation i's contemporaneous coefficients are B0's row i
+    b0 = np.concatenate([np.moveaxis(path[..., :i], -1, 0) for i, path in enumerate(alphas)])
+    return _reduce(b0, stacked, np.stack(sigma2s, axis=-1))
 
 
 def _reduce(b0, stacked, sigma2):
-    """A = (I - B0)^{-1} stacked and Sigma = L L' with L = (I - B0)^{-1} diag(sigma)."""
-    m = b0.shape[-1]
-    sol = _solve_unit_lower(
-        b0, np.concatenate([stacked, np.sqrt(sigma2)[..., None] * np.eye(m)], axis=-1)
-    )
+    """A = (I - B0)^{-1} stacked and Sigma = L L' with L = (I - B0)^{-1} diag(sigma).
+
+    ``b0`` is (m(m-1)/2, ...) in the row order of ``_forward_substitute``,
+    ``stacked`` (..., m, mp+1) and ``sigma2`` (..., m).  Both solves are
+    one, in place on the columns of [stacked, diag(sigma)].
+    """
+    m = stacked.shape[-2]
+    sol = np.concatenate([stacked, np.sqrt(sigma2)[..., None] * np.eye(m)], axis=-1)
+    _forward_substitute(b0[..., None], np.moveaxis(sol, -2, 0))
     L = sol[..., -m:]
     # symmetric PD by construction
     return sol[..., :-m], L @ np.swapaxes(L, -1, -2)
-
-
-def _solve_unit_lower(b0, rhs):
-    """Row-wise forward substitution of (I - b0) y = rhs, batched.
-
-    ``b0`` is (..., m, m) strictly lower triangular and ``rhs``
-    (..., m, k); the loop runs over the m rows only.
-    """
-    m = b0.shape[-1]
-    y = np.array(rhs, dtype=float)
-    for i in range(1, m):
-        for j in range(i):
-            y[..., i, :] += b0[..., i, j, None] * y[..., j, :]
-    return y
 
 
 def minnesota_variances(
@@ -793,7 +792,7 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
         # the draw: (I - B0) y = rhs + sd * shock
         z_y *= sd
         z_y += rhs
-        _add_contemporaneous(b0, z_y)
+        _forward_substitute(b0, z_y)
         np.copyto(paths[:, t], z_y.reshape(m, R * nsim).T)
         # the lags move down a period, the oldest first
         for l in range(p - 1, 0, -1):
@@ -808,30 +807,33 @@ def _one_step_components(b0, rhs, sd, h1_mean, h1_var, work):
     of squares of L = (I - B0)^{-1} diag(sd), built one column at a time
     so that no (m, m, R, nsim) array is held; column k is zero above row
     k, so only its rows from k on are solved.  ``rhs`` and ``sd`` are
-    (m, R, nsim) and ``b0`` as in ``_add_contemporaneous``.  Both are
+    (m, R, nsim) and ``b0`` as in ``_forward_substitute``.  Both are
     formed in ``work``, a (2, m, R, nsim) scratch array, and copied out
     once, so the strided outputs take no arithmetic.
     """
     acc, col = work
     acc[:] = rhs
-    _add_contemporaneous(b0, acc)
+    _forward_substitute(b0, acc)
     np.moveaxis(h1_mean, -1, 0)[:] = acc
     acc[:] = 0.0
     for k in range(rhs.shape[0]):
         col[k] = sd[k]
         col[k + 1 :] = 0.0
-        _add_contemporaneous(b0, col, k)
+        _forward_substitute(b0, col, k)
         acc[k:] += np.square(col[k:], out=col[k:])
     np.moveaxis(h1_var, -1, 0)[:] = acc
 
 
-def _add_contemporaneous(b0, v, start=0):
+def _forward_substitute(b0, v, start=0):
     """Solve (I - B0) y = v in place, row after row; v is (m, ...).
 
-    ``b0`` holds the contemporaneous coefficients in the row order of
-    ``_state_rows``: B0[i, j] is row i(i-1)/2 + j.  Rows before ``start``
-    are taken as zero and left as they are.  Row i adds its products with
-    the rows before it in column order, formed in one call.
+    This is the one solver of the triangular system.  ``b0`` holds B0's
+    strictly lower entries packed row after row on its first axis: B0[i, j]
+    is row i(i-1)/2 + j, the order in which ``_state_rows`` stacks the
+    contemporaneous states, and its other axes broadcast against v's rows.
+    Rows before ``start`` are taken as zero and left as they are.  Row i
+    adds its products with the rows before it in column order, formed in
+    one call.
     """
     for i in range(start + 1, v.shape[0]):
         first = i * (i - 1) // 2

@@ -6,6 +6,7 @@ import pytest
 import mixtvp.spectral
 from mixtvp.spectral import (
     _SHORT_STACK,
+    BAND_QUANTILES,
     STABILITY_MARGIN,
     CompanionForm,
     _companion_matrix,
@@ -153,11 +154,13 @@ def test_unstable_draws_flagged_and_excluded():
 
 
 def test_bands_csv_layout():
-    text = bands_csv([(0, 1.0, 0.5, 1.5), (1, 2.0, 1.0, 3.0)], excluded=3)
+    # the bands' columns are the BAND_QUANTILES, lower first; the table puts the median first
+    text = bands_csv(np.array([[0.5, 1.0, 1.5], [1.0, 2.0, 3.0]]), excluded=3)
     lines = text.strip().splitlines()
+    assert BAND_QUANTILES == (0.16, 0.5, 0.84)
     assert lines[0] == "# excluded_unstable: 3"
     assert lines[1] == "t,median,q16,q84"
-    assert lines[2].startswith("0,1,0.5,1.5")
+    assert lines[2:] == ["0,1,0.5,1.5", "1,2,1,3"]
 
 
 def test_companion_form_radius_matches_eigvals():

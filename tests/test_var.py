@@ -30,9 +30,11 @@ from mixtvp.sampler import (
 )
 from mixtvp.var import (
     StructuralDraw,
+    _forward_substitute,
     VarEstimate,
     estimate_var,
     minnesota_variances,
+    reduced_from_paths,
     simulate_predictive,
     split_equations,
     structural_from_paths,
@@ -123,6 +125,51 @@ def test_reduced_covariance_always_spd():
             assert np.all(np.linalg.eigvalsh(S) > 0)
     with pytest.raises(ValueError):
         structural_to_reduced(d, d.n_periods)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("batch", [(), (4,), (3, 2)])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_forward_substitution_matches_dense_solve(m, batch, columns):
+    # B0 packed row after row on the first axis, B0[i, j] at i(i-1)/2 + j;
+    # with columns, b0 broadcasts over a trailing axis of v, as in the
+    # reduced form; rows before start are read as zero and left alone
+    rng = np.random.default_rng(100 * m + len(batch))
+    trail = () if columns is None else (columns,)
+    rows, cols = np.tril_indices(m, -1)
+    b0 = 0.5 * rng.normal(size=(rows.size,) + batch)
+    dense = np.zeros(batch + (m, m))
+    dense[..., rows, cols] = np.moveaxis(b0, 0, -1)
+    if columns is not None:
+        b0, dense = b0[..., None], dense[..., None, :, :]
+    for start in range(m):
+        v = rng.normal(size=(m,) + batch + trail)
+        rhs = v.copy()
+        rhs[:start] = 0.0
+        want = np.linalg.solve(np.eye(m) - dense, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
+        v[:start] = np.nan
+        _forward_substitute(b0, v, start)
+        assert np.isnan(v[:start]).all()
+        np.testing.assert_allclose(np.moveaxis(v[start:], 0, -1), want[..., start:], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("p", [1, 2])
+def test_reduced_from_paths_equals_the_per_draw_form_bit_for_bit(m, p):
+    # m = 4 is the smallest system whose B0 packs differently row after row
+    # than column after column
+    rng = np.random.default_rng(10 * m + p)
+    n, T = 3, 5
+    alphas = [0.5 * rng.normal(size=(n, T, m * p + i + 1)) for i in range(m)]
+    sigma2s = [rng.uniform(0.5, 2.0, size=(n, T)) for _ in range(m)]
+    A, Sigma = reduced_from_paths(alphas, sigma2s)
+    assert A.shape == (n, T, m, m * p + 1) and Sigma.shape == (n, T, m, m)
+    for r in range(n):
+        draw = structural_from_paths([a[r] for a in alphas], [s[r] for s in sigma2s])
+        for t in range(T):
+            want_A, want_Sigma = structural_to_reduced(draw, t)
+            np.testing.assert_array_equal(A[r, t], want_A)
+            np.testing.assert_array_equal(Sigma[r, t], want_Sigma)
 
 
 def test_structural_from_paths_positions():
