@@ -4,6 +4,11 @@ Every subcommand reads its instructions from a flat key=value config
 file (see io.run_config) plus a few overriding flags, and writes plain
 CSV or raw draw stores. The same seed means byte-identical output files.
 
+``simulate`` writes the single-equation regression design of
+``dgp.generate``: ``data.csv`` holds y and then the covariates, with no
+date column, and ``truth.csv`` the latent paths.  The other commands do
+not read these files: they read dated panels (see io.load_panel_csv).
+
 ``spectral`` reads every (record, period) draw of an equation store set
 and hands the stacked paths to ``spectral.low_freq_path_bands``, which
 runs the whole structural -> reduced -> companion -> Pi(0) pipeline as
@@ -26,10 +31,11 @@ from .dgp import DgpConfig, data_csv, generate, truth_csv
 from .evaluation import (
     lpbf_csv,
     parse_scores_csv,
-    rmse_table_csv,
+    ratio_table_csv,
     run_forecast_harness,
     score_rows,
     scores_csv,
+    stars_csv,
     tables_from_scores,
 )
 from .io import RunConfig, load_panel_csv, principal_components, run_config, standardize
@@ -131,16 +137,10 @@ def _cmd_forecast(args) -> None:
 def _write_tables(out: Path, name: str, tables) -> None:
     """Write the ``tables_from_scores`` tables under ``name``: RMSE and CRPS
     ratios, the cumulative LPBF series and the equal-accuracy stars."""
-    (out / "rmse_ratios.csv").write_text(rmse_table_csv({name: tables["rmse"]}))
-    (out / "crps_ratios.csv").write_text(rmse_table_csv({name: tables["crps"]}))
-    (out / "lpbf.csv").write_text(lpbf_csv({name: tables["lpbf"]}))
-    rows = ["horizon,variable,stat,pvalue,stars,degenerate"]
-    for (h, v), res in sorted(tables["stars"].items()):
-        rows.append(
-            f"{h},{v},{format(res.stat, '.17g')},{format(res.pvalue, '.17g')},"
-            f"{res.stars},{int(res.degenerate)}"
-        )
-    (out / "stars.csv").write_text("\n".join(rows) + "\n")
+    (out / "rmse_ratios.csv").write_text(ratio_table_csv(name, tables["rmse"]))
+    (out / "crps_ratios.csv").write_text(ratio_table_csv(name, tables["crps"]))
+    (out / "lpbf.csv").write_text(lpbf_csv(name, *tables["lpbf"]))
+    (out / "stars.csv").write_text(stars_csv(tables["stars"]))
 
 
 def _cmd_spectral(args) -> None:

@@ -1,13 +1,17 @@
-"""Expanding-window forecast harness and scoring metrics.
+"""Expanding-window forecast harness, scoring metrics and score tables.
 
 Scoring takes one path. ``run_forecast_harness`` yields
 ``ForecastRecord``s; ``score_rows`` scores each record once (squared
 error of the predictive mean, CRPS, and the log predictive score:
-Gaussian-mixture form at one step, kernel density further out); the
-rows are written by ``scores_csv`` and read back by
-``parse_scores_csv``; ``tables_from_scores`` turns a model's rows and a
-benchmark's rows into RMSE and CRPS ratios, the cumulative log
-predictive Bayes factor, and Diebold-Mariano style equal-accuracy stars.
+Gaussian-mixture form at one step, kernel density further out).  The
+score file has one schema, ``SCORE_COLUMNS``: the (name, type) of each
+column after ``model``, from which its header, its writer
+``scores_csv`` and its reader ``parse_scores_csv`` all follow.
+``tables_from_scores`` turns a model's rows and a benchmark's rows into
+RMSE and CRPS ratios, the cumulative log predictive Bayes factor, and
+Diebold-Mariano style equal-accuracy stars, per variable and pooled
+over them as ``TOT``; ``ratio_table_csv``, ``lpbf_csv`` and
+``stars_csv`` format them, one model per table.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ __all__ = [
     "log_predictive_score",
     "equal_accuracy_test",
     "run_forecast_harness",
-    "rmse_table_csv",
-    "lpbf_csv",
+    "SCORE_COLUMNS",
     "score_rows",
     "scores_csv",
     "parse_scores_csv",
     "tables_from_scores",
+    "ratio_table_csv",
+    "lpbf_csv",
+    "stars_csv",
 ]
 
 LPS_FLOOR = -700.0
@@ -247,37 +253,18 @@ def run_forecast_harness(
     return out
 
 
-def rmse_table_csv(ratios: dict[str, dict[tuple[int, str], float]]) -> str:
-    """One row per model, one column per (horizon, variable) cell."""
-    cols = sorted({k for table in ratios.values() for k in table})
-    header = "model," + ",".join(f"h{h}_{v}" for h, v in cols)
-    rows = [header]
-    for name in ratios:
-        cells = [
-            format(ratios[name][c], ".17g") if c in ratios[name] else ""
-            for c in cols
-        ]
-        rows.append(name + "," + ",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def lpbf_csv(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
-    """Cumulative score series, one column per model, aligned on origins."""
-    all_origins = sorted(
-        {int(o) for origins, _ in series.values() for o in origins}
-    )
-    header = "origin," + ",".join(series)
-    rows = [header]
-    for o in all_origins:
-        cells = []
-        for origins, values in series.values():
-            idx = np.where(origins == o)[0]
-            cells.append(format(float(values[idx[0]]), ".17g") if idx.size else "")
-        rows.append(f"{o}," + ",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-SCORE_HEADER = "model,origin,horizon,variable,point,realized,sq_error,crps,lps,lps_floored"
+SCORE_COLUMNS = (
+    ("origin", int),
+    ("horizon", int),
+    ("variable", str),
+    ("point", float),
+    ("realized", float),
+    ("sq_error", float),
+    ("crps", float),
+    ("lps", float),
+    ("lps_floored", int),
+)
+SCORE_HEADER = ",".join(["model"] + [name for name, _ in SCORE_COLUMNS])
 
 
 def score_rows(records: list[ForecastRecord]) -> list[dict]:
@@ -289,31 +276,26 @@ def score_rows(records: list[ForecastRecord]) -> list[dict]:
             continue
         lps, floored = log_predictive_score(r)
         point, realized = r.point(), float(r.realized)
-        rows.append(
-            {
-                "origin": r.origin,
-                "horizon": r.horizon,
-                "variable": r.variable,
-                "point": point,
-                "realized": realized,
-                "sq_error": (point - realized) ** 2,
-                "crps": crps(r.draws, realized),
-                "lps": lps,
-                "lps_floored": int(floored),
-            }
+        # in the order of SCORE_COLUMNS
+        values = (
+            r.origin, r.horizon, r.variable, point, realized,
+            (point - realized) ** 2, crps(r.draws, realized), lps, int(floored),
         )
+        rows.append({name: value for (name, _), value in zip(SCORE_COLUMNS, values)})
     return rows
 
 
 def scores_csv(rows: list[dict], model_name: str) -> str:
-    """Per-record score dump of ``score_rows``: the exchange format between runs."""
+    """Per-record score dump of ``score_rows``: the exchange format between runs.
+
+    Floats are written as ``.17g``, so they read back exactly.
+    """
     lines = [SCORE_HEADER]
     for row in rows:
-        cells = [model_name, str(row["origin"]), str(row["horizon"]), row["variable"]]
-        cells += [
-            format(row[k], ".17g") for k in ("point", "realized", "sq_error", "crps", "lps")
+        cells = [model_name] + [
+            format(row[name], ".17g") if kind is float else str(row[name])
+            for name, kind in SCORE_COLUMNS
         ]
-        cells.append(str(row["lps_floored"]))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -326,26 +308,14 @@ def parse_scores_csv(text: str) -> tuple[str, list[dict]]:
     name = None
     rows = []
     for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 10:
+        model, *cells = ln.split(",")
+        if len(cells) != len(SCORE_COLUMNS):
             raise ValueError("ragged score row")
         if name is None:
-            name = cells[0]
-        elif cells[0] != name:
+            name = model
+        elif model != name:
             raise ValueError("score file mixes models")
-        rows.append(
-            {
-                "origin": int(cells[1]),
-                "horizon": int(cells[2]),
-                "variable": cells[3],
-                "point": float(cells[4]),
-                "realized": float(cells[5]),
-                "sq_error": float(cells[6]),
-                "crps": float(cells[7]),
-                "lps": float(cells[8]),
-                "lps_floored": int(cells[9]),
-            }
-        )
+        rows.append({col: kind(cell) for (col, kind), cell in zip(SCORE_COLUMNS, cells)})
     if name is None:
         raise ValueError("empty score file")
     return name, rows
@@ -385,18 +355,37 @@ def tables_from_scores(model_rows: list[dict], bench_rows: list[dict]) -> dict:
     stars: dict[tuple[int, str], TestResult] = {}
     for h in sorted({h for h, _ in cells}):
         per_var = {v: np.asarray(cells[(hh, v)]) for hh, v in cells if hh == h}
-        for v, arr in sorted(per_var.items()):
+        per_var["TOT"] = np.vstack(list(per_var.values()))
+        for v, arr in per_var.items():
             rmse[(h, v)] = float(np.sqrt(arr[:, 0].mean() / arr[:, 1].mean()))
             crps_tab[(h, v)] = float(arr[:, 2].mean() / arr[:, 3].mean())
             if arr.shape[0] >= 8:
                 stars[(h, v)] = equal_accuracy_test(arr[:, 0], arr[:, 1], horizon=h)
-        stacked = np.vstack(list(per_var.values()))
-        rmse[(h, "TOT")] = float(np.sqrt(stacked[:, 0].mean() / stacked[:, 1].mean()))
-        crps_tab[(h, "TOT")] = float(stacked[:, 2].mean() / stacked[:, 3].mean())
-        if stacked.shape[0] >= 8:
-            stars[(h, "TOT")] = equal_accuracy_test(
-                stacked[:, 0], stacked[:, 1], horizon=h
-            )
     origins = np.array(sorted(per_origin))
     series = np.cumsum([per_origin[o] for o in origins])
     return {"rmse": rmse, "crps": crps_tab, "stars": stars, "lpbf": (origins, series)}
+
+
+def ratio_table_csv(name: str, table: dict[tuple[int, str], float]) -> str:
+    """A model's RMSE or CRPS ratios: one column per (horizon, variable) cell."""
+    cols = sorted(table)
+    header = "model," + ",".join(f"h{h}_{v}" for h, v in cols)
+    return f"{header}\n{name}," + ",".join(format(table[c], ".17g") for c in cols) + "\n"
+
+
+def lpbf_csv(name: str, origins: np.ndarray, values: np.ndarray) -> str:
+    """A model's cumulative log predictive Bayes factor, one row per origin."""
+    rows = [f"origin,{name}"]
+    rows += [f"{int(o)},{format(float(v), '.17g')}" for o, v in zip(origins, values)]
+    return "\n".join(rows) + "\n"
+
+
+def stars_csv(stars: dict[tuple[int, str], TestResult]) -> str:
+    """The equal-accuracy tests, one row per (horizon, variable) cell."""
+    rows = ["horizon,variable,stat,pvalue,stars,degenerate"]
+    for (h, v), res in sorted(stars.items()):
+        rows.append(
+            f"{h},{v},{format(res.stat, '.17g')},{format(res.pvalue, '.17g')},"
+            f"{res.stars},{int(res.degenerate)}"
+        )
+    return "\n".join(rows) + "\n"

@@ -37,9 +37,6 @@ CLASS_MIX = "TVP-MIX"
 CLASS_POOL = "TVP-POOL"
 CLASS_RW = "TVP-RW"
 
-PAIRING_SUCCESS = "success"
-PAIRING_LITERAL = "literal"
-
 
 @dataclass(frozen=True)
 class MsCounts:
@@ -302,22 +299,17 @@ def update_transition_probs(s, counts: MsCounts, rng) -> tuple[float, float]:
     return float(rng.beta(a0, b0)), float(rng.beta(a1, b1))
 
 
-def bernoulli_posterior_params(S: np.ndarray, counts: BernoulliCounts, pairing: str = PAIRING_SUCCESS):
+def bernoulli_posterior_params(S: np.ndarray, counts: BernoulliCounts):
     """Beta parameters per covariate for the regime-1 probabilities.
 
-    The default pairing puts the regime-1 occupancy counts on the first
-    Beta parameter (the event whose probability is drawn); the literal
-    pairing instead accumulates regime-0 counts there.
+    The regime-1 occupancy counts go on the first Beta parameter, the
+    event whose probability is drawn.
     """
     t1 = S.sum(axis=0).astype(float)
     t0 = S.shape[0] - t1
-    if pairing == PAIRING_SUCCESS:
-        return t1 + counts.c0, t0 + counts.c1
-    if pairing == PAIRING_LITERAL:
-        return t0 + counts.c0, t1 + counts.c1
-    raise ValueError(f"unknown pairing {pairing!r}")
+    return t1 + counts.c0, t0 + counts.c1
 
 
-def update_bernoulli_probs(S, counts: BernoulliCounts, rng, pairing: str = PAIRING_SUCCESS) -> np.ndarray:
-    a, b = bernoulli_posterior_params(S, counts, pairing)
+def update_bernoulli_probs(S, counts: BernoulliCounts, rng) -> np.ndarray:
+    a, b = bernoulli_posterior_params(S, counts)
     return rng.beta(a, b)

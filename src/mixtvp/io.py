@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sampler import CONST_CLASSES, ModelSpec
+from .sampler import CONST_CLASSES, ModelSpec, with_context
 
 __all__ = [
     "TimeSeriesPanel",
@@ -135,22 +135,35 @@ def load_panel_csv(
 
     ``select`` pairs column names with transformation codes and fixes
     the panel order; the file's own column order does not matter.
-    Without it, every column loads with code 1.
+    Without it, every column loads with code 1.  A ragged row, a value
+    that is not a number, or a date that does not follow the one before
+    is refused, naming the file and its 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if len(lines) < 2:
         raise ValueError("panel file needs a header and at least one row")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     names_in_file = [h.strip() for h in header[1:]]
     dates = []
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
+        where = f"{path}, line {lineno}"
         cells = ln.split(",")
         if len(cells) != len(header):
-            raise ValueError("ragged CSV row")
-        dates.append(cells[0].strip())
-        rows.append([float(c) for c in cells[1:]])
+            raise ValueError(
+                f"{where}: ragged CSV row of {len(cells)} cells, the header has {len(header)}"
+            )
+        try:
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError as exc:
+            raise with_context(exc, where) from exc
+        date = cells[0].strip()
+        if dates and date <= dates[-1]:
+            raise ValueError(
+                f"{where}: dates must be strictly increasing, but {date!r} follows {dates[-1]!r}"
+            )
+        dates.append(date)
     values = np.asarray(rows)
     if select is None:
         select = [(name, 1) for name in names_in_file]
@@ -177,7 +190,6 @@ _SPEC_KEYS = {
     "burnin": int,
     "thin": int,
     "store_paths": bool,
-    "bernoulli_pairing": str,
     "zeta": float,
     "kappa": float,
     "d0": float,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .indicators import (
     CLASS_MIX,
     CLASS_POOL,
     CLASS_RW,
-    PAIRING_LITERAL,
-    PAIRING_SUCCESS,
     BernoulliCounts,
     MsCounts,
     sample_indicators_mix,
@@ -88,7 +87,6 @@ class ModelSpec:
     burnin: int = 10000
     thin: int = 1
     store_paths: bool = True
-    bernoulli_pairing: str = PAIRING_SUCCESS
     zeta: float = 0.01
     kappa: float = 1e-6
     d0: float = 10.0
@@ -117,12 +115,21 @@ class ModelSpec:
             raise ValueError("need 0 <= burnin < iterations")
         if self.thin < 1 or self.p < 1 or self.n_clusters < 1:
             raise ValueError("thin, p and n_clusters must be positive")
-        if self.bernoulli_pairing not in (PAIRING_SUCCESS, PAIRING_LITERAL):
-            raise ValueError("unknown Bernoulli pairing")
 
     @property
     def is_tvp(self) -> bool:
         return self.model_class in TVP_CLASSES
+
+    @property
+    def carries(self) -> bool:
+        """Whether the normalized states carry a deviation from period to period.
+
+        The class decides, not the drawn regimes: the random walk and a
+        mixture with a law autoregress, while the pooled law and the
+        single-variance mixture carry none; a two-regime mixture keeps its
+        coupling even when every S_t is 0.
+        """
+        return self.model_class == CLASS_RW or (self.model_class == CLASS_MIX and self.law is not None)
 
     @property
     def law(self) -> str | None:
@@ -211,20 +218,6 @@ def make_scales(spec: ModelSpec) -> SweepScales:
     return scales
 
 
-def _phi_diagonals(spec: ModelSpec, S: np.ndarray | None, T: int, K: int) -> np.ndarray | None:
-    """AR diagonals of the state law, or None for a law without autoregression.
-
-    The class decides, not the drawn regimes: the pooled law and the
-    single-variance mixture carry none, while a two-regime mixture keeps
-    its coupling even when every S_t is 0.
-    """
-    if spec.model_class == CLASS_RW:
-        return np.ones((T, K))
-    if spec.model_class == CLASS_MIX and S is not None:
-        return S.astype(float)
-    return None
-
-
 def _block_from_coefs(
     coefs: np.ndarray, spec: ModelSpec, fixed_spike: np.ndarray | None = None
 ) -> ConstantBlock:
@@ -287,8 +280,10 @@ def _draw_states(y, x, spec, block, roots, state, rng):
     T, K = x.shape
     sigma = state.sv.sigma()
     wtilde = x * roots / sigma[:, None]
-    diagonals = _phi_diagonals(spec, state.S, T, K)
-    sub = None if diagonals is None else build_phi(diagonals)
+    sub = None
+    if spec.carries:
+        # the AR diagonals: 1 under the random walk, S_t under the mixture
+        sub = build_phi(np.ones((T, K)) if spec.model_class == CLASS_RW else state.S.astype(float))
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
     else:
@@ -329,9 +324,7 @@ def _update_indicators(alpha, spec, block, state, rng, scales):
         )
         S = np.repeat(s[:, None], block.K, axis=1).astype(np.int8)
         return S, p00, p11, state.p_mix
-    p_mix = update_bernoulli_probs(
-        state.S, scales.bernoulli_counts, rng, spec.bernoulli_pairing
-    )
+    p_mix = update_bernoulli_probs(state.S, scales.bernoulli_counts, rng)
     S = sample_indicators_mix(
         alpha, block, p_mix, spec.model_class, rng, pool_means, S=state.S
     )
@@ -568,12 +561,8 @@ class PosteriorDraws:
     pool_mu: np.ndarray | None = None
     pool_occupied: np.ndarray | None = None
 
-    ARRAY_FIELDS = (
-        "alpha0", "h", "h0", "sv_mu", "sv_phi", "sv_psi", "alpha_last",
-        "sqrt_psi1", "sqrt_psi0", "alpha", "S", "S_last",
-        "p00", "p11", "p_mix", "lam", "rho", "pool_omega", "pool_xi",
-        "pool_theta", "pool_mu", "pool_occupied",
-    )
+    # every field but meta, in declaration order; set below the class
+    ARRAY_FIELDS: ClassVar[tuple[str, ...]]
 
     @property
     def n_records(self) -> int:
@@ -642,6 +631,9 @@ class PosteriorDraws:
         for label, mean, q in zip(labels, means, qs):
             rows.append(label + "," + ",".join(format(c, ".17g") for c in [mean, *q]))
         return "\n".join(rows) + "\n"
+
+
+PosteriorDraws.ARRAY_FIELDS = tuple(f.name for f in fields(PosteriorDraws) if f.name != "meta")
 
 
 def with_context(exc: ArithmeticError | ValueError, where: str) -> Exception:

@@ -47,7 +47,6 @@ from .sampler import (
     CLASS_CONST_MIN,
     CLASS_MIX,
     CLASS_POOL,
-    CLASS_RW,
     LAW_MIX,
     LAW_MS,
     ModelSpec,
@@ -472,11 +471,6 @@ def simulate_predictive(
     )
 
 
-def _carries(spec) -> bool:
-    """Whether the states carry a deviation from period to period."""
-    return spec.model_class == CLASS_RW or (spec.model_class == CLASS_MIX and spec.law is not None)
-
-
 def _block_rows(m: int, p: int, spec: ModelSpec) -> dict[str, int]:
     """The float rows per path of each buffer that a block of ``_simulate_block`` holds."""
     K = p * m + 1
@@ -490,7 +484,7 @@ def _block_rows(m: int, p: int, spec: ModelSpec) -> dict[str, int]:
         "h_dev": m,
         "rhs": m,
         # the carried deviations
-        "u": n_rows if spec.is_tvp and _carries(spec) else 0,
+        "u": n_rows if spec.carries else 0,
         # uniforms for the regimes and the cluster picks
         "unif": n_regime + (m if spec.model_class == CLASS_POOL else 0),
         # terms per root; the Markov-switching law forms them in rhs and
@@ -547,7 +541,7 @@ class _RecordConstants:
         spec, eqs, m, p = est.spec, est.equations, est.m, est.p
         self.m, self.p, self.K = m, p, p * m + 1
         self.n_lag = m * self.K
-        self.law, self.cls, self.tvp, self.carry = spec.law, spec.model_class, spec.is_tvp, _carries(spec)
+        self.law, self.cls, self.tvp, self.carry = spec.law, spec.model_class, spec.is_tvp, spec.carries
         self.buffer_rows = _block_rows(m, p, spec)
 
         def stack(get):
@@ -568,6 +562,8 @@ class _RecordConstants:
         if not self.tvp:
             return
         law = self.law
+        # the equation of each state row
+        self.row_eq = np.concatenate([np.repeat(np.arange(m), self.K), np.repeat(np.arange(m), np.arange(m))])
         r1 = rows("sqrt_psi1")
         r0 = r1 if law is None else rows("sqrt_psi0")
         f1, f0 = (np.copysign(np.maximum(np.abs(r), _ROOT_FLOOR), r) for r in (r1, r0))
@@ -582,7 +578,7 @@ class _RecordConstants:
         if law == LAW_MS:
             self.s = stack(lambda eq: eq.S_last[:, 0]) == 1
             self.p01, self.p11 = 1.0 - stack(lambda eq: eq.p00), stack(lambda eq: eq.p11)
-            s_rows = self.s[np.concatenate([np.repeat(np.arange(m), self.K), np.repeat(np.arange(m), np.arange(m))])]
+            s_rows = self.s[self.row_eq]
         elif law == LAW_MIX:
             self.s = s_rows = rows("S_last")[..., None] == 1
             self.p_mix = rows("p_mix")[..., None]
@@ -660,8 +656,7 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
             s = np.repeat(c.s[:, recs], nsim, axis=2)
         if law == LAW_MS:
             p01, p11 = c.p01[:, recs], c.p11[:, recs]
-            # the equation of each contemporaneous row
-            row_con = np.repeat(np.arange(m), np.arange(m))
+            row_con = c.row_eq[n_lag:]
             # f0's terms go into rhs and f1's into the spent uniforms
             spent = unif[:m]
 

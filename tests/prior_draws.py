@@ -2,8 +2,9 @@
 
 The prior-reproduction checks (Geweke 2004) start a chain from a state
 drawn here and regenerate the data from every state the chain visits.
-Block layout, AR diagonals and fixed spike roots come from the sampler's
-own helpers, so a prior draw has the shapes the sweep expects.
+Block layout and fixed spike roots come from the sampler's own helpers,
+and the AR coupling from ``ModelSpec.carries``, so a prior draw has the
+shapes the sweep expects.
 """
 
 import numpy as np
@@ -13,13 +14,13 @@ from mixtvp.indicators import simulate_ms_chain
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
     CLASS_POOL,
+    CLASS_RW,
     LAW_MIX,
     LAW_MS,
     EquationChainState,
     ModelSpec,
     _block_from_coefs,
     _fixed_spike,
-    _phi_diagonals,
 )
 from mixtvp.shrinkage import NgHyper
 from mixtvp.statespace import reconstruct_centered
@@ -100,9 +101,10 @@ def sample_prior_state(
         S = (rng.random(size=(T, K)) < p_mix).astype(np.int8)
 
     if spec.is_tvp:
-        diagonals = _phi_diagonals(spec, S, T, K)
         alpha_tilde = rng.normal(size=T * K)
-        if diagonals is not None:
+        if spec.carries:
+            # the AR diagonals: 1 under the random walk, S_t under the mixture
+            diagonals = np.ones((T, K)) if spec.model_class == CLASS_RW else S.astype(float)
             alpha_tilde = solve_lower(build_phi(diagonals), alpha_tilde)
         alpha_tilde = alpha_tilde.reshape(T, K)
     else:

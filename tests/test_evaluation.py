@@ -14,7 +14,7 @@ from mixtvp.evaluation import (
     log_predictive_score,
     lpbf_csv,
     parse_scores_csv,
-    rmse_table_csv,
+    ratio_table_csv,
     run_forecast_harness,
     score_rows,
     scores_csv,
@@ -239,14 +239,16 @@ def test_harness_smoke_and_tables():
     tables = {name: _tables(records[name], records["min"]) for name in specs}
     ratios = {name: t["rmse"] for name, t in tables.items()}
     assert ratios["min"][(1, "TOT")] == pytest.approx(1.0)
-    table = rmse_table_csv(ratios)
-    assert table.splitlines()[0].startswith("model,h1_TOT,h1_y1")
+    header, row = ratio_table_csv("ng", ratios["ng"]).splitlines()
+    assert header.startswith("model,h1_TOT,h1_y1")
+    assert row.startswith("ng,") and len(row.split(",")) == len(header.split(","))
 
-    text = lpbf_csv({name: t["lpbf"] for name, t in tables.items()})
-    lines = text.strip().splitlines()
-    assert lines[0] == "origin,ng,min"
-    assert len(lines) == 5
-    assert float(lines[-1].split(",")[2]) == pytest.approx(0.0)
+    for name in specs:
+        lines = lpbf_csv(name, *tables[name]["lpbf"]).splitlines()
+        assert lines[0] == f"origin,{name}"
+        assert [int(ln.split(",")[0]) for ln in lines[1:]] == [41, 42, 43, 44]
+    # the benchmark against itself
+    assert float(lines[-1].split(",")[1]) == pytest.approx(0.0)
 
 
 def test_harness_reproducibility():

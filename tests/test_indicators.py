@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 from mixtvp.indicators import (
-    PAIRING_LITERAL,
     BernoulliCounts,
     MsCounts,
     bernoulli_posterior_params,
@@ -352,10 +351,6 @@ def test_bernoulli_posterior_params_exact():
     counts = BernoulliCounts(c0=0.3, c1=30.0)
     a, b = bernoulli_posterior_params(S, counts)
     assert a[0] == 10.3 and b[0] == 30.0
-    a, b = bernoulli_posterior_params(S, counts, pairing=PAIRING_LITERAL)
-    assert a[0] == 0.3 and b[0] == 40.0
-    with pytest.raises(ValueError):
-        bernoulli_posterior_params(S, counts, pairing="other")
     rng = np.random.default_rng(1)
     p = update_bernoulli_probs(np.zeros((6, 3), dtype=np.int8), counts, rng)
     assert p.shape == (3,) and np.all((p > 0) & (p < 1))

@@ -1,5 +1,7 @@
 """Tests for data transforms, factor extraction and config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,41 @@ def test_load_panel_errors(tmp_path):
         load_panel_csv(h)
 
 
+def _panel_error(tmp_path, text) -> str:
+    f = tmp_path / "panel.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_panel_csv(f)
+    return str(info.value).replace(str(f), "<path>")
+
+
+def test_load_panel_errors_name_the_file_and_line(tmp_path):
+    # line numbers are the file's own, blank lines counted
+    head = "date,x,y\n2000-01-01,1,2\n\n"
+    assert _panel_error(tmp_path, head + "2000-02-01,2\n") == (
+        "<path>, line 4: ragged CSV row of 2 cells, the header has 3"
+    )
+    assert _panel_error(tmp_path, head + "2000-02-01,2,n/a\n") == (
+        "<path>, line 4: could not convert string to float: 'n/a'"
+    )
+    assert _panel_error(tmp_path, head + "2000-03-01,2,3\n2000-02-01,3,4\n") == (
+        "<path>, line 5: dates must be strictly increasing, but '2000-02-01' follows '2000-03-01'"
+    )
+    assert _panel_error(tmp_path, head + "2000-01-01,2,3\n") == (
+        "<path>, line 4: dates must be strictly increasing, but '2000-01-01' follows '2000-01-01'"
+    )
+
+
+def test_the_simulated_regression_design_is_refused_as_a_panel(tmp_path):
+    # simulate writes y and the covariates with no date column
+    from mixtvp.cli import main
+
+    main(["simulate", "--out", str(tmp_path), "--seed", "0"])
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: dates must be strictly increasing, but '")):
+        load_panel_csv(path)
+
+
 # ----------------------------------------------------------------------
 # config parsing
 
@@ -276,6 +313,14 @@ def test_run_config_subclass_none_and_flags():
         run_config(text.replace("standardize = false", "freeze_states = true"))
     with pytest.raises(ValueError, match="^benchmark_subclass needs a benchmark_class entry$"):
         run_config(text + "benchmark_subclass = SINGLE\n")
+
+
+def test_run_config_refuses_the_removed_bernoulli_pairing_key():
+    # the sampler pairs the regime-1 counts with the drawn probability, as
+    # the removed default "success" did; the key is unknown as any other
+    text = "model_class = TVP-MIX\nsubclass = FLEX-MIX\nbernoulli_pairing = success\n"
+    with pytest.raises(ValueError, match="^line 3: unknown key 'bernoulli_pairing'$"):
+        run_config(text)
 
 
 def test_run_config_refuses_a_subclass_on_a_constant_benchmark():

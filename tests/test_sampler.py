@@ -102,8 +102,6 @@ def test_config_validation():
         ModelSpec(model_class=CLASS_CONST_NG, subclass=SUB_SINGLE)
     with pytest.raises(ValueError):
         ModelSpec(model_class=CLASS_MIX, subclass=SUB_FLEX_MS, iterations=5, burnin=5)
-    with pytest.raises(ValueError):
-        ModelSpec(model_class=CLASS_MIX, subclass=SUB_FLEX_MS, bernoulli_pairing="x")
     rng = np.random.default_rng(1)
     x = rng.normal(size=(20, 1))
     y = rng.normal(size=20)

@@ -447,6 +447,58 @@ def test_predictive_forced_regimes_and_zero_roots_match_oracle(model_class, subc
 
 
 @pytest.mark.parametrize("model_class", [CLASS_RW, CLASS_MIX])
+def test_predictive_markov_switching_regimes_apply_per_equation(model_class):
+    # equations 1 and 3 are forced into regime 1 and equation 2 into
+    # regime 0, with zero roots in the arriving regime: record 0 stays in
+    # it and keeps alpha_T (the mixture class's regime 0 forgets, and moves
+    # to alpha0), record 1 switches into it and moves to alpha0, so every
+    # one-step mean is fixed whatever the random streams.  The
+    # contemporaneous rows of equations 2 and 3 sit in different regimes.
+    rng = np.random.default_rng(23)
+    T, m, n = 15, 3, 2
+    Y = rng.normal(size=(T, m))
+    eqs = []
+    arriving_regimes = (1, 0, 1)
+    for i, arriving in enumerate(arriving_regimes):
+        K = m + i + 1
+        roots = rng.uniform(0.1, 0.5, size=(2, n, K)) * rng.choice([-1.0, 1.0], size=(2, n, K))
+        roots[arriving] = 0.0
+        log_var = np.log(rng.uniform(0.2, 1.0, size=n))
+        eqs.append(
+            PosteriorDraws(
+                meta={},
+                alpha0=rng.normal(size=(n, K)),
+                h=np.tile(log_var[:, None], (1, T)),
+                h0=log_var.copy(),
+                sv_mu=log_var.copy(),
+                sv_phi=np.zeros(n),
+                sv_psi=np.full(n, 1e-18),
+                alpha_last=rng.normal(size=(n, K)),
+                sqrt_psi1=roots[1],
+                sqrt_psi0=roots[0],
+                S_last=np.array([[arriving], [1 - arriving]]) * np.ones((1, K), dtype=int),
+                # p00 and p11 in {0, 1}: the arriving regime next in every record
+                p00=np.full(n, float(arriving == 0)),
+                p11=np.full(n, float(arriving == 1)),
+            )
+        )
+    spec = ModelSpec(model_class=model_class, subclass=SUB_FLEX_MS, iterations=4, burnin=1)
+    est = VarEstimate(Y=Y, p=1, spec=spec, equations=eqs, names=("y1", "y2", "y3"))
+    fd = simulate_predictive(est, horizon=1, nsim=50, rng=np.random.default_rng(1))
+    _, h1_mean, _ = predictive_per_record(est, 1, 50, np.random.default_rng(2))
+    np.testing.assert_allclose(fd.h1_mean, h1_mean, rtol=1e-12, atol=1e-12)
+    # the fixed means, solved from the coefficients each record keeps
+    x = np.append(Y[-1], 1.0)
+    for r in range(n):
+        y = np.zeros(m)
+        for i, (eq, arriving) in enumerate(zip(eqs, arriving_regimes)):
+            keeps = r == 0 and not (model_class == CLASS_MIX and arriving == 0)
+            coef = (eq.alpha_last if keeps else eq.alpha0)[r]
+            y[i] = coef[:i] @ y[:i] + coef[i:] @ x
+        np.testing.assert_allclose(fd.h1_mean[r * 50 : (r + 1) * 50], np.tile(y, (50, 1)), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("model_class", [CLASS_RW, CLASS_MIX])
 def test_predictive_zero_root_regime_builds_no_deviation(model_class):
     # y = intercept + ~0 shock; the intercept's regime-0 root is 0 and its
     # deviation starts at 0, regime 1 (root 1) is absorbing and entered
