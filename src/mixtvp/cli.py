@@ -17,6 +17,9 @@ stable draws, and one batched eigen-decomposition per block decides the
 rest. A store with a non-finite coefficient or a non-finite or
 non-positive error variance is refused, naming the equation, record and
 period. A period with no stable draw is written as a row of NaN.
+``spectral`` does not read ``p``: the store fixes the lag order, since
+equation 1 holds m*p + 1 coefficients, and a store whose first width is
+not of that form for a whole p >= 1 is refused.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ def _load_config(args) -> RunConfig:
     cfg = run_config(Path(args.spec).read_text())
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.thin is not None:
-        cfg = replace(cfg, spec=replace(cfg.spec, thin=args.thin))
-        if cfg.benchmark is not None:
-            cfg = replace(cfg, benchmark=replace(cfg.benchmark, thin=args.thin))
     return cfg
 
 
@@ -183,9 +182,16 @@ def _cmd_spectral(args) -> None:
             f"pair = {cfg.pair[0]}, {cfg.pair[1]} is out of range: the store has "
             f"m = {m} equations, numbered 1 to {m}"
         )
+    width = paths[0].shape[2]
+    p, rest = divmod(width - 1, m)
+    if p < 1 or rest:
+        raise SystemExit(
+            f"{eq_dirs[0].name} store at {eq_dirs[0]} has width {width}, which is not "
+            f"m*p + 1 for m = {m} and a whole p >= 1"
+        )
     i, j = cfg.pair[0] - 1, cfg.pair[1] - 1
     try:
-        bands, excluded = low_freq_path_bands(paths, [np.exp(eq.h) for eq in eqs], cfg.spec.p, i, j)
+        bands, excluded = low_freq_path_bands(paths, [np.exp(eq.h) for eq in eqs], p, i, j)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     name = f"lowfreq_{cfg.pair[0]}_{cfg.pair[1]}.csv"
@@ -221,7 +227,6 @@ def main(argv=None) -> None:
         p.add_argument("--spec", help="config file (key = value lines)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--thin", type=int, default=None)
         if name == "compare":
             p.add_argument("scores", nargs="*", help="two score CSV files")
         p.set_defaults(fn=fn)

@@ -238,7 +238,20 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def _number(key: str, text: str, cast, where: str = ""):
+    """``cast(text)`` for ``cast`` int or float; a failure names the key and the item."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise with_context(exc, key + where) from exc
+
+
 def _convert(key: str, value: str, kind):
+    """The config value of ``key`` as ``kind``; a failure names the key and the value.
+
+    A list value is split at commas, empty items dropped, and a failing
+    item is named by its 1-based place among the rest.
+    """
     if kind is bool:
         low = value.lower()
         if low in ("1", "true", "yes"):
@@ -246,24 +259,19 @@ def _convert(key: str, value: str, kind):
         if low in ("0", "false", "no"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {value!r}")
-    if kind is int:
-        return int(value)
-    if kind is float:
-        return float(value)
-    if kind == "ints":
-        return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-    if kind == "floats":
-        return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-    if kind == "variables":
-        pairs = []
-        for item in value.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, code = item.partition(":")
-            pairs.append((name.strip(), int(code) if code else 1))
-        return tuple(pairs)
-    return value
+    if kind is str:
+        return value
+    if kind in (int, float):
+        return _number(key, value, kind)
+    items = [v.strip() for v in value.split(",") if v.strip()]
+    if kind != "variables":
+        cast = int if kind == "ints" else float
+        return tuple(_number(key, v, cast, f" item {i}") for i, v in enumerate(items, start=1))
+    pairs = []
+    for i, item in enumerate(items, start=1):
+        name, _, code = item.partition(":")
+        pairs.append((name.strip(), _number(key, code, int, f" item {i} ({item!r})") if code else 1))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

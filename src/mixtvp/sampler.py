@@ -115,6 +115,10 @@ class ModelSpec:
             raise ValueError("need 0 <= burnin < iterations")
         if self.thin < 1 or self.p < 1 or self.n_clusters < 1:
             raise ValueError("thin, p and n_clusters must be positive")
+        for name, n in (("ms_counts", 4), ("bernoulli_counts", 2)):
+            counts = getattr(self, name)
+            if counts is not None and (len(counts) != n or not all(0 < c < math.inf for c in counts)):
+                raise ValueError(f"{name} needs {n} finite positive counts, got {tuple(counts)}")
 
     @property
     def is_tvp(self) -> bool:
@@ -172,7 +176,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EquationChainState:
-    """All sampled quantities of one equation's chain."""
+    """All sampled quantities of one equation's chain.
+
+    ``S`` holds the int8 regimes: (T, 1) under the Markov-switching law,
+    whose one chain moves all K coefficients together, (T, K) under the
+    mixture law, and None without a law.  The store keeps that layout.
+    """
 
     block: ConstantBlock
     alpha_tilde: np.ndarray
@@ -241,13 +250,17 @@ def _fixed_spike(x: np.ndarray, spec: ModelSpec) -> np.ndarray | None:
 
 
 def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
-    """Step 1: constant block plus the full shrinkage hierarchy."""
+    """Step 1: constant block plus the full shrinkage hierarchy.
+
+    The Minnesota benchmark draws its block under the fixed prior
+    variances and keeps no hierarchy.
+    """
     T, K = x.shape
     sigma = state.sv.sigma()
-    if spec.is_tvp:
-        xhat = build_design_rows(x, state.alpha_tilde, state.S)
-    else:
-        xhat = x
+    if spec.model_class == CLASS_CONST_MIN:
+        coefs = draw_constant_block(y, x, sigma, scales.prior_variances, rng)
+        return _block_from_coefs(coefs, spec), state.ng
+    xhat = build_design_rows(x, state.alpha_tilde, state.S) if spec.is_tvp else x
     y_eff = y
     width = spec.block_width(K)
     if spec.subclass == SUB_SSVS_MIX:
@@ -283,7 +296,7 @@ def _draw_states(y, x, spec, block, roots, state, rng):
     sub = None
     if spec.carries:
         # the AR diagonals: 1 under the random walk, S_t under the mixture
-        sub = build_phi(np.ones((T, K)) if spec.model_class == CLASS_RW else state.S.astype(float))
+        sub = build_phi(np.ones((T, 1)) if spec.model_class == CLASS_RW else state.S.astype(float))
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
     else:
@@ -322,8 +335,7 @@ def _update_indicators(alpha, spec, block, state, rng, scales):
         s = sample_indicators_ms(
             alpha, block, p00, p11, spec.model_class, rng, pool_means
         )
-        S = np.repeat(s[:, None], block.K, axis=1).astype(np.int8)
-        return S, p00, p11, state.p_mix
+        return s[:, None], p00, p11, state.p_mix
     p_mix = update_bernoulli_probs(state.S, scales.bernoulli_counts, rng)
     S = sample_indicators_mix(
         alpha, block, p_mix, spec.model_class, rng, pool_means, S=state.S
@@ -340,30 +352,23 @@ def gibbs_sweep(
     scales: SweepScales,
     adapting: bool = False,
 ) -> EquationChainState:
-    """One full pass over all conditionals; the state is replaced atomically."""
+    """One full pass over all conditionals; the state is replaced atomically.
+
+    The constant benchmarks skip the state, indicator and pool steps: their
+    coefficients are the block's means in every period.
+    """
     T, K = x.shape
-
-    if not spec.is_tvp:
-        if spec.model_class == CLASS_CONST_MIN:
-            coefs = draw_constant_block(y, x, state.sv.sigma(), scales.prior_variances, rng)
-            block, ng = _block_from_coefs(coefs, spec), state.ng
-        else:
-            block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
-        alpha = np.broadcast_to(block.alpha0, (T, K))
-        sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
-        return EquationChainState(
-            block=block, alpha_tilde=state.alpha_tilde, S=state.S, p00=state.p00, p11=state.p11,
-            p_mix=state.p_mix, ng=ng, sv=sv, pool=state.pool,
-        )
-
-    block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
     # each step gets what this sweep drew as arguments and reads the rest from
     # the incoming state, so the sweep builds its result once, at the end
-    # one set of roots from the incoming regimes serves the state draw and
-    # the centered paths (``reconstruct_centered``) built from it
-    roots = sqrt_psi_matrix(block, state.S, T)
-    alpha_tilde = _draw_states(y, x, spec, block, roots, state, rng)
-    alpha = block.alpha0 + roots * alpha_tilde
+    block, ng = _draw_block_and_ng(y, x, spec, state, rng, scales, adapting)
+    alpha_tilde = state.alpha_tilde
+    alpha = np.broadcast_to(block.alpha0, (T, K))
+    if spec.is_tvp:
+        # one set of roots from the incoming regimes serves the state draw
+        # and the centered paths (``reconstruct_centered``) built from it
+        roots = sqrt_psi_matrix(block, state.S, T)
+        alpha_tilde = _draw_states(y, x, spec, block, roots, state, rng)
+        alpha = block.alpha0 + roots * alpha_tilde
     sv = _update_volatility(y, x, alpha, spec, state.sv, rng)
 
     S, p00, p11, p_mix = state.S, state.p00, state.p11, state.p_mix
@@ -482,7 +487,8 @@ def init_equation_state(
     if spec.law is None:
         S = None
     else:
-        S = np.ones((T, K), dtype=np.int8)
+        # one chain per equation under the joint law, one per coefficient otherwise
+        S = np.ones((T, K if spec.law == LAW_MIX else 1), dtype=np.int8)
         if split is not None:
             S[split:] = 0
 

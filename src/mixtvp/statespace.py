@@ -85,8 +85,9 @@ def _cross_period_entries(K: int) -> tuple[np.ndarray, np.ndarray]:
 def state_precision_band(wtilde: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Upper band of Q = W~'W~ + Phi'Phi in LAPACK storage, shape (K+1, T*K).
 
-    ``sub`` is Phi's (T-1, K) subdiagonal from ``banded.build_phi``; T and
-    K come from ``wtilde``.  Row K - k holds superdiagonal k.  The blocks
+    ``sub`` is Phi's (T-1, K) subdiagonal from ``banded.build_phi``, or a
+    (T-1, 1) one whose AR pattern all K coefficients of the period share;
+    T and K come from ``wtilde``.  Row K - k holds superdiagonal k.  The blocks
     w_t w_t' fill offsets below K within each period; Phi'Phi adds
     1 + sub_t^2 to the diagonal and puts sub_t at offset K.
     Rows 1..K come from one product of the flattened W~ with its shifts by
@@ -123,7 +124,9 @@ def draw_states_fast(
 
     T and K come from the (T, K) loadings ``wtilde``.  ``sub`` is the
     (T-1, K) subdiagonal of Phi from ``banded.build_phi``, which couples
-    consecutive periods; the draw then goes through one banded
+    consecutive periods, or a (T-1, 1) one: one AR pattern that the K
+    coefficients share (the random walk, and one regime chain per
+    equation).  The draw then goes through one banded
     factorization of the precision.  ``sub=None`` stands for Phi = I (a
     law without autoregression): the precision is then block diagonal and
     each period is drawn in closed form, with no factorization.  u and
@@ -131,7 +134,8 @@ def draw_states_fast(
     """
     T, K = wtilde.shape
     nu = T * K
-    if ytilde.shape != (T,) or a0.shape != (nu,) or (sub is not None and sub.shape != (T - 1, K)):
+    shapes = ((T - 1, K), (T - 1, 1))
+    if ytilde.shape != (T,) or a0.shape != (nu,) or (sub is not None and sub.shape not in shapes):
         raise ValueError("input dimensions do not match wtilde")
     u = rng.normal(size=nu).reshape(T, K)
     v = rng.normal(size=T)

@@ -30,14 +30,18 @@ from mixtvp.sv import DEFAULT_SV_PRIORS, SvPriors, SvState
 def solve_lower(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve Phi x = rhs by forward substitution in O(T*K).
 
-    ``sub`` is Phi's (T-1, K) subdiagonal from ``build_phi``.  ``rhs`` may
-    be a (nu,) vector or a (n, nu) batch; the solve is applied row-wise in
-    the batched case.
+    ``sub`` is Phi's (T-1, K) subdiagonal from ``build_phi``, or a (T-1, 1)
+    one that every coefficient shares; K comes from ``rhs``.  ``rhs`` may be
+    a (nu,) vector or a (n, nu) batch; the solve is applied row-wise in the
+    batched case.
     """
-    T, K = sub.shape[0] + 1, sub.shape[1]
+    T = sub.shape[0] + 1
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[-1] != T * K:
-        raise ValueError(f"vector length {rhs.shape[-1]} does not match nu={T * K}")
+    K = rhs.shape[-1] // T
+    if rhs.shape[-1] != T * K or sub.shape[1] not in (1, K):
+        raise ValueError(
+            f"vector length {rhs.shape[-1]} does not match a ({T - 1}, {sub.shape[1]}) subdiagonal"
+        )
     r = rhs.reshape(rhs.shape[:-1] + (T, K))
     x = np.empty_like(r)
     x[..., 0, :] = r[..., 0, :]
@@ -93,8 +97,7 @@ def sample_prior_state(
         counts = spec.default_ms_counts()
         p00 = float(rng.beta(counts.c00, counts.c10))
         p11 = float(rng.beta(counts.c01, counts.c11))
-        s = simulate_ms_chain(p00, p11, T, rng)
-        S = np.repeat(s[:, None], K, axis=1).astype(np.int8)
+        S = simulate_ms_chain(p00, p11, T, rng)[:, None]
     elif spec.law == LAW_MIX:
         counts = spec.default_bernoulli_counts()
         p_mix = rng.beta(counts.c0, counts.c1, size=K)
@@ -104,7 +107,7 @@ def sample_prior_state(
         alpha_tilde = rng.normal(size=T * K)
         if spec.carries:
             # the AR diagonals: 1 under the random walk, S_t under the mixture
-            diagonals = np.ones((T, K)) if spec.model_class == CLASS_RW else S.astype(float)
+            diagonals = np.ones((T, 1)) if spec.model_class == CLASS_RW else S.astype(float)
             alpha_tilde = solve_lower(build_phi(diagonals), alpha_tilde)
         alpha_tilde = alpha_tilde.reshape(T, K)
     else:

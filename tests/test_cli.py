@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import mixtvp
-from mixtvp.cli import main
+from mixtvp.cli import _build_panel, main
+from mixtvp.io import run_config, standardize
 from mixtvp.sampler import PosteriorDraws
 from mixtvp.dgp import generate_var_break
 
@@ -318,3 +319,75 @@ def test_package_import_stays_light(tmp_path):
     after_import, after_commands = lines[0], lines[-1]
     assert after_import == after_commands == "['scipy.linalg._flapack']"
     assert (tmp_path / "spec" / "lowfreq_1_2.csv").is_file()
+
+
+@pytest.mark.parametrize("p_line", ["", "p = 1\n", "p = 3\n"])
+def test_spectral_takes_the_lag_order_from_the_store(tmp_path, p_line):
+    # the store was estimated at p = 2: equation 1 has m*p + 1 = 5 coefficients
+    est = tmp_path / "est"
+    cfg = _spectral_config(tmp_path, est, "model_class = CONST-NG\nsv = false\np = 2\n")
+    main(["estimate", "--spec", str(cfg), "--out", str(est)])
+    main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "p2")])
+    cfg.write_text(cfg.read_text().replace("p = 2\n", p_line))
+    main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "other")])
+    want = (tmp_path / "p2" / "lowfreq_1_2.csv").read_bytes()
+    assert (tmp_path / "other" / "lowfreq_1_2.csv").read_bytes() == want
+    # a first width of 4 is not 2p + 1 for a whole p
+    eq1 = PosteriorDraws.load(est / "eq1")
+    replace(eq1, alpha0=eq1.alpha0[:, :4], alpha_last=eq1.alpha_last[:, :4]).save(est / "eq1")
+    with pytest.raises(SystemExit, match="eq1 store at .* has width 4, which is not m\\*p \\+ 1 for m = 2"):
+        main(["spectral", "--spec", str(cfg), "--out", str(tmp_path / "bad")])
+
+
+def test_the_thin_flag_is_refused(tmp_path, capsys):
+    # thinning is the config's thin key; the command line has no flag for it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model_class = CONST-NG\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--spec", str(cfg), "--thin", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --thin 2" in capsys.readouterr().err
+
+
+def _factor_panel(tmp_path):
+    # three selected variables, the first in log growth rates, and one spare column
+    rng = np.random.default_rng(12)
+    Y = generate_var_break(T=41, seed=6).Y
+    levels = np.column_stack([np.exp(np.cumsum(0.01 * Y[:, 0])), Y[:, 1:], rng.normal(size=41)])
+    _panel_csv(tmp_path / "panel.csv", levels, ["y1", "y2", "y3", "spare"])
+    return levels
+
+
+def _factor_config(tmp_path, variables):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model_class = CONST-NG\n"
+        "iterations = 6\n"
+        "burnin = 3\n"
+        f"data = {tmp_path / 'panel.csv'}\n"
+        f"variables = {variables}\n"
+        "n_factors = 1\n"
+        "seed = 4\n"
+    )
+    return cfg
+
+
+def test_estimate_with_factors_from_the_spare_columns(tmp_path):
+    levels = _factor_panel(tmp_path)
+    cfg = _factor_config(tmp_path, "y1:5, y2:1, y3:1")
+    out = tmp_path / "est"
+    main(["estimate", "--spec", str(cfg), "--out", str(out)])
+    assert sorted(d.name for d in out.glob("eq*")) == ["eq1", "eq2", "eq3", "eq4"]
+    assert (out / "variables.txt").read_text().splitlines() == ["y1", "y2", "y3", "f1"]
+    values, names = _build_panel(run_config(cfg.read_text()))
+    assert names == ("y1", "y2", "y3", "f1") and values.shape == (40, 4)
+    # one spare column is its own first principal component: standardized,
+    # on the growth rates' 40 periods, with its loading signed positive
+    np.testing.assert_allclose(values[:, 3], standardize(levels[1:, 3])[0], atol=1e-12)
+
+
+def test_factors_need_a_spare_column(tmp_path):
+    _factor_panel(tmp_path)
+    cfg = _factor_config(tmp_path, "y1:5, y2:1, y3:1, spare:1")
+    with pytest.raises(SystemExit, match="^no spare columns to build factors from$"):
+        main(["estimate", "--spec", str(cfg), "--out", str(tmp_path / "est")])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mixtvp.indicators import BernoulliCounts, MsCounts
 from mixtvp.io import (
     TimeSeriesPanel,
     load_panel_csv,
@@ -345,3 +346,35 @@ def test_run_config_refuses_nsim_below_one():
         with pytest.raises(ValueError, match=f"^nsim must be at least 1, got {nsim}$"):
             run_config(f"model_class = TVP-RW\nsubclass = SINGLE\nnsim = {nsim}\n")
     assert run_config("model_class = TVP-RW\nsubclass = SINGLE\nnsim = 1\n").nsim == 1
+
+
+def test_run_config_refuses_malformed_prior_counts():
+    base = "model_class = TVP-MIX\nsubclass = FLEX-MS\n"
+    for line, message in [
+        ("ms_counts = 1, 2", r"^ms_counts needs 4 finite positive counts, got \(1.0, 2.0\)$"),
+        ("ms_counts = 1, 2, 0, 3", r"^ms_counts needs 4 finite positive counts, got \(1.0, 2.0, 0.0, 3.0\)$"),
+        ("ms_counts = 1, inf, 1, 1", r"^ms_counts needs 4 finite positive counts, got \(1.0, inf, 1.0, 1.0\)$"),
+        ("bernoulli_counts = 1", r"^bernoulli_counts needs 2 finite positive counts, got \(1.0,\)$"),
+        ("bernoulli_counts = -1, nan", r"^bernoulli_counts needs 2 finite positive counts, got \(-1.0, nan\)$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_config(base + line + "\n")
+    spec = run_config(base + "ms_counts = 1, 2, 3, 4\nbernoulli_counts = 5, 6\n").spec
+    assert spec.default_ms_counts() == MsCounts(1.0, 2.0, 3.0, 4.0)
+    assert spec.default_bernoulli_counts() == BernoulliCounts(5.0, 6.0)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("p = two", "p: invalid literal for int() with base 10: 'two'"),
+        ("zeta = small", "zeta: could not convert string to float: 'small'"),
+        ("ms_counts = 1, x", "ms_counts item 2: could not convert string to float: 'x'"),
+        ("horizons = 1, , a", "horizons item 2: invalid literal for int() with base 10: 'a'"),
+        ("variables = a:1, b:x", "variables item 2 ('b:x'): invalid literal for int() with base 10: 'x'"),
+        ("sv = maybe", "sv: expected a boolean, got 'maybe'"),
+    ],
+)
+def test_config_values_that_do_not_parse_name_their_key(line, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_config(f"model_class = TVP-MIX\nsubclass = FLEX-MS\n{line}\n")

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+import mixtvp.sampler as sampler
 from mixtvp.dgp import generate_var_break
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
@@ -304,13 +305,42 @@ def test_sweep_keeps_the_fixed_group_layout(model_class, subclass):
         state = new
 
 
+@pytest.mark.parametrize(
+    "model_class, subclass, columns",
+    [(CLASS_RW, SUB_SINGLE, 1), (CLASS_RW, SUB_FLEX_MS, 1), (CLASS_MIX, SUB_FLEX_MS, 1), (CLASS_MIX, "FLEX-MIX", 3)],
+)
+def test_sweep_hands_the_state_draw_one_ar_pattern_per_chain(monkeypatch, model_class, subclass, columns):
+    # the random walk and the equation's one Markov-switching chain give all
+    # K coefficients one AR pattern; the mixture law gives each its own
+    rng = np.random.default_rng(12)
+    T, K = 40, 3
+    x = np.column_stack([rng.normal(size=(T, K - 1)), np.ones(T)])
+    y = x @ np.array([0.5, -0.3, 1.0]) + 0.3 * rng.normal(size=T)
+    spec = ModelSpec(model_class=model_class, subclass=subclass, iterations=2, burnin=1)
+    state = init_equation_state(y, x, spec, rng)
+    subs = []
+    real = sampler.draw_states_fast
+
+    def recording(ytilde, wtilde, a0, sub, rng):
+        subs.append(sub.shape)
+        return real(ytilde, wtilde, a0, sub, rng)
+
+    monkeypatch.setattr(sampler, "draw_states_fast", recording)
+    for _ in range(2):
+        state = gibbs_sweep(y, x, spec, state, rng, make_scales(spec))
+    assert subs == [(T - 1, columns)] * 2
+    if spec.law is not None:
+        assert state.S.shape == (T, columns)
+
+
 def test_prior_state_and_observation_shapes():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(25, 2))
     spec = ModelSpec(model_class=CLASS_MIX, subclass=SUB_FLEX_MS, iterations=2, burnin=1)
     state = sample_prior_state(x, spec, rng)
     assert isinstance(state, EquationChainState)
-    assert state.S.shape == (25, 2) and np.all(state.S == state.S[:, :1])
+    # one regime chain for the equation, held once
+    assert state.S.shape == (25, 1) and state.S.dtype == np.int8
     y = simulate_observations(x, spec, state, rng)
     assert y.shape == (25,) and np.all(np.isfinite(y))
     with pytest.raises(ValueError):
@@ -401,13 +431,14 @@ STORE_LAYOUTS = [
 LAYOUT_GROUPS = {None: 1, "FLEX-MS": 3, "FLEX-MIX": 3, "SINGLE": 2, "SSVS-MIX": 2}
 ALWAYS_STORED = "alpha0 h h0 sv_mu sv_phi sv_psi alpha_last"
 POOL_FIELDS = "pool_omega pool_xi pool_theta pool_mu pool_occupied"
-# dtype and shape per field in the symbols n (records), T, K, G (groups), N (clusters)
+# dtype and shape per field in the symbols n (records), T, K, G (groups), N
+# (clusters), R (regime chains: one per equation under FLEX-MS, else K)
 FIELD_LAYOUT = {
     "alpha0": ("float64", "nK"), "h": ("float64", "nT"), "h0": ("float64", "n"),
     "sv_mu": ("float64", "n"), "sv_phi": ("float64", "n"), "sv_psi": ("float64", "n"),
     "alpha_last": ("float64", "nK"), "sqrt_psi1": ("float64", "nK"),
     "sqrt_psi0": ("float64", "nK"), "alpha": ("float64", "nTK"),
-    "S": ("int8", "nTK"), "S_last": ("int8", "nK"), "p00": ("float64", "n"),
+    "S": ("int8", "nTR"), "S_last": ("int8", "nR"), "p00": ("float64", "n"),
     "p11": ("float64", "n"), "p_mix": ("float64", "nK"), "lam": ("float64", "nG"),
     "rho": ("float64", "nG"), "pool_omega": ("float64", "nN"), "pool_xi": ("float64", "n"),
     "pool_theta": ("int64", "nT"), "pool_mu": ("float64", "nNK"),
@@ -438,7 +469,10 @@ def test_stored_layout_per_cell(tmp_path, model_class, subclass, extra, store_pa
             want.add(name[:-1])
     held = {name for name in PosteriorDraws.ARRAY_FIELDS if getattr(draws, name) is not None}
     assert held == want
-    sizes = {"n": 3, "T": T, "K": K, "G": LAYOUT_GROUPS[subclass], "N": 4}
+    sizes = {
+        "n": 3, "T": T, "K": K, "G": LAYOUT_GROUPS[subclass], "N": 4,
+        "R": 1 if subclass == "FLEX-MS" else K,
+    }
     for name in held:
         dtype, dims = FIELD_LAYOUT[name]
         arr = getattr(draws, name)

@@ -328,12 +328,28 @@ def test_dimension_validation():
         draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), sub, np.random.default_rng(0))
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(5), sub, np.random.default_rng(0))
-    # a subdiagonal that is not (T-1, K): one row too many, then one column short
+    # a subdiagonal that is neither (T-1, K) nor (T-1, 1): one row too many,
+    # then one column short
     with pytest.raises(ValueError, match="do not match"):
         draw_states_fast(np.zeros(4), np.zeros((4, 1)), np.zeros(4), np.ones((4, 1)), None)
     with pytest.raises(ValueError, match="do not match"):
-        draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(8), sub, None)
+        draw_states_fast(np.zeros(4), np.zeros((4, 3)), np.zeros(12), np.ones((3, 2)), None)
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(3), np.zeros((4, 1)), np.zeros(4), None, np.random.default_rng(0))
     with pytest.raises(ValueError):
         draw_states_fast(np.zeros(4), np.zeros((4, 2)), np.zeros(4), None, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("pattern", [np.ones(6), np.array([1, 1, 0, 0, 1, 0])])
+def test_a_shared_ar_pattern_draws_as_its_k_columns(pattern):
+    # a (T-1, 1) subdiagonal is the one AR pattern of all K coefficients:
+    # the draw equals, bit for bit, the one from its (T-1, K) broadcast
+    rng = np.random.default_rng(4)
+    T, K = 6, 3
+    wtilde, ytilde, a0 = rng.normal(size=(T, K)), rng.normal(size=T), rng.normal(size=T * K)
+    shared = build_phi(pattern[:, None].astype(float))
+    wide = build_phi(np.repeat(pattern[:, None], K, axis=1).astype(float))
+    assert shared.shape == (T - 1, 1)
+    np.testing.assert_array_equal(state_precision_band(wtilde, shared), state_precision_band(wtilde, wide))
+    draws = [draw_states_fast(ytilde, wtilde, a0, sub, np.random.default_rng(8)) for sub in (shared, wide)]
+    np.testing.assert_array_equal(*draws)
