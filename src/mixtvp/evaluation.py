@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ModelSpec
+from .sampler import ModelSpec, with_context
 from .var import estimate_var, simulate_predictive
 
 __all__ = [
@@ -218,6 +218,8 @@ def run_forecast_harness(
 
     Seeds derive from one master seed per (origin, model) pair, so
     results are reproducible and each cell depends only on its own seed.
+    A cell's failure names its origin, as the score files' ``origin``
+    column gives it, and its model.
     """
     Y = np.asarray(Y, dtype=float)
     T = Y.shape[0]
@@ -233,10 +235,11 @@ def run_forecast_harness(
         hmax = max(by_origin[origin])
         for mi, (name, spec) in enumerate(specs.items()):
             s_est, s_sim = model_seeds[mi].spawn(2)
-            est = estimate_var(Y[: origin + 1], spec, seed=s_est)
-            fd = simulate_predictive(
-                est, hmax, nsim, np.random.default_rng(s_sim)
-            )
+            try:
+                est = estimate_var(Y[: origin + 1], spec, seed=s_est)
+                fd = simulate_predictive(est, hmax, nsim, np.random.default_rng(s_sim))
+            except (ArithmeticError, ValueError) as exc:
+                raise with_context(exc, f"origin {origin}, model {name}") from exc
             for h in by_origin[origin]:
                 for j, vname in enumerate(est.names):
                     out[name].append(

@@ -3,10 +3,11 @@
 Holding the centered coefficient paths fixed makes the observation
 equation independent of the indicators, so their conditionals involve
 only the Gaussian transition densities of the state equation.  Regime 1
-is the persistent-drift regime (slab variances, and for the mixture
-class a unit autoregressive coefficient on the normalized state);
-regime 0 is the abrupt-shift regime (spike variances, mean reverting to
-the center).
+is the persistent-drift regime (slab variances), regime 0 the
+abrupt-shift regime (spike variances).  The law of motion enters as
+``ar``, the normalized state's autoregressive coefficient in regime 0
+and in regime 1 (``ModelSpec.ar``): a regime with coefficient 0 reverts
+to the center, one with coefficient 1 carries the deviation.
 
 Because the dynamics are placed on the normalized states with unit
 innovation variance, the centered transition carries the deviation from
@@ -32,10 +33,6 @@ from .shrinkage import ConstantBlock
 VAR_FLOOR = 1e-10
 # a filter total below the smallest normal float has underflowed
 _TINY = sys.float_info.min
-
-CLASS_MIX = "TVP-MIX"
-CLASS_POOL = "TVP-POOL"
-CLASS_RW = "TVP-RW"
 
 
 @dataclass(frozen=True)
@@ -67,21 +64,18 @@ class BernoulliCounts:
 def _pair_residuals(
     alpha: np.ndarray,
     block: ConstantBlock,
-    model_class: str,
+    ar: tuple[float, float],
     pool_means: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deviation of alpha from its mean under each regime pair, and the variances.
 
     resid[k, l] is the (T, K) residual of the centered paths under regime
-    k at t-1 and regime l at t; its leading axis has length one when the
-    mean does not depend on k.  var[l] holds the K floored variances of
-    regime l.  Regime means follow the class: the mixture class reverts
-    to the center in regime 0 and carries the previous deviation scaled
-    by the root ratio in regime 1; the random-walk class carries the
-    scaled deviation in both regimes; the pool class centers both regimes
-    on the (scaled) cluster means, with no dependence on the previous
-    period.  The first period starts the normalized state at zero, so its
-    residuals do not depend on k.
+    k at t-1 and regime l at t.  var[l] holds the K floored variances of
+    regime l.  Regime l's mean is the center plus ar[l] times the
+    previous deviation scaled by the root ratio root_l / root_k, plus
+    root_l times the cluster means when ``pool_means`` holds them.  The
+    first period starts the normalized state at zero, so its residuals do
+    not depend on k.
 
     The roots are signed regression coefficients, so the carry ratio and
     the pool offsets keep their signs; only the variances are squared.
@@ -91,28 +85,21 @@ def _pair_residuals(
     root = np.array([block.sqrt_psi0, block.sqrt_psi1])
     var = np.maximum(root**2, VAR_FLOOR)
     e = alpha - block.alpha0
-
-    if model_class == CLASS_POOL:
-        if pool_means is None:
-            raise ValueError("pool class needs cluster means per period")
-        return (e - root[:, None, :] * pool_means)[None], var
-    if model_class not in (CLASS_MIX, CLASS_RW):
-        raise ValueError(f"unknown model class {model_class!r}")
-    # ratio[k, l] = root_l / root_k per coefficient; the departing root is
-    # floored in magnitude with its sign kept
-    denom = np.copysign(np.maximum(np.abs(root), np.sqrt(VAR_FLOOR)), root)
-    ratio = root[None, :, :] / denom[:, None, :]
-    if model_class == CLASS_MIX:
-        ratio[:, 0] = 0.0
     dev = np.zeros_like(e)
     dev[1:] = e[:-1]
+    if pool_means is not None:
+        e = e - root[:, None, :] * pool_means
+    # ratio[k, l] = ar_l * root_l / root_k per coefficient; the departing
+    # root is floored in magnitude with its sign kept
+    denom = np.copysign(np.maximum(np.abs(root), np.sqrt(VAR_FLOOR)), root)
+    ratio = root[None, :, :] / denom[:, None, :] * np.asarray(ar, dtype=float)[None, :, None]
     return e - ratio[:, :, None, :] * dev, var
 
 
 def regime_log_densities(
     alpha: np.ndarray,
     block: ConstantBlock,
-    model_class: str,
+    ar: tuple[float, float],
     pool_means: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairwise log transition densities, shape (T, K, 2, 2).
@@ -121,8 +108,8 @@ def regime_log_densities(
     at t-1 and regime l at t; alpha holds the centered paths and
     ``_pair_residuals`` states the regime means.
     """
-    resid, var = _pair_residuals(alpha, block, model_class, pool_means)
-    resid = np.broadcast_to(resid, (2, 2) + alpha.shape).transpose(2, 3, 0, 1)
+    resid, var = _pair_residuals(alpha, block, ar, pool_means)
+    resid = resid.transpose(2, 3, 0, 1)
     var = var.T[:, None, :]
     return -0.5 * (np.log(2.0 * np.pi * var) + resid**2 / var)
 
@@ -130,7 +117,7 @@ def regime_log_densities(
 def summed_log_densities(
     alpha: np.ndarray,
     block: ConstantBlock,
-    model_class: str,
+    ar: tuple[float, float],
     pool_means: np.ndarray | None = None,
 ) -> np.ndarray:
     """``regime_log_densities`` summed over coefficients, shape (T, 2, 2).
@@ -139,11 +126,11 @@ def summed_log_densities(
     one matrix product, and the normalizing logs are summed once per
     regime.
     """
-    resid, var = _pair_residuals(alpha, block, model_class, pool_means)
+    resid, var = _pair_residuals(alpha, block, ar, pool_means)
     quad = (resid * resid) @ (1.0 / var)[:, :, None]
     log_norm = np.log(2.0 * np.pi * var).sum(axis=1)
     out = -0.5 * (quad[..., 0] + log_norm[:, None])
-    return np.broadcast_to(out, (2, 2, alpha.shape[0])).transpose(2, 0, 1)
+    return out.transpose(2, 0, 1)
 
 
 def stationary_probs(p00: float, p11: float) -> np.ndarray:
@@ -168,7 +155,7 @@ def sample_indicators_ms(
     block: ConstantBlock,
     p00: float,
     p11: float,
-    model_class: str,
+    ar: tuple[float, float],
     rng: np.random.Generator,
     pool_means: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -186,7 +173,7 @@ def sample_indicators_ms(
     from log filter + log transition + log emission, so a state or
     transition of probability zero is never drawn.
     """
-    loglik = summed_log_densities(alpha, block, model_class, pool_means)
+    loglik = summed_log_densities(alpha, block, ar, pool_means)
     T = loglik.shape[0]
     trans = np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
 
@@ -255,7 +242,7 @@ def sample_indicators_mix(
     alpha: np.ndarray,
     block: ConstantBlock,
     p: np.ndarray,
-    model_class: str,
+    ar: tuple[float, float],
     rng: np.random.Generator,
     pool_means: np.ndarray | None = None,
     *,
@@ -267,11 +254,11 @@ def sample_indicators_mix(
     transition density and, through the root ratio on the carried
     deviation, the next period's.  Coefficients are independent chains,
     so the scan is vectorized across them; S supplies the current
-    configuration the single-site conditionals are built from.  For the
-    pool class both terms are regime-pair free and the sites decouple,
-    so any S produces exact independent draws.
+    configuration the single-site conditionals are built from.  When no
+    regime carries (``ar`` = (0, 0)) both terms are regime-pair free and
+    the sites decouple, so any S produces exact independent draws.
     """
-    loglik = regime_log_densities(alpha, block, model_class, pool_means)
+    loglik = regime_log_densities(alpha, block, ar, pool_means)
     T, K = alpha.shape
     cols = np.arange(K)
     out = np.array(S, dtype=np.int8, copy=True)

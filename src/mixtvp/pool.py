@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import log_uniform, sample_categorical_columns, sample_dirichlet, sample_gig_array
-from .shrinkage import MhScale
+from .distributions import sample_categorical_columns, sample_dirichlet, sample_gig_array
+from .shrinkage import MhScale, log_scale_step
 
 RANGE_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-300
@@ -114,19 +114,8 @@ def _sum_log_weights(omega: np.ndarray) -> float:
 
 def update_xi(xi, omega, priors: PoolPriors, rng, scale: float) -> tuple[float, bool]:
     """Random-walk step on log xi; returns the new value and acceptance."""
-    try:
-        prop = xi * math.exp(scale * rng.normal())
-    except OverflowError:
-        prop = math.inf
-    # every step draws its uniform, also when the proposal left (0, inf)
-    log_u = log_uniform(rng)
-    if not 0.0 < prop < math.inf:
-        return float(xi), False
     stats = (omega.shape[0], _sum_log_weights(omega), priors.d0)
-    log_ratio = _xi_log_kernel(prop, *stats) - _xi_log_kernel(xi, *stats) + math.log(prop / xi)
-    if log_u < log_ratio:
-        return prop, True
-    return float(xi), False
+    return log_scale_step(xi, scale, lambda v: _xi_log_kernel(v, *stats), rng)
 
 
 def sample_group_indicators(alpha_tilde, omega, mu, rng) -> np.ndarray:

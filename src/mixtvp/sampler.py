@@ -19,13 +19,12 @@ import numpy as np
 
 from .banded import build_phi
 from .indicators import (
-    CLASS_MIX,
-    CLASS_POOL,
-    CLASS_RW,
     BernoulliCounts,
     MsCounts,
+    bernoulli_posterior_params,
     sample_indicators_mix,
     sample_indicators_ms,
+    transition_posterior_params,
     update_bernoulli_probs,
     update_transition_probs,
 )
@@ -55,6 +54,9 @@ from .sv import (
     sv_sweep,
 )
 
+CLASS_MIX = "TVP-MIX"
+CLASS_POOL = "TVP-POOL"
+CLASS_RW = "TVP-RW"
 CLASS_CONST_NG = "CONST-NG"
 CLASS_CONST_MIN = "CONST-MIN"
 TVP_CLASSES = (CLASS_MIX, CLASS_POOL, CLASS_RW)
@@ -119,21 +121,41 @@ class ModelSpec:
             counts = getattr(self, name)
             if counts is not None and (len(counts) != n or not all(0 < c < math.inf for c in counts)):
                 raise ValueError(f"{name} needs {n} finite positive counts, got {tuple(counts)}")
+        # a zero Minnesota scale pins its coefficients at 0
+        for name in ("minnesota_own", "minnesota_cross", "minnesota_level"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        # zeta = 0 and kappa = 0 are limits the samplers handle
+        for name in ("zeta", "kappa"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
 
     @property
     def is_tvp(self) -> bool:
         return self.model_class in TVP_CLASSES
 
     @property
-    def carries(self) -> bool:
-        """Whether the normalized states carry a deviation from period to period.
+    def ar(self) -> tuple[int, int]:
+        """The normalized state's AR coefficient in regime 0 and in regime 1.
 
-        The class decides, not the drawn regimes: the random walk and a
-        mixture with a law autoregress, while the pooled law and the
-        single-variance mixture carry none; a two-regime mixture keeps its
-        coupling even when every S_t is 0.
+        The class decides, not the drawn regimes: the random walk carries the
+        state in both regimes and a mixture with a law in the slab regime
+        only, while the pooled law, the single-variance mixture and the
+        constant classes carry it in neither.
         """
-        return self.model_class == CLASS_RW or (self.model_class == CLASS_MIX and self.law is not None)
+        if self.model_class == CLASS_RW:
+            return 1, 1
+        if self.model_class == CLASS_MIX and self.law is not None:
+            return 0, 1
+        return 0, 0
+
+    @property
+    def carries(self) -> bool:
+        """Whether some regime carries the normalized state from period to period.
+
+        A two-regime mixture keeps its coupling even when every S_t is 0.
+        """
+        return any(self.ar)
 
     @property
     def law(self) -> str | None:
@@ -284,6 +306,18 @@ def _draw_block_and_ng(y, x, spec, state, rng, scales, adapting):
     return _block_from_coefs(coefs, spec, state.block.sqrt_psi0), NgHyper(tau, lam, rho, ng.zeta)
 
 
+def ar_subdiagonal(spec: ModelSpec, S: np.ndarray | None, T: int) -> np.ndarray | None:
+    """Phi's (T-1, columns) subdiagonal under the regimes S, or None (Phi = I).
+
+    Period t's AR diagonal is ``spec.ar`` at S_t.  A law whose regimes
+    share one coefficient gives every coefficient one column, whatever S.
+    """
+    if not spec.carries:
+        return None
+    ar0, ar1 = spec.ar
+    return build_phi(np.full((T, 1), ar1) if ar0 == ar1 else np.where(S == 1, ar1, ar0))
+
+
 def _draw_states(y, x, spec, block, roots, state, rng):
     """Step 2: normalized path through the static representation.
 
@@ -293,10 +327,7 @@ def _draw_states(y, x, spec, block, roots, state, rng):
     T, K = x.shape
     sigma = state.sv.sigma()
     wtilde = x * roots / sigma[:, None]
-    sub = None
-    if spec.carries:
-        # the AR diagonals: 1 under the random walk, S_t under the mixture
-        sub = build_phi(np.ones((T, 1)) if spec.model_class == CLASS_RW else state.S.astype(float))
+    sub = ar_subdiagonal(spec, state.S, T)
     if spec.model_class == CLASS_POOL:
         a0 = state.pool.prior_mean_stack().reshape(-1)
     else:
@@ -332,14 +363,10 @@ def _update_indicators(alpha, spec, block, state, rng, scales):
         p00, p11 = update_transition_probs(
             state.S[:, 0], scales.ms_counts, rng
         )
-        s = sample_indicators_ms(
-            alpha, block, p00, p11, spec.model_class, rng, pool_means
-        )
+        s = sample_indicators_ms(alpha, block, p00, p11, spec.ar, rng, pool_means)
         return s[:, None], p00, p11, state.p_mix
     p_mix = update_bernoulli_probs(state.S, scales.bernoulli_counts, rng)
-    S = sample_indicators_mix(
-        alpha, block, p_mix, spec.model_class, rng, pool_means, S=state.S
-    )
+    S = sample_indicators_mix(alpha, block, p_mix, spec.ar, rng, pool_means, S=state.S)
     return S, state.p00, state.p11, p_mix
 
 
@@ -500,14 +527,14 @@ def init_equation_state(
         centered = np.broadcast_to(beta, (T, K)).copy()
         centered[:split] = beta_head
         alpha_tilde = normalized_from_centered(block, S, centered)
-    counts = spec.default_ms_counts()
-    p00 = counts.c00 / (counts.c00 + counts.c10) if spec.law == LAW_MS else None
-    p11 = counts.c01 / (counts.c01 + counts.c11) if spec.law == LAW_MS else None
-    if spec.law == LAW_MIX:
-        b = spec.default_bernoulli_counts()
-        p_mix = np.full(K, b.c0 / (b.c0 + b.c1))
-    else:
-        p_mix = None
+    # the probabilities start at their prior means: the Beta parameters at zero counts
+    p00 = p11 = p_mix = None
+    if spec.law == LAW_MS:
+        (a0, b0), (a1, b1) = transition_posterior_params(np.zeros(1, dtype=np.int8), spec.default_ms_counts())
+        p00, p11 = a0 / (a0 + b0), a1 / (a1 + b1)
+    elif spec.law == LAW_MIX:
+        a, b = bernoulli_posterior_params(np.zeros((0, K), dtype=np.int8), spec.default_bernoulli_counts())
+        p_mix = a / (a + b)
 
     if spec.model_class == CLASS_CONST_MIN:
         ng = None

@@ -124,24 +124,31 @@ def _scale_stats(tau_group: np.ndarray) -> tuple[int, float, float]:
     return tau_group.shape[0], float(np.log(tau_group).sum()), float(tau_group.sum())
 
 
+def log_scale_step(value: float, scale: float, log_kernel, rng) -> tuple[float, bool]:
+    """One random-walk Metropolis step on log(value); returns the new value and acceptance.
+
+    ``log_kernel`` is the target's log density in ``value``; the step adds
+    the log Jacobian of the log-scale proposal.  Every step draws its
+    normal and then its uniform, also when the proposal overflows or
+    leaves (0, inf), which is refused.
+    """
+    try:
+        prop = value * math.exp(scale * rng.normal())
+    except OverflowError:
+        prop = math.inf
+    log_u = log_uniform(rng)
+    if not 0.0 < prop < math.inf:
+        return value, False
+    log_ratio = log_kernel(prop) - log_kernel(value) + math.log(prop) - math.log(value)
+    if log_u < log_ratio:
+        return prop, True
+    return value, False
+
+
 def update_rho(tau_group, lam, rho, scale, rng) -> tuple[float, bool]:
     """Log-scale random-walk step on the group hyper-shape."""
-    try:
-        prop = rho * math.exp(scale * rng.normal())
-    except OverflowError:
-        return rho, False
-    if not 0.0 < prop < math.inf:
-        return rho, False
     stats = _scale_stats(tau_group)
-    log_accept = (
-        _rho_log_kernel(prop, lam, *stats)
-        - _rho_log_kernel(rho, lam, *stats)
-        + math.log(prop)
-        - math.log(rho)
-    )
-    if log_uniform(rng) <= log_accept:
-        return prop, True
-    return rho, False
+    return log_scale_step(rho, scale, lambda r: _rho_log_kernel(r, lam, *stats), rng)
 
 
 @dataclass

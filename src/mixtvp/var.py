@@ -45,7 +45,6 @@ import numpy as np
 
 from .sampler import (
     CLASS_CONST_MIN,
-    CLASS_MIX,
     CLASS_POOL,
     LAW_MIX,
     LAW_MS,
@@ -542,6 +541,7 @@ class _RecordConstants:
         self.m, self.p, self.K = m, p, p * m + 1
         self.n_lag = m * self.K
         self.law, self.cls, self.tvp, self.carry = spec.law, spec.model_class, spec.is_tvp, spec.carries
+        self.ar = spec.ar
         self.buffer_rows = _block_rows(m, p, spec)
 
         def stack(get):
@@ -739,7 +739,8 @@ def _simulate_block(c, recs, rng, draws, h1_mean, h1_var):
                             np.multiply(a, l1, out=a, where=now & ~was)
                             np.multiply(a, l0, out=a, where=was & ~now)
             if c.carry:
-                if c.cls == CLASS_MIX:
+                if c.ar[0] == 0:
+                    # regime 0 forgets the carried deviation
                     for a, now in zip(by_regime(u), masks):
                         a *= now
                 u += z_s

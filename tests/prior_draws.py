@@ -2,25 +2,25 @@
 
 The prior-reproduction checks (Geweke 2004) start a chain from a state
 drawn here and regenerate the data from every state the chain visits.
-Block layout and fixed spike roots come from the sampler's own helpers,
-and the AR coupling from ``ModelSpec.carries``, so a prior draw has the
-shapes the sweep expects.
+Block layout, fixed spike roots and Phi's subdiagonal come from the
+sampler's own helpers, and the indicator probabilities from the
+sampler's own updates at zero counts, so a prior draw has the shapes and
+the laws the sweep expects.
 """
 
 import numpy as np
 
-from mixtvp.banded import build_phi
-from mixtvp.indicators import simulate_ms_chain
+from mixtvp.indicators import simulate_ms_chain, update_bernoulli_probs, update_transition_probs
 from mixtvp.sampler import (
     CLASS_CONST_MIN,
     CLASS_POOL,
-    CLASS_RW,
     LAW_MIX,
     LAW_MS,
     EquationChainState,
     ModelSpec,
     _block_from_coefs,
     _fixed_spike,
+    ar_subdiagonal,
 )
 from mixtvp.shrinkage import NgHyper
 from mixtvp.statespace import reconstruct_centered
@@ -30,7 +30,7 @@ from mixtvp.sv import DEFAULT_SV_PRIORS, SvPriors, SvState
 def solve_lower(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve Phi x = rhs by forward substitution in O(T*K).
 
-    ``sub`` is Phi's (T-1, K) subdiagonal from ``build_phi``, or a (T-1, 1)
+    ``sub`` is Phi's (T-1, K) subdiagonal from ``ar_subdiagonal``, or a (T-1, 1)
     one that every coefficient shares; K comes from ``rhs``.  ``rhs`` may be
     a (nu,) vector or a (n, nu) batch; the solve is applied row-wise in the
     batched case.
@@ -93,22 +93,19 @@ def sample_prior_state(
     p00 = p11 = None
     p_mix = None
     S = None
+    # the prior is the probabilities' update with no regimes counted
     if spec.law == LAW_MS:
-        counts = spec.default_ms_counts()
-        p00 = float(rng.beta(counts.c00, counts.c10))
-        p11 = float(rng.beta(counts.c01, counts.c11))
+        p00, p11 = update_transition_probs(np.zeros(1, dtype=np.int8), spec.default_ms_counts(), rng)
         S = simulate_ms_chain(p00, p11, T, rng)[:, None]
     elif spec.law == LAW_MIX:
-        counts = spec.default_bernoulli_counts()
-        p_mix = rng.beta(counts.c0, counts.c1, size=K)
+        p_mix = update_bernoulli_probs(np.zeros((0, K), dtype=np.int8), spec.default_bernoulli_counts(), rng)
         S = (rng.random(size=(T, K)) < p_mix).astype(np.int8)
 
     if spec.is_tvp:
         alpha_tilde = rng.normal(size=T * K)
-        if spec.carries:
-            # the AR diagonals: 1 under the random walk, S_t under the mixture
-            diagonals = np.ones((T, 1)) if spec.model_class == CLASS_RW else S.astype(float)
-            alpha_tilde = solve_lower(build_phi(diagonals), alpha_tilde)
+        sub = ar_subdiagonal(spec, S, T)
+        if sub is not None:
+            alpha_tilde = solve_lower(sub, alpha_tilde)
         alpha_tilde = alpha_tilde.reshape(T, K)
     else:
         alpha_tilde = np.zeros((T, K))

@@ -251,6 +251,14 @@ def test_harness_smoke_and_tables():
     assert float(lines[-1].split(",")[1]) == pytest.approx(0.0)
 
 
+def test_harness_failure_names_the_origin_and_the_model():
+    # origin 2 holds three observations, fewer than the four lags need
+    Y = generate_var_break(T=40, seed=1).Y
+    specs = {"pool": ModelSpec(model_class="TVP-POOL", subclass="SINGLE", p=4, iterations=4, burnin=2)}
+    with pytest.raises(ValueError, match="^origin 2, model pool: need more observations than lags$"):
+        run_forecast_harness(Y, specs, first_holdout=3, horizons=(1,))
+
+
 def test_harness_reproducibility():
     Y = generate_var_break(T=40, seed=2).Y[:, :2]
     specs = {"ng": ModelSpec(model_class=CLASS_CONST_NG, iterations=8, burnin=4)}

@@ -25,8 +25,14 @@ from mixtvp.indicators import (
     update_bernoulli_probs,
     update_transition_probs,
 )
+from mixtvp.sampler import ModelSpec
 from mixtvp.shrinkage import ConstantBlock
 from oracles import ffbs_two_state
+
+
+def law_ar(cls):
+    """The class's AR pair, as the sweep hands it to the indicator draws."""
+    return ModelSpec(cls, "FLEX-MS").ar
 
 
 def make_block(alpha0, sp1, sp0):
@@ -101,11 +107,11 @@ def test_regime_log_densities_match_reference():
     alpha = rng.normal(size=(T, K))
     block = make_block(alpha0, sp1, sp0)
     for cls in ("TVP-MIX", "TVP-RW"):
-        got = regime_log_densities(alpha, block, cls)
+        got = regime_log_densities(alpha, block, law_ar(cls))
         want = loglik_reference(alpha, alpha0, sp1, sp0, cls)
         np.testing.assert_allclose(got, want, rtol=1e-10)
     # first period carries no previous-regime dependence
-    got = regime_log_densities(alpha, block, "TVP-MIX")
+    got = regime_log_densities(alpha, block, law_ar("TVP-MIX"))
     np.testing.assert_allclose(got[0, :, 0, :], got[0, :, 1, :], rtol=1e-14)
     # roots enter as signed coefficients: flipping one sign must flip the
     # cross-regime carry, not just rescale it
@@ -113,7 +119,7 @@ def test_regime_log_densities_match_reference():
     sp0_signed = sp0 * np.array([-1.0, 1.0, 1.0])
     block_signed = make_block(alpha0, sp1_signed, sp0_signed)
     for cls in ("TVP-MIX", "TVP-RW"):
-        got = regime_log_densities(alpha, block_signed, cls)
+        got = regime_log_densities(alpha, block_signed, law_ar(cls))
         want = loglik_reference(alpha, alpha0, sp1_signed, sp0_signed, cls)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -131,12 +137,12 @@ def test_summed_log_densities_match_reference_sum(cls, T):
     alpha = alpha0 + rng.normal(size=(T, K)) * 0.3
     pool_means = rng.normal(size=(T, K)) if cls == "TVP-POOL" else None
     block = make_block(alpha0, sp1, sp0)
-    got = summed_log_densities(alpha, block, cls, pool_means)
+    got = summed_log_densities(alpha, block, law_ar(cls), pool_means)
     want = loglik_reference(alpha, alpha0, sp1, sp0, cls, pool_means, var_floor=VAR_FLOOR)
     assert got.shape == (T, 2, 2)
     np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(
-        regime_log_densities(alpha, block, cls, pool_means), want, rtol=1e-12
+        regime_log_densities(alpha, block, law_ar(cls), pool_means), want, rtol=1e-12
     )
 
 
@@ -145,7 +151,7 @@ def test_pool_regime_means():
     T, K = 4, 2
     block = make_block(rng.normal(size=K), [1.0, 0.8], [0.1, 0.05])
     pool_means = rng.normal(size=(T, K))
-    got = regime_log_densities(rng.normal(size=(T, K)) * 0.0, block, "TVP-POOL", pool_means)
+    got = regime_log_densities(rng.normal(size=(T, K)) * 0.0, block, law_ar("TVP-POOL"), pool_means)
     # regime-0 density of 0 equals N(0; a0 + sp0*mu, sp0^2)
     want = stats.norm.logpdf(
         0.0, block.alpha0[0] + block.sqrt_psi0[0] * pool_means[2, 0], block.sqrt_psi0[0]
@@ -153,8 +159,6 @@ def test_pool_regime_means():
     np.testing.assert_allclose(got[2, 0, 0, 0], want, rtol=1e-12)
     # no autoregression: densities are unchanged by the previous regime
     np.testing.assert_allclose(got[..., 0, :], got[..., 1, :], rtol=1e-14)
-    with pytest.raises(ValueError):
-        regime_log_densities(np.zeros((T, K)), block, "TVP-POOL")
 
 
 def test_ms_sampler_matches_enumeration():
@@ -173,8 +177,9 @@ def test_ms_sampler_matches_enumeration():
 
     n = 40000
     draws = np.empty((n, T), dtype=np.int8)
+    ar = law_ar("TVP-MIX")
     for j in range(n):
-        draws[j] = sample_indicators_ms(alpha, block, p00, p11, "TVP-MIX", rng)
+        draws[j] = sample_indicators_ms(alpha, block, p00, p11, ar, rng)
     freq = draws.mean(axis=0)
     se = np.sqrt(np.maximum(want * (1.0 - want), 1e-6) / n)
     assert np.all(np.abs(freq - want) < 5.0 * se + 1e-4)
@@ -182,11 +187,12 @@ def test_ms_sampler_matches_enumeration():
 
 def _ms_draws_side_by_side(alpha, block, p00, p11, cls, seed, pool_means=None, n=25):
     """n chain draws from the package sampler and from the per-period oracle, one seed each."""
-    pooled = regime_log_densities(alpha, block, cls, pool_means).sum(axis=1)
+    ar = law_ar(cls)
+    pooled = regime_log_densities(alpha, block, ar, pool_means).sum(axis=1)
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got, want, log_steps = [], [], 0
     for _ in range(n):
-        got.append(sample_indicators_ms(alpha, block, p00, p11, cls, rng_new, pool_means))
+        got.append(sample_indicators_ms(alpha, block, p00, p11, ar, rng_new, pool_means))
         s, hit = ffbs_two_state(pooled, p00, p11, rng_ref)
         want.append(s)
         log_steps += hit
@@ -237,7 +243,7 @@ def test_ms_absorbing_regime_draws_no_zero_probability_path(absorbing):
     p00, p11 = (0.6, 1.0) if absorbing else (1.0, 0.6)
     rng = np.random.default_rng(41)
     draws = np.array(
-        [sample_indicators_ms(alpha, block, p00, p11, "TVP-MIX", rng) for _ in range(200)]
+        [sample_indicators_ms(alpha, block, p00, p11, law_ar("TVP-MIX"), rng) for _ in range(200)]
     )
     assert np.all(draws == absorbing)
 
@@ -302,8 +308,9 @@ def test_mix_sampler_single_period_is_pointwise():
     n = 30000
     acc = np.zeros(K)
     start = np.ones((1, K), dtype=np.int8)
+    ar = law_ar("TVP-MIX")
     for _ in range(n):
-        acc += sample_indicators_mix(alpha, block, p, "TVP-MIX", rng, S=start)[0]
+        acc += sample_indicators_mix(alpha, block, p, ar, rng, S=start)[0]
     freq = acc / n
     se = np.sqrt(np.maximum(want * (1.0 - want), 1e-6) / n)
     assert np.all(np.abs(freq - want) < 5.0 * se + 1e-4)
@@ -326,8 +333,9 @@ def test_mix_sampler_matches_enumeration():
     n = 40000
     s = np.ones((T, K), dtype=np.int8)
     acc = np.zeros(T)
+    ar = law_ar("TVP-MIX")
     for _ in range(n):
-        s = sample_indicators_mix(alpha, block, p, "TVP-MIX", rng, S=s)
+        s = sample_indicators_mix(alpha, block, p, ar, rng, S=s)
         acc += s[:, 0]
     freq = acc / n
     # sweeps are a Markov chain, so pad the binomial error for correlation
@@ -406,9 +414,10 @@ def test_geweke_prior_invariance():
     n_sweep, burn = 20000, 1000
     rec_p = np.empty((n_sweep, 2))
     rec_occ = np.empty(n_sweep)
+    ar = law_ar("TVP-MIX")
     for j in range(n_sweep + burn):
         alpha = simulate_path_given_s(s, block, rng)
-        s = sample_indicators_ms(alpha, block, p00, p11, "TVP-MIX", rng)
+        s = sample_indicators_ms(alpha, block, p00, p11, ar, rng)
         p00, p11 = update_transition_probs(s, counts, rng)
         if j >= burn:
             rec_p[j - burn] = (p00, p11)
@@ -427,12 +436,9 @@ def test_geweke_prior_invariance():
 
 
 def test_validation_errors():
-    block = make_block([0.0], [1.0], [0.1])
-    with pytest.raises(ValueError):
-        regime_log_densities(np.zeros((3, 1)), block, "NOPE")
     no_spike = ConstantBlock(alpha0=np.zeros(1), sqrt_psi1=np.ones(1))
     with pytest.raises(ValueError):
-        regime_log_densities(np.zeros((3, 1)), no_spike, "TVP-MIX")
+        regime_log_densities(np.zeros((3, 1)), no_spike, law_ar("TVP-MIX"))
     with pytest.raises(ValueError):
         MsCounts(c00=0.0, c01=1.0, c10=1.0, c11=1.0)
     with pytest.raises(ValueError):

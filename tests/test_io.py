@@ -341,6 +341,11 @@ def test_run_config_validation():
         run_config("seed = 1\n")
 
 
+def test_run_config_refuses_a_zero_minnesota_scale():
+    with pytest.raises(ValueError, match="^minnesota_own must be finite and positive, got 0.0$"):
+        run_config("model_class = CONST-MIN\nminnesota_own = 0\n")
+
+
 def test_run_config_refuses_nsim_below_one():
     for nsim in (0, -4):
         with pytest.raises(ValueError, match=f"^nsim must be at least 1, got {nsim}$"):

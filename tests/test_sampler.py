@@ -113,6 +113,39 @@ def test_config_validation():
         run_chain(np.r_[y[:-1], np.nan], x, spec, seed=0)
 
 
+def test_config_refuses_hyperparameters_that_give_a_wrong_answer_by_name():
+    # a zero Minnesota scale pins its coefficients at 0; the other values
+    # stop mid-chain with a message that names no field
+    bad = [
+        ("minnesota_own", 0.0), ("minnesota_own", -0.2), ("minnesota_own", np.inf), ("minnesota_own", np.nan),
+        ("minnesota_cross", 0.0), ("minnesota_cross", np.inf),
+        ("minnesota_level", 0.0), ("minnesota_level", np.nan),
+        ("zeta", -1.0), ("zeta", np.nan), ("zeta", np.inf),
+        ("kappa", -1.0), ("kappa", np.inf),
+    ]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+            ModelSpec(model_class=CLASS_MIX, subclass="SSVS-MIX", **{field: value})
+    # zero zeta and kappa run, and stay allowed
+    for field in ("zeta", "kappa"):
+        assert getattr(ModelSpec(model_class=CLASS_MIX, subclass="SSVS-MIX", **{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize(
+    "model_class, subclass, ar",
+    [(CLASS_RW, sub, (1, 1)) for sub in ("FLEX-MS", "FLEX-MIX", "SINGLE", "SSVS-MIX")]
+    + [(CLASS_MIX, "FLEX-MS", (0, 1)), (CLASS_MIX, "FLEX-MIX", (0, 1)), (CLASS_MIX, "SINGLE", (0, 0)),
+       (CLASS_MIX, "SSVS-MIX", (0, 1))]
+    + [(CLASS_POOL, sub, (0, 0)) for sub in ("FLEX-MS", "FLEX-MIX", "SINGLE", "SSVS-MIX")]
+    + [(CLASS_CONST_NG, None, (0, 0)), (CLASS_CONST_MIN, None, (0, 0))],
+)
+def test_law_of_motion_per_cell(model_class, subclass, ar):
+    # the normalized state's AR coefficient in regime 0, then in regime 1
+    spec = ModelSpec(model_class=model_class, subclass=subclass)
+    assert spec.ar == ar
+    assert spec.carries == (ar != (0, 0))
+
+
 def test_rw_single_band_coverage():
     """Random-walk DGP: 68% bands on the centered path cover >= 55% of t."""
     rng = np.random.default_rng(2024)

@@ -1,5 +1,7 @@
 """Hierarchy conditional checks: analytic parameters and MH invariance."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,8 +19,10 @@ from mixtvp.shrinkage import (
     draw_lambda,
     draw_tau,
     lambda_posterior_params,
+    log_scale_step,
     update_rho,
 )
+from mixtvp.pool import PoolPriors, update_xi
 
 
 def constant_block_moments(y, xhat, sigma, tau):
@@ -115,6 +119,49 @@ def test_update_rho_targets_correct_density():
     kept = np.asarray(kept[5000:])
     se = kept.std(ddof=1) / np.sqrt(kept.size / 20.0)  # crude ESS deflation
     assert abs(kept.mean() - target_mean) < 6 * se + 0.01
+
+
+class _QueuedDraws:
+    """Hands out queued normals and uniforms, and lists the calls in order."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms, self.calls = list(normals), list(uniforms), []
+
+    def normal(self):
+        self.calls.append("normal")
+        return self.normals.pop(0)
+
+    def random(self):
+        self.calls.append("random")
+        return self.uniforms.pop(0)
+
+
+def _flat(value):
+    return 0.0
+
+
+@pytest.mark.parametrize("normal", [1e6, -1e6, 700.0], ids=["overflow", "zero", "infinite"])
+def test_log_scale_step_refuses_a_proposal_outside_the_positive_reals(normal):
+    # exp(1e6) overflows, exp(-1e6) is 0, and 1e10 * exp(700) is inf
+    rng = _QueuedDraws([normal], [0.0])
+    assert log_scale_step(1e10, 1.0, _flat, rng) == (1e10, False)
+    assert rng.calls == ["normal", "random"]
+
+
+def test_log_scale_step_adds_the_log_jacobian():
+    # under a flat kernel the log ratio is the log step itself
+    rng = _QueuedDraws([0.1, -2.0], [0.5, 0.5])
+    prop, accepted = log_scale_step(2.0, 1.0, _flat, rng)
+    assert accepted and prop == 2.0 * math.exp(0.1)
+    assert log_scale_step(2.0, 1.0, _flat, rng) == (2.0, False)
+    assert rng.calls == ["normal", "random"] * 2
+
+
+def test_hyper_shape_steps_refuse_an_overflowing_proposal_with_one_normal_and_one_uniform():
+    rng = _QueuedDraws([1e6, 1e6], [0.5, 0.5])
+    assert update_rho(np.array([0.5, 1.5]), 1.2, 0.7, 1.0, rng) == (0.7, False)
+    assert update_xi(0.3, np.array([0.6, 0.4]), PoolPriors(n_clusters=2), rng, 1.0) == (0.3, False)
+    assert rng.calls == ["normal", "random"] * 2
 
 
 def test_mh_scale_adapts_toward_target():
